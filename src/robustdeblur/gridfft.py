@@ -6,14 +6,28 @@ throughout the package: unnormalized forward DFT and 1/N inverse (numpy's
 default), so ``idft2(dft2(x)) == x`` and a PSF's OTF value at frequency
 (0, 0) equals its pixel sum.  Non-power-of-two and odd sizes are supported.
 
+The operator kernels run on real images, so they use the private
+half-spectrum pair :func:`_rdft2` / :func:`_irdft2` (numpy's ``rfft2`` and
+``irfft2`` over the last two axes of an ``(h, w)`` image or ``(k, h, w)``
+stack).  A half spectrum keeps columns ``0 .. w//2`` of the full one; this
+module alone knows that layout (:func:`_half` cuts a full-grid symbol to it,
+:func:`_spectral_energy` carries the Parseval weights of the dropped
+columns).  The public :func:`dft2` / :func:`idft2` keep the full complex
+layout and serve as the reference.
+
 The module keeps a global tally of transforms and pixel-wise multiplies /
-additions issued by the operator kernels.  The tally exists so tests can pin
-exact per-apply operation counts; see :func:`count_transforms`.
+additions issued by the operator kernels.  Every transform counts once per
+frame image, whichever pair issued it: one ``fft2`` or ``ifft2`` for a 2D
+image, ``k`` for a ``(k, h, w)`` stack.  The multiplies and additions are
+tallied by the kernels themselves, one per frame image for a batched
+product.  The tally exists so tests can pin exact per-apply operation
+counts; see :func:`count_transforms`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +72,7 @@ class OpCounts:
         return OpCounts(self.fft2, self.ifft2, self.mults, self.adds)
 
 
-#: Global tally. Incremented by dft2/idft2 and by the operator kernels
+#: Global tally. Incremented by both transform pairs and by the operator kernels
 #: (pixel-wise multiplies and additions only; scalar folding is free).
 COUNTS = OpCounts()
 
@@ -132,6 +146,73 @@ def idft2(spec: np.ndarray, imag_tol: float = IMAG_TOL) -> np.ndarray:
             f"{norm:.3e}; operator symbol is not Hermitian-symmetric"
         )
     return np.ascontiguousarray(out.real)
+
+
+def _rdft2(x: np.ndarray) -> np.ndarray:
+    """Half-spectrum forward DFT over the last two axes of real ``x``.
+
+    Same convention as :func:`dft2`, keeping only columns ``0 .. w//2``;
+    tallies one ``fft2`` per frame image.
+    """
+    COUNTS.fft2 += math.prod(x.shape[:-2])
+    return np.fft.rfft2(x)
+
+
+def _irdft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`_rdft2` onto a ``shape`` grid; always real.
+
+    ``shape`` is required because an odd width and the even width below
+    it keep the same number of half-spectrum columns.  The dropped columns
+    are taken to be the Hermitian mirror of the kept ones, so the caller's
+    symbols must be Hermitian-symmetric (see :func:`_check_hermitian`).
+    Tallies one ``ifft2`` per frame image.
+    """
+    COUNTS.ifft2 += math.prod(spec.shape[:-2])
+    return np.fft.irfft2(spec, s=tuple(shape))
+
+
+def _half(symbol: np.ndarray) -> np.ndarray:
+    """View of a full-grid symbol cut to the half-spectrum columns."""
+    return symbol[..., : symbol.shape[-1] // 2 + 1]
+
+
+def _spectral_energy(
+    symbol: np.ndarray, spec: np.ndarray, shape: tuple[int, int]
+) -> float:
+    """``(1/N) sum symbol * |X|^2`` over the full grid, from ``spec = _rdft2(x)``.
+
+    ``symbol`` is a real full-grid symbol with the Hermitian symmetry
+    ``symbol[-k, -l] == symbol[k, l]``.  Each half-spectrum column other
+    than column 0 and, for even widths, column ``w/2`` stands for itself
+    and its mirror, so it counts twice (Parseval).
+    """
+    h, w = int(shape[0]), int(shape[1])
+    cols = np.sum(_half(symbol) * (spec.real**2 + spec.imag**2), axis=-2)
+    total = 2.0 * np.sum(cols) - cols[0]
+    if w % 2 == 0:
+        total -= cols[-1]
+    return float(total) / (h * w)
+
+
+def _check_hermitian(stack: np.ndarray, name: str) -> None:
+    """Raise unless each frame ``S`` of ``stack`` has ``S[-k, -l] == conj(S[k, l])``.
+
+    The half-spectrum inverse silently assumes this symmetry, so it is
+    checked once per operator instead of on every inverse transform.  The
+    tolerance is :data:`IMAG_TOL` relative to each frame's norm, which
+    accepts the rounding-level asymmetry of :func:`psf_to_otf` output.
+    """
+    mirror = np.roll(stack[..., ::-1, ::-1], 1, axis=(-2, -1))
+    gap = np.linalg.norm(stack - np.conj(mirror), axis=(-2, -1))
+    norm = np.linalg.norm(stack, axis=(-2, -1))
+    tiny = np.finfo(np.float64).tiny
+    bad = np.flatnonzero(gap > IMAG_TOL * np.maximum(norm, tiny))
+    if bad.size:
+        j = int(bad[0])
+        raise InverseTransformError(
+            f"{name} frame {j} is not Hermitian-symmetric: asymmetry "
+            f"{gap.flat[j]:.3e} exceeds {IMAG_TOL:.1e} of norm {norm.flat[j]:.3e}"
+        )
 
 
 def psf_to_otf(psf: np.ndarray, center: tuple[int, int]) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import as_image, dft2, idft2
+from .gridfft import _half, _irdft2, _rdft2, _spectral_energy, as_image
 from .operators import BlurOperator, as_stack, laplacian_symbol
 
 __all__ = [
@@ -222,8 +222,7 @@ class Objective:
     def penalty(self, x) -> float:
         """||L x||^2 via the spectral identity (1/N) sum lap_sq |x_hat|^2."""
         x = self._check_x(x, feasible=False)
-        x_hat = dft2(x)
-        return float(np.sum(self.lap_sq * (x_hat.real**2 + x_hat.imag**2))) / x.size
+        return _spectral_energy(self.lap_sq, _rdft2(x), x.shape)
 
     def value(self, x) -> float:
         x = self._check_x(x, feasible=True)
@@ -247,7 +246,7 @@ class Objective:
         z, _, _ = self._weights(self.op.apply(x))
         g = self.op.apply_adjoint(z)
         if self.lam > 0:
-            g = g + idft2(self.lam * self.lap_sq * dft2(x))
+            g = g + _irdft2(self.lam * _half(self.lap_sq) * _rdft2(x), x.shape)
         return g
 
     def hessian_weights(self, x) -> WeightReport:

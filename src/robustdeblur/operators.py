@@ -3,7 +3,9 @@
 The forward model stacks one or more circular convolutions of the unknown
 image: frame j of ``A x`` is ``idft2(H_j * dft2(x))`` where ``H_j`` is the
 frame's OTF.  Stacked residual-space vectors are 3D arrays of shape
-``(frames, height, width)``.
+``(frames, height, width)``.  Every frame is transformed in one batched
+half-spectrum call (see :mod:`.gridfft`), which tallies one transform per
+frame image.
 
 ``hessian_apply`` evaluates ``(A^T D A + lam * L^T L) s`` with a fused
 transform schedule costing exactly 2 fft2 + 2 ifft2 + 4 pixel-wise
@@ -15,7 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gridfft import as_image, dft2, idft2, psf_to_otf, tally_adds, tally_mults
+from .gridfft import (
+    _check_hermitian,
+    _half,
+    _irdft2,
+    _rdft2,
+    as_image,
+    psf_to_otf,
+    tally_adds,
+    tally_mults,
+)
 
 __all__ = [
     "BlurOperator",
@@ -39,13 +50,24 @@ def as_stack(values, shape: tuple[int, int], name: str = "stack") -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class BlurOperator:
     """Stacked periodic blur operator defined by one OTF per frame.
 
     Immutable after construction; safe to share across threads.  The
-    squared-PSF OTFs (transforms of the pixel-wise squared kernels) are
-    precomputed once here because the preconditioner needs them at every
-    Newton step.
+    full-grid ``otfs`` and ``sq_otfs`` and the half-spectrum copies the
+    kernels use are all read-only.  The squared-PSF OTFs (transforms of
+    the pixel-wise squared kernels) are precomputed once here because the
+    preconditioner needs them at every Newton step.
+
+    Construction raises :class:`~.gridfft.InverseTransformError` unless
+    every frame of ``otfs`` and ``sq_otfs`` is Hermitian-symmetric, the
+    spectrum of a real kernel; the half-spectrum inverse transforms rely
+    on it and no longer check their output.
     """
 
     def __init__(self, otfs, sq_otfs=None):
@@ -54,15 +76,18 @@ class BlurOperator:
             otfs = otfs[None, :, :]
         if otfs.ndim != 3 or otfs.shape[0] < 1:
             raise ValueError(f"otfs must have shape (k, h, w), got {otfs.shape}")
-        self.otfs = otfs
-        self.otfs_conj = np.conj(otfs)
+        _check_hermitian(otfs, "otfs")
+        self.otfs = _frozen(otfs)
+        # Both half spectra are kept: every Hessian product needs each one.
+        self._otf_half = _frozen(np.ascontiguousarray(_half(otfs)))
+        self._otf_half_adj = _frozen(np.conj(self._otf_half))
         if sq_otfs is not None:
             sq_otfs = np.asarray(sq_otfs, dtype=np.complex128)
             if sq_otfs.shape != otfs.shape:
                 raise ValueError("sq_otfs shape must match otfs")
+            _check_hermitian(sq_otfs, "sq_otfs")
+            sq_otfs = _frozen(sq_otfs)
         self.sq_otfs = sq_otfs
-        self.otfs.setflags(write=False)
-        self.otfs_conj.setflags(write=False)
 
     @classmethod
     def from_psfs(cls, psfs, centers) -> "BlurOperator":
@@ -98,8 +123,7 @@ class BlurOperator:
         x = as_image(x)
         if x.shape != self.shape:
             raise ValueError(f"image shape {x.shape} != operator grid {self.shape}")
-        x_hat = dft2(x)
-        return np.stack([idft2(h * x_hat) for h in self.otfs])
+        return _irdft2(self._otf_half * _rdft2(x), self.shape)
 
     def apply_adjoint(self, y) -> np.ndarray:
         """Adjoint: ``sum_j idft2(conj(H_j) * dft2(y_j))``."""
@@ -108,10 +132,7 @@ class BlurOperator:
             raise ValueError(
                 f"stack has {y.shape[0]} frames, operator has {self.n_frames}"
             )
-        acc = np.zeros(self.shape, dtype=np.complex128)
-        for j in range(self.n_frames):
-            acc += self.otfs_conj[j] * dft2(y[j])
-        return idft2(acc)
+        return _irdft2(np.sum(self._otf_half_adj * _rdft2(y), axis=0), self.shape)
 
 
 def laplacian_symbol(shape: tuple[int, int]) -> np.ndarray:
@@ -156,22 +177,18 @@ def hessian_apply(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
-    s_hat = dft2(s)
-    lam_sq = lam * lap_sq  # scalar fold, not a pixel-wise multiply
-    acc = None
-    for j in range(op.n_frames):
-        t_j = idft2(op.otfs[j] * s_hat)
-        tally_mults()
-        u_j = weights[j] * t_j
-        tally_mults()
-        term = op.otfs_conj[j] * dft2(u_j)
-        tally_mults()
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-            tally_adds()
-    acc += lam_sq * s_hat
+    k = op.n_frames
+    s_hat = _rdft2(s)
+    t = _irdft2(op._otf_half * s_hat, op.shape)
+    tally_mults(k)
+    u = weights * t
+    tally_mults(k)
+    terms = op._otf_half_adj * _rdft2(u)
+    tally_mults(k)
+    acc = np.sum(terms, axis=0)
+    tally_adds(k - 1)
+    # The budget counts the spectral products; lam * lap_sq is not tallied.
+    acc += lam * _half(lap_sq) * s_hat
     tally_mults()
     tally_adds()
-    return idft2(acc)
+    return _irdft2(acc, op.shape)

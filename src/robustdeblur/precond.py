@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import dft2, idft2, tally_mults
+from .gridfft import _half, _irdft2, _rdft2, tally_mults
 from .operators import BlurOperator, as_stack
 
 __all__ = ["Preconditioner", "build_dhat", "precond_build"]
@@ -31,10 +31,18 @@ __all__ = ["Preconditioner", "build_dhat", "precond_build"]
 # Relative floor keeping Dhat positive when saturation zeroes whole regions.
 DHAT_FLOOR = 1e-6
 
+# A symbol whose min/max ratio is at or below float64 epsilon cannot be
+# inverted meaningfully: 1/symbol would amplify rounding noise.
+SYMBOL_RCOND = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Frozen factorization of M = Dhat (A^T A + lam_hat L^T L) Dhat."""
+    """Frozen factorization of M = Dhat (A^T A + lam_hat L^T L) Dhat.
+
+    ``inv_symbol`` holds the inverse symbol on the half spectrum that
+    :func:`.gridfft._rdft2` produces.  All arrays are read-only.
+    """
 
     dhat: np.ndarray
     inv_dhat: np.ndarray
@@ -45,7 +53,7 @@ class Preconditioner:
         """Apply M^{-1} r: scale, deconvolve spectrally, scale again."""
         u = self.inv_dhat * r
         tally_mults()
-        v = idft2(self.inv_symbol * dft2(u))
+        v = _irdft2(self.inv_symbol * _rdft2(u), u.shape)
         tally_mults()
         out = self.inv_dhat * v
         tally_mults()
@@ -71,11 +79,10 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     if not np.any(weights > 0):
         raise ValueError("all weights are zero (every residual saturated)")
 
-    acc = np.zeros(op.shape, dtype=np.complex128)
-    for j in range(op.n_frames):
-        acc += np.conj(op.sq_otfs[j]) * dft2(weights[j])
-    numerator = np.maximum(idft2(acc), 0.0)  # clip rounding noise before sqrt
-    denominator = float(sum(op.sq_otfs[j][0, 0].real for j in range(op.n_frames)))
+    spec = np.sum(np.conj(_half(op.sq_otfs)) * _rdft2(weights), axis=0)
+    # clip rounding noise before sqrt
+    numerator = np.maximum(_irdft2(spec, op.shape), 0.0)
+    denominator = float(np.sum(op.sq_otfs[:, 0, 0].real))
     dhat = np.sqrt(numerator / denominator)
     return np.maximum(dhat, DHAT_FLOOR * dhat.max())
 
@@ -88,13 +95,23 @@ def precond_build(
         raise ValueError("lam must be nonnegative")
     dhat = build_dhat(op, weights)
     lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
-    symbol = np.sum(np.abs(op.otfs) ** 2, axis=0) + lambda_hat * lap_sq
-    if symbol.min() <= 0:
-        raise ValueError("singular preconditioner symbol (blur kernel has "
-                         "spectral zeros and lam is too small)")
+    gain = np.sum(np.abs(_half(op.otfs)) ** 2, axis=0)
+    symbol = gain + lambda_hat * _half(lap_sq)
+    lo, hi = float(symbol.min()), float(symbol.max())
+    if lo <= SYMBOL_RCOND * hi:
+        ratio = lo / hi if hi > 0 else 0.0
+        raise ValueError(
+            f"ill-conditioned preconditioner symbol: min/max ratio {ratio:.1e} "
+            f"is at or below machine epsilon (blur kernel has near-zero "
+            f"spectral gain and lambda_hat {lambda_hat:.1e} is too small)"
+        )
+    inv_dhat = 1.0 / dhat
+    inv_symbol = 1.0 / symbol
+    for arr in (dhat, inv_dhat, inv_symbol):
+        arr.setflags(write=False)
     return Preconditioner(
         dhat=dhat,
-        inv_dhat=1.0 / dhat,
-        inv_symbol=1.0 / symbol,
+        inv_dhat=inv_dhat,
+        inv_symbol=inv_symbol,
         lambda_hat=lambda_hat,
     )

@@ -150,18 +150,21 @@ def test_value_saturates_at_m_beta_sq_half():
 
 def test_value_matches_dense_oracle_with_penalty():
     rng = np.random.default_rng(51)
-    op, psf, center = random_operator(rng, (6, 6))
-    x = 2.0 + rng.random((6, 6)) * 5
-    b = 2.0 + rng.random((6, 6)) * 5
-    sigma, lam, beta = 1.2, 0.7, 1.1
-    obj = Objective(op, b[None], sigma, LossFunction(beta=beta), lam)
-    A = dense_blur_matrix(psf, center)
-    L = dense_laplacian((6, 6))
-    ax = A @ x.ravel()
-    t = (ax - b.ravel()) / np.sqrt(ax + sigma**2)
-    rho = np.where(np.abs(t) <= beta, 0.5 * t**2, 0.5 * beta**2)
-    expected = rho.sum() + 0.5 * lam * np.sum((L @ x.ravel()) ** 2)
-    assert obj.value(x) == pytest.approx(expected, rel=1e-10)
+    # Odd widths and a two-row grid exercise the half-spectrum Parseval
+    # weights of the penalty.
+    for shape in ((6, 6), (5, 7), (7, 6), (2, 9)):
+        op, psf, center = random_operator(rng, shape)
+        x = 2.0 + rng.random(shape) * 5
+        b = 2.0 + rng.random(shape) * 5
+        sigma, lam, beta = 1.2, 0.7, 1.1
+        obj = Objective(op, b[None], sigma, LossFunction(beta=beta), lam)
+        A = dense_blur_matrix(psf, center)
+        L = dense_laplacian(shape)
+        ax = A @ x.ravel()
+        t = (ax - b.ravel()) / np.sqrt(ax + sigma**2)
+        rho = np.where(np.abs(t) <= beta, 0.5 * t**2, 0.5 * beta**2)
+        expected = rho.sum() + 0.5 * lam * np.sum((L @ x.ravel()) ** 2)
+        assert obj.value(x) == pytest.approx(expected, rel=1e-10), shape
 
 
 def test_value_rejects_infeasible_x():

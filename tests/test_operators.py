@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from robustdeblur.gridfft import count_transforms, dft2, idft2, psf_to_otf
+from robustdeblur.gridfft import (
+    InverseTransformError,
+    count_transforms,
+    dft2,
+    idft2,
+    psf_to_otf,
+)
 from robustdeblur.operators import (
     BlurOperator,
     as_stack,
@@ -10,6 +16,10 @@ from robustdeblur.operators import (
 )
 
 from oracles import dense_blur_matrix, dense_hessian, dense_laplacian
+
+# Odd widths and a two-row grid exercise the half-spectrum layout, where the
+# inverse transform must be told the output width.
+ODD_AND_THIN = ((5, 7), (7, 6), (2, 9))
 
 
 def random_psf(rng, shape):
@@ -43,13 +53,14 @@ def test_adjoint_matches_dense_transpose():
 def test_adjoint_identity():
     # <A x, y> == <x, A^T y> for every frame count.
     rng = np.random.default_rng(33)
-    for frames in (1, 3):
-        op, _, _ = make_operator(rng, (8, 8), frames)
-        x = rng.standard_normal((8, 8))
-        y = rng.standard_normal((frames, 8, 8))
-        lhs = np.sum(op.apply(x) * y)
-        rhs = np.sum(x * op.apply_adjoint(y))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+    for shape in ((8, 8),) + ODD_AND_THIN:
+        for frames in (1, 3):
+            op, _, _ = make_operator(rng, shape, frames)
+            x = rng.standard_normal(shape)
+            y = rng.standard_normal((frames,) + shape)
+            lhs = np.sum(op.apply(x) * y)
+            rhs = np.sum(x * op.apply_adjoint(y))
+            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (shape, frames)
 
 
 def test_multi_frame_is_stack_of_single_frames():
@@ -81,6 +92,22 @@ def test_from_psfs_squares_entrywise():
     x = rng.standard_normal((6, 6))
     via_sq = idft2(op.sq_otfs[0] * dft2(x))
     assert np.max(np.abs(via_sq - ((A * A) @ x.ravel()).reshape(6, 6))) < 1e-10
+
+
+def test_construction_requires_hermitian_spectra():
+    # The half-spectrum inverse trusts the OTFs to be spectra of real
+    # kernels, so the operator checks that once, when it is built.
+    rng = np.random.default_rng(45)
+    op, _, _ = make_operator(rng, (6, 7), 2)
+    BlurOperator(op.otfs, op.sq_otfs)  # rounding-level asymmetry passes
+    bad = np.array(op.otfs)
+    bad[1, 1, 2] += 0.1j
+    with pytest.raises(InverseTransformError, match="otfs frame 1"):
+        BlurOperator(bad, op.sq_otfs)
+    bad_sq = np.array(op.sq_otfs)
+    bad_sq[0, 2, 3] += 0.5
+    with pytest.raises(InverseTransformError, match="sq_otfs frame 0"):
+        BlurOperator(op.otfs, bad_sq)
 
 
 def test_operator_validation():
@@ -128,17 +155,17 @@ def test_laplacian_annihilates_constants():
 
 def test_hessian_apply_matches_dense_assembly():
     rng = np.random.default_rng(39)
-    shape = (6, 6)
-    op, psfs, centers = make_operator(rng, shape, 2)
-    weights = rng.random((2,) + shape)
-    lam = 0.37
-    H = dense_hessian(psfs, centers, weights, lam, shape)
-    lap_sq = laplacian_symbol(shape)
-    for _ in range(3):
-        s = rng.standard_normal(shape)
-        got = hessian_apply(op, lap_sq, weights, lam, s)
-        expected = (H @ s.ravel()).reshape(shape)
-        assert np.max(np.abs(got - expected)) < 1e-9
+    for shape in ((6, 6),) + ODD_AND_THIN:
+        op, psfs, centers = make_operator(rng, shape, 2)
+        weights = rng.random((2,) + shape)
+        lam = 0.37
+        H = dense_hessian(psfs, centers, weights, lam, shape)
+        lap_sq = laplacian_symbol(shape)
+        for _ in range(3):
+            s = rng.standard_normal(shape)
+            got = hessian_apply(op, lap_sq, weights, lam, s)
+            expected = (H @ s.ravel()).reshape(shape)
+            assert np.max(np.abs(got - expected)) < 1e-9, shape
 
 
 def test_hessian_apply_symmetric_and_psd():

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from robustdeblur.gridfft import count_transforms
+from robustdeblur.objective import LossFunction
 from robustdeblur.operators import BlurOperator, laplacian_symbol
 from robustdeblur.precond import build_dhat, precond_build
 from robustdeblur.solver import projected_pcg
+from robustdeblur.testbed import default_start, make_instance
 from robustdeblur.operators import hessian_apply
 
 from oracles import dense_blur_matrix, dense_laplacian
+
+# Odd widths and a two-row grid exercise the half-spectrum layout, where the
+# inverse transform must be told the output width.
+ODD_AND_THIN = ((5, 7), (7, 6), (2, 9))
 
 
 def random_operator(rng, shape, frames=1):
@@ -38,13 +44,14 @@ def test_constant_weights_scale_as_sqrt():
 
 def test_dhat_matches_dense_diagonal_ratio():
     rng = np.random.default_rng(82)
-    op, psfs, centers = random_operator(rng, (6, 6))
-    D = rng.random((1, 6, 6)) + 0.1
-    A = dense_blur_matrix(psfs[0], centers[0])
-    num = np.diag(A.T @ np.diag(D.ravel()) @ A)
-    den = np.diag(A.T @ A)
-    expected = np.sqrt(num / den).reshape(6, 6)
-    assert np.max(np.abs(build_dhat(op, D) - expected)) < 1e-8
+    for shape in ((6, 6),) + ODD_AND_THIN:
+        op, psfs, centers = random_operator(rng, shape)
+        D = rng.random((1,) + shape) + 0.1
+        A = dense_blur_matrix(psfs[0], centers[0])
+        num = np.diag(A.T @ np.diag(D.ravel()) @ A)
+        den = np.diag(A.T @ A)
+        expected = np.sqrt(num / den).reshape(shape)
+        assert np.max(np.abs(build_dhat(op, D) - expected)) < 1e-8, shape
 
 
 def test_diagonal_equality_dense():
@@ -72,17 +79,18 @@ def test_delta_psf_unit_weights_zero_lambda_is_identity():
 
 def test_solve_round_trips_against_dense_m():
     rng = np.random.default_rng(85)
-    op, psfs, centers = random_operator(rng, (6, 6))
-    D = rng.random((1, 6, 6)) + 0.2
-    lam = 0.4
-    pre = precond_build(op, laplacian_symbol((6, 6)), D, lam)
-    A = dense_blur_matrix(psfs[0], centers[0])
-    L = dense_laplacian((6, 6))
-    dh = np.diag(pre.dhat.ravel())
-    M = dh @ (A.T @ A + pre.lambda_hat * (L.T @ L)) @ dh
-    r = rng.standard_normal((6, 6))
-    back = M @ pre.solve(r).ravel()
-    assert np.max(np.abs(back - r.ravel())) < 1e-9
+    for shape in ((6, 6),) + ODD_AND_THIN:
+        op, psfs, centers = random_operator(rng, shape)
+        D = rng.random((1,) + shape) + 0.2
+        lam = 0.4
+        pre = precond_build(op, laplacian_symbol(shape), D, lam)
+        A = dense_blur_matrix(psfs[0], centers[0])
+        L = dense_laplacian(shape)
+        dh = np.diag(pre.dhat.ravel())
+        M = dh @ (A.T @ A + pre.lambda_hat * (L.T @ L)) @ dh
+        r = rng.standard_normal(shape)
+        back = M @ pre.solve(r).ravel()
+        assert np.max(np.abs(back - r.ravel())) < 1e-9, shape
 
 
 def test_solve_is_symmetric_positive_definite():
@@ -129,6 +137,17 @@ def test_constant_weights_make_preconditioner_exact():
     s, iters = projected_pcg(hess, rhs, active, pre.solve, tol=1e-10, maxit=50)
     assert iters <= 2
     assert np.max(np.abs(hess(s) - rhs)) < 1e-8 * np.max(np.abs(rhs))
+
+
+def test_ill_conditioned_symbol_is_named():
+    # The satellite instance's Gaussian OTF underflows to about 1e-36 of its
+    # peak; with lam = 0 nothing lifts the symbol, so inverting it would
+    # only amplify rounding.
+    inst = make_instance("satellite", (64, 64))
+    obj = inst.objective(LossFunction(), 0.0)
+    weights = obj.hessian_weights(default_start(inst.observed)).d
+    with pytest.raises(ValueError, match="ill-conditioned .* min/max ratio"):
+        precond_build(inst.op, obj.lap_sq, weights, 0.0)
 
 
 def test_floor_keeps_dhat_positive():
