@@ -12,7 +12,12 @@ stochastically with a single Rademacher probe: for any matrix M,
 E[v^T M v] = trace(M) when v has independent +-1 entries.  Applying
 A_lam to the probe needs one linear solve, done by truncated projected
 CG on the weighted normal equations restricted to the positive support
-of the solution.
+of the solution.  With ``GcvOptions.solver.use_preconditioner`` set,
+that solve uses the same column-scaling preconditioner as the Newton
+steps, built from the influence system's Hessian weights W^2; the
+stopping rule (the plain projected residual relative to its start) is
+the same either way.  An estimate is flagged unreliable when its solve
+breaks down or stops at the iteration cap.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -30,6 +35,7 @@ from scipy.optimize import fminbound
 
 from .objective import FLOOR, Objective
 from .operators import hessian_apply
+from .precond import precond_build
 from .solver import (
     PcgBreakdownError,
     SolverOptions,
@@ -94,7 +100,11 @@ def robust_weights(obj: Objective, x: np.ndarray) -> np.ndarray:
     weight becomes beta / ([Ax] - b), so |W_ii r_i| = beta exactly and
     ||W r||^2 = 2 sum rho(t) regardless of how wild the outliers are.
     """
-    ax = obj.op.apply(x)
+    return _weights_from_fit(obj, obj.op.apply(x))
+
+
+def _weights_from_fit(obj: Objective, ax: np.ndarray) -> np.ndarray:
+    """:func:`robust_weights` given the fitted data ``ax = A x``."""
     s = np.maximum(ax + obj.sigma**2, FLOOR)
     r = ax - obj.data
     t = r / np.sqrt(s)
@@ -117,6 +127,9 @@ def trace_term(
     probe: np.ndarray,
     inner_cg_tol: float = 1e-4,
     inner_cg_maxit: int = 150,
+    *,
+    use_preconditioner: bool = False,
+    _weights: np.ndarray | None = None,
 ):
     """Estimate trace(I - A_lam) as v^T v - v^T (W A y).
 
@@ -125,22 +138,32 @@ def trace_term(
 
         D (A^T W^2 A + lam L^T L) D y = D A^T W v,   D = diag(x_lam > 0),
 
-    by truncated projected CG.  Returns ``(estimate, reliable)``;
-    ``reliable`` goes false when CG hits non-positive curvature and only a
-    partial solve is available.
+    by truncated projected CG, stopped when the projected residual falls
+    below ``inner_cg_tol`` relative to its start.  With
+    ``use_preconditioner`` the CG is preconditioned by
+    :func:`.precond.precond_build` with Hessian weights W^2 (an
+    ill-conditioned symbol raises its ``ValueError``).  Returns
+    ``(estimate, reliable)``; ``reliable`` goes false when CG hits
+    non-positive curvature and only a partial solve is available, or when
+    it uses all ``inner_cg_maxit`` iterations.  ``_weights`` passes
+    ``robust_weights(obj, x_lam)`` when the caller already has it.
     """
-    W = robust_weights(obj, x_lam)
+    W = robust_weights(obj, x_lam) if _weights is None else _weights
+    w2 = W * W
     active = x_lam <= 0
     rhs = obj.op.apply_adjoint(W * probe)
+    precond = None
+    if use_preconditioner:
+        precond = precond_build(obj.op, obj.lap_sq, w2, lam).solve
 
     def hess(v):
-        return hessian_apply(obj.op, obj.lap_sq, W * W, lam, v)
+        return hessian_apply(obj.op, obj.lap_sq, w2, lam, v)
 
-    reliable = True
     try:
-        y, _ = projected_pcg(
-            hess, rhs, active, tol=inner_cg_tol, maxit=inner_cg_maxit
+        y, iterations = projected_pcg(
+            hess, rhs, active, precond, tol=inner_cg_tol, maxit=inner_cg_maxit
         )
+        reliable = iterations < inner_cg_maxit
     except PcgBreakdownError as err:
         warnings.warn(
             f"trace estimation CG broke down ({err}); value is unreliable",
@@ -165,11 +188,13 @@ def gcv_eval(
         probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     obj_lam = obj.with_lambda(lam)
     x_lam, report = projected_newton(obj_lam, warm_start, opts.solver)
-    W = robust_weights(obj_lam, x_lam)
-    r = obj.op.apply(x_lam) - obj.data
+    ax = obj.op.apply(x_lam)
+    W = _weights_from_fit(obj_lam, ax)
+    r = ax - obj.data
     numerator = float(np.sum((W * r) ** 2))
     estimate, reliable = trace_term(
-        obj_lam, x_lam, lam, probe, opts.inner_cg_tol, opts.inner_cg_maxit
+        obj_lam, x_lam, lam, probe, opts.inner_cg_tol, opts.inner_cg_maxit,
+        use_preconditioner=opts.solver.use_preconditioner, _weights=W,
     )
     m = obj.n_residuals
     denom = estimate * estimate

@@ -209,22 +209,37 @@ def simulate_data(x_true, op: BlurOperator, sigma: float, noise_seed: int):
 
     Each frame draws from its own stream spawned off ``noise_seed``
     (Poisson first, then the Gaussian part), so frames are independent and
-    individually reproducible.
+    individually reproducible.  Blurred values within rounding of zero
+    count as exactly zero, so the draws do not depend on transform rounding.
     """
     x_true = as_image(x_true, "x_true")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     clean = op.apply(x_true)
-    if clean.min() < -1e-9 * max(clean.max(), 1.0):
-        raise ValueError("blurred scene has negative intensities")
-    clean = np.clip(clean, 0.0, None)
-    streams = np.random.SeedSequence(noise_seed).spawn(op.n_frames)
     observed = np.empty_like(clean)
-    for j in range(op.n_frames):
-        rng = np.random.default_rng(streams[j])
-        counts = rng.poisson(clean[j]).astype(np.float64)
-        observed[j] = counts + sigma * rng.standard_normal(clean[j].shape)
+    _sample_frames(observed, clean, sigma, noise_seed, range(op.n_frames))
     return observed
+
+
+def _sample_frames(observed, clean, sigma: float, noise_seed: int,
+                   frames) -> None:
+    """Overwrite ``observed[j]`` with Poisson(clean[j]) + sigma * N(0, 1).
+
+    Frame ``j`` draws from stream ``j`` spawned off ``noise_seed``.  Entries
+    within the negativity tolerance of zero (1e-9 of the peak) are snapped
+    to exactly 0 first: the Poisson sampler draws no uniform for a zero
+    rate but does for a rounding-level positive one, so leaving them would
+    let transform rounding shift the rest of the frame's noise stream.
+    """
+    tol = 1e-9 * max(clean.max(), 1.0)
+    if clean.min() < -tol:
+        raise ValueError("blurred scene has negative intensities")
+    streams = np.random.SeedSequence(noise_seed).spawn(clean.shape[0])
+    for j in frames:
+        rng = np.random.default_rng(streams[j])
+        rate = np.where(clean[j] <= tol, 0.0, clean[j])
+        counts = rng.poisson(rate).astype(np.float64)
+        observed[j] = counts + sigma * rng.standard_normal(rate.shape)
 
 
 def inject_random_corruptions(observed, fraction: float, ceiling: float,
@@ -321,14 +336,9 @@ def inject_added_object(instance: ProblemInstance, obj_img, blur_psf,
 
     clean = instance.clean.copy()
     clean[frame_index] += extra
-    noise_seed = instance.seeds[0]
-    streams = np.random.SeedSequence(noise_seed).spawn(instance.n_frames)
     observed = instance.observed.copy()
-    rng = np.random.default_rng(streams[frame_index])
-    counts = rng.poisson(np.clip(clean[frame_index], 0.0, None))
-    observed[frame_index] = counts + instance.sigma * rng.standard_normal(
-        instance.shape
-    )
+    _sample_frames(observed, clean, instance.sigma, instance.seeds[0],
+                   [frame_index])
     return replace(
         instance,
         clean=clean,

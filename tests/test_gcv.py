@@ -11,10 +11,11 @@ from robustdeblur.gcv import (
     trace_term,
     write_gcv_trace,
 )
+from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import BETA_95, LossFunction, Objective, loss_eval
 from robustdeblur.operators import BlurOperator
 from robustdeblur.solver import SolverOptions, projected_newton
-from robustdeblur.testbed import make_instance
+from robustdeblur.testbed import default_start, make_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
 
@@ -132,10 +133,6 @@ def test_trace_term_matches_dense_influence_matrix():
     obj, x_lam, psf, center = interior_instance(66)
     lam = obj.lam
     probe = rademacher_probe((1, 8, 8), seed=3)
-    estimate, reliable = trace_term(
-        obj, x_lam, lam, probe, inner_cg_tol=1e-12, inner_cg_maxit=2000
-    )
-    assert reliable
 
     A = dense_blur_matrix(psf, center)
     L = dense_laplacian((8, 8))
@@ -144,11 +141,47 @@ def test_trace_term_matches_dense_influence_matrix():
     v = probe.ravel()
     y = np.linalg.solve(H, A.T @ (W * v))
     expected = v @ v - v @ (W * (A @ y))
-    assert estimate == pytest.approx(expected, rel=1e-6)
 
-    # the default truncated solve lands close to the tight one
-    loose, _ = trace_term(obj, x_lam, lam, probe)
-    assert loose == pytest.approx(expected, rel=1e-2)
+    for use_preconditioner in (False, True):
+        estimate, reliable = trace_term(
+            obj, x_lam, lam, probe, inner_cg_tol=1e-12, inner_cg_maxit=2000,
+            use_preconditioner=use_preconditioner,
+        )
+        assert reliable
+        assert estimate == pytest.approx(expected, rel=1e-6)
+
+        # the default truncated solve lands close to the tight one
+        loose, _ = trace_term(
+            obj, x_lam, lam, probe, use_preconditioner=use_preconditioner
+        )
+        assert loose == pytest.approx(expected, rel=1e-2)
+
+
+def test_capped_trace_solve_is_unreliable():
+    obj, x_lam, _, _ = interior_instance(66)
+    probe = rademacher_probe((1, 8, 8), seed=3)
+    _, reliable = trace_term(obj, x_lam, obj.lam, probe, inner_cg_maxit=1)
+    assert reliable is False
+
+
+def test_preconditioned_trace_term_agrees_with_fewer_transforms():
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    lam = 1e-3
+    obj = inst.objective(LossFunction(), lam)
+    x_lam, report = projected_newton(obj, default_start(inst.observed))
+    assert report.termination == "converged"
+    probe = rademacher_probe(inst.observed.shape, seed=6)
+    estimates, transforms = {}, {}
+    for use_preconditioner in (False, True):
+        with count_transforms() as tally:
+            estimates[use_preconditioner], reliable = trace_term(
+                obj, x_lam, lam, probe, use_preconditioner=use_preconditioner
+            )
+        assert reliable
+        transforms[use_preconditioner] = tally.fft2 + tally.ifft2
+    assert estimates[True] == pytest.approx(estimates[False], rel=1e-2)
+    assert transforms[True] < transforms[False]
 
 
 def test_trace_term_approaches_residual_count_for_huge_lambda():
@@ -225,6 +258,23 @@ def test_minimize_gcv_respects_bracket_and_repeats_bitwise():
     # the endpoint of the bracket is over-regularized for this instance
     hi_value = gcv_eval(obj, 1e-2, evals1[-1].x, opts).gcv_value
     assert hi_value > min(e.gcv_value for e in evals1)
+
+
+def test_preconditioned_minimize_gcv_repeats_bitwise():
+    inst = make_instance("ash", (16, 16), outlier_fraction=0.02,
+                         noise_seed=76, outlier_seed=77)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-6,
+                      probe_seed=5,
+                      solver=SolverOptions(use_preconditioner=True))
+    lam1, evals1 = minimize_gcv(obj, opts)
+    lam2, evals2 = minimize_gcv(obj, opts)
+    assert lam1 == lam2
+    assert [e.gcv_value for e in evals1] == [e.gcv_value for e in evals2]
+    assert [e.trace_estimate for e in evals1] == [
+        e.trace_estimate for e in evals2
+    ]
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(evals1, evals2))
 
 
 def test_gcv_trace_csv_schema(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,21 @@ def test_added_object_touches_only_its_frame():
     assert np.sum(out.clean[0] - inst.clean[0]) == pytest.approx(obj.sum())
     with pytest.raises(IndexError):
         inject_added_object(inst, obj, motion_psf(inst.shape), 3)
+
+
+def test_observations_ignore_rounding_level_changes_in_clean_data():
+    inst = make_instance("satellite", (64, 64), noise_seed=11)
+    # the black sky blurs to values within rounding of zero
+    assert np.sum(np.abs(inst.clean) < 1e-12) > 100
+    for delta in (1e-13, -1e-13):
+        # a unit-sum kernel carries a constant shift of the truth into clean
+        shifted = simulate_data(inst.x_true + delta, inst.op, inst.sigma, 11)
+        assert np.array_equal(shifted, inst.observed)
+        nudged = replace(inst, clean=inst.clean + delta)
+        out = inject_added_object(
+            nudged, np.zeros(inst.shape), motion_psf(inst.shape), 0
+        )
+        assert np.array_equal(out.observed, inst.observed)
 
 
 def test_shift_scene_identities():
