@@ -26,6 +26,7 @@ per evaluation would make the minimizer chase sampling noise.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,8 +34,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import fminbound
 
-from .objective import FLOOR, Objective
-from .operators import hessian_apply
+from .objective import Objective, _scaled_terms
+from .operators import _check_weights, _hessian_kernel
 from .precond import precond_build
 from .solver import (
     PcgBreakdownError,
@@ -100,16 +101,14 @@ def robust_weights(obj: Objective, x: np.ndarray) -> np.ndarray:
     weight becomes beta / ([Ax] - b), so |W_ii r_i| = beta exactly and
     ||W r||^2 = 2 sum rho(t) regardless of how wild the outliers are.
     """
-    return _weights_from_fit(obj, obj.op.apply(x))
+    ax = obj.op.apply(x)
+    return _weights_from_fit(obj, ax, ax - obj.data)
 
 
-def _weights_from_fit(obj: Objective, ax: np.ndarray) -> np.ndarray:
-    """:func:`robust_weights` given the fitted data ``ax = A x``."""
-    s = np.maximum(ax + obj.sigma**2, FLOOR)
-    r = ax - obj.data
-    t = r / np.sqrt(s)
+def _weights_from_fit(obj: Objective, ax: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`robust_weights` given the fit ``ax = A x`` and residual ``r = ax - b``."""
     beta = obj.loss.beta
-    inlier = np.abs(t) <= beta
+    s, _, inlier = _scaled_terms(ax, obj.data, obj.sigma**2, beta)
     # |t| > beta >= 0 forces r != 0, so the outlier branch never divides by 0
     return np.where(inlier, 1.0 / np.sqrt(s), beta / np.where(inlier, 1.0, r))
 
@@ -149,16 +148,13 @@ def trace_term(
     ``robust_weights(obj, x_lam)`` when the caller already has it.
     """
     W = robust_weights(obj, x_lam) if _weights is None else _weights
-    w2 = W * W
+    w2 = _check_weights(obj.op, W * W, lam)
     active = x_lam <= 0
     rhs = obj.op.apply_adjoint(W * probe)
     precond = None
     if use_preconditioner:
         precond = precond_build(obj.op, obj.lap_sq, w2, lam).solve
-
-    def hess(v):
-        return hessian_apply(obj.op, obj.lap_sq, w2, lam, v)
-
+    hess = functools.partial(_hessian_kernel, obj.op, obj.lap_sq, w2, lam)
     try:
         y, iterations = projected_pcg(
             hess, rhs, active, precond, tol=inner_cg_tol, maxit=inner_cg_maxit
@@ -189,8 +185,8 @@ def gcv_eval(
     obj_lam = obj.with_lambda(lam)
     x_lam, report = projected_newton(obj_lam, warm_start, opts.solver)
     ax = obj.op.apply(x_lam)
-    W = _weights_from_fit(obj_lam, ax)
     r = ax - obj.data
+    W = _weights_from_fit(obj_lam, ax, r)
     numerator = float(np.sum((W * r) ** 2))
     estimate, reliable = trace_term(
         obj_lam, x_lam, lam, probe, opts.inner_cg_tol, opts.inner_cg_maxit,

@@ -17,6 +17,10 @@ closed forms that are nonnegative everywhere, which is what makes the
 data-term Hessian positive semidefinite and Newton's method safe.  The
 other losses are provided for evaluation and for
 :func:`convexity_diagnostic` only; the solver rejects them.
+
+:meth:`Objective.evaluate` gives the value, z, D and the inlier mask from
+one ``A x`` (1 fft2 + k ifft2 for k frames), and :meth:`Objective.gradient_at`
+the gradient from that (k fft2 + 1 ifft2, one more ifft2 when lam > 0).
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfft import _half, _irdft2, _rdft2, _spectral_energy, as_image
-from .operators import BlurOperator, as_stack, laplacian_symbol
+from .operators import BlurOperator, _frozen, as_stack, laplacian_symbol
 
 __all__ = [
     "BETA_95",
     "FLOOR",
     "LossFunction",
     "Objective",
-    "WeightReport",
+    "Evaluation",
     "ConvexityReport",
     "loss_eval",
     "chain_rule_weights",
@@ -145,22 +149,36 @@ def talwar_weights(ax, b, sigma: float, beta: float):
     and both vanish on outliers.  D is nonnegative everywhere, so the
     data-term Hessian A^T D A is positive semidefinite for any iterate.
     """
-    ax = np.asarray(ax, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     sigma2 = float(sigma) ** 2
-    s = np.maximum(ax + sigma2, FLOOR)
-    t = (ax - b) / np.sqrt(s)
-    inlier = np.abs(t) <= beta
-    bs2 = (b + sigma2) ** 2
-    z = np.where(inlier, 0.5 * (1.0 - bs2 / s**2), 0.0)
-    d = np.where(inlier, bs2 / s**3, 0.0)
+    s, _, inlier = _scaled_terms(np.asarray(ax, dtype=np.float64), b, sigma2, beta)
+    z, d = _talwar_zd(s, inlier, b, sigma2)
     return z, d, inlier
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    """Gradient weights, Hessian diagonal, and the inlier mask at an iterate."""
+def _scaled_terms(ax, b, sigma2: float, beta: float):
+    """``s = max(Ax + sigma^2, FLOOR)``, ``t = (Ax - b) / sqrt(s)``, ``|t| <= beta``."""
+    s = np.maximum(ax + sigma2, FLOOR)
+    t = ax - b
+    t /= np.sqrt(s)
+    return s, t, np.abs(t) <= beta
 
+
+def _talwar_zd(s, inlier, b, sigma2: float):
+    """The closed-form Talwar z and D of :func:`talwar_weights`."""
+    bs2 = (b + sigma2) ** 2
+    z = np.where(inlier, 0.5 * (1.0 - bs2 / s**2), 0.0)
+    d = np.where(inlier, bs2 / s**3, 0.0)
+    return z, d
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Value, half spectrum ``x_hat`` of x, gradient weights, Hessian
+    diagonal and inlier mask at one iterate; the arrays are read-only."""
+
+    value: float
+    x_hat: np.ndarray
     z: np.ndarray
     d: np.ndarray
     inlier_mask: np.ndarray
@@ -213,46 +231,47 @@ class Objective:
             raise ValueError("x must be elementwise nonnegative")
         return x
 
+    def evaluate(self, x) -> Evaluation:
+        """Everything the solver reads at a feasible x, from one ``A x``."""
+        x = self._check_x(x, feasible=True)
+        x_hat = _rdft2(x)
+        ax = self.op._forward(x_hat)
+        beta, sigma2 = self.loss.beta, self.sigma**2
+        s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta)
+        if self.loss.kind == "talwar":
+            value = float(np.sum(np.where(inlier, 0.5 * t * t, 0.5 * beta * beta)))
+            ax = t = None  # release before z and D are built
+            z, d = _talwar_zd(s, inlier, self.data, sigma2)
+        else:
+            value = float(np.sum(loss_eval(self.loss, t)[0]))
+            z, d = chain_rule_weights(self.loss, ax, self.data, self.sigma)
+        if self.lam > 0:
+            value += 0.5 * self.lam * _spectral_energy(self.lap_sq, x_hat, x.shape)
+        return Evaluation(value, *map(_frozen, (x_hat, z, d, inlier)))
+
+    def gradient_at(self, ev: Evaluation) -> np.ndarray:
+        """The gradient at an evaluated point.  The penalty term keeps its
+        own inverse transform: summing the spectra first would change the
+        rounding, and so the solver's path at float resolution."""
+        g = _irdft2(self.op._adjoint_spectrum(ev.z), self.op.shape)
+        if self.lam > 0:
+            g += _irdft2(self.lam * _half(self.lap_sq) * ev.x_hat, self.op.shape)
+        return g
+
     def scaled_residual(self, x) -> np.ndarray:
         """t = ([Ax] - b) / sqrt([Ax] + sigma^2), per frame."""
         ax = self.op.apply(self._check_x(x, feasible=False))
-        s = np.maximum(ax + self.sigma**2, FLOOR)
-        return (ax - self.data) / np.sqrt(s)
-
-    def penalty(self, x) -> float:
-        """||L x||^2 via the spectral identity (1/N) sum lap_sq |x_hat|^2."""
-        x = self._check_x(x, feasible=False)
-        return _spectral_energy(self.lap_sq, _rdft2(x), x.shape)
+        return _scaled_terms(ax, self.data, self.sigma**2, self.loss.beta)[1]
 
     def value(self, x) -> float:
-        x = self._check_x(x, feasible=True)
-        rho, _, _ = loss_eval(self.loss, self.scaled_residual(x))
-        val = float(np.sum(rho))
-        if self.lam > 0:
-            val += 0.5 * self.lam * self.penalty(x)
-        return val
-
-    def _weights(self, ax):
-        if self.loss.kind == "talwar":
-            return talwar_weights(ax, self.data, self.sigma, self.loss.beta)
-        z, d = chain_rule_weights(self.loss, ax, self.data, self.sigma)
-        s = np.maximum(ax + self.sigma**2, FLOOR)
-        inlier = np.abs((ax - self.data) / np.sqrt(s)) <= self.loss.beta
-        return z, d, inlier
+        return self.evaluate(x).value
 
     def gradient(self, x) -> np.ndarray:
         """A^T z + lam L^T L x."""
-        x = self._check_x(x, feasible=True)
-        z, _, _ = self._weights(self.op.apply(x))
-        g = self.op.apply_adjoint(z)
-        if self.lam > 0:
-            g = g + _irdft2(self.lam * _half(self.lap_sq) * _rdft2(x), x.shape)
-        return g
+        return self.gradient_at(self.evaluate(x))
 
-    def hessian_weights(self, x) -> WeightReport:
-        x = self._check_x(x, feasible=True)
-        z, d, inlier = self._weights(self.op.apply(x))
-        return WeightReport(z=z, d=d, inlier_mask=inlier)
+    def hessian_weights(self, x) -> Evaluation:
+        return self.evaluate(x)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ class BlurOperator:
         x = as_image(x)
         if x.shape != self.shape:
             raise ValueError(f"image shape {x.shape} != operator grid {self.shape}")
-        return _irdft2(self._otf_half * _rdft2(x), self.shape)
+        return self._forward(_rdft2(x))
 
     def apply_adjoint(self, y) -> np.ndarray:
         """Adjoint: ``sum_j idft2(conj(H_j) * dft2(y_j))``."""
@@ -132,7 +132,15 @@ class BlurOperator:
             raise ValueError(
                 f"stack has {y.shape[0]} frames, operator has {self.n_frames}"
             )
-        return _irdft2(np.sum(self._otf_half_adj * _rdft2(y), axis=0), self.shape)
+        return _irdft2(self._adjoint_spectrum(y), self.shape)
+
+    def _forward(self, x_hat: np.ndarray) -> np.ndarray:
+        """``A x`` from the half spectrum ``x_hat = _rdft2(x)``; k ifft2."""
+        return _irdft2(self._otf_half * x_hat, self.shape)
+
+    def _adjoint_spectrum(self, y: np.ndarray) -> np.ndarray:
+        """Half spectrum of ``A^T y`` for a checked stack ``y``; k fft2."""
+        return np.sum(self._otf_half_adj * _rdft2(y), axis=0)
 
 
 def laplacian_symbol(shape: tuple[int, int]) -> np.ndarray:
@@ -167,8 +175,17 @@ def hessian_apply(
     spends one OTF multiply, one weight multiply, and one conjugate-OTF
     multiply; the regularization term adds one multiply on the shared input
     spectrum.  Single-frame total: 2 fft2, 2 ifft2, 4 multiplies, 1 add.
+
+    This is the checked entry point.  Solvers that apply one Hessian many
+    times validate its weights once with :func:`_check_weights` and call
+    :func:`_hessian_kernel`, the same schedule without the checks.
     """
     s = as_image(s, "s")
+    return _hessian_kernel(op, lap_sq, _check_weights(op, weights, lam), lam, s)
+
+
+def _check_weights(op: BlurOperator, weights, lam: float) -> np.ndarray:
+    """Validate Hessian weights and ``lam``; return the weights as a stack."""
     weights = as_stack(weights, op.shape, "weights")
     if weights.shape[0] != op.n_frames:
         raise ValueError("one weight frame per operator frame required")
@@ -176,16 +193,19 @@ def hessian_apply(
         raise ValueError("Hessian weights must be nonnegative")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    return weights
 
+
+def _hessian_kernel(op, lap_sq, weights, lam, s):
+    """:func:`hessian_apply` on weights already passed by :func:`_check_weights`."""
     k = op.n_frames
     s_hat = _rdft2(s)
-    t = _irdft2(op._otf_half * s_hat, op.shape)
+    u = op._forward(s_hat)
     tally_mults(k)
-    u = weights * t
+    u *= weights
     tally_mults(k)
-    terms = op._otf_half_adj * _rdft2(u)
+    acc = op._adjoint_spectrum(u)
     tally_mults(k)
-    acc = np.sum(terms, axis=0)
     tally_adds(k - 1)
     # The budget counts the spectral products; lam * lap_sq is not tallied.
     acc += lam * _half(lap_sq) * s_hat

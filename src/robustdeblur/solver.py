@@ -12,17 +12,30 @@ Only the Talwar loss is accepted: it is the one loss whose data-term
 Hessian diagonal stays nonnegative at every iterate, so the inner systems
 are positive semidefinite by construction.  ``beta = inf`` runs the same
 machinery as plain weighted least squares.
+
+Each point is evaluated once (:meth:`.Objective.evaluate`): the start,
+and every line-search trial.  The accepted trial's evaluation supplies
+the next step's gradient, Hessian weights and preconditioner input; the
+weights are validated once per step, and PCG calls the unchecked Hessian
+kernel.  With k frames a Newton step therefore costs, in transforms
+(fft2 + ifft2):
+
+- (k+1) per line-search trial, and (k+2) for the gradient of the
+  accepted point, (k+1) when lam = 0;
+- (2k+2) per PCG iteration;
+- with the preconditioner, (k+1) for its build and 2 per solve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gridfft import OpCounts, as_image, count_transforms
 from .objective import Objective
-from .operators import hessian_apply
+from .operators import _check_weights, _hessian_kernel
 from .precond import precond_build
 
 __all__ = [
@@ -128,12 +141,9 @@ def projected_pcg(
     """
     rhs = as_image(rhs, "rhs")
     active = np.asarray(active, dtype=bool)
-    inactive = ~active
 
     def project(v):
-        out = np.zeros_like(v)
-        out[inactive] = v[inactive]
-        return out
+        return np.where(active, 0.0, v)
 
     x = np.zeros_like(rhs)
     r = project(rhs)
@@ -198,6 +208,26 @@ def linesearch(
     )
 
 
+class _Trials:
+    """Line-search stand-in for the objective that keeps the last evaluation."""
+
+    def __init__(self, obj: Objective):
+        self.obj = obj
+        self.last = None
+
+    def value(self, x) -> float:
+        self.last = None  # release the previous trial first
+        self.last = self.obj.evaluate(x)
+        return self.last.value
+
+
+def _evaluated_linesearch(obj, x, s, value, max_halvings):
+    """:func:`linesearch` on ``obj``; returns its result and the accepted
+    point's evaluation, which is the last one it made."""
+    trials = _Trials(obj)
+    return linesearch(trials, x, s, value, max_halvings), trials.last
+
+
 def projected_newton(
     obj: Objective,
     x0: np.ndarray,
@@ -211,7 +241,9 @@ def projected_newton(
     active cells a negative-gradient component rescaled to at most the
     magnitude of the Newton step, and line search.  ``callback`` receives
     ``(iteration, objective_value, projected_gradient_norm)`` after every
-    accepted step.
+    accepted step.  A step whose Hessian weights are all zero (every
+    residual saturated) is not taken: the run stops with termination
+    ``all_saturated`` and returns the current iterate.
     """
     if obj.loss.kind != "talwar":
         raise ValueError(
@@ -225,47 +257,52 @@ def projected_newton(
 
     report = SolverReport()
     with count_transforms() as tally:
-        value = obj.value(x)
-        report.objective_trace.append(value)
-        g = obj.gradient(x)
-        active = x <= 0
-        pg0_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
-        report.pg_norms.append(pg0_norm)
-        if callback is not None:
-            callback(0, value, pg0_norm)
-        if pg0_norm == 0.0:
-            report.termination = "converged"
-        else:
-            x, value, g = _newton_loop(
-                obj, x, value, g, active, pg0_norm, opts, callback, report
-            )
+        x = _newton_loop(obj, x, opts, callback, report)
     report.counts = tally.copy()
     return x, report
 
 
-def _newton_loop(obj, x, value, g, active, pg0_norm, opts, callback, report):
+def _newton_loop(obj, x, opts, callback, report):
+    """Newton steps from ``x``, which is evaluated here.
+
+    Each accepted iterate is evaluated once, by the line search; its
+    evaluation then supplies the gradient, the Hessian weights and the
+    preconditioner input of the next step.  Every evaluation lives only
+    in this frame, so dropping the name releases it.
+    """
+    ev = obj.evaluate(x)
+    report.objective_trace.append(ev.value)
+    g = obj.gradient_at(ev)
+    active = x <= 0
+    pg0_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
+    report.pg_norms.append(pg0_norm)
+    if callback is not None:
+        callback(0, ev.value, pg0_norm)
+    if pg0_norm == 0.0:
+        report.termination = "converged"
+        return x
     report.termination = "max_iterations"
     for k in range(1, opts.newton_maxit + 1):
-        weights = obj.hessian_weights(x)
+        d = _check_weights(obj.op, ev.d, obj.lam)
+        if not np.any(d > 0):
+            report.termination = "all_saturated"
+            break
         precond = None
         if opts.use_preconditioner:
-            precond = precond_build(obj.op, obj.lap_sq, weights.d, obj.lam)
-
-        def hess(v, _d=weights.d):
-            return hessian_apply(obj.op, obj.lap_sq, _d, obj.lam, v)
-
+            precond = precond_build(obj.op, obj.lap_sq, d, obj.lam).solve
+        hess = functools.partial(_hessian_kernel, obj.op, obj.lap_sq, d, obj.lam)
+        value = ev.value
+        # Drop this step's evaluation now and its Hessian and preconditioner
+        # after PCG, so the line search's evaluations do not add to them.
+        ev = d = None
         try:
             s, inner = projected_pcg(
-                hess,
-                -g,
-                active,
-                precond.solve if precond is not None else None,
-                tol=opts.pcg_tol,
-                maxit=opts.pcg_maxit,
+                hess, -g, active, precond, tol=opts.pcg_tol, maxit=opts.pcg_maxit
             )
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
+        precond = hess = None
         report.pcg_iterations.append(inner)
 
         if np.any(active):
@@ -279,22 +316,24 @@ def _newton_loop(obj, x, value, g, active, pg0_norm, opts, callback, report):
             s = s - g_active
 
         try:
-            ls = linesearch(obj, x, s, value, opts.linesearch_max_halvings)
+            ls, ev = _evaluated_linesearch(
+                obj, x, s, value, opts.linesearch_max_halvings
+            )
         except LineSearchError:
             report.termination = "linesearch_failure"
             break
 
-        x, value = ls.x, ls.value
+        x = ls.x
         report.iterations = k
-        report.objective_trace.append(value)
+        report.objective_trace.append(ev.value)
         report.step_lengths.append(ls.step)
-        g = obj.gradient(x)
+        g = obj.gradient_at(ev)
         active = x <= 0
         pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
         report.pg_norms.append(pg_norm)
         if callback is not None:
-            callback(k, value, pg_norm)
+            callback(k, ev.value, pg_norm)
         if pg_norm <= opts.newton_tol * pg0_norm:
             report.termination = "converged"
             break
-    return x, value, g
+    return x

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import (
     BETA_95,
     LossFunction,
@@ -291,6 +292,67 @@ def test_talwar_diagonal_nonnegative_on_random_instances():
         off = ~report.inlier_mask
         assert np.all(report.z[off] == 0.0)
         assert np.all(report.d[off] == 0.0)
+
+
+# -- evaluation -----------------------------------------------------------
+
+
+def evaluation_instance(rng, shape, frames, lam):
+    """A multi-frame instance with a few saturated residuals per frame."""
+    psfs = [rng.random(shape) for _ in range(frames)]
+    psfs = [p / p.sum() for p in psfs]
+    op = BlurOperator.from_psfs(psfs, [(shape[0] // 2, shape[1] // 2)] * frames)
+    x = 2.0 + 10.0 * rng.random(shape)
+    b = op.apply(x) + rng.standard_normal((frames,) + shape)
+    b.reshape(frames, -1)[:, :2] += 500.0
+    obj = Objective(op, b, 1.5, LossFunction(), lam)
+    return obj, x + 0.5 * rng.random(shape)
+
+
+def test_evaluation_agrees_with_standalone_methods():
+    rng = np.random.default_rng(75)
+    for shape, frames in (((64, 64), 3), ((5, 7), 2), ((7, 6), 1), ((2, 9), 3)):
+        obj, x = evaluation_instance(rng, shape, frames, lam=0.4)
+        ev = obj.evaluate(x)
+        assert ev.value == obj.value(x), shape
+        rho, _, _ = loss_eval(obj.loss, obj.scaled_residual(x))
+        penalty = np.sum(obj.lap_sq * np.abs(np.fft.fft2(x)) ** 2) / x.size
+        expected = float(np.sum(rho)) + 0.5 * obj.lam * penalty
+        assert ev.value == pytest.approx(expected, rel=1e-12), shape
+        # A^T z plus the penalty gradient, the latter as a zero-weight Hessian
+        z_ref, d_ref, inlier_ref = talwar_weights(
+            obj.op.apply(x), obj.data, obj.sigma, obj.loss.beta
+        )
+        g_ref = obj.op.apply_adjoint(z_ref) + hessian_apply(
+            obj.op, obj.lap_sq, np.zeros_like(d_ref), obj.lam, x
+        )
+        g = obj.gradient_at(ev)
+        scale = np.max(np.abs(g_ref))
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * scale, shape
+        assert np.max(np.abs(g - obj.gradient(x))) <= 1e-12 * scale, shape
+        report = obj.hessian_weights(x)
+        assert not inlier_ref.all() and inlier_ref.any()
+        for got, ref, want in (
+            (ev.z, report.z, z_ref),
+            (ev.d, report.d, d_ref),
+            (ev.inlier_mask, report.inlier_mask, inlier_ref),
+        ):
+            assert np.array_equal(got, ref) and np.array_equal(got, want), shape
+            assert not got.flags.writeable
+
+
+def test_evaluation_transform_budget():
+    rng = np.random.default_rng(76)
+    for shape, frames in (((64, 64), 3), ((5, 7), 2), ((7, 6), 1), ((2, 9), 3)):
+        for lam in (0.0, 0.4):
+            obj, x = evaluation_instance(rng, shape, frames, lam)
+            with count_transforms() as c:
+                ev = obj.evaluate(x)
+            assert (c.fft2, c.ifft2) == (1, frames), shape
+            with count_transforms() as c:
+                obj.gradient_at(ev)
+            # the penalty term keeps its own inverse transform
+            assert (c.fft2, c.ifft2) == (frames, 1 + (lam > 0)), shape
 
 
 # -- convexity diagnostic -----------------------------------------------

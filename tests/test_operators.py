@@ -229,3 +229,21 @@ def test_hessian_apply_rejects_bad_weights():
         hessian_apply(op, lap_sq, np.ones((2, 6, 6)), 0.1, s)
     with pytest.raises(ValueError):
         hessian_apply(op, lap_sq, np.ones((1, 6, 6)), -0.1, s)
+
+
+def test_hessian_apply_rejects_non_finite_inputs():
+    rng = np.random.default_rng(45)
+    op, _, _ = make_operator(rng)
+    lap_sq = laplacian_symbol((6, 6))
+    s = np.zeros((6, 6))
+    with pytest.raises(ValueError, match="Hessian weights must be nonnegative"):
+        hessian_apply(op, lap_sq, -np.ones((1, 6, 6)), 0.1, s)
+    for bad in (np.nan, np.inf):
+        weights = np.ones((1, 6, 6))
+        weights[0, 2, 3] = bad
+        with pytest.raises(ValueError, match="weights contains non-finite"):
+            hessian_apply(op, lap_sq, weights, 0.1, s)
+        s_bad = s.copy()
+        s_bad[1, 1] = bad
+        with pytest.raises(ValueError, match="s contains non-finite"):
+            hessian_apply(op, lap_sq, np.ones((1, 6, 6)), 0.1, s_bad)

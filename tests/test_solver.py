@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from robustdeblur.objective import BETA_95, LossFunction, Objective
+from robustdeblur.objective import BETA_95, Evaluation, LossFunction, Objective
 from robustdeblur.operators import BlurOperator
 from robustdeblur.solver import (
     LineSearchError,
@@ -12,6 +14,7 @@ from robustdeblur.solver import (
     projected_newton,
     projected_pcg,
 )
+from robustdeblur.testbed import default_start, make_instance as make_testbed_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
 
@@ -345,3 +348,63 @@ def test_newton_is_stationary_when_everything_saturates():
     assert report.iterations == 0
     assert report.termination == "converged"
     assert np.all(x == 0.0)
+
+
+def test_all_saturated_step_ends_as_named_termination():
+    # Scaling the data by 1e6 drives every residual past the threshold
+    # within a few steps; the step that finds all Hessian weights zero
+    # must stop the run instead of handing them to the preconditioner.
+    inst = make_testbed_instance("satellite", (64, 64))
+    data = inst.observed * 1e6
+    obj = Objective(inst.op, data, inst.sigma, LossFunction(), lam=0.1)
+    for pre in (True, False):
+        x, report = projected_newton(
+            obj, default_start(data), SolverOptions(use_preconditioner=pre)
+        )
+        assert report.termination == "all_saturated", pre
+        assert report.iterations >= 1
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+        assert not obj.hessian_weights(x).d.any()
+        trace = report.objective_trace
+        assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+def test_solver_checks_hessian_weights_once_per_step():
+    obj, x0, _, _, _ = make_instance(119)
+
+    class NegativeWeights(Objective):
+        def evaluate(self, x):
+            ev = super().evaluate(x)
+            return Evaluation(ev.value, ev.x_hat, ev.z, -ev.d, ev.inlier_mask)
+
+    bad = NegativeWeights(obj.op, obj.data, obj.sigma, obj.loss, obj.lam)
+    with pytest.raises(ValueError, match="Hessian weights must be nonnegative"):
+        projected_newton(bad, x0)
+
+
+def test_solve_transform_budget_in_closed_form():
+    # Each line-search trial and the start cost one evaluation (1 fft2 and
+    # k ifft2); the start and each accepted point one gradient (k fft2, and
+    # 1 ifft2 plus 1 for the penalty term); each PCG iteration one Hessian
+    # product (k+1 each way); each preconditioner build k+1, each of its
+    # solves 2.
+    inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    k = inst.n_frames
+    for pre in (False, True):
+        opts = SolverOptions(use_preconditioner=pre)
+        _, report = projected_newton(obj, default_start(inst.observed), opts)
+        assert report.termination == "converged"
+        # a PCG that stops at its cap makes one more preconditioner solve
+        assert max(report.pcg_iterations) < opts.pcg_maxit
+        trials = sum(1 + round(math.log2(1.0 / a)) for a in report.step_lengths)
+        steps = report.iterations
+        pcg = report.total_pcg_iterations
+        expected = (
+            (k + 1) * (trials + 1)
+            + (k + 2) * (steps + 1)
+            + (2 * k + 2) * pcg
+        )
+        if pre:
+            expected += (k + 1) * len(report.pcg_iterations) + 2 * pcg
+        assert report.counts.fft2 + report.counts.ifft2 == expected, pre
