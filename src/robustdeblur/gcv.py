@@ -27,15 +27,15 @@ per evaluation would make the minimizer chase sampling noise.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import fminbound
 
 from .objective import Objective, _scaled_terms
-from .operators import _check_weights, _hessian_kernel
+from .operators import Workspace, _check_weights, _hessian_kernel, _penalty_symbol
 from .precond import precond_build
 from .solver import (
     PcgBreakdownError,
@@ -151,10 +151,13 @@ def trace_term(
     w2 = _check_weights(obj.op, W * W, lam)
     active = x_lam <= 0
     rhs = obj.op.apply_adjoint(W * probe)
+    ws = Workspace(obj.op.shape, obj.op.n_frames)
     precond = None
     if use_preconditioner:
-        precond = precond_build(obj.op, obj.lap_sq, w2, lam).solve
-    hess = functools.partial(_hessian_kernel, obj.op, obj.lap_sq, w2, lam)
+        pre = precond_build(obj.op, obj.lap_sq, w2, lam)
+        precond = functools.partial(pre.solve, ws=ws)
+    penalty = _penalty_symbol(obj.lap_sq, lam)
+    hess = functools.partial(_hessian_kernel, obj.op, penalty, w2, ws)
     try:
         y, iterations = projected_pcg(
             hess, rhs, active, precond, tol=inner_cg_tol, maxit=inner_cg_maxit
@@ -208,12 +211,95 @@ def gcv_eval(
 
 def bounded_minimize(func, lo: float, hi: float, x_tol: float,
                      max_evaluations: int = 100) -> float:
-    """Golden-section / parabolic scalar minimization on [lo, hi]."""
+    """Golden-section / parabolic scalar minimization on [lo, hi].
+
+    Brent's bounded method (Forsythe, Malcolm and Moler, *Computer Methods
+    for Mathematical Computations*, 1977), ported from SciPy's
+    ``scipy.optimize.fminbound`` (``_minimize_scalar_bounded``,
+    BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024
+    SciPy Developers) without its display and result plumbing.  It
+    evaluates ``func`` at the same points in the same order and returns
+    the same point, so the package needs no SciPy at run time.  Stops
+    when the bracket around the best point shrinks to about ``x_tol`` or
+    after ``max_evaluations`` evaluations.  A collapsed bracket
+    (``hi <= lo``) returns ``lo`` without evaluating.
+    """
     if hi <= lo:
         return float(lo)
-    return float(
-        fminbound(func, lo, hi, xtol=x_tol, maxfun=max_evaluations, disp=0)
-    )
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + x_tol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + _sign_or_one(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + x_tol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= max_evaluations:
+            break
+    return float(xf)
+
+
+def _sign_or_one(v: float) -> float:
+    """``np.sign(v) + (v == 0)`` for a non-NaN float: -1 below zero, else 1."""
+    return 1.0 if v >= 0 else -1.0
 
 
 def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):

@@ -15,6 +15,14 @@ module alone knows that layout (:func:`_half` cuts a full-grid symbol to it,
 columns).  The public :func:`dft2` / :func:`idft2` keep the full complex
 layout and serve as the reference.
 
+Both private transforms take an optional ``out`` array (numpy >= 2.0), so
+the solver's inner loop can run in buffers it allocates once per solve.
+:func:`_irdft2` always **consumes** its input spectrum: it runs the
+complex pass along axis -2 in place, then the real pass along axis -1
+into ``out`` (a fresh array when ``out`` is None).  The result is bitwise
+that of ``irfft2(spec, s=shape)``, odd widths included; every caller
+passes a spectrum it no longer needs.
+
 The module keeps a global tally of transforms and pixel-wise multiplies /
 additions issued by the operator kernels.  Every transform counts once per
 frame image, whichever pair issued it: one ``fft2`` or ``ifft2`` for a 2D
@@ -148,17 +156,20 @@ def idft2(spec: np.ndarray, imag_tol: float = IMAG_TOL) -> np.ndarray:
     return np.ascontiguousarray(out.real)
 
 
-def _rdft2(x: np.ndarray) -> np.ndarray:
+def _rdft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum forward DFT over the last two axes of real ``x``.
 
     Same convention as :func:`dft2`, keeping only columns ``0 .. w//2``;
-    tallies one ``fft2`` per frame image.
+    tallies one ``fft2`` per frame image.  ``out``, when given, is a
+    complex128 array of the result's shape that receives the spectrum.
     """
     COUNTS.fft2 += math.prod(x.shape[:-2])
-    return np.fft.rfft2(x)
+    return np.fft.rfft2(x, out=out)
 
 
-def _irdft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def _irdft2(
+    spec: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse of :func:`_rdft2` onto a ``shape`` grid; always real.
 
     ``shape`` is required because an odd width and the even width below
@@ -166,9 +177,14 @@ def _irdft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     are taken to be the Hermitian mirror of the kept ones, so the caller's
     symbols must be Hermitian-symmetric (see :func:`_check_hermitian`).
     Tallies one ``ifft2`` per frame image.
+
+    ``spec`` (writable complex128) is consumed: the pass along axis -2
+    overwrites it.  ``out``, when given, is a float64 array of the
+    result's shape that receives the image.
     """
     COUNTS.ifft2 += math.prod(spec.shape[:-2])
-    return np.fft.irfft2(spec, s=tuple(shape))
+    np.fft.ifft(spec, axis=-2, out=spec)
+    return np.fft.irfft(spec, n=int(shape[1]), axis=-1, out=out)
 
 
 def _half(symbol: np.ndarray) -> np.ndarray:

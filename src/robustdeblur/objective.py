@@ -25,12 +25,20 @@ the gradient from that (k fft2 + 1 ifft2, one more ifft2 when lam > 0).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import _half, _irdft2, _rdft2, _spectral_energy, as_image
-from .operators import BlurOperator, _frozen, as_stack, laplacian_symbol
+from .gridfft import _irdft2, _rdft2, _spectral_energy, as_image
+from .operators import (
+    BlurOperator,
+    Workspace,
+    _frozen,
+    _penalty_symbol,
+    as_stack,
+    laplacian_symbol,
+)
 
 __all__ = [
     "BETA_95",
@@ -149,26 +157,45 @@ def talwar_weights(ax, b, sigma: float, beta: float):
     and both vanish on outliers.  D is nonnegative everywhere, so the
     data-term Hessian A^T D A is positive semidefinite for any iterate.
     """
-    b = np.asarray(b, dtype=np.float64)
+    ax, b = np.broadcast_arrays(
+        np.asarray(ax, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    )
+    shape, ax, b = ax.shape, ax.ravel(), b.ravel()  # the kernels write in place
     sigma2 = float(sigma) ** 2
-    s, _, inlier = _scaled_terms(np.asarray(ax, dtype=np.float64), b, sigma2, beta)
-    z, d = _talwar_zd(s, inlier, b, sigma2)
-    return z, d, inlier
+    s, _, inlier = _scaled_terms(ax, b, sigma2, beta)
+    z, d = _talwar_zd(s, ~inlier, (b + sigma2) ** 2)
+    return z.reshape(shape), d.reshape(shape), inlier.reshape(shape)
 
 
-def _scaled_terms(ax, b, sigma2: float, beta: float):
-    """``s = max(Ax + sigma^2, FLOOR)``, ``t = (Ax - b) / sqrt(s)``, ``|t| <= beta``."""
-    s = np.maximum(ax + sigma2, FLOOR)
-    t = ax - b
-    t /= np.sqrt(s)
-    return s, t, np.abs(t) <= beta
+def _scaled_terms(ax, b, sigma2: float, beta: float, out=(None, None, None)):
+    """``s = max(Ax + sigma^2, FLOOR)``, ``t = (Ax - b) / sqrt(s)``, ``|t| <= beta``.
+
+    ``out`` names the arrays that receive ``s``, ``t`` and one scratch
+    (None: a fresh one); ``t``'s may be ``ax`` itself.
+    """
+    s = np.add(ax, sigma2, out=out[0])
+    np.maximum(s, FLOOR, out=s)
+    t = np.subtract(ax, b, out=out[1])
+    root = np.sqrt(s, out=out[2])
+    t /= root
+    return s, t, np.abs(t, out=root) <= beta
 
 
-def _talwar_zd(s, inlier, b, sigma2: float):
-    """The closed-form Talwar z and D of :func:`talwar_weights`."""
-    bs2 = (b + sigma2) ** 2
-    z = np.where(inlier, 0.5 * (1.0 - bs2 / s**2), 0.0)
-    d = np.where(inlier, bs2 / s**3, 0.0)
+def _talwar_zd(s, outlier, bs2, z=None):
+    """The closed-form Talwar z and D of :func:`talwar_weights` from
+    ``bs2 = (b + sigma^2)^2``; both are 0 on ``outlier``.
+
+    Consumes ``s``: D is built in its array, and z in ``z`` (None: a
+    fresh array).
+    """
+    z = np.square(s, out=z)
+    np.divide(bs2, z, out=z)
+    np.subtract(1.0, z, out=z)
+    z *= 0.5
+    np.copyto(z, 0.0, where=outlier)
+    d = np.power(s, 3, out=s)
+    np.divide(bs2, d, out=d)
+    np.copyto(d, 0.0, where=outlier)
     return z, d
 
 
@@ -188,6 +215,8 @@ class Objective:
     """J(x) = sum rho(scaled residual) + (lam/2) ||L x||^2 on x >= 0.
 
     Immutable; shares the operator and data arrays, so copies are cheap.
+    ``(b + sigma^2)^2``, which every Talwar evaluation reads, is computed
+    once, kept read-only and shared by :meth:`with_lambda` copies.
     """
 
     def __init__(
@@ -207,16 +236,24 @@ class Objective:
             )
         if sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
-        if lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {lam}")
         self.sigma = float(sigma)
         self.loss = loss if loss is not None else LossFunction()
-        self.lam = float(lam)
         self.lap_sq = lap_sq if lap_sq is not None else laplacian_symbol(op.shape)
         self.data.setflags(write=False)
+        self._bs2 = _frozen((self.data + self.sigma**2) ** 2)
+        self._set_lam(lam)
+
+    def _set_lam(self, lam) -> None:
+        if lam < 0:
+            raise ValueError(f"lam must be nonnegative, got {lam}")
+        self.lam = float(lam)
+        self._penalty = _frozen(_penalty_symbol(self.lap_sq, self.lam))
 
     def with_lambda(self, lam: float) -> "Objective":
-        return Objective(self.op, self.data, self.sigma, self.loss, lam, self.lap_sq)
+        """The same objective at another ``lam``, sharing the data arrays."""
+        other = copy.copy(self)
+        other._set_lam(lam)
+        return other
 
     @property
     def n_residuals(self) -> int:
@@ -232,30 +269,47 @@ class Objective:
         return x
 
     def evaluate(self, x) -> Evaluation:
-        """Everything the solver reads at a feasible x, from one ``A x``."""
+        """Everything the solver reads at a feasible x, from one ``A x``.
+
+        For the Talwar loss the value, z and D are built in place: ``s``
+        is held in D's array, ``t`` overwrites ``A x``, and z's array is
+        scratch until z is built.
+        """
         x = self._check_x(x, feasible=True)
         x_hat = _rdft2(x)
         ax = self.op._forward(x_hat)
         beta, sigma2 = self.loss.beta, self.sigma**2
-        s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta)
         if self.loss.kind == "talwar":
-            value = float(np.sum(np.where(inlier, 0.5 * t * t, 0.5 * beta * beta)))
-            ax = t = None  # release before z and D are built
-            z, d = _talwar_zd(s, inlier, self.data, sigma2)
+            z, d = np.empty_like(ax), np.empty_like(ax)
+            s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ax, z))
+            outlier = ~inlier
+            rho = np.multiply(0.5, t, out=z)
+            rho *= t
+            np.copyto(rho, 0.5 * beta * beta, where=outlier)
+            value = float(np.sum(rho))
+            z, d = _talwar_zd(s, outlier, self._bs2, z=z)
         else:
+            s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta)
             value = float(np.sum(loss_eval(self.loss, t)[0]))
             z, d = chain_rule_weights(self.loss, ax, self.data, self.sigma)
         if self.lam > 0:
             value += 0.5 * self.lam * _spectral_energy(self.lap_sq, x_hat, x.shape)
         return Evaluation(value, *map(_frozen, (x_hat, z, d, inlier)))
 
-    def gradient_at(self, ev: Evaluation) -> np.ndarray:
-        """The gradient at an evaluated point.  The penalty term keeps its
-        own inverse transform: summing the spectra first would change the
-        rounding, and so the solver's path at float resolution."""
-        g = _irdft2(self.op._adjoint_spectrum(ev.z), self.op.shape)
+    def gradient_at(self, ev: Evaluation, ws: Workspace | None = None) -> np.ndarray:
+        """The gradient at an evaluated point; its temporaries live in
+        ``ws``, the solve's :class:`.operators.Workspace` (a throwaway one
+        when None).
+
+        The penalty term keeps its own inverse transform: summing the
+        spectra first would change the rounding, and so the solver's path
+        at float resolution."""
+        ws = Workspace(self.op.shape, self.op.n_frames) if ws is None else ws
+        spec = self.op._adjoint_spectrum(ev.z, scratch=ws.stack_spectrum)
+        g = _irdft2(spec, self.op.shape)
         if self.lam > 0:
-            g += _irdft2(self.lam * _half(self.lap_sq) * ev.x_hat, self.op.shape)
+            spec = np.multiply(self._penalty, ev.x_hat, out=ws.spectrum)
+            g += _irdft2(spec, self.op.shape, out=ws.image)
         return g
 
     def scaled_residual(self, x) -> np.ndarray:

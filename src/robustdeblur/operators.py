@@ -11,6 +11,14 @@ frame image.
 transform schedule costing exactly 2 fft2 + 2 ifft2 + 4 pixel-wise
 multiplies + 1 addition per single-frame apply.  The schedule is part of
 the module contract (tests pin the counts), not an optimization detail.
+
+The schedule runs in a :class:`Workspace`: one image, one half spectrum
+and one k-frame stack with its half spectrum, allocated once per solve by
+the solver (and per call by the public :func:`hessian_apply`), so the
+PCG loop allocates no grid-sized array.  A workspace belongs to one solve
+and is never stored on :class:`BlurOperator`, the preconditioner or the
+objective: those stay immutable, so concurrent solves may share them,
+each with its own workspace.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .gridfft import (
 
 __all__ = [
     "BlurOperator",
+    "Workspace",
     "laplacian_symbol",
     "hessian_apply",
     "as_stack",
@@ -53,6 +62,26 @@ def as_stack(values, shape: tuple[int, int], name: str = "stack") -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+class Workspace:
+    """Scratch buffers for one solve on an ``(h, w)`` grid with ``frames`` frames.
+
+    ``image`` (h, w) and ``spectrum`` (h, w//2+1, complex) serve the
+    image-sized kernels; ``stack`` (frames, h, w) and ``stack_spectrum``
+    (frames, h, w//2+1, complex) the per-frame ones.  A kernel that takes
+    a workspace keeps its temporaries there; the Hessian kernel and the
+    preconditioner solve also return their result in ``image``, so the
+    caller must copy it before the next kernel call.  Not thread-safe:
+    create one per solve and never share it.
+    """
+
+    def __init__(self, shape: tuple[int, int], frames: int = 0):
+        h, w = int(shape[0]), int(shape[1])
+        self.image = np.empty((h, w))
+        self.spectrum = np.empty((h, w // 2 + 1), dtype=np.complex128)
+        self.stack = np.empty((frames, h, w))
+        self.stack_spectrum = np.empty((frames, h, w // 2 + 1), dtype=np.complex128)
 
 
 class BlurOperator:
@@ -81,12 +110,17 @@ class BlurOperator:
         # Both half spectra are kept: every Hessian product needs each one.
         self._otf_half = _frozen(np.ascontiguousarray(_half(otfs)))
         self._otf_half_adj = _frozen(np.conj(self._otf_half))
+        # The half-spectrum symbol of A^T A, sum_j |H_j|^2, and the
+        # conjugate squared-kernel OTFs: every preconditioner build reads them.
+        self._gram_half = _frozen(np.sum(np.abs(_half(otfs)) ** 2, axis=0))
+        self._sq_otf_half_adj = None
         if sq_otfs is not None:
             sq_otfs = np.asarray(sq_otfs, dtype=np.complex128)
             if sq_otfs.shape != otfs.shape:
                 raise ValueError("sq_otfs shape must match otfs")
             _check_hermitian(sq_otfs, "sq_otfs")
             sq_otfs = _frozen(sq_otfs)
+            self._sq_otf_half_adj = _frozen(np.conj(_half(sq_otfs)))
         self.sq_otfs = sq_otfs
 
     @classmethod
@@ -134,13 +168,37 @@ class BlurOperator:
             )
         return _irdft2(self._adjoint_spectrum(y), self.shape)
 
-    def _forward(self, x_hat: np.ndarray) -> np.ndarray:
-        """``A x`` from the half spectrum ``x_hat = _rdft2(x)``; k ifft2."""
-        return _irdft2(self._otf_half * x_hat, self.shape)
+    def _forward(self, x_hat, out=None, scratch=None) -> np.ndarray:
+        """``A x`` from the half spectrum ``x_hat = _rdft2(x)``; k ifft2.
 
-    def _adjoint_spectrum(self, y: np.ndarray) -> np.ndarray:
+        ``out`` receives the (k, h, w) result and ``scratch``, a
+        (k, h, w//2+1) complex array, the per-frame spectra; either may be
+        None for a fresh array.  The products are taken frame by frame
+        because numpy copies a broadcast operand into a temporary stack.
+        """
+        if scratch is None:
+            scratch = np.empty(self._otf_half.shape, dtype=np.complex128)
+        for otf, spec in zip(self._otf_half, scratch):
+            np.multiply(otf, x_hat, out=spec)
+        return _irdft2(scratch, self.shape, out=out)
+
+    def _adjoint_spectrum(self, y: np.ndarray, scratch=None) -> np.ndarray:
         """Half spectrum of ``A^T y`` for a checked stack ``y``; k fft2."""
-        return np.sum(self._otf_half_adj * _rdft2(y), axis=0)
+        return _adjoint_sum(self._otf_half_adj, y, scratch)
+
+
+def _adjoint_sum(otf_half_adj, y, scratch=None) -> np.ndarray:
+    """``sum_j otf_half_adj[j] * _rdft2(y[j])``; k fft2.
+
+    The frames are summed into frame 0 of ``scratch`` (a fresh array when
+    None), in frame order, as ``np.sum(..., axis=0)`` would; the result
+    is that frame.
+    """
+    spec = _rdft2(y, out=scratch)
+    np.multiply(otf_half_adj, spec, out=spec)
+    for frame in spec[1:]:
+        spec[0] += frame
+    return spec[0]
 
 
 def laplacian_symbol(shape: tuple[int, int]) -> np.ndarray:
@@ -176,12 +234,15 @@ def hessian_apply(
     multiply; the regularization term adds one multiply on the shared input
     spectrum.  Single-frame total: 2 fft2, 2 ifft2, 4 multiplies, 1 add.
 
-    This is the checked entry point.  Solvers that apply one Hessian many
-    times validate its weights once with :func:`_check_weights` and call
-    :func:`_hessian_kernel`, the same schedule without the checks.
+    This is the checked entry point and returns a fresh array.  Solvers
+    that apply one Hessian many times validate its weights once with
+    :func:`_check_weights` and call :func:`_hessian_kernel`, the same
+    schedule without the checks, in a workspace of their own.
     """
     s = as_image(s, "s")
-    return _hessian_kernel(op, lap_sq, _check_weights(op, weights, lam), lam, s)
+    weights = _check_weights(op, weights, lam)
+    ws = Workspace(op.shape, op.n_frames)
+    return _hessian_kernel(op, _penalty_symbol(lap_sq, lam), weights, ws, s)
 
 
 def _check_weights(op: BlurOperator, weights, lam: float) -> np.ndarray:
@@ -196,19 +257,34 @@ def _check_weights(op: BlurOperator, weights, lam: float) -> np.ndarray:
     return weights
 
 
-def _hessian_kernel(op, lap_sq, weights, lam, s):
-    """:func:`hessian_apply` on weights already passed by :func:`_check_weights`."""
+def _penalty_symbol(lap_sq: np.ndarray, lam: float) -> np.ndarray:
+    """``lam * L^T L`` on the half spectrum, for :func:`_hessian_kernel`.
+
+    Stored complex (zero imaginary part) so that multiplying it into a
+    spectrum needs no cast buffer; numpy casts a real operand the same
+    way, so the products are bitwise unchanged.
+    """
+    return (lam * _half(lap_sq)).astype(np.complex128)
+
+
+def _hessian_kernel(op, penalty, weights, ws, s):
+    """:func:`hessian_apply` on weights already passed by :func:`_check_weights`.
+
+    ``penalty`` is ``_penalty_symbol(lap_sq, lam)``.  Runs in the
+    :class:`Workspace` ``ws`` and returns its ``image``, which the next
+    call overwrites.
+    """
     k = op.n_frames
-    s_hat = _rdft2(s)
-    u = op._forward(s_hat)
+    s_hat = _rdft2(s, out=ws.spectrum)
+    u = op._forward(s_hat, out=ws.stack, scratch=ws.stack_spectrum)
     tally_mults(k)
     u *= weights
     tally_mults(k)
-    acc = op._adjoint_spectrum(u)
+    acc = op._adjoint_spectrum(u, scratch=ws.stack_spectrum)
     tally_mults(k)
     tally_adds(k - 1)
     # The budget counts the spectral products; lam * lap_sq is not tallied.
-    acc += lam * _half(lap_sq) * s_hat
+    acc += np.multiply(penalty, s_hat, out=s_hat)
     tally_mults()
     tally_adds()
-    return _irdft2(acc, op.shape)
+    return _irdft2(acc, op.shape, out=ws.image)

@@ -14,7 +14,10 @@ is the constant sum(psf^2).  The resulting
     M = Dhat (A^T A + lam_hat L^T L) Dhat,   lam_hat = lam / mean(Dhat)^2
 
 is solved in closed form through the DFT at a fixed cost of one forward
-transform, one inverse transform, and three pixel-wise multiplies.
+transform, one inverse transform, and three pixel-wise multiplies.  The
+solve runs in the image and half-spectrum buffers of a per-solve
+:class:`.operators.Workspace`; the :class:`Preconditioner` itself holds no
+scratch, so one may be shared between threads.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfft import _half, _irdft2, _rdft2, tally_mults
-from .operators import BlurOperator, as_stack
+from .operators import BlurOperator, Workspace, _adjoint_sum, as_stack
 
 __all__ = ["Preconditioner", "build_dhat", "precond_build"]
 
@@ -41,7 +44,9 @@ class Preconditioner:
     """Frozen factorization of M = Dhat (A^T A + lam_hat L^T L) Dhat.
 
     ``inv_symbol`` holds the inverse symbol on the half spectrum that
-    :func:`.gridfft._rdft2` produces.  All arrays are read-only.
+    :func:`.gridfft._rdft2` produces, stored complex with a zero imaginary
+    part so the solve multiplies it in without a cast buffer.  All arrays
+    are read-only.
     """
 
     dhat: np.ndarray
@@ -49,13 +54,22 @@ class Preconditioner:
     inv_symbol: np.ndarray
     lambda_hat: float
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply M^{-1} r: scale, deconvolve spectrally, scale again."""
-        u = self.inv_dhat * r
+    def solve(self, r: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+        """Apply M^{-1} r: scale, deconvolve spectrally, scale again.
+
+        Runs in the image and spectrum buffers of ``ws`` and returns its
+        ``image``, which the next kernel call overwrites.  Without a
+        workspace it runs in a throwaway one, so the result is a fresh
+        array.
+        """
+        ws = Workspace(self.dhat.shape) if ws is None else ws
+        u = np.multiply(self.inv_dhat, r, out=ws.image)
         tally_mults()
-        v = _irdft2(self.inv_symbol * _rdft2(u), u.shape)
+        spec = _rdft2(u, out=ws.spectrum)
+        np.multiply(self.inv_symbol, spec, out=spec)
+        v = _irdft2(spec, u.shape, out=u)
         tally_mults()
-        out = self.inv_dhat * v
+        out = np.multiply(self.inv_dhat, v, out=v)
         tally_mults()
         return out
 
@@ -79,12 +93,11 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     if not np.any(weights > 0):
         raise ValueError("all weights are zero (every residual saturated)")
 
-    spec = np.sum(np.conj(_half(op.sq_otfs)) * _rdft2(weights), axis=0)
-    # clip rounding noise before sqrt
-    numerator = np.maximum(_irdft2(spec, op.shape), 0.0)
-    denominator = float(np.sum(op.sq_otfs[:, 0, 0].real))
-    dhat = np.sqrt(numerator / denominator)
-    return np.maximum(dhat, DHAT_FLOOR * dhat.max())
+    dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights), op.shape)
+    np.maximum(dhat, 0.0, out=dhat)  # clip rounding noise before sqrt
+    dhat /= float(np.sum(op.sq_otfs[:, 0, 0].real))
+    np.sqrt(dhat, out=dhat)
+    return np.maximum(dhat, DHAT_FLOOR * dhat.max(), out=dhat)
 
 
 def precond_build(
@@ -95,8 +108,7 @@ def precond_build(
         raise ValueError("lam must be nonnegative")
     dhat = build_dhat(op, weights)
     lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
-    gain = np.sum(np.abs(_half(op.otfs)) ** 2, axis=0)
-    symbol = gain + lambda_hat * _half(lap_sq)
+    symbol = op._gram_half + lambda_hat * _half(lap_sq)
     lo, hi = float(symbol.min()), float(symbol.max())
     if lo <= SYMBOL_RCOND * hi:
         ratio = lo / hi if hi > 0 else 0.0
@@ -106,7 +118,7 @@ def precond_build(
             f"spectral gain and lambda_hat {lambda_hat:.1e} is too small)"
         )
     inv_dhat = 1.0 / dhat
-    inv_symbol = 1.0 / symbol
+    inv_symbol = (1.0 / symbol).astype(np.complex128)
     for arr in (dhat, inv_dhat, inv_symbol):
         arr.setflags(write=False)
     return Preconditioner(

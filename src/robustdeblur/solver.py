@@ -24,6 +24,14 @@ kernel.  With k frames a Newton step therefore costs, in transforms
   accepted point, (k+1) when lam = 0;
 - (2k+2) per PCG iteration;
 - with the preconditioner, (k+1) for its build and 2 per solve.
+
+Each solve allocates one :class:`.operators.Workspace` in
+:func:`_newton_loop`; the Hessian kernel and the preconditioner solve of
+every PCG iteration run in it, and :func:`projected_pcg` updates its own
+iterate, residual, direction and products in place, so the inner loop
+allocates no grid-sized array.  The workspace lives in the solve's frame
+only, never on the objective, the operator or the preconditioner, which
+therefore stay immutable and can be shared by concurrent solves.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 
 from .gridfft import OpCounts, as_image, count_transforms
 from .objective import Objective
-from .operators import _check_weights, _hessian_kernel
+from .operators import Workspace, _check_weights, _hessian_kernel
 from .precond import precond_build
 
 __all__ = [
@@ -137,47 +145,60 @@ def projected_pcg(
     cells.  Stops when the projected residual norm falls below ``tol``
     relative to its starting value, returning ``(s, iterations)``.
 
+    The iterate, residual, direction, preconditioned residual and Hessian
+    product live in five arrays allocated here and updated in place.  What
+    ``hess`` and ``precond`` return is copied in at once, so they may
+    return a buffer they reuse on the next call (or their argument).
+
     Raises :class:`PcgBreakdownError` on non-positive curvature.
     """
     rhs = as_image(rhs, "rhs")
     active = np.asarray(active, dtype=bool)
 
-    def project(v):
-        return np.where(active, 0.0, v)
+    def project_into(dst, v):
+        np.copyto(dst, v)
+        np.copyto(dst, 0.0, where=active)
+        return dst
+
+    def dot(u, v, scratch):
+        return float(np.sum(np.multiply(u, v, out=scratch)))
 
     x = np.zeros_like(rhs)
-    r = project(rhs)
+    r = project_into(np.empty_like(rhs), rhs)
     r0_norm = np.linalg.norm(r)
     if r0_norm == 0.0:
         return x, 0
-    z = project(precond(r)) if precond is not None else r
-    rz = float(np.sum(r * z))
+    z = project_into(np.empty_like(rhs), precond(r) if precond is not None else r)
+    hp = np.empty_like(rhs)
+    rz = dot(r, z, hp)
     if rz <= 0.0:
         raise PcgBreakdownError(
             f"preconditioned residual product {rz:.3e} is not positive", x, 0
         )
     p = z.copy()
+    # z is free from here until it is recomputed, so it holds products.
     for k in range(1, maxit + 1):
-        hp = project(hess(p))
-        ph = float(np.sum(p * hp))
+        project_into(hp, hess(p))
+        ph = dot(p, hp, z)
         if ph <= 0.0:
             raise PcgBreakdownError(
                 f"curvature p^T H p = {ph:.3e} at iteration {k}", x, k - 1
             )
         alpha = rz / ph
-        x = x + alpha * p
-        r = r - alpha * hp
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, hp, out=hp)
         if np.linalg.norm(r) <= tol * r0_norm:
             return x, k
-        z = project(precond(r)) if precond is not None else r
-        rz_next = float(np.sum(r * z))
+        project_into(z, precond(r) if precond is not None else r)
+        rz_next = dot(r, z, hp)
         if rz_next <= 0.0:
             raise PcgBreakdownError(
                 f"preconditioned residual product {rz_next:.3e} at iteration {k}",
                 x,
                 k,
             )
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return x, maxit
 
@@ -268,11 +289,14 @@ def _newton_loop(obj, x, opts, callback, report):
     Each accepted iterate is evaluated once, by the line search; its
     evaluation then supplies the gradient, the Hessian weights and the
     preconditioner input of the next step.  Every evaluation lives only
-    in this frame, so dropping the name releases it.
+    in this frame, so dropping the name releases it.  So does the solve's
+    workspace, which every gradient, Hessian product and preconditioner
+    solve below runs in.
     """
+    ws = Workspace(obj.op.shape, obj.op.n_frames)
     ev = obj.evaluate(x)
     report.objective_trace.append(ev.value)
-    g = obj.gradient_at(ev)
+    g = obj.gradient_at(ev, ws)
     active = x <= 0
     pg0_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
     report.pg_norms.append(pg0_norm)
@@ -289,8 +313,9 @@ def _newton_loop(obj, x, opts, callback, report):
             break
         precond = None
         if opts.use_preconditioner:
-            precond = precond_build(obj.op, obj.lap_sq, d, obj.lam).solve
-        hess = functools.partial(_hessian_kernel, obj.op, obj.lap_sq, d, obj.lam)
+            pre = precond_build(obj.op, obj.lap_sq, d, obj.lam)
+            precond = functools.partial(pre.solve, ws=ws)
+        hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, d, ws)
         value = ev.value
         # Drop this step's evaluation now and its Hessian and preconditioner
         # after PCG, so the line search's evaluations do not add to them.
@@ -302,7 +327,7 @@ def _newton_loop(obj, x, opts, callback, report):
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
-        precond = hess = None
+        pre = precond = hess = None
         report.pcg_iterations.append(inner)
 
         if np.any(active):
@@ -327,7 +352,7 @@ def _newton_loop(obj, x, opts, callback, report):
         report.iterations = k
         report.objective_trace.append(ev.value)
         report.step_lengths.append(ls.step)
-        g = obj.gradient_at(ev)
+        g = obj.gradient_at(ev, ws)
         active = x <= 0
         pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
         report.pg_norms.append(pg_norm)

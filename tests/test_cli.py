@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import robustdeblur
 
 from robustdeblur.cli import ConfigError, main, parse_config
 from robustdeblur.gridfft import read_raw
@@ -288,3 +295,19 @@ def test_bench_emits_step_and_total_tables(tmp_path):
     for flag, row in by_flag.items():
         step_sum = sum(int(r[3]) for r in steps if int(r[0]) == flag)
         assert step_sum == int(row[3])
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would also add about
+    # a second to every CLI call.
+    code = (
+        "import sys, robustdeblur, robustdeblur.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(robustdeblur.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,78 @@ def test_bounded_minimize_finds_unimodal_minimum():
     grid = np.linspace(0.0, 0.1, 1001)
     grid_argmin = grid[np.argmin(f(grid))]
     assert abs(got - grid_argmin) <= grid[1] - grid[0]
+
+
+def _search_panel(lo, hi):
+    """Functions named by shape, each with its minimizer placed in [lo, hi]."""
+    width = hi - lo
+    for frac in (0.1, 0.37, 0.5, 0.93):
+        c = lo + frac * width
+        yield f"smooth {frac}", lambda x, c=c: (
+            ((x - c) / width) ** 2 + 0.1 * math.sin(x / width)
+        )
+        yield f"abs {frac}", lambda x, c=c: abs(x - c)
+        yield f"floor-step {frac}", lambda x, c=c: (
+            abs(math.floor(8 * (x - c) / width))
+        )
+        yield f"inf-part {frac}", lambda x, c=c: math.inf if x < c else (x - c) ** 2
+    yield "constant", lambda x: 1.0
+    yield "increasing", lambda x: x
+    yield "decreasing", lambda x: -x
+
+
+# scipy's scalar arithmetic warns on inf - inf for the "inf-part" functions
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_bounded_minimize_matches_fminbound_step_for_step():
+    # bounded_minimize is a port of scipy's bounded Brent method; it must
+    # make the same evaluations in the same order and return the same point.
+    optimize = pytest.importorskip("scipy.optimize")
+    searches = 0
+    for lo, hi in ((0.0, 1.0), (-2.0, 3.0), (1e-6, 1e-1)):
+        for name, f in _search_panel(lo, hi):
+            for x_tol in (1e-8, 1e-5 * (hi - lo)):
+                for max_evaluations in (100, 7):
+                    ours, theirs = [], []
+                    got = bounded_minimize(
+                        lambda x: ours.append(x) or f(x), lo, hi, x_tol,
+                        max_evaluations,
+                    )
+                    want = optimize.fminbound(
+                        lambda x: theirs.append(x) or f(x), lo, hi, xtol=x_tol,
+                        maxfun=max_evaluations, disp=0,
+                    )
+                    case = (lo, hi, name, x_tol, max_evaluations)
+                    assert ours == theirs, case
+                    assert got == want, case
+                    searches += 1
+    assert searches == 3 * 19 * 2 * 2
+
+
+def test_gcv_search_replays_through_fminbound():
+    # The criterion 11 search: every (lambda, gcv) pair it made, replayed
+    # through scipy's fminbound, must be asked for in the same order and
+    # lead to the same lambda*.
+    optimize = pytest.importorskip("scipy.optimize")
+    inst = make_instance(
+        "satellite", (64, 64), outlier_fraction=0.02, noise_seed=11,
+        outlier_seed=12,
+    )
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1, x_tol=1e-4, probe_seed=0)
+    lam_star, evals = minimize_gcv(obj, opts, x0=default_start(inst.observed))
+    table = {e.lam: e.gcv_value for e in evals}
+    asked = []
+
+    def replay(lam):
+        asked.append(float(lam))
+        return table[float(lam)]
+
+    want = optimize.fminbound(
+        replay, opts.lambda_lo, opts.lambda_hi, xtol=opts.x_tol,
+        maxfun=opts.max_evaluations, disp=0,
+    )
+    assert list(dict.fromkeys(asked)) == [e.lam for e in evals]
+    assert lam_star == want
 
 
 def test_collapsed_bracket_returns_the_point():

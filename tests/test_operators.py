@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,14 @@ from robustdeblur.gridfft import (
 )
 from robustdeblur.operators import (
     BlurOperator,
+    Workspace,
+    _hessian_kernel,
+    _penalty_symbol,
     as_stack,
     hessian_apply,
     laplacian_symbol,
 )
+from robustdeblur.precond import precond_build
 
 from oracles import dense_blur_matrix, dense_hessian, dense_laplacian
 
@@ -247,3 +253,37 @@ def test_hessian_apply_rejects_non_finite_inputs():
         s_bad[1, 1] = bad
         with pytest.raises(ValueError, match="s contains non-finite"):
             hessian_apply(op, lap_sq, np.ones((1, 6, 6)), 0.1, s_bad)
+
+
+def test_workspace_kernels_allocate_no_grid_arrays():
+    # PCG applies the Hessian and the preconditioner in a per-solve
+    # workspace; one 64x64 image is 32 KiB, so a peak of 16 KiB rules out
+    # any grid-sized temporary.
+    rng = np.random.default_rng(46)
+    shape, lam = (64, 64), 0.1
+    op, _, _ = make_operator(rng, shape, 3)
+    lap_sq = laplacian_symbol(shape)
+    weights = rng.random((3,) + shape)
+    s = rng.standard_normal(shape)
+    pre = precond_build(op, lap_sq, weights, lam)
+    ws = Workspace(shape, 3)
+    penalty = _penalty_symbol(lap_sq, lam)
+    kernels = {
+        "hessian": (
+            lambda: _hessian_kernel(op, penalty, weights, ws, s),
+            hessian_apply(op, lap_sq, weights, lam, s),
+        ),
+        "preconditioner": (lambda: pre.solve(s, ws=ws), pre.solve(s)),
+    }
+    for name, (kernel, fresh) in kernels.items():
+        kernel()  # warm-up: numpy caches FFT plans on first use
+        tracemalloc.start()
+        try:
+            out = kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is ws.image, name
+        assert peak <= 16 * 1024, (name, peak)
+        # the public entry points run the same kernel on a throwaway workspace
+        assert np.array_equal(out, fresh), name
