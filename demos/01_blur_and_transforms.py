@@ -29,7 +29,7 @@ def main():
     shape = (64, 64)
     scene = synthetic_scene("satellite", shape)
     psf = gaussian_psf(GaussianPsfParams(4.0, 2.0, 2.0), shape)
-    op = BlurOperator.from_psfs([psf], [psf_center(shape)])
+    op = BlurOperator([psf], [psf_center(shape)])
 
     with count_transforms() as tally:
         blurred = op.apply(scene)[0]

@@ -29,7 +29,6 @@ from .gridfft import (
     dft2,
     embed_psf,
     idft2,
-    psf_to_otf,
     read_pgm,
     read_raw,
     write_pgm,
@@ -131,7 +130,6 @@ __all__ = [
     "projected_newton",
     "projected_pcg",
     "psf_center",
-    "psf_to_otf",
     "rademacher_probe",
     "read_pgm",
     "read_raw",

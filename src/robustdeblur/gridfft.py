@@ -1,9 +1,9 @@
-"""Pixel grids, 2D DFTs, and PSF/OTF conversion.
+"""Pixel grids, 2D DFTs, and the half-spectrum layout.
 
 Images are plain 2D float64 arrays (row-major, photon counts); spectra are
 2D complex128 arrays of the same shape.  The transform convention is fixed
 throughout the package: unnormalized forward DFT and 1/N inverse (numpy's
-default), so ``idft2(dft2(x)) == x`` and a PSF's OTF value at frequency
+default), so ``idft2(dft2(x)) == x`` and a PSF's spectrum at frequency
 (0, 0) equals its pixel sum.  Non-power-of-two and odd sizes are supported.
 
 The operator kernels run on real images, so they use the private
@@ -11,6 +11,7 @@ half-spectrum pair :func:`_rdft2` / :func:`_irdft2` (numpy's ``rfft2`` and
 ``irfft2`` over the last two axes of an ``(h, w)`` image or ``(k, h, w)``
 stack).  A half spectrum keeps columns ``0 .. w//2`` of the full one; this
 module alone knows that layout (:func:`_half` cuts a full-grid symbol to it,
+:func:`_psf_spectra` builds the half spectra of a PSF stack,
 :func:`_spectral_energy` carries the Parseval weights of the dropped
 columns).  The public :func:`dft2` / :func:`idft2` keep the full complex
 layout and serve as the reference.
@@ -46,7 +47,6 @@ __all__ = [
     "count_transforms",
     "dft2",
     "idft2",
-    "psf_to_otf",
     "embed_psf",
     "read_pgm",
     "write_pgm",
@@ -174,8 +174,8 @@ def _irdft2(
 
     ``shape`` is required because an odd width and the even width below
     it keep the same number of half-spectrum columns.  The dropped columns
-    are taken to be the Hermitian mirror of the kept ones, so the caller's
-    symbols must be Hermitian-symmetric (see :func:`_check_hermitian`).
+    are taken to be the Hermitian mirror of the kept ones, which is what
+    the spectrum of a real image or kernel has.
     Tallies one ``ifft2`` per frame image.
 
     ``spec`` (writable complex128) is consumed: the pass along axis -2
@@ -210,42 +210,21 @@ def _spectral_energy(
     return float(total) / (h * w)
 
 
-def _check_hermitian(stack: np.ndarray, name: str) -> None:
-    """Raise unless each frame ``S`` of ``stack`` has ``S[-k, -l] == conj(S[k, l])``.
+def _psf_spectra(psfs: np.ndarray, centers) -> np.ndarray:
+    """Half spectra of the blurs whose kernels are the frames of ``psfs``.
 
-    The half-spectrum inverse silently assumes this symmetry, so it is
-    checked once per operator instead of on every inverse transform.  The
-    tolerance is :data:`IMAG_TOL` relative to each frame's norm, which
-    accepts the rounding-level asymmetry of :func:`psf_to_otf` output.
+    ``psfs`` is a checked ``(k, h, w)`` stack and ``centers[j]`` a pixel
+    of frame j.  Each frame is circularly shifted so that its center lands
+    on index (0, 0), then transformed by a full ``fft2`` and cut to the
+    half layout: bitwise the columns that :func:`dft2` gives.  ``rfft2``
+    differs from them in the last bit, enough to move a GCV search.
+    Tallies one ``fft2`` per frame.
     """
-    mirror = np.roll(stack[..., ::-1, ::-1], 1, axis=(-2, -1))
-    gap = np.linalg.norm(stack - np.conj(mirror), axis=(-2, -1))
-    norm = np.linalg.norm(stack, axis=(-2, -1))
-    tiny = np.finfo(np.float64).tiny
-    bad = np.flatnonzero(gap > IMAG_TOL * np.maximum(norm, tiny))
-    if bad.size:
-        j = int(bad[0])
-        raise InverseTransformError(
-            f"{name} frame {j} is not Hermitian-symmetric: asymmetry "
-            f"{gap.flat[j]:.3e} exceeds {IMAG_TOL:.1e} of norm {norm.flat[j]:.3e}"
-        )
-
-
-def psf_to_otf(psf: np.ndarray, center: tuple[int, int]) -> np.ndarray:
-    """Transform a full-grid PSF into the eigenvalue array of its operator.
-
-    The PSF is circularly shifted so that ``center`` lands on index (0, 0),
-    then forward transformed.  ``psf`` must already match the grid size;
-    embed smaller kernels with :func:`embed_psf` first.  The center must be
-    given explicitly because peak detection is ambiguous for flat-topped
-    kernels.
-    """
-    psf = as_image(psf, "psf")
-    ci, cj = int(center[0]), int(center[1])
-    h, w = psf.shape
-    if not (0 <= ci < h and 0 <= cj < w):
-        raise ValueError(f"center {center} outside grid {psf.shape}")
-    return dft2(np.roll(psf, (-ci, -cj), axis=(0, 1)))
+    shifted = np.stack(
+        [np.roll(p, (-ci, -cj), axis=(0, 1)) for p, (ci, cj) in zip(psfs, centers)]
+    )
+    COUNTS.fft2 += len(shifted)
+    return np.ascontiguousarray(_half(np.fft.fft2(shifted)))
 
 
 def embed_psf(

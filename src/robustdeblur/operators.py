@@ -26,12 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 from .gridfft import (
-    _check_hermitian,
     _half,
     _irdft2,
+    _psf_spectra,
     _rdft2,
     as_image,
-    psf_to_otf,
     tally_adds,
     tally_mults,
 )
@@ -85,72 +84,57 @@ class Workspace:
 
 
 class BlurOperator:
-    """Stacked periodic blur operator defined by one OTF per frame.
+    """Stacked periodic blur operator defined by one PSF per frame.
 
-    Immutable after construction; safe to share across threads.  The
-    full-grid ``otfs`` and ``sq_otfs`` and the half-spectrum copies the
-    kernels use are all read-only.  The squared-PSF OTFs (transforms of
-    the pixel-wise squared kernels) are precomputed once here because the
-    preconditioner needs them at every Newton step.
+    ``psfs`` are full-grid kernels of one shape (embed smaller ones with
+    :func:`~.gridfft.embed_psf` first) and ``centers[j]`` is the (row,
+    column) of the kernel's origin in ``psfs[j]``; it is given explicitly
+    because peak detection is ambiguous for flat-topped kernels.
 
-    Construction raises :class:`~.gridfft.InverseTransformError` unless
-    every frame of ``otfs`` and ``sq_otfs`` is Hermitian-symmetric, the
-    spectrum of a real kernel; the half-spectrum inverse transforms rely
-    on it and no longer check their output.
+    The operator keeps only what the kernels read: the half spectra of A
+    and of its adjoint, the symbol of A^T A, and the conjugate half
+    spectra of the operator built from the pixel-wise squared PSFs.  For
+    a circulant operator every matrix entry is a kernel value, so that
+    operator is exactly the entry-wise square of A; the preconditioner
+    reads it at every Newton step, together with the constant
+    diag(A^T A) = sum_j sum(psf_j**2).  Immutable after construction and
+    safe to share across threads: every array is read-only.
     """
 
-    def __init__(self, otfs, sq_otfs=None):
-        otfs = np.asarray(otfs, dtype=np.complex128)
-        if otfs.ndim == 2:
-            otfs = otfs[None, :, :]
-        if otfs.ndim != 3 or otfs.shape[0] < 1:
-            raise ValueError(f"otfs must have shape (k, h, w), got {otfs.shape}")
-        _check_hermitian(otfs, "otfs")
-        self.otfs = _frozen(otfs)
-        # Both half spectra are kept: every Hessian product needs each one.
-        self._otf_half = _frozen(np.ascontiguousarray(_half(otfs)))
-        self._otf_half_adj = _frozen(np.conj(self._otf_half))
-        # The half-spectrum symbol of A^T A, sum_j |H_j|^2, and the
-        # conjugate squared-kernel OTFs: every preconditioner build reads them.
-        self._gram_half = _frozen(np.sum(np.abs(_half(otfs)) ** 2, axis=0))
-        self._sq_otf_half_adj = None
-        if sq_otfs is not None:
-            sq_otfs = np.asarray(sq_otfs, dtype=np.complex128)
-            if sq_otfs.shape != otfs.shape:
-                raise ValueError("sq_otfs shape must match otfs")
-            _check_hermitian(sq_otfs, "sq_otfs")
-            sq_otfs = _frozen(sq_otfs)
-            self._sq_otf_half_adj = _frozen(np.conj(_half(sq_otfs)))
-        self.sq_otfs = sq_otfs
-
-    @classmethod
-    def from_psfs(cls, psfs, centers) -> "BlurOperator":
-        """Build from full-grid PSFs and their center coordinates.
-
-        Also transforms the pixel-wise squared PSFs: for a circulant
-        operator every matrix entry is a kernel value, so the operator
-        built from ``psf**2`` is exactly the entry-wise square of A.
-        """
+    def __init__(self, psfs, centers):
         psfs = [as_image(p, "psf") for p in psfs]
+        if not psfs:
+            raise ValueError("at least one psf required")
         if len(psfs) != len(centers):
-            raise ValueError("one center per psf required")
+            raise ValueError(
+                f"one center per psf required, got {len(centers)} for {len(psfs)}"
+            )
         shape = psfs[0].shape
         for p in psfs:
             if p.shape != shape:
                 raise ValueError("all frame PSFs must share the grid shape")
-        otfs = np.stack([psf_to_otf(p, c) for p, c in zip(psfs, centers)])
-        sq_otfs = np.stack(
-            [psf_to_otf(p * p, c) for p, c in zip(psfs, centers)]
-        )
-        return cls(otfs, sq_otfs)
+        for c in centers:
+            if np.shape(c) != (2,):
+                raise ValueError(f"center {c!r} is not a (row, column) pair")
+        centers = [(int(ci), int(cj)) for ci, cj in centers]
+        for ci, cj in centers:
+            if not (0 <= ci < shape[0] and 0 <= cj < shape[1]):
+                raise ValueError(f"center {(ci, cj)} outside grid {shape}")
+        psfs = np.stack(psfs)
+        self.shape = shape
+        otf_half = _psf_spectra(psfs, centers)
+        # Both half spectra are kept: every Hessian product needs each one.
+        self._otf_half = _frozen(otf_half)
+        self._otf_half_adj = _frozen(np.conj(otf_half))
+        # The symbol of A^T A, sum_j |H_j|^2: every preconditioner build reads it.
+        self._gram_half = _frozen(np.sum(np.abs(otf_half) ** 2, axis=0))
+        self._sq_otf_half_adj = _frozen(np.conj(_psf_spectra(psfs * psfs, centers)))
+        # diag(A^T A): the squared-kernel spectra at frequency zero.
+        self._gram_diag = float(np.sum(self._sq_otf_half_adj[:, 0, 0].real))
 
     @property
     def n_frames(self) -> int:
-        return self.otfs.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.otfs.shape[1:]
+        return self._otf_half.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Forward model: frame j of the result is ``idft2(H_j * dft2(x))``."""

@@ -9,7 +9,8 @@ a diagonal Dhat chosen so the two sides have exactly equal diagonals:
 
 Both diagonals are cheap for periodic convolutions: diag(A^T D A) is one
 adjoint apply of the operator built from the squared PSF, and diag(A^T A)
-is the constant sum(psf^2).  The resulting
+is the constant sum(psf^2), a scalar the operator stores when it is
+built.  The resulting
 
     M = Dhat (A^T A + lam_hat L^T L) Dhat,   lam_hat = lam / mean(Dhat)^2
 
@@ -80,11 +81,9 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     ``weights`` is the Hessian diagonal D, one frame per operator frame.
     The numerator diag(A^T D A)_p = sum_i A_ip^2 D_i is the adjoint of the
     squared-kernel operator applied to D; the denominator diag(A^T A) is
-    the constant sum_j sum(psf_j^2), read off the squared-kernel OTF at
-    frequency zero.
+    the constant sum_j sum(psf_j^2), which the operator stores when it is
+    built.
     """
-    if op.sq_otfs is None:
-        raise ValueError("operator lacks squared-kernel OTFs; build it from PSFs")
     weights = as_stack(weights, op.shape, "weights")
     if weights.shape[0] != op.n_frames:
         raise ValueError("one weight frame per operator frame required")
@@ -95,7 +94,7 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
 
     dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights), op.shape)
     np.maximum(dhat, 0.0, out=dhat)  # clip rounding noise before sqrt
-    dhat /= float(np.sum(op.sq_otfs[:, 0, 0].real))
+    dhat /= op._gram_diag
     np.sqrt(dhat, out=dhat)
     return np.maximum(dhat, DHAT_FLOOR * dhat.max(), out=dhat)
 

@@ -290,7 +290,7 @@ def make_instance(
     center = psf_center(shape)
     psfs = [gaussian_psf(p, shape) for p in psf_params]
     centers = [center] * len(psfs)
-    op = BlurOperator.from_psfs(psfs, centers)
+    op = BlurOperator(psfs, centers)
     clean = op.apply(x_true)
     observed = simulate_data(x_true, op, sigma, noise_seed)
     if outlier_ceiling is None:
@@ -331,7 +331,7 @@ def inject_added_object(instance: ProblemInstance, obj_img, blur_psf,
     blur_psf = as_image(blur_psf, "blur_psf")
     if obj_img.shape != instance.shape or blur_psf.shape != instance.shape:
         raise ValueError("object and kernel must match the instance grid")
-    extra_op = BlurOperator.from_psfs([blur_psf], [psf_center(instance.shape)])
+    extra_op = BlurOperator([blur_psf], [psf_center(instance.shape)])
     extra = extra_op.apply(obj_img)[0]
 
     clean = instance.clean.copy()
@@ -503,7 +503,7 @@ def load_instance(directory) -> ProblemInstance:
             psf_params.append(GaussianPsfParams(g1, g2, tau))
     return ProblemInstance(
         x_true=x_true,
-        op=BlurOperator.from_psfs(psfs, centers),
+        op=BlurOperator(psfs, centers),
         clean=np.stack(clean),
         observed=np.stack(observed),
         outlier_mask=np.stack(masks),

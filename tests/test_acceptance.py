@@ -111,7 +111,7 @@ def inlier_instance(seed: int):
         rng.uniform(1.5, 3.5), rng.uniform(1.5, 3.5), 0.0
     )
     psf = gaussian_psf(params, shape)
-    op = BlurOperator.from_psfs([psf], [psf_center(shape)])
+    op = BlurOperator([psf], [psf_center(shape)])
     x_true = 20.0 + 40.0 * rng.random(shape)
     b = op.apply(x_true)[0] + 2.0 * rng.standard_normal(shape)
     obj = Objective(op, b[None], sigma=5.0, loss=TALWAR, lam=3e-3)
@@ -204,7 +204,7 @@ def test_criterion_05_preconditioner_diagonal_equality():
     shape = (8, 8)
     psf = gaussian_psf(GaussianPsfParams(2.0, 1.2, 0.5), shape)
     center = psf_center(shape)
-    op = BlurOperator.from_psfs([psf], [center])
+    op = BlurOperator([psf], [center])
     d = rng.uniform(0.5, 2.0, shape)  # bounded away from the floor
     dhat = build_dhat(op, d[None])
     A = dense_blur_matrix(psf, center)
@@ -219,7 +219,7 @@ def test_criterion_05_preconditioner_diagonal_equality():
 def test_criterion_06_preconditioner_exact_for_constant_weights():
     shape = (16, 16)
     psf = gaussian_psf(GaussianPsfParams(3.0, 2.0, 1.0), shape)
-    op = BlurOperator.from_psfs([psf], [psf_center(shape)])
+    op = BlurOperator([psf], [psf_center(shape)])
     lap_sq = laplacian_symbol(shape)
     weights = np.full((1,) + shape, 0.37)
     lam = 1e-2
@@ -256,7 +256,7 @@ def test_criterion_07_preconditioner_cuts_inner_iterations():
 def test_criterion_08_operation_counts_match_the_budget():
     shape = (16, 16)
     psf = gaussian_psf(GaussianPsfParams(3.0, 2.0, 0.0), shape)
-    op = BlurOperator.from_psfs([psf], [psf_center(shape)])
+    op = BlurOperator([psf], [psf_center(shape)])
     lap_sq = laplacian_symbol(shape)
     rng = np.random.default_rng(800)
     weights = rng.random((1,) + shape)

@@ -25,7 +25,7 @@ from oracles import dense_blur_matrix, dense_laplacian
 def identity_operator(shape):
     psf = np.zeros(shape)
     psf[0, 0] = 1.0
-    return BlurOperator.from_psfs([psf], [(0, 0)])
+    return BlurOperator([psf], [(0, 0)])
 
 
 # -- robust weights ------------------------------------------------------
@@ -121,7 +121,7 @@ def interior_instance(seed, shape=(8, 8), lam=0.05):
     psf = np.exp(-0.5 * ((yy / 1.5) ** 2 + (xx / 1.5) ** 2))
     psf /= psf.sum()
     center = (h // 2, w // 2)
-    op = BlurOperator.from_psfs([psf], [center])
+    op = BlurOperator([psf], [center])
     x_true = 20.0 + 30.0 * rng.random(shape)
     b = op.apply(x_true)[0] + 2.0 * rng.standard_normal(shape)
     obj = Objective(op, b[None], sigma=2.0, loss=LossFunction(), lam=lam)

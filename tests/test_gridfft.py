@@ -8,12 +8,12 @@ from robustdeblur.gridfft import (
     dft2,
     embed_psf,
     idft2,
-    psf_to_otf,
     read_pgm,
     read_raw,
     write_pgm,
     write_raw,
 )
+from robustdeblur.operators import BlurOperator
 
 from oracles import dense_blur_matrix, naive_dft2
 
@@ -103,13 +103,19 @@ def test_as_image_validation():
         gridfft.as_image(np.array([[1.0, np.nan]]))
 
 
-# -- PSF to OTF ---------------------------------------------------------
+# -- PSF spectra ---------------------------------------------------------
+
+
+def psf_spectrum(psf, center):
+    """Half spectrum of one PSF through the helper the operator uses."""
+    return gridfft._psf_spectra(psf[None], [center])[0]
 
 
 def test_delta_psf_gives_flat_otf():
     psf = np.zeros((8, 8))
     psf[3, 5] = 1.0
-    otf = psf_to_otf(psf, (3, 5))
+    otf = psf_spectrum(psf, (3, 5))
+    assert otf.shape == (8, 5)
     assert np.max(np.abs(otf - 1.0)) < 1e-12
 
 
@@ -119,21 +125,25 @@ def test_symmetric_psf_gives_real_otf():
     x = np.arange(-4, 4)
     g = np.exp(-0.3 * x**2)
     psf = np.outer(g, g)
-    otf = psf_to_otf(psf, (4, 4))
+    otf = psf_spectrum(psf, (4, 4))
     assert np.max(np.abs(otf.imag)) < 1e-12
 
 
 def test_otf_matches_dense_circulant_matrix():
+    # The spectrum holds the eigenvalues of the circulant matrix: the DFT
+    # of its first column, and multiplying by it applies the matrix.
     rng = np.random.default_rng(23)
     x8 = np.arange(-4, 4)
     g = np.exp(-0.5 * (x8 / 1.5) ** 2)
     psf = np.outer(g, g)
     psf /= psf.sum()
     center = (4, 4)
-    otf = psf_to_otf(psf, center)
+    otf = psf_spectrum(psf, center)
     A = dense_blur_matrix(psf, center)
+    eigenvalues = naive_dft2(A[:, 0].reshape(8, 8))
+    assert np.max(np.abs(otf - eigenvalues[:, :5])) < 1e-10
     x = rng.standard_normal((8, 8))
-    via_fft = idft2(otf * dft2(x))
+    via_fft = np.fft.irfft2(otf * np.fft.rfft2(x), s=(8, 8))
     via_dense = (A @ x.ravel()).reshape(8, 8)
     assert np.max(np.abs(via_fft - via_dense)) < 1e-10
 
@@ -142,15 +152,30 @@ def test_unit_sum_psf_has_unit_dc_gain():
     rng = np.random.default_rng(2)
     psf = rng.random((7, 9))
     psf /= psf.sum()
-    otf = psf_to_otf(psf, (3, 4))
+    otf = psf_spectrum(psf, (3, 4))
     assert abs(otf[0, 0] - 1.0) < 1e-12
 
 
+def test_psf_spectra_match_dft2_bitwise():
+    # The operator's spectra are the half-layout columns of the reference
+    # transform, bit for bit, with one tallied fft2 per frame.
+    rng = np.random.default_rng(3)
+    for shape in ((5, 7), (7, 6), (2, 9), (16, 16)):
+        psfs = rng.random((3,) + shape)
+        centers = [(1, 0), (shape[0] - 1, shape[1] // 2), (0, shape[1] - 1)]
+        with count_transforms() as c:
+            got = gridfft._psf_spectra(psfs, centers)
+        assert c.fft2 == 3
+        for p, (ci, cj), spec in zip(psfs, centers, got):
+            full = dft2(np.roll(p, (-ci, -cj), axis=(0, 1)))
+            assert np.array_equal(spec, full[:, : shape[1] // 2 + 1]), shape
+
+
 def test_center_outside_grid_rejected():
-    with pytest.raises(ValueError):
-        psf_to_otf(np.ones((4, 4)) / 16, (4, 0))
-    with pytest.raises(ValueError):
-        psf_to_otf(np.ones((4, 4)) / 16, (0, -1))
+    with pytest.raises(ValueError, match="outside grid"):
+        BlurOperator([np.ones((4, 4)) / 16], [(4, 0)])
+    with pytest.raises(ValueError, match="outside grid"):
+        BlurOperator([np.ones((4, 4)) / 16], [(0, -1)])
 
 
 def test_embed_psf_pads_top_left():

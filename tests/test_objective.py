@@ -19,14 +19,14 @@ from oracles import dense_blur_matrix, dense_laplacian
 def identity_operator(shape):
     psf = np.zeros(shape)
     psf[0, 0] = 1.0
-    return BlurOperator.from_psfs([psf], [(0, 0)])
+    return BlurOperator([psf], [(0, 0)])
 
 
 def random_operator(rng, shape):
     psf = rng.random(shape)
     psf /= psf.sum()
     center = (shape[0] // 2, shape[1] // 2)
-    return BlurOperator.from_psfs([psf], [center]), psf, center
+    return BlurOperator([psf], [center]), psf, center
 
 
 def inlier_instance(seed, shape=(6, 6), lam=0.3):
@@ -301,7 +301,7 @@ def evaluation_instance(rng, shape, frames, lam):
     """A multi-frame instance with a few saturated residuals per frame."""
     psfs = [rng.random(shape) for _ in range(frames)]
     psfs = [p / p.sum() for p in psfs]
-    op = BlurOperator.from_psfs(psfs, [(shape[0] // 2, shape[1] // 2)] * frames)
+    op = BlurOperator(psfs, [(shape[0] // 2, shape[1] // 2)] * frames)
     x = 2.0 + 10.0 * rng.random(shape)
     b = op.apply(x) + rng.standard_normal((frames,) + shape)
     b.reshape(frames, -1)[:, :2] += 500.0

@@ -3,13 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robustdeblur.gridfft import (
-    InverseTransformError,
-    count_transforms,
-    dft2,
-    idft2,
-    psf_to_otf,
-)
+from robustdeblur.gridfft import count_transforms, dft2, idft2
 from robustdeblur.operators import (
     BlurOperator,
     Workspace,
@@ -36,15 +30,17 @@ def random_psf(rng, shape):
 def make_operator(rng, shape=(6, 6), frames=1):
     psfs = [random_psf(rng, shape) for _ in range(frames)]
     centers = [(shape[0] // 2, shape[1] // 2)] * frames
-    return BlurOperator.from_psfs(psfs, centers), psfs, centers
+    return BlurOperator(psfs, centers), psfs, centers
 
 
 def test_apply_matches_dense_matrix():
     rng = np.random.default_rng(31)
-    op, psfs, centers = make_operator(rng)
-    A = dense_blur_matrix(psfs[0], centers[0])
-    x = rng.standard_normal((6, 6))
-    assert np.max(np.abs(op.apply(x)[0] - (A @ x.ravel()).reshape(6, 6))) < 1e-10
+    for shape in ((6, 6),) + ODD_AND_THIN:
+        op, psfs, centers = make_operator(rng, shape)
+        A = dense_blur_matrix(psfs[0], centers[0])
+        x = rng.standard_normal(shape)
+        expected = (A @ x.ravel()).reshape(shape)
+        assert np.max(np.abs(op.apply(x)[0] - expected)) < 1e-10, shape
 
 
 def test_adjoint_matches_dense_transpose():
@@ -75,7 +71,7 @@ def test_multi_frame_is_stack_of_single_frames():
     x = rng.standard_normal((8, 8))
     stacked = op.apply(x)
     for j in range(3):
-        single = BlurOperator.from_psfs([psfs[j]], [centers[j]])
+        single = BlurOperator([psfs[j]], [centers[j]])
         assert np.allclose(stacked[j], single.apply(x)[0], atol=1e-12)
 
 
@@ -86,34 +82,34 @@ def test_unit_sum_psf_preserves_mass():
     assert op.apply(x)[0].sum() == pytest.approx(x.sum())
 
 
-def test_from_psfs_squares_entrywise():
+def test_squared_kernel_spectra_square_entrywise():
     # The operator built from psf**2 is the entry-wise square of A for
-    # circulant matrices; from_psfs stores its OTFs for the preconditioner.
+    # circulant matrices; the constructor stores its conjugate spectra and
+    # diag(A^T A) for the preconditioner.
     rng = np.random.default_rng(36)
     op, psfs, centers = make_operator(rng)
-    assert np.allclose(
-        op.sq_otfs[0], psf_to_otf(psfs[0] ** 2, centers[0]), atol=1e-12
-    )
+    sq_op = BlurOperator([psfs[0] ** 2], centers)
+    assert np.array_equal(op._sq_otf_half_adj, np.conj(sq_op._otf_half))
     A = dense_blur_matrix(psfs[0], centers[0])
     x = rng.standard_normal((6, 6))
-    via_sq = idft2(op.sq_otfs[0] * dft2(x))
+    via_sq = sq_op.apply(x)[0]
     assert np.max(np.abs(via_sq - ((A * A) @ x.ravel()).reshape(6, 6))) < 1e-10
+    assert op._gram_diag == pytest.approx(np.sum(A * A, axis=0)[0], rel=1e-12)
 
 
-def test_construction_requires_hermitian_spectra():
-    # The half-spectrum inverse trusts the OTFs to be spectra of real
-    # kernels, so the operator checks that once, when it is built.
-    rng = np.random.default_rng(45)
-    op, _, _ = make_operator(rng, (6, 7), 2)
-    BlurOperator(op.otfs, op.sq_otfs)  # rounding-level asymmetry passes
-    bad = np.array(op.otfs)
-    bad[1, 1, 2] += 0.1j
-    with pytest.raises(InverseTransformError, match="otfs frame 1"):
-        BlurOperator(bad, op.sq_otfs)
-    bad_sq = np.array(op.sq_otfs)
-    bad_sq[0, 2, 3] += 0.5
-    with pytest.raises(InverseTransformError, match="sq_otfs frame 0"):
-        BlurOperator(op.otfs, bad_sq)
+def test_operator_holds_half_spectra_only():
+    # Three complex half-spectrum stacks (A, its adjoint, the squared
+    # kernels) and one real half-spectrum symbol (A^T A); nothing full-grid.
+    # Building them costs one fft2 per frame for each kernel stack.
+    rng = np.random.default_rng(47)
+    k, h, w = 3, 64, 64
+    with count_transforms() as c:
+        op, _, _ = make_operator(rng, (h, w), k)
+    assert (c.fft2, c.ifft2, c.mults, c.adds) == (2 * k, 0, 0, 0)
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= (
+        3 * k * h * (w // 2 + 1) * 16 + h * (w // 2 + 1) * 8
+    )
 
 
 def test_operator_validation():
@@ -123,8 +119,18 @@ def test_operator_validation():
         op.apply(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         op.apply_adjoint(np.zeros((2, 6, 6)))
-    with pytest.raises(ValueError):
-        BlurOperator.from_psfs([np.ones((4, 4)) / 16], [(0, 0), (1, 1)])
+    psf = np.ones((4, 4)) / 16
+    with pytest.raises(ValueError, match="one center per psf"):
+        BlurOperator([psf], [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="at least one psf"):
+        BlurOperator([], [])
+    for center in ((0,), (0, 1, 2), 3):
+        with pytest.raises(ValueError, match="not a \\(row, column\\) pair"):
+            BlurOperator([psf], [center])
+    with pytest.raises(ValueError, match="outside grid"):
+        BlurOperator([psf], [(1, 4)])
+    with pytest.raises(ValueError, match="share the grid shape"):
+        BlurOperator([psf, np.ones((4, 5)) / 20], [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         as_stack(np.zeros((1, 4, 5)), (4, 4))
 

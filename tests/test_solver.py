@@ -22,7 +22,7 @@ from oracles import dense_blur_matrix, dense_laplacian
 def identity_operator(shape):
     psf = np.zeros(shape)
     psf[0, 0] = 1.0
-    return BlurOperator.from_psfs([psf], [(0, 0)])
+    return BlurOperator([psf], [(0, 0)])
 
 
 def gaussian_like_psf(rng, shape, width=1.5):
@@ -39,7 +39,7 @@ def make_instance(seed, shape=(8, 8), lam=0.2, noise=1.0, outliers=0,
     rng = np.random.default_rng(seed)
     psf = gaussian_like_psf(rng, shape)
     center = (shape[0] // 2, shape[1] // 2)
-    op = BlurOperator.from_psfs([psf], [center])
+    op = BlurOperator([psf], [center])
     x_true = floor + amplitude * rng.random(shape)
     b = op.apply(x_true)[0] + noise * rng.standard_normal(shape)
     if outliers:

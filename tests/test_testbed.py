@@ -31,7 +31,7 @@ from robustdeblur.testbed import (
 def identity_operator(shape):
     psf = np.zeros(shape)
     psf[0, 0] = 1.0
-    return BlurOperator.from_psfs([psf], [(0, 0)])
+    return BlurOperator([psf], [(0, 0)])
 
 
 # -- PSFs ----------------------------------------------------------------
