@@ -52,6 +52,7 @@ from .solver import (
     PcgBreakdownError,
     SolverOptions,
     SolverReport,
+    default_start,
     linesearch,
     projected_gradient_map,
     projected_newton,
@@ -62,7 +63,6 @@ from .testbed import (
     GaussianPsfParams,
     ProblemInstance,
     ScanPoint,
-    default_start,
     gaussian_psf,
     inject_added_object,
     inject_random_corruptions,

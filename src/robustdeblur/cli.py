@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gcv import GcvOptions, minimize_gcv, write_gcv_trace
+from .gcv import GcvOptions, _flag_counts, minimize_gcv, write_gcv_trace
 from .gridfft import COUNTS, write_pgm, write_raw
 from .objective import BETA_95, LossFunction
 from .solver import SolverOptions, projected_newton
@@ -444,11 +444,14 @@ def cmd_gcv(config) -> int:
         "lambda_star,evaluations,relative_error",
         [("%.12e" % lam_star, len(evaluations), err)],
     )
+    unreliable, nonconverged = _flag_counts(evaluations)
     print(
-        "lambda_star=%.6e after %d evaluations%s"
+        "lambda_star=%.6e after %d evaluations (%d unreliable, %d not converged)%s"
         % (
             lam_star,
             len(evaluations),
+            unreliable,
+            nonconverged,
             "" if not err else ", relative error %s" % err,
         )
     )

@@ -41,10 +41,10 @@ from .solver import (
     PcgBreakdownError,
     SolverOptions,
     SolverReport,
+    default_start,
     projected_newton,
     projected_pcg,
 )
-from .testbed import default_start
 
 __all__ = [
     "GcvOptions",
@@ -309,6 +309,11 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     call order.  Each solve warm-starts from the previous evaluation's
     solution; the probe is drawn once from ``probe_seed``.  The whole
     trajectory is deterministic given (instance, options).
+
+    Evaluations whose trace estimate has ``reliable=False``, or whose
+    solve did not end ``converged``, steer the search like any other.
+    After the search one ``RuntimeWarning`` gives how many there were and
+    whether lambda* is one of them; a search without any warns nothing.
     """
     opts = opts or GcvOptions()
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
@@ -328,14 +333,34 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
         return hit.gcv_value
 
     if opts.lambda_hi <= opts.lambda_lo:
-        evaluate(opts.lambda_lo)
-        return opts.lambda_lo, evaluations
-
-    lambda_star = bounded_minimize(
-        evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol,
-        opts.max_evaluations,
-    )
+        lambda_star = opts.lambda_lo
+        evaluate(lambda_star)
+    else:
+        lambda_star = bounded_minimize(
+            evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol,
+            opts.max_evaluations,
+        )
+    unreliable, nonconverged = _flag_counts(evaluations)
+    if unreliable or nonconverged:
+        at_star = _flag_counts([cache[float(lambda_star)]])
+        warnings.warn(
+            f"GCV search used {unreliable} of {len(evaluations)} evaluations "
+            f"with reliable=False and {nonconverged} whose solve did not end "
+            f"converged; lambda*={lambda_star:.6e} is "
+            f"{'one' if any(at_star) else 'not one'} of them",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return lambda_star, evaluations
+
+
+def _flag_counts(evaluations) -> tuple[int, int]:
+    """How many evaluations have ``reliable=False``, and how many a solve
+    that did not end ``converged``."""
+    return (
+        sum(not ev.reliable for ev in evaluations),
+        sum(ev.newton_report.termination != "converged" for ev in evaluations),
+    )
 
 
 def write_gcv_trace(path, evaluations) -> None:

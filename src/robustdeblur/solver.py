@@ -5,8 +5,17 @@ the bound (x <= 0) are frozen out of the Newton system, the remaining
 subspace is solved inexactly by preconditioned conjugate gradients
 restricted to that subspace, the frozen cells receive a rescaled steepest
 descent component, and a projected backtracking line search enforces
-strict objective decrease.  Convergence is declared when the projected
-gradient norm drops below ``newton_tol`` relative to its starting value.
+strict objective decrease.
+
+Convergence is declared when the projected gradient norm ``||P g||``
+falls to ``newton_tol * max(||P g0||, pg_ref)``, where ``g0`` is the
+gradient at the start and ``pg_ref`` the projected gradient norm at
+:func:`default_start` of the data.  The test runs at the start too, so a
+start that already meets it takes 0 steps.  A test relative to
+``||P g0||`` alone is out of reach for a warm start near the optimum,
+whose ``||P g0||`` is at noise level.  From :func:`default_start`,
+``pg_ref`` is ``||P g0||`` itself; from any other start it costs one
+evaluation and one gradient.
 
 Only the Talwar loss is accepted: it is the one loss whose data-term
 Hessian diagonal stays nonnegative at every iterate, so the inner systems
@@ -21,7 +30,8 @@ kernel.  With k frames a Newton step therefore costs, in transforms
 (fft2 + ifft2):
 
 - (k+1) per line-search trial, and (k+2) for the gradient of the
-  accepted point, (k+1) when lam = 0;
+  accepted point, (k+1) when lam = 0; the start costs one of each, and
+  ``pg_ref`` as much again unless the start is :func:`default_start`;
 - (2k+2) per PCG iteration;
 - with the preconditioner, (k+1) for its build and 2 per solve.
 
@@ -56,11 +66,20 @@ __all__ = [
     "projected_pcg",
     "linesearch",
     "projected_newton",
+    "default_start",
 ]
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Tolerances and caps of :func:`projected_newton`.
+
+    ``newton_tol``: stop once the projected gradient norm is at most
+    ``newton_tol * max(||P g0||, pg_ref)``, with ``||P g0||`` its value at
+    the start and ``pg_ref`` its value at :func:`default_start` of the
+    data; checked at the start and after every step.
+    """
+
     newton_tol: float = 1e-4
     newton_maxit: int = 40
     pcg_tol: float = 1e-1
@@ -79,11 +98,17 @@ class SolverOptions:
 
 @dataclass
 class SolverReport:
-    """Per-run diagnostics: traces, inner iteration counts, transform tally."""
+    """Per-run diagnostics: traces, inner iteration counts, transform tally.
+
+    ``pg_scale`` is the norm the Newton tolerance was applied to,
+    ``max(pg_norms[0], pg_ref)``; it equals ``pg_norms[0]`` for a solve
+    started at :func:`default_start`.
+    """
 
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     pg_norms: list = field(default_factory=list)
+    pg_scale: float = 0.0
     pcg_iterations: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     counts: OpCounts = field(default_factory=OpCounts)
@@ -116,6 +141,14 @@ class LineSearchResult:
     x: np.ndarray
     value: float
     step: float
+
+
+def default_start(observed) -> np.ndarray:
+    """Feasible starting guess: the frame-averaged data, clipped at zero."""
+    observed = np.asarray(observed, dtype=np.float64)
+    if observed.ndim == 2:
+        observed = observed[None]
+    return np.maximum(observed.mean(axis=0), 0.0)
 
 
 def projected_gradient_map(g: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -262,9 +295,13 @@ def projected_newton(
     active cells a negative-gradient component rescaled to at most the
     magnitude of the Newton step, and line search.  ``callback`` receives
     ``(iteration, objective_value, projected_gradient_norm)`` after every
-    accepted step.  A step whose Hessian weights are all zero (every
-    residual saturated) is not taken: the run stops with termination
-    ``all_saturated`` and returns the current iterate.
+    accepted step.  The run ends as ``converged`` once the projected
+    gradient norm is at most ``opts.newton_tol * report.pg_scale``, where
+    ``pg_scale = max(||P g0||, pg_ref)`` takes the larger of its value at
+    ``x0`` and at :func:`default_start` of the data; a start that already
+    meets this takes 0 steps.  A step whose Hessian weights are all zero
+    (every residual saturated) is not taken: the run stops with
+    termination ``all_saturated`` and returns the current iterate.
     """
     if obj.loss.kind != "talwar":
         raise ValueError(
@@ -283,6 +320,16 @@ def projected_newton(
     return x, report
 
 
+def _reference_pg_norm(obj, x, pg_norm, ws):
+    """The projected gradient norm at :func:`default_start` of the data;
+    ``pg_norm``, the norm at ``x``, when ``x`` is that start."""
+    x_ref = default_start(obj.data)
+    if np.array_equal(x, x_ref):
+        return pg_norm
+    g = obj.gradient_at(obj.evaluate(x_ref), ws)
+    return float(np.linalg.norm(projected_gradient_map(g, x_ref <= 0)))
+
+
 def _newton_loop(obj, x, opts, callback, report):
     """Newton steps from ``x``, which is evaluated here.
 
@@ -298,11 +345,13 @@ def _newton_loop(obj, x, opts, callback, report):
     report.objective_trace.append(ev.value)
     g = obj.gradient_at(ev, ws)
     active = x <= 0
-    pg0_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
-    report.pg_norms.append(pg0_norm)
+    pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
+    report.pg_norms.append(pg_norm)
+    report.pg_scale = max(pg_norm, _reference_pg_norm(obj, x, pg_norm, ws))
+    tol = opts.newton_tol * report.pg_scale
     if callback is not None:
-        callback(0, ev.value, pg0_norm)
-    if pg0_norm == 0.0:
+        callback(0, ev.value, pg_norm)
+    if pg_norm <= tol:
         report.termination = "converged"
         return x
     report.termination = "max_iterations"
@@ -358,7 +407,7 @@ def _newton_loop(obj, x, opts, callback, report):
         report.pg_norms.append(pg_norm)
         if callback is not None:
             callback(k, ev.value, pg_norm)
-        if pg_norm <= opts.newton_tol * pg0_norm:
+        if pg_norm <= tol:
             report.termination = "converged"
             break
     return x

@@ -25,7 +25,7 @@ import numpy as np
 from .gridfft import as_image, read_raw, write_raw
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
-from .solver import SolverOptions, projected_newton
+from .solver import SolverOptions, default_start, projected_newton
 
 __all__ = [
     "GaussianPsfParams",
@@ -363,14 +363,6 @@ def shift_scene(instance: ProblemInstance, di: int, dj: int) -> ProblemInstance:
         instance, x_true=x_true, clean=clean, observed=observed,
         outlier_mask=mask,
     )
-
-
-def default_start(observed) -> np.ndarray:
-    """Feasible starting guess: the frame-averaged data, clipped at zero."""
-    observed = np.asarray(observed, dtype=np.float64)
-    if observed.ndim == 2:
-        observed = observed[None]
-    return np.maximum(observed.mean(axis=0), 0.0)
 
 
 def relative_error(x, x_true) -> float:

@@ -233,6 +233,23 @@ def test_gcv_repeats_and_honors_bracket(tmp_path):
     assert (a / "x.raw").exists() and (a / "x.pgm").exists()
 
 
+def test_gcv_final_line_counts_flagged_evaluations(tmp_path, capsys):
+    # a one-iteration trace solve is never reliable
+    cfg = write_config(
+        tmp_path,
+        size=16,
+        lambda_lo="1e-6",
+        lambda_hi="1e-2",
+        x_tol="1e-3",
+        inner_cg_maxit=1,
+    )
+    with pytest.warns(RuntimeWarning, match="GCV search used"):
+        assert main(["gcv", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    n = int(read_csv(tmp_path / "g" / "gcv_summary.csv")[2][0][1])
+    assert f"after {n} evaluations ({n} unreliable, 0 not converged)" in last
+
+
 # -- scan ----------------------------------------------------------------
 
 

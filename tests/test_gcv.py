@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,52 @@ def test_preconditioned_minimize_gcv_repeats_bitwise():
         e.trace_estimate for e in evals2
     ]
     assert all(np.array_equal(a.x, b.x) for a, b in zip(evals1, evals2))
+
+
+def test_preconditioned_ash64_search_converges_every_solve():
+    # The seed-1 instance of the 64x64 ash GCV benchmark.  Warm starts near
+    # the optimum have a projected gradient at noise level; measured against
+    # the start-independent scale they stop at once instead of stepping
+    # down to float resolution until the line search fails.
+    inst = make_instance("ash", (64, 64), outlier_fraction=0.05,
+                         noise_seed=1, outlier_seed=2)
+    obj = inst.objective(LossFunction("talwar", BETA_95), 0.0)
+    solver = SolverOptions(use_preconditioner=True)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1, solver=solver)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # nothing flagged
+        _, evals = minimize_gcv(obj, opts, x0=default_start(inst.observed))
+    reports = [e.newton_report for e in evals]
+    assert [r.termination for r in reports] == ["converged"] * len(evals)
+    assert sum(r.iterations for r in reports) <= 40
+    assert reports[0].pg_scale == reports[0].pg_norms[0]
+    # a warm start that already meets the tolerance takes no step
+    met = [r for r in reports
+           if r.pg_norms[0] <= solver.newton_tol * r.pg_scale]
+    assert len(met) > 1
+    assert all(r.iterations == 0 for r in met)
+
+
+def test_minimize_gcv_warns_once_about_flagged_evaluations():
+    inst = make_instance("satellite", (16, 16), noise_seed=78)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4,
+                      inner_cg_maxit=1, solver=SolverOptions(newton_maxit=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lam_star, evals = minimize_gcv(obj, opts)
+    flagged = [w for w in caught if "GCV search used" in str(w.message)]
+    assert len(flagged) == 1 and flagged[0].category is RuntimeWarning
+    # every trace solve stops at its 1-iteration cap
+    n = len(evals)
+    nonconverged = sum(e.newton_report.termination != "converged" for e in evals)
+    assert nonconverged > 0
+    message = str(flagged[0].message)
+    assert message.startswith(
+        f"GCV search used {n} of {n} evaluations with reliable=False and "
+        f"{nonconverged} whose solve did not end converged; "
+        f"lambda*={lam_star:.6e} is one of them"
+    )
 
 
 def test_gcv_trace_csv_schema(tmp_path):

@@ -219,6 +219,39 @@ def test_newton_restarted_at_optimum_stops_immediately():
     assert np.linalg.norm(x_again - x_star) <= 1e-6 * np.linalg.norm(x_star)
 
 
+def test_restart_at_optimum_converges_without_a_step():
+    # The stop scale includes the projected gradient at the default start,
+    # so a restart whose own start-relative test is out of reach (its
+    # gradient is at noise level) stops at once instead of stepping down
+    # to float resolution.
+    opts = SolverOptions(newton_tol=1e-6, pcg_tol=1e-2)
+    for seed in range(110, 124):
+        obj, x0, _, _, _ = make_instance(seed)
+        x_star, first = projected_newton(obj, x0, opts)
+        x_again, report = projected_newton(obj, x_star, opts)
+        assert report.termination == "converged", seed
+        assert report.iterations <= 1, seed
+        assert np.linalg.norm(x_again - x_star) <= 1e-6 * np.linalg.norm(x_star)
+
+
+def test_report_pg_scale_is_the_norm_the_tolerance_used():
+    obj, x0, _, _, _ = make_instance(110)
+    opts = SolverOptions(newton_tol=1e-6, pcg_tol=1e-2)
+    x_star, cold = projected_newton(obj, x0, opts)
+    assert cold.pg_scale == cold.pg_norms[0]
+    assert cold.pg_norms[-1] <= opts.newton_tol * cold.pg_scale
+
+    warm_x, warm = projected_newton(obj, x_star, opts)
+    assert warm.pg_scale > warm.pg_norms[0]
+    # the reference is the default start, where the cold solve began
+    assert warm.pg_scale == cold.pg_norms[0]
+    # a start that meets the tolerance costs its own evaluation and
+    # gradient plus the reference's: (k+1) + (k+2) transforms each
+    k = obj.op.n_frames
+    assert warm.iterations == 0 and np.array_equal(warm_x, x_star)
+    assert warm.counts.fft2 + warm.counts.ifft2 == 2 * (2 * k + 3)
+
+
 def test_newton_solves_32x32_instance_within_cap():
     obj, x0, x_true, _, _ = make_instance(111, shape=(32, 32), lam=0.05)
     x, report = projected_newton(obj, x0)
