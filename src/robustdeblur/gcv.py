@@ -15,9 +15,18 @@ CG on the weighted normal equations restricted to the positive support
 of the solution.  With ``GcvOptions.solver.use_preconditioner`` set,
 that solve uses the same column-scaling preconditioner as the Newton
 steps, built from the influence system's Hessian weights W^2; the
-stopping rule (the plain projected residual relative to its start) is
-the same either way.  An estimate is flagged unreliable when its solve
-breaks down or stops at the iteration cap.
+stopping rule (the plain projected residual relative to ``||P rhs||``,
+the residual of the zero start) is the same either way.  An estimate is
+flagged unreliable when its solve breaks down or stops at the iteration
+cap.
+
+Within a :func:`minimize_gcv` search, each influence solve starts from
+the previous evaluation's solution, as each Newton solve starts from the
+previous ``x``: the search asks for nearby lambdas, whose solutions are
+close.  The stop reference does not depend on the start, so a warm start
+only saves iterations; a nonzero start costs one Hessian product for its
+residual.
+Standalone :func:`trace_term` and :func:`gcv_eval` calls start from zero.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -129,6 +138,7 @@ def trace_term(
     *,
     use_preconditioner: bool = False,
     _weights: np.ndarray | None = None,
+    _y: np.ndarray | None = None,
 ):
     """Estimate trace(I - A_lam) as v^T v - v^T (W A y).
 
@@ -137,8 +147,8 @@ def trace_term(
 
         D (A^T W^2 A + lam L^T L) D y = D A^T W v,   D = diag(x_lam > 0),
 
-    by truncated projected CG, stopped when the projected residual falls
-    below ``inner_cg_tol`` relative to its start.  With
+    by truncated projected CG from ``y = 0`` (or from ``_y``), stopped when
+    the projected residual is at most ``inner_cg_tol * ||P rhs||``.  With
     ``use_preconditioner`` the CG is preconditioned by
     :func:`.precond.precond_build` with Hessian weights W^2 (an
     ill-conditioned symbol raises its ``ValueError``).  Returns
@@ -146,6 +156,12 @@ def trace_term(
     non-positive curvature and only a partial solve is available, or when
     it uses all ``inner_cg_maxit`` iterations.  ``_weights`` passes
     ``robust_weights(obj, x_lam)`` when the caller already has it.
+
+    ``_y`` is an image owned by the caller: on entry it holds the CG's
+    start (zeroed off the support), on return the solution ``y``.  The
+    stop test keeps its ``||P rhs||`` reference, so a start near the
+    solution ends the solve early, after one Hessian product for its
+    residual; a start that already meets the test takes 0 iterations.
     """
     W = robust_weights(obj, x_lam) if _weights is None else _weights
     w2 = _check_weights(obj.op, W * W, lam)
@@ -160,7 +176,8 @@ def trace_term(
     hess = functools.partial(_hessian_kernel, obj.op, penalty, w2, ws)
     try:
         y, iterations = projected_pcg(
-            hess, rhs, active, precond, tol=inner_cg_tol, maxit=inner_cg_maxit
+            hess, rhs, active, precond, tol=inner_cg_tol, maxit=inner_cg_maxit,
+            x0=_y,
         )
         reliable = iterations < inner_cg_maxit
     except PcgBreakdownError as err:
@@ -170,6 +187,8 @@ def trace_term(
         )
         y = err.iterate
         reliable = False
+    if _y is not None:
+        np.copyto(_y, y)
     fitted = W * obj.op.apply(y)
     estimate = float(np.sum(probe * probe) - np.sum(probe * fitted))
     return estimate, reliable
@@ -181,8 +200,14 @@ def gcv_eval(
     warm_start: np.ndarray,
     opts: GcvOptions,
     probe: np.ndarray | None = None,
+    *,
+    _y: np.ndarray | None = None,
 ) -> GcvEvaluation:
-    """Solve at ``lam`` and evaluate the functional there."""
+    """Solve at ``lam`` and evaluate the functional there.
+
+    ``_y`` is passed to :func:`trace_term`: the influence solve's start on
+    entry and its solution on return.
+    """
     if probe is None:
         probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     obj_lam = obj.with_lambda(lam)
@@ -193,7 +218,7 @@ def gcv_eval(
     numerator = float(np.sum((W * r) ** 2))
     estimate, reliable = trace_term(
         obj_lam, x_lam, lam, probe, opts.inner_cg_tol, opts.inner_cg_maxit,
-        use_preconditioner=opts.solver.use_preconditioner, _weights=W,
+        use_preconditioner=opts.solver.use_preconditioner, _weights=W, _y=_y,
     )
     m = obj.n_residuals
     denom = estimate * estimate
@@ -306,8 +331,13 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     """Pick lambda by minimizing the functional over the bracket.
 
     Returns ``(lambda_star, evaluations)`` with the evaluation trace in
-    call order.  Each solve warm-starts from the previous evaluation's
-    solution; the probe is drawn once from ``probe_seed``.  The whole
+    call order.  Each Newton solve warm-starts from the previous
+    evaluation's solution ``x``, and each influence solve of the trace
+    term from the previous evaluation's ``y`` (the first from zero); the
+    probe is drawn once from ``probe_seed``.  The influence solve keeps its
+    ``inner_cg_tol * ||P rhs||`` stop test, so its start moves an estimate
+    only within that tolerance; a nonzero start costs one Hessian product.
+    The whole
     trajectory is deterministic given (instance, options).
 
     Evaluations whose trace estimate has ``reliable=False``, or whose
@@ -318,6 +348,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     opts = opts or GcvOptions()
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     warm = default_start(obj.data) if x0 is None else np.array(x0, dtype=np.float64)
+    y = np.zeros(obj.op.shape)
     evaluations: list[GcvEvaluation] = []
     cache: dict[float, GcvEvaluation] = {}
 
@@ -326,7 +357,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
         lam = float(lam)
         hit = cache.get(lam)
         if hit is None:
-            hit = gcv_eval(obj, lam, warm, opts, probe)
+            hit = gcv_eval(obj, lam, warm, opts, probe, _y=y)
             warm = hit.x
             cache[lam] = hit
             evaluations.append(hit)

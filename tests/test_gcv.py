@@ -376,6 +376,34 @@ def test_preconditioned_ash64_search_converges_every_solve():
     assert all(r.iterations == 0 for r in met)
 
 
+def test_warm_trace_solves_match_cold_ones_for_fewer_transforms():
+    # Each influence solve of a search starts from the previous one's
+    # solution.  The estimates must agree with cold trace_term calls at the
+    # same (lambda, x), while the search's transforms outside its Newton
+    # solves fall below what those cold calls cost.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+                      solver=SolverOptions(use_preconditioner=True))
+    with count_transforms() as search:
+        _, evals = minimize_gcv(obj, opts)
+    newton = sum(e.newton_report.counts.fft2 + e.newton_report.counts.ifft2
+                 for e in evals)
+    probe = rademacher_probe(obj.data.shape, opts.probe_seed)
+    cold_transforms = 0
+    for e in evals:
+        with count_transforms() as tally:
+            cold, reliable = trace_term(
+                obj.with_lambda(e.lam), e.x, e.lam, probe, opts.inner_cg_tol,
+                opts.inner_cg_maxit, use_preconditioner=True,
+            )
+        cold_transforms += tally.fft2 + tally.ifft2
+        assert reliable and e.reliable
+        assert e.trace_estimate == pytest.approx(cold, rel=1e-5)
+    assert search.fft2 + search.ifft2 - newton < cold_transforms
+
+
 def test_minimize_gcv_warns_once_about_flagged_evaluations():
     inst = make_instance("satellite", (16, 16), noise_seed=78)
     obj = inst.objective(LossFunction(), 0.0)

@@ -137,6 +137,70 @@ def test_pcg_zero_rhs_returns_immediately():
     assert iters == 0 and np.all(s == 0)
 
 
+def test_pcg_started_at_the_solution_takes_no_iteration():
+    H, rhs = dense_spd_system(106, n=16)
+    shape = (4, 4)
+    exact = np.linalg.solve(H, rhs).reshape(shape)
+    calls = []
+
+    def hess(v):
+        calls.append(1)
+        return (H @ v.ravel()).reshape(shape)
+
+    s, iters = projected_pcg(hess, rhs.reshape(shape), np.zeros(shape, bool),
+                             x0=exact)
+    assert iters == 0
+    assert np.array_equal(s, exact)
+    assert len(calls) == 1  # the start's residual only
+
+
+def test_pcg_start_is_zeroed_on_active_cells():
+    H, rhs = dense_spd_system(107)
+    shape = (6, 6)
+    rng = np.random.default_rng(108)
+    active = rng.random(shape) < 0.3
+    x0 = rng.standard_normal(shape)
+    assert np.all(x0[active] != 0.0)
+
+    def hess(v):
+        return (H @ v.ravel()).reshape(shape)
+
+    s, _ = projected_pcg(hess, rhs.reshape(shape), active, tol=1e-8, maxit=100,
+                         x0=x0)
+    assert np.all(s[active] == 0.0)
+    r = rhs.reshape(shape) - hess(s)
+    assert np.linalg.norm(r[~active]) < 1e-6 * np.linalg.norm(rhs)
+
+
+def test_pcg_stop_test_is_relative_to_the_rhs_not_the_start():
+    # A start whose residual is already below tol * ||P rhs|| returns at
+    # once, although a test relative to its own residual would iterate.
+    H, rhs = dense_spd_system(109, n=16)
+    shape = (4, 4)
+    tol = 1e-2
+    exact = np.linalg.solve(H, rhs)
+    rng = np.random.default_rng(110)
+    e = rng.standard_normal(16)
+    e *= 0.5 * tol * np.linalg.norm(rhs) / np.linalg.norm(H @ e)
+    x0 = (exact + e).reshape(shape)
+    r0 = np.linalg.norm(rhs - H @ x0.ravel())
+    assert 0.25 * tol * np.linalg.norm(rhs) < r0 < tol * np.linalg.norm(rhs)
+
+    def hess(v):
+        return (H @ v.ravel()).reshape(shape)
+
+    s, iters = projected_pcg(hess, rhs.reshape(shape), np.zeros(shape, bool),
+                             tol=tol, x0=x0)
+    assert iters == 0
+    assert np.array_equal(s, x0)
+
+
+def test_pcg_rejects_a_start_of_another_shape():
+    with pytest.raises(ValueError, match="x0 shape"):
+        projected_pcg(lambda v: v, np.ones((4, 4)), np.zeros((4, 4), bool),
+                      x0=np.ones((1, 4)))
+
+
 def test_pcg_reports_breakdown_on_indefinite_system():
     rng = np.random.default_rng(105)
     rhs = rng.standard_normal((4, 4))
