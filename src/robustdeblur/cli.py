@@ -427,15 +427,8 @@ def cmd_gcv(config) -> int:
 
     err = ""
     if config["solve_at_star"]:
-        starred = [e for e in evaluations if e.lam == lam_star]
-        if starred:
-            x_star = starred[0].x
-        else:
-            x_star, _ = projected_newton(
-                obj.with_lambda(lam_star),
-                evaluations[-1].x,
-                _solver_options(config),
-            )
+        # minimize_gcv always evaluates lambda*
+        x_star = next(e.x for e in evaluations if e.lam == lam_star)
         _write_solution(outdir, x_star)
         err = "%.6e" % relative_error(x_star, instance.x_true)
     _write_csv(

@@ -12,10 +12,11 @@ stochastically with a single Rademacher probe: for any matrix M,
 E[v^T M v] = trace(M) when v has independent +-1 entries.  Applying
 A_lam to the probe needs one linear solve, done by truncated projected
 CG on the weighted normal equations restricted to the positive support
-of the solution.  With ``GcvOptions.solver.use_preconditioner`` set,
-that solve uses the same column-scaling preconditioner as the Newton
-steps, built from the influence system's Hessian weights W^2; the
-stopping rule (the plain projected residual relative to ``||P rhs||``,
+of the solution; the estimate then reads the solve's right-hand side,
+so it costs no transform beyond the solve.  With
+``GcvOptions.solver.use_preconditioner`` set, that solve uses the same
+column-scaling preconditioner as the Newton steps, built from the
+influence system's Hessian weights W^2; the stopping rule (the plain projected residual relative to ``||P rhs||``,
 the residual of the zero start) is the same either way.  An estimate is
 flagged unreliable when its solve breaks down or stops at the iteration
 cap.
@@ -27,6 +28,14 @@ close.  The stop reference does not depend on the start, so a warm start
 only saves iterations; a nonzero start costs one Hessian product for its
 residual.
 Standalone :func:`trace_term` and :func:`gcv_eval` calls start from zero.
+
+The Newton solves of a search share more than their starts.  Only the
+penalty term of the objective depends on lambda, so the search keeps the
+lambda-free parts of the last solve's final iterate and of the default
+start (data-term value, weights, data gradient; see
+:class:`.solver._SearchMemo`).  Each warm solve reads its start and its
+``pg_ref`` from them for the penalty's one transform each, instead of an
+evaluation and a gradient each, with bitwise the same result.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -50,6 +59,7 @@ from .solver import (
     PcgBreakdownError,
     SolverOptions,
     SolverReport,
+    _SearchMemo,
     default_start,
     projected_newton,
     projected_pcg,
@@ -140,12 +150,13 @@ def trace_term(
     _weights: np.ndarray | None = None,
     _y: np.ndarray | None = None,
 ):
-    """Estimate trace(I - A_lam) as v^T v - v^T (W A y).
+    """Estimate trace(I - A_lam) as v^T v - v^T (W A y) = v^T v - rhs^T y.
 
     ``y`` approximately solves the influence system restricted to the
     positive support of ``x_lam``:
 
-        D (A^T W^2 A + lam L^T L) D y = D A^T W v,   D = diag(x_lam > 0),
+        D (A^T W^2 A + lam L^T L) D y = D rhs,   rhs = A^T W v,
+        D = diag(x_lam > 0),
 
     by truncated projected CG from ``y = 0`` (or from ``_y``), stopped when
     the projected residual is at most ``inner_cg_tol * ||P rhs||``.  With
@@ -189,8 +200,8 @@ def trace_term(
         reliable = False
     if _y is not None:
         np.copyto(_y, y)
-    fitted = W * obj.op.apply(y)
-    estimate = float(np.sum(probe * probe) - np.sum(probe * fitted))
+    # v^T W A y = (A^T W v)^T y = rhs^T y: no transform of y is needed.
+    estimate = float(np.sum(probe * probe) - np.sum(rhs * y))
     return estimate, reliable
 
 
@@ -202,16 +213,20 @@ def gcv_eval(
     probe: np.ndarray | None = None,
     *,
     _y: np.ndarray | None = None,
+    _memo: _SearchMemo | None = None,
 ) -> GcvEvaluation:
     """Solve at ``lam`` and evaluate the functional there.
 
     ``_y`` is passed to :func:`trace_term`: the influence solve's start on
-    entry and its solution on return.
+    entry and its solution on return.  ``_memo`` is passed to
+    :func:`.solver.projected_newton`.
     """
     if probe is None:
         probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     obj_lam = obj.with_lambda(lam)
-    x_lam, report = projected_newton(obj_lam, warm_start, opts.solver)
+    x_lam, report = projected_newton(
+        obj_lam, warm_start, opts.solver, _memo=_memo
+    )
     ax = obj.op.apply(x_lam)
     r = ax - obj.data
     W = _weights_from_fit(obj_lam, ax, r)
@@ -337,8 +352,12 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     probe is drawn once from ``probe_seed``.  The influence solve keeps its
     ``inner_cg_tol * ||P rhs||`` stop test, so its start moves an estimate
     only within that tolerance; a nonzero start costs one Hessian product.
-    The whole
-    trajectory is deterministic given (instance, options).
+    The Newton solves share one :class:`.solver._SearchMemo`: a warm solve
+    reads the data-term evaluation and gradient of its start, and of the
+    default start for ``pg_ref``, from the previous solves, for the
+    penalty's one transform each when lam > 0; its result is bitwise that
+    of a memo-free :func:`gcv_eval`.  The whole trajectory is
+    deterministic given (instance, options).
 
     Evaluations whose trace estimate has ``reliable=False``, or whose
     solve did not end ``converged``, steer the search like any other.
@@ -349,6 +368,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     warm = default_start(obj.data) if x0 is None else np.array(x0, dtype=np.float64)
     y = np.zeros(obj.op.shape)
+    memo = _SearchMemo()
     evaluations: list[GcvEvaluation] = []
     cache: dict[float, GcvEvaluation] = {}
 
@@ -357,7 +377,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
         lam = float(lam)
         hit = cache.get(lam)
         if hit is None:
-            hit = gcv_eval(obj, lam, warm, opts, probe, _y=y)
+            hit = gcv_eval(obj, lam, warm, opts, probe, _y=y, _memo=memo)
             warm = hit.x
             cache[lam] = hit
             evaluations.append(hit)

@@ -21,11 +21,18 @@ other losses are provided for evaluation and for
 :meth:`Objective.evaluate` gives the value, z, D and the inlier mask from
 one ``A x`` (1 fft2 + k ifft2 for k frames), and :meth:`Objective.gradient_at`
 the gradient from that (k fft2 + 1 ifft2, one more ifft2 when lam > 0).
+Each is a data part that does not depend on lam, plus the penalty:
+``evaluate`` is :meth:`Objective._penalized` of
+:meth:`Objective._data_evaluation`, and ``gradient_at`` is
+:meth:`Objective._data_gradient` (``A^T z``) plus
+:meth:`Objective._add_penalty_gradient`.  A search over lam keeps the data
+parts of a point and adds each lam's penalty to them (see :mod:`.solver`).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,7 +276,13 @@ class Objective:
         return x
 
     def evaluate(self, x) -> Evaluation:
-        """Everything the solver reads at a feasible x, from one ``A x``.
+        """Everything the solver reads at a feasible x, from one ``A x``:
+        :meth:`_data_evaluation` with the penalty added to its value."""
+        return self._penalized(self._data_evaluation(x))
+
+    def _data_evaluation(self, x) -> Evaluation:
+        """:meth:`evaluate` without the penalty: the value is the data term
+        alone, so every field is independent of ``lam``.
 
         For the Talwar loss the value, z and D are built in place: ``s``
         is held in D's array, ``t`` overwrites ``A x``, and z's array is
@@ -292,23 +305,40 @@ class Objective:
             s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta)
             value = float(np.sum(loss_eval(self.loss, t)[0]))
             z, d = chain_rule_weights(self.loss, ax, self.data, self.sigma)
-        if self.lam > 0:
-            value += 0.5 * self.lam * _spectral_energy(self.lap_sq, x_hat, x.shape)
         return Evaluation(value, *map(_frozen, (x_hat, z, d, inlier)))
 
+    def _penalized(self, data_ev: Evaluation) -> Evaluation:
+        """The evaluation at this ``lam`` from a :meth:`_data_evaluation` of
+        the same data; no transform.  It shares the arrays of ``data_ev``."""
+        if not self.lam > 0:
+            return data_ev
+        penalty = _spectral_energy(self.lap_sq, data_ev.x_hat, self.op.shape)
+        return dataclasses.replace(
+            data_ev, value=data_ev.value + 0.5 * self.lam * penalty
+        )
+
     def gradient_at(self, ev: Evaluation, ws: Workspace | None = None) -> np.ndarray:
-        """The gradient at an evaluated point; its temporaries live in
-        ``ws``, the solve's :class:`.operators.Workspace` (a throwaway one
-        when None).
+        """The gradient at an evaluated point, :meth:`_data_gradient` plus
+        :meth:`_add_penalty_gradient`; its temporaries live in ``ws``, the
+        solve's :class:`.operators.Workspace` (a throwaway one when None)."""
+        ws = Workspace(self.op.shape, self.op.n_frames) if ws is None else ws
+        return self._add_penalty_gradient(self._data_gradient(ev, ws), ev.x_hat, ws)
+
+    def _data_gradient(self, ev: Evaluation, ws: Workspace) -> np.ndarray:
+        """``A^T z``, the gradient of the data term, as a fresh image;
+        k fft2 + 1 ifft2."""
+        spec = self.op._adjoint_spectrum(ev.z, scratch=ws.stack_spectrum)
+        return _irdft2(spec, self.op.shape)
+
+    def _add_penalty_gradient(self, g, x_hat, ws: Workspace) -> np.ndarray:
+        """Add ``lam L^T L x`` to ``g`` in place, from ``x_hat = _rdft2(x)``;
+        1 ifft2 when lam > 0, none at lam = 0.
 
         The penalty term keeps its own inverse transform: summing the
         spectra first would change the rounding, and so the solver's path
         at float resolution."""
-        ws = Workspace(self.op.shape, self.op.n_frames) if ws is None else ws
-        spec = self.op._adjoint_spectrum(ev.z, scratch=ws.stack_spectrum)
-        g = _irdft2(spec, self.op.shape)
         if self.lam > 0:
-            spec = np.multiply(self._penalty, ev.x_hat, out=ws.spectrum)
+            spec = np.multiply(self._penalty, x_hat, out=ws.spectrum)
             g += _irdft2(spec, self.op.shape, out=ws.image)
         return g
 

@@ -25,7 +25,7 @@ import numpy as np
 from .gridfft import as_image, read_raw, write_raw
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
-from .solver import SolverOptions, default_start, projected_newton
+from .solver import SolverOptions, _SearchMemo, default_start, projected_newton
 
 __all__ = [
     "GaussianPsfParams",
@@ -406,7 +406,10 @@ def lambda_scan(
 
     Returns the semiconvergence curve (lambda, relative error) with the
     iteration counts.  Warm starts only accelerate: each grid point still
-    solves its own problem to the configured tolerance.
+    solves its own problem to the configured tolerance.  As in a GCV
+    search, the solves share a :class:`.solver._SearchMemo`, so a point
+    reads its start and ``pg_ref`` from the previous solve's work; each
+    solution is bitwise that of a standalone solve from the same start.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
@@ -414,10 +417,11 @@ def lambda_scan(
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be ascending")
     x = default_start(instance.observed) if x0 is None else np.array(x0)
+    base = instance.objective(loss)
+    memo = _SearchMemo()
     curve = []
     for lam in grid:
-        obj = instance.objective(loss, lam)
-        x, report = projected_newton(obj, x, opts)
+        x, report = projected_newton(base.with_lambda(lam), x, opts, _memo=memo)
         curve.append(
             ScanPoint(
                 lam=lam,

@@ -404,6 +404,37 @@ def test_warm_trace_solves_match_cold_ones_for_fewer_transforms():
     assert search.fft2 + search.ifft2 - newton < cold_transforms
 
 
+def test_memoized_search_replays_bitwise_without_the_memo():
+    # A search keeps the lambda-free parts of each solve's last iterate and
+    # of the default start, so every warm solve after the first reads its
+    # start and pg_ref for one penalty transform each instead of 2k+3.
+    # Replaying its lambdas through memo-free gcv_eval calls, with the same
+    # warm starts, must give bitwise the same evaluations.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+                      solver=SolverOptions(use_preconditioner=True))
+    _, evals = minimize_gcv(obj, opts)
+    k = inst.n_frames
+    probe = rademacher_probe(obj.data.shape, opts.probe_seed)
+    warm, y = default_start(inst.observed), np.zeros(obj.op.shape)
+    for i, e in enumerate(evals):
+        again = gcv_eval(obj, e.lam, warm, opts, probe, _y=y)
+        warm = again.x
+        assert np.array_equal(again.x, e.x), i
+        assert again.gcv_value == e.gcv_value, i
+        assert again.trace_estimate == e.trace_estimate, i
+        memo, plain = e.newton_report, again.newton_report
+        assert memo.objective_trace == plain.objective_trace, i
+        assert memo.pg_norms == plain.pg_norms and memo.pg_scale == plain.pg_scale
+        assert memo.termination == plain.termination == "converged", i
+        saved = (plain.counts.fft2 + plain.counts.ifft2
+                 - memo.counts.fft2 - memo.counts.ifft2)
+        # the first solve starts at the default start: nothing to read yet
+        assert saved == (0 if i == 0 else 2 * (2 * k + 3) - 2), i
+
+
 def test_minimize_gcv_warns_once_about_flagged_evaluations():
     inst = make_instance("satellite", (16, 16), noise_seed=78)
     obj = inst.objective(LossFunction(), 0.0)

@@ -9,6 +9,7 @@ from robustdeblur.solver import (
     LineSearchError,
     PcgBreakdownError,
     SolverOptions,
+    _SearchMemo,
     linesearch,
     projected_gradient_map,
     projected_newton,
@@ -505,3 +506,68 @@ def test_solve_transform_budget_in_closed_form():
         if pre:
             expected += (k + 1) * len(report.pcg_iterations) + 2 * pcg
         assert report.counts.fft2 + report.counts.ifft2 == expected, pre
+
+
+def _step_transforms(report, k, lam):
+    """Transforms of a solve's steps alone, without its start and pg_ref:
+    (k+1) per line-search trial, the gradient of each accepted point, and
+    (2k+2) per PCG iteration (no preconditioner)."""
+    trials = sum(1 + round(math.log2(1.0 / a)) for a in report.step_lengths)
+    gradient = k + 1 + (lam > 0)
+    return (k + 1) * trials + gradient * report.iterations + (
+        2 * k + 2
+    ) * report.total_pcg_iterations
+
+
+def test_memo_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
+    # A memo filled by a solve at another lambda holds the data-term parts
+    # of that solve's last iterate and of the default start.  A warm solve
+    # from that iterate reads both: its start and pg_ref cost one penalty
+    # transform each at lam > 0 and none at lam = 0, instead of an
+    # evaluation and a gradient each, and its path is bitwise unchanged.
+    inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
+    base = inst.objective(LossFunction(), 0.0)
+    k = inst.n_frames
+    for lam in (1e-3, 0.0):
+        memo = _SearchMemo()
+        x1, _ = projected_newton(
+            base.with_lambda(2e-3), default_start(inst.observed), _memo=memo
+        )
+        obj = base.with_lambda(lam)
+        # a few steps are enough; unregularized, the run would end at a
+        # line-search failure, whose trials the closed form does not count
+        opts = SolverOptions(newton_maxit=3)
+        x_plain, plain = projected_newton(obj, x1, opts)
+        x_memo, memoed = projected_newton(obj, x1, opts, _memo=memo)
+        assert np.array_equal(x_memo, x_plain), lam
+        assert memoed.objective_trace == plain.objective_trace, lam
+        assert memoed.pg_norms == plain.pg_norms, lam
+        assert memoed.pg_scale == plain.pg_scale > plain.pg_norms[0], lam
+        assert plain.iterations >= 1, lam
+        assert memoed.termination == plain.termination, lam
+        assert plain.termination in ("converged", "max_iterations"), lam
+        steps = _step_transforms(plain, k, lam)
+        start = (k + 1) + (k + 1 + (lam > 0))
+        assert plain.counts.fft2 + plain.counts.ifft2 == steps + 2 * start, lam
+        assert memoed.counts.fft2 + memoed.counts.ifft2 == steps + 2 * (lam > 0)
+
+
+def test_memo_filled_from_another_objective_is_not_used():
+    # The memo serves only the op, data, sigma, loss and lap_sq objects that
+    # filled it: a solve of other data, or of the same data at another
+    # sigma, evaluates afresh and matches a memo-free solve exactly.
+    inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
+    loss = LossFunction()
+    filled = Objective(inst.op, inst.observed, inst.sigma, loss, lam=1e-3)
+    others = (
+        Objective(inst.op, inst.observed * 1.01, inst.sigma, loss, lam=1e-3),
+        Objective(inst.op, inst.observed, 1.5 * inst.sigma, loss, lam=1e-3),
+    )
+    for other in others:
+        memo = _SearchMemo()
+        x1, _ = projected_newton(filled, default_start(inst.observed), _memo=memo)
+        x_plain, plain = projected_newton(other, x1)
+        x_memo, memoed = projected_newton(other, x1, _memo=memo)
+        assert np.array_equal(x_memo, x_plain)
+        assert memoed.objective_trace == plain.objective_trace
+        assert memoed.counts == plain.counts

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import LossFunction
 from robustdeblur.operators import BlurOperator
-from robustdeblur.solver import SolverOptions
+from robustdeblur.solver import SolverOptions, projected_newton
 from robustdeblur.testbed import (
     CARBON_ASH_PSF_PARAMS,
     GaussianPsfParams,
@@ -304,6 +305,26 @@ def test_lambda_scan_records_iterations():
     assert [p.lam for p in curve] == grid
     assert all(p.iterations >= 1 for p in curve)
     assert all(p.termination in ("converged", "max_iterations") for p in curve)
+
+
+def test_lambda_scan_matches_standalone_solves_for_fewer_transforms():
+    # The scan's solves share the lambda-free work of the previous solve's
+    # last iterate and of the default start; each point must still be
+    # bitwise the standalone solve from the same warm start.
+    inst = make_instance("satellite", (16, 16), noise_seed=32)
+    grid = [1e-5, 1e-4, 1e-3]
+    opts = SolverOptions(newton_maxit=25)
+    with count_transforms() as scan:
+        curve = lambda_scan(inst, LossFunction(), grid, opts)
+    obj = inst.objective(LossFunction())
+    x = default_start(inst.observed)
+    with count_transforms() as standalone:
+        for point in curve:
+            x, report = projected_newton(obj.with_lambda(point.lam), x, opts)
+            assert point.relative_error == relative_error(x, inst.x_true)
+            assert point.iterations == report.iterations
+            assert point.termination == report.termination
+    assert scan.fft2 + scan.ifft2 < standalone.fft2 + standalone.ifft2
 
 
 # -- serialization -------------------------------------------------------
