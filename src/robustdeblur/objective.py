@@ -307,6 +307,18 @@ class Objective:
             z, d = chain_rule_weights(self.loss, ax, self.data, self.sigma)
         return Evaluation(value, *map(_frozen, (x_hat, z, d, inlier)))
 
+    def _same_data_term(self, other: "Objective") -> bool:
+        """Whether :meth:`_data_evaluation` and :meth:`_data_gradient` of
+        ``other`` equal this objective's at every x: the same operator and
+        data arrays, an equal sigma and an equal loss.  ``lam`` and
+        ``lap_sq`` enter the penalty only."""
+        return (
+            other.op is self.op
+            and other.data is self.data
+            and other.sigma == self.sigma
+            and other.loss == self.loss
+        )
+
     def _penalized(self, data_ev: Evaluation) -> Evaluation:
         """The evaluation at this ``lam`` from a :meth:`_data_evaluation` of
         the same data; no transform.  It shares the arrays of ``data_ev``."""

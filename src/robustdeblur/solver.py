@@ -294,28 +294,24 @@ def linesearch(
 
 class _Trials:
     """Line-search stand-in for the objective that keeps the last evaluation
-    and, with ``keep_data``, its data-term evaluation as well."""
+    and its data-term evaluation, which shares its arrays."""
 
-    def __init__(self, obj: Objective, keep_data: bool):
+    def __init__(self, obj: Objective):
         self.obj = obj
-        self.keep_data = keep_data
         self.last = self.data = None
 
     def value(self, x) -> float:
         self.last = self.data = None  # release the previous trial first
-        if self.keep_data:
-            self.data = self.obj._data_evaluation(x)
-            self.last = self.obj._penalized(self.data)
-        else:
-            self.last = self.obj.evaluate(x)
+        self.data = self.obj._data_evaluation(x)
+        self.last = self.obj._penalized(self.data)
         return self.last.value
 
 
-def _evaluated_linesearch(obj, x, s, value, max_halvings, keep_data):
+def _evaluated_linesearch(obj, x, s, value, max_halvings):
     """:func:`linesearch` on ``obj``; returns its result and the accepted
-    point's evaluation and data-term evaluation (None unless
-    ``keep_data``), which are the last ones it made."""
-    trials = _Trials(obj, keep_data)
+    point's evaluation and data-term evaluation, which are the last ones
+    it made."""
+    trials = _Trials(obj)
     ls = linesearch(trials, x, s, value, max_halvings)
     return ls, trials.last, trials.data
 
@@ -327,22 +323,21 @@ class _SearchMemo:
     :func:`default_start` of the data.  Each entry holds the point, its
     :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``.
 
-    Entries serve only an objective whose op, data, sigma, loss and lap_sq
-    are the objects that filled them; any other objective empties the
-    memo first.  Owned by the caller of the search, which passes it to
-    every solve; never shared between concurrent solves.
+    Entries serve only an objective with the data term of the one that
+    filled them (:meth:`.Objective._same_data_term`); any other objective
+    empties the memo first.  Owned by the caller of the search, which
+    passes it to every solve; never shared between concurrent solves.
     """
 
     def __init__(self):
-        self._key = None
+        self._obj = None
         self._last = self._ref = None  # (x, data evaluation, data gradient)
 
     def point(self, obj: Objective, x: np.ndarray, ws: Workspace):
         """``(data evaluation, data gradient)`` at ``x``: remembered, or
         computed here and, at :func:`default_start`, remembered."""
-        key = (obj.op, obj.data, obj.sigma, obj.loss, obj.lap_sq)
-        if self._key is None or any(a is not b for a, b in zip(key, self._key)):
-            self._key, self._last, self._ref = key, None, None
+        if self._obj is None or not self._obj._same_data_term(obj):
+            self._obj, self._last, self._ref = obj, None, None
         for entry in (self._last, self._ref):
             if entry is not None and np.array_equal(x, entry[0]):
                 return entry[1:]
@@ -399,7 +394,7 @@ def projected_newton(
     report = SolverReport()
     with count_transforms() as tally:
         x, data_ev, g_data = _newton_loop(obj, x, opts, callback, report, _memo)
-        if data_ev is not None:
+        if g_data is not None:
             _memo.remember(x, data_ev, g_data)
     report.counts = tally.copy()
     return x, report
@@ -421,18 +416,18 @@ def _reference_pg_norm(obj, x, pg_norm, ws, memo):
 
 def _newton_loop(obj, x, opts, callback, report, memo):
     """Newton steps from ``x``, which is evaluated here (or read from
-    ``memo``); returns the last iterate and, with a memo, its data-term
-    evaluation and data gradient (both None without one, or when the run
-    dropped them before it ended).
+    ``memo``); returns the last iterate and, for the memo, its data-term
+    evaluation and data gradient.  The gradient is None without a memo,
+    and both are None when the run dropped them before it ended.
 
     Each accepted iterate is evaluated once, by the line search; its
     evaluation then supplies the gradient, the Hessian weights and the
     preconditioner input of the next step.  Every evaluation lives only
     in this frame, so dropping the name releases it.  So does the solve's
     workspace, which every gradient, Hessian product and preconditioner
-    solve below runs in.  Without a memo, ``data_ev`` and ``g_data`` stay
-    None and the gradient is :meth:`.Objective.gradient_at`; with one, the
-    data gradient is kept apart and the penalty added to a copy.
+    solve below runs in.  Without a memo, ``g_data`` stays None and the
+    gradient is :meth:`.Objective.gradient_at`; with one, the data
+    gradient is kept apart and the penalty added to a copy.
     """
     ws = Workspace(obj.op.shape, obj.op.n_frames)
     if memo is None:
@@ -490,7 +485,7 @@ def _newton_loop(obj, x, opts, callback, report, memo):
 
         try:
             ls, ev, data_ev = _evaluated_linesearch(
-                obj, x, s, value, opts.linesearch_max_halvings, memo is not None
+                obj, x, s, value, opts.linesearch_max_halvings
             )
         except LineSearchError:
             report.termination = "linesearch_failure"
@@ -500,7 +495,7 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         report.iterations = k
         report.objective_trace.append(ev.value)
         report.step_lengths.append(ls.step)
-        if data_ev is None:
+        if memo is None:
             g = obj.gradient_at(ev, ws)
         else:
             g_data = _frozen(obj._data_gradient(data_ev, ws))

@@ -553,21 +553,31 @@ def test_memo_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
 
 
 def test_memo_filled_from_another_objective_is_not_used():
-    # The memo serves only the op, data, sigma, loss and lap_sq objects that
-    # filled it: a solve of other data, or of the same data at another
-    # sigma, evaluates afresh and matches a memo-free solve exactly.
+    # The memo serves only objectives with the data term that filled it:
+    # a solve of other data, or of the same data at another sigma,
+    # evaluates afresh and matches a memo-free solve exactly.  The penalty
+    # symbol lap_sq is not part of the data term: an objective with its
+    # own copy of it reads the memo and saves its start and pg_ref.
     inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
     loss = LossFunction()
     filled = Objective(inst.op, inst.observed, inst.sigma, loss, lam=1e-3)
     others = (
         Objective(inst.op, inst.observed * 1.01, inst.sigma, loss, lam=1e-3),
         Objective(inst.op, inst.observed, 1.5 * inst.sigma, loss, lam=1e-3),
+        Objective(
+            filled.op, filled.data, inst.sigma, loss, 1e-3, filled.lap_sq.copy()
+        ),
     )
-    for other in others:
+    saved = 2 * (2 * inst.n_frames + 2)
+    for other, hit in zip(others, (False, False, True)):
         memo = _SearchMemo()
         x1, _ = projected_newton(filled, default_start(inst.observed), _memo=memo)
         x_plain, plain = projected_newton(other, x1)
         x_memo, memoed = projected_newton(other, x1, _memo=memo)
         assert np.array_equal(x_memo, x_plain)
         assert memoed.objective_trace == plain.objective_trace
-        assert memoed.counts == plain.counts
+        if hit:
+            transforms = memoed.counts.fft2 + memoed.counts.ifft2
+            assert transforms == plain.counts.fft2 + plain.counts.ifft2 - saved
+        else:
+            assert memoed.counts == plain.counts
