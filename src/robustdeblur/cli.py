@@ -262,10 +262,10 @@ def _resolve(args) -> dict:
     return config
 
 
-def _make_loss(config) -> LossFunction:
-    if config["loss"] == "standard":
+def _make_loss(kind: str, beta: float) -> LossFunction:
+    if kind == "standard":
         return LossFunction("talwar", beta=np.inf)
-    return LossFunction("talwar", beta=config["beta"])
+    return LossFunction("talwar", beta=beta)
 
 
 def _solver_options(config, use_precond=None, pcg_tol=None) -> SolverOptions:
@@ -346,7 +346,8 @@ def cmd_generate(config) -> int:
 
 def cmd_solve(config) -> int:
     instance = _obtain_instance(config)
-    obj = instance.objective(_make_loss(config), config["lambda"])
+    loss = _make_loss(config["loss"], config["beta"])
+    obj = instance.objective(loss, config["lambda"])
     opts = _solver_options(config)
     x0 = default_start(instance.observed)
 
@@ -408,7 +409,7 @@ def cmd_solve(config) -> int:
 
 def cmd_gcv(config) -> int:
     instance = _obtain_instance(config)
-    obj = instance.objective(_make_loss(config), 0.0)
+    obj = instance.objective(_make_loss(config["loss"], config["beta"]), 0.0)
     opts = GcvOptions(
         lambda_lo=config["lambda_lo"],
         lambda_hi=config["lambda_hi"],
@@ -488,11 +489,7 @@ def cmd_scan(config) -> int:
             for f in config["outlier_fractions"]
         ]
     for kind in config["losses"]:
-        loss = (
-            LossFunction("talwar", beta=np.inf)
-            if kind == "standard"
-            else LossFunction("talwar", beta=config["beta"])
-        )
+        loss = _make_loss(kind, config["beta"])
         for instance, fraction in instances:
             for point in lambda_scan(instance, loss, grid, opts):
                 rows.append(
@@ -518,7 +515,7 @@ def cmd_scan(config) -> int:
 
 def cmd_bench_precond(config) -> int:
     instance = _obtain_instance(config)
-    loss = _make_loss(config)
+    loss = _make_loss(config["loss"], config["beta"])
     obj = instance.objective(loss, config["lambda"])
     x0 = default_start(instance.observed)
 

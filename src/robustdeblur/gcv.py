@@ -30,12 +30,12 @@ residual.
 Standalone :func:`trace_term` and :func:`gcv_eval` calls start from zero.
 
 The Newton solves of a search share more than their starts.  Only the
-penalty term of the objective depends on lambda, so the search keeps the
+penalty term of the objective depends on lambda, so the search passes
+every solve one :class:`.solver._SearchMemo`, which keeps the
 lambda-free parts of the last solve's final iterate and of the default
-start (data-term value, weights, data gradient; see
-:class:`.solver._SearchMemo`).  Each warm solve reads its start and its
-``pg_ref`` from them for the penalty's one transform each, instead of an
-evaluation and a gradient each, with bitwise the same result.
+start.  Each warm solve reads its start and its ``pg_ref`` from it for
+the penalty's one transform each, instead of an evaluation and a
+gradient each, with bitwise the result of a standalone solve.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -219,7 +219,7 @@ def gcv_eval(
 
     ``_y`` is passed to :func:`trace_term`: the influence solve's start on
     entry and its solution on return.  ``_memo`` is passed to
-    :func:`.solver.projected_newton`.
+    :func:`.solver.projected_newton` (None: the solve's own).
     """
     if probe is None:
         probe = rademacher_probe(obj.data.shape, opts.probe_seed)
@@ -356,7 +356,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     reads the data-term evaluation and gradient of its start, and of the
     default start for ``pg_ref``, from the previous solves, for the
     penalty's one transform each when lam > 0; its result is bitwise that
-    of a memo-free :func:`gcv_eval`.  The whole trajectory is
+    of a standalone :func:`gcv_eval`.  The whole trajectory is
     deterministic given (instance, options).
 
     Evaluations whose trace estimate has ``reliable=False``, or whose

@@ -25,8 +25,9 @@ Each is a data part that does not depend on lam, plus the penalty:
 ``evaluate`` is :meth:`Objective._penalized` of
 :meth:`Objective._data_evaluation`, and ``gradient_at`` is
 :meth:`Objective._data_gradient` (``A^T z``) plus
-:meth:`Objective._add_penalty_gradient`.  A search over lam keeps the data
-parts of a point and adds each lam's penalty to them (see :mod:`.solver`).
+:meth:`Objective._add_penalty_gradient`.  The solver calls the parts: it
+keeps the data parts of a point, so that a search over lam adds each lam's
+penalty to them (see :mod:`.solver`).
 """
 
 from __future__ import annotations
@@ -329,11 +330,10 @@ class Objective:
             data_ev, value=data_ev.value + 0.5 * self.lam * penalty
         )
 
-    def gradient_at(self, ev: Evaluation, ws: Workspace | None = None) -> np.ndarray:
+    def gradient_at(self, ev: Evaluation) -> np.ndarray:
         """The gradient at an evaluated point, :meth:`_data_gradient` plus
-        :meth:`_add_penalty_gradient`; its temporaries live in ``ws``, the
-        solve's :class:`.operators.Workspace` (a throwaway one when None)."""
-        ws = Workspace(self.op.shape, self.op.n_frames) if ws is None else ws
+        :meth:`_add_penalty_gradient`, in a throwaway workspace."""
+        ws = Workspace(self.op.shape, self.op.n_frames)
         return self._add_penalty_gradient(self._data_gradient(ev, ws), ev.x_hat, ws)
 
     def _data_gradient(self, ev: Evaluation, ws: Workspace) -> np.ndarray:

@@ -13,38 +13,41 @@ gradient at the start and ``pg_ref`` the projected gradient norm at
 :func:`default_start` of the data.  The test runs at the start too, so a
 start that already meets it takes 0 steps.  A test relative to
 ``||P g0||`` alone is out of reach for a warm start near the optimum,
-whose ``||P g0||`` is at noise level.  From :func:`default_start`,
-``pg_ref`` is ``||P g0||`` itself; from any other start it costs one
-evaluation and one gradient, unless a search's memo holds them (below).
+whose ``||P g0||`` is at noise level.
 
 Only the Talwar loss is accepted: it is the one loss whose data-term
 Hessian diagonal stays nonnegative at every iterate, so the inner systems
 are positive semidefinite by construction.  ``beta = inf`` runs the same
 machinery as plain weighted least squares.
 
-Each point is evaluated once (:meth:`.Objective.evaluate`): the start,
-and every line-search trial.  The accepted trial's evaluation supplies
-the next step's gradient, Hessian weights and preconditioner input; the
-weights are validated once per step, and PCG calls the unchecked Hessian
-kernel.  With k frames a Newton step therefore costs, in transforms
-(fft2 + ifft2):
+Every solve runs one path.  Each point is evaluated once, as the data
+term (:meth:`.Objective._data_evaluation`) with the penalty added (no
+transform): the start, and every line-search trial.  The accepted trial's
+evaluation supplies the next step's gradient, the data gradient ``A^T z``
+plus the penalty gradient, and its Hessian weights and preconditioner
+input; the weights are validated once per step, and PCG calls the
+unchecked Hessian kernel.  With k frames a Newton step therefore costs,
+in transforms (fft2 + ifft2):
 
 - (k+1) per line-search trial, and (k+2) for the gradient of the
-  accepted point, (k+1) when lam = 0; the start costs one of each, and
-  ``pg_ref`` as much again unless the start is :func:`default_start`;
+  accepted point, (k+1) when lam = 0;
 - (2k+2) per PCG iteration;
 - with the preconditioner, (k+1) for its build and 2 per solve.
 
-A search over lambda (:func:`.gcv.minimize_gcv`,
+The start and ``pg_ref`` come from a :class:`_SearchMemo`, which keeps
+the lambda-free parts of two points: the data evaluation and data
+gradient of the last solve's final iterate, and the half spectrum and
+data gradient of :func:`default_start`.  A standalone solve gets a fresh
+memo, so its start costs one evaluation and one gradient, and ``pg_ref``
+as much again unless the start is :func:`default_start`, where it is
+``||P g0||`` itself.  A search over lambda (:func:`.gcv.minimize_gcv`,
 :func:`.testbed.lambda_scan`) solves the same data term at many lambdas,
-and only the penalty term depends on lambda.  It passes every solve one
-:class:`_SearchMemo`, which keeps the data-term evaluation and the data
-gradient ``A^T z`` of the last solve's final iterate and of
-:func:`default_start`.  A warm solve that starts where the previous one
-ended then rebuilds its start's value and gradient from the memo, and
-``pg_ref`` likewise: 1 transform each (the penalty's ifft2) when lam > 0
-and none at lam = 0, instead of 2k+3 each.  The values are bitwise those
-of a fresh evaluation, so the path is unchanged.
+and only the penalty term depends on lambda, so it passes every solve
+one memo.  A warm solve that starts where the previous one ended then
+rebuilds its start's value and gradient from the memo, and ``pg_ref``
+likewise: 1 transform each (the penalty's ifft2) when lam > 0 and none
+at lam = 0, instead of 2k+3 each.  The values are bitwise those of a
+fresh evaluation, so the path is the same with any memo.
 
 Each solve allocates one :class:`.operators.Workspace` in
 :func:`_newton_loop`; the Hessian kernel and the preconditioner solve of
@@ -307,49 +310,58 @@ class _Trials:
         return self.last.value
 
 
-def _evaluated_linesearch(obj, x, s, value, max_halvings):
-    """:func:`linesearch` on ``obj``; returns its result and the accepted
-    point's evaluation and data-term evaluation, which are the last ones
-    it made."""
-    trials = _Trials(obj)
-    ls = linesearch(trials, x, s, value, max_halvings)
-    return ls, trials.last, trials.data
-
-
 class _SearchMemo:
-    """The lambda-free parts of two evaluated points, kept across the
-    warm-started solves of one search over lambda (see the module
-    docstring): the last iterate of the latest solve, and
-    :func:`default_start` of the data.  Each entry holds the point, its
-    :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``.
+    """The lambda-free parts of two evaluated points, kept across the solves
+    that share it (see the module docstring).  Its entries:
+
+    - the last iterate of the latest solve: the point, its
+      :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``;
+    - :func:`default_start` of the data: its half spectrum and data
+      gradient only, which is all ``pg_ref`` reads.
 
     Entries serve only an objective with the data term of the one that
     filled them (:meth:`.Objective._same_data_term`); any other objective
-    empties the memo first.  Owned by the caller of the search, which
-    passes it to every solve; never shared between concurrent solves.
+    empties the memo first.  Each solve gets one: its own, or that of a
+    search over lambda, whose caller passes the same memo to every solve.
+    Never shared between concurrent solves.
     """
 
     def __init__(self):
         self._obj = None
-        self._last = self._ref = None  # (x, data evaluation, data gradient)
+        self._last = None  # (x, data evaluation, data gradient)
+        self._ref = None  # (x_hat, data gradient) at default_start
 
-    def point(self, obj: Objective, x: np.ndarray, ws: Workspace):
-        """``(data evaluation, data gradient)`` at ``x``: remembered, or
-        computed here and, at :func:`default_start`, remembered."""
+    def start(self, obj: Objective, x: np.ndarray, ws: Workspace):
+        """``(data evaluation, data gradient)`` at a solve's start ``x``: the
+        last entry's when ``x`` is its point, else computed here; at
+        :func:`default_start`, their reference parts are kept."""
         if self._obj is None or not self._obj._same_data_term(obj):
             self._obj, self._last, self._ref = obj, None, None
-        for entry in (self._last, self._ref):
-            if entry is not None and np.array_equal(x, entry[0]):
-                return entry[1:]
+        if self._last is not None and np.array_equal(x, self._last[0]):
+            return self._last[1:]
         data_ev = obj._data_evaluation(x)
         g_data = _frozen(obj._data_gradient(data_ev, ws))
         if np.array_equal(x, default_start(obj.data)):
-            self._ref = (_frozen(x.copy()), data_ev, g_data)
+            self._ref = (data_ev.x_hat, g_data)
         return data_ev, g_data
+
+    def pg_ref(self, obj: Objective, x: np.ndarray, pg_norm: float, ws: Workspace):
+        """The projected gradient norm at :func:`default_start` of the data;
+        ``pg_norm``, the norm at the start ``x``, when ``x`` is that point.
+        Called after :meth:`start`, with the same objective."""
+        x_ref = default_start(obj.data)
+        if np.array_equal(x, x_ref):
+            return pg_norm
+        if self._ref is None:
+            data_ev = obj._data_evaluation(x_ref)
+            self._ref = (data_ev.x_hat, _frozen(obj._data_gradient(data_ev, ws)))
+        x_hat, g_data = self._ref
+        g = obj._add_penalty_gradient(g_data.copy(), x_hat, ws)
+        return float(np.linalg.norm(projected_gradient_map(g, x_ref <= 0)))
 
     def remember(self, x: np.ndarray, data_ev, g_data) -> None:
         """Keep the last iterate of a solve of the objective last seen by
-        :meth:`point`."""
+        :meth:`start`."""
         self._last = (_frozen(x.copy()), data_ev, g_data)
 
 
@@ -376,10 +388,10 @@ def projected_newton(
     (every residual saturated) is not taken: the run stops with
     termination ``all_saturated`` and returns the current iterate.
 
-    ``_memo`` is a :class:`_SearchMemo` owned by a caller that solves the
-    same data at many lambdas: the start and ``pg_ref`` are read from it
-    when it holds them, and the last iterate is left in it.  The result is
-    bitwise the same with or without it.
+    ``_memo`` is the :class:`_SearchMemo` the start and ``pg_ref`` are read
+    from, and the last iterate is left in; a fresh one when None.  A
+    caller that solves the same data at many lambdas passes one memo to
+    every solve.  The result is bitwise the same with any memo.
     """
     if obj.loss.kind != "talwar":
         raise ValueError(
@@ -390,58 +402,40 @@ def projected_newton(
     x = as_image(x0, "x0").copy()
     if np.any(x < 0):
         raise ValueError("x0 must be elementwise nonnegative")
+    memo = _SearchMemo() if _memo is None else _memo
 
     report = SolverReport()
     with count_transforms() as tally:
-        x, data_ev, g_data = _newton_loop(obj, x, opts, callback, report, _memo)
+        x, data_ev, g_data = _newton_loop(obj, x, opts, callback, report, memo)
         if g_data is not None:
-            _memo.remember(x, data_ev, g_data)
+            memo.remember(x, data_ev, g_data)
     report.counts = tally.copy()
     return x, report
 
 
-def _reference_pg_norm(obj, x, pg_norm, ws, memo):
-    """The projected gradient norm at :func:`default_start` of the data;
-    ``pg_norm``, the norm at ``x``, when ``x`` is that start."""
-    x_ref = default_start(obj.data)
-    if np.array_equal(x, x_ref):
-        return pg_norm
-    if memo is None:
-        g = obj.gradient_at(obj.evaluate(x_ref), ws)
-    else:
-        data_ev, g_data = memo.point(obj, x_ref, ws)
-        g = obj._add_penalty_gradient(g_data.copy(), data_ev.x_hat, ws)
-    return float(np.linalg.norm(projected_gradient_map(g, x_ref <= 0)))
-
-
 def _newton_loop(obj, x, opts, callback, report, memo):
-    """Newton steps from ``x``, which is evaluated here (or read from
-    ``memo``); returns the last iterate and, for the memo, its data-term
-    evaluation and data gradient.  The gradient is None without a memo,
-    and both are None when the run dropped them before it ended.
+    """Newton steps from ``x``, whose evaluation and ``pg_ref`` are read
+    from ``memo``; returns the last iterate and its data-term evaluation
+    and data gradient, both None when the run dropped them before it
+    ended.
 
     Each accepted iterate is evaluated once, by the line search; its
     evaluation then supplies the gradient, the Hessian weights and the
-    preconditioner input of the next step.  Every evaluation lives only
-    in this frame, so dropping the name releases it.  So does the solve's
-    workspace, which every gradient, Hessian product and preconditioner
-    solve below runs in.  Without a memo, ``g_data`` stays None and the
-    gradient is :meth:`.Objective.gradient_at`; with one, the data
-    gradient is kept apart and the penalty added to a copy.
+    preconditioner input of the next step.  The data gradient is kept
+    apart, for the memo, and the penalty added to a copy.  Every
+    evaluation lives only in this frame, so dropping the name releases
+    it.  So does the solve's workspace, which every gradient, Hessian
+    product and preconditioner solve below runs in.
     """
     ws = Workspace(obj.op.shape, obj.op.n_frames)
-    if memo is None:
-        ev, data_ev, g_data = obj.evaluate(x), None, None
-        g = obj.gradient_at(ev, ws)
-    else:
-        data_ev, g_data = memo.point(obj, x, ws)
-        ev = obj._penalized(data_ev)
-        g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
+    data_ev, g_data = memo.start(obj, x, ws)
+    ev = obj._penalized(data_ev)
+    g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
     report.objective_trace.append(ev.value)
     active = x <= 0
     pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
     report.pg_norms.append(pg_norm)
-    report.pg_scale = max(pg_norm, _reference_pg_norm(obj, x, pg_norm, ws, memo))
+    report.pg_scale = max(pg_norm, memo.pg_ref(obj, x, pg_norm, ws))
     tol = opts.newton_tol * report.pg_scale
     if callback is not None:
         callback(0, ev.value, pg_norm)
@@ -454,15 +448,17 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         if not np.any(d > 0):
             report.termination = "all_saturated"
             break
+        value = ev.value
+        # Drop this step's evaluation before the preconditioner build, and
+        # its Hessian, preconditioner and gradient once the direction is
+        # formed, so the build and the line search, where a solve's memory
+        # peaks, run beside as few arrays as possible.
+        ev = data_ev = g_data = None
         precond = None
         if opts.use_preconditioner:
             pre = precond_build(obj.op, obj.lap_sq, d, obj.lam)
             precond = functools.partial(pre.solve, ws=ws)
         hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, d, ws)
-        value = ev.value
-        # Drop this step's evaluation now and its Hessian and preconditioner
-        # after PCG, so the line search's evaluations do not add to them.
-        ev = d = data_ev = g_data = None
         try:
             s, inner = projected_pcg(
                 hess, -g, active, precond, tol=opts.pcg_tol, maxit=opts.pcg_maxit
@@ -470,7 +466,7 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
-        pre = precond = hess = None
+        pre = precond = hess = d = None
         report.pcg_iterations.append(inner)
 
         if np.any(active):
@@ -482,24 +478,23 @@ def _newton_loop(obj, x, opts, callback, report, memo):
             if max_g > max_s > 0.0:
                 g_active *= max_s / max_g
             s = s - g_active
+        g = g_active = None
 
+        trials = _Trials(obj)
         try:
-            ls, ev, data_ev = _evaluated_linesearch(
-                obj, x, s, value, opts.linesearch_max_halvings
-            )
+            ls = linesearch(trials, x, s, value, opts.linesearch_max_halvings)
         except LineSearchError:
             report.termination = "linesearch_failure"
             break
+        ev, data_ev = trials.last, trials.data
+        trials = None
 
         x = ls.x
         report.iterations = k
         report.objective_trace.append(ev.value)
         report.step_lengths.append(ls.step)
-        if memo is None:
-            g = obj.gradient_at(ev, ws)
-        else:
-            g_data = _frozen(obj._data_gradient(data_ev, ws))
-            g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
+        g_data = _frozen(obj._data_gradient(data_ev, ws))
+        g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
         active = x <= 0
         pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
         report.pg_norms.append(pg_norm)

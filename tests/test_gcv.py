@@ -408,8 +408,9 @@ def test_memoized_search_replays_bitwise_without_the_memo():
     # A search keeps the lambda-free parts of each solve's last iterate and
     # of the default start, so every warm solve after the first reads its
     # start and pg_ref for one penalty transform each instead of 2k+3.
-    # Replaying its lambdas through memo-free gcv_eval calls, with the same
-    # warm starts, must give bitwise the same evaluations.
+    # Replaying its lambdas through standalone gcv_eval calls, each solve
+    # with a fresh memo of its own, from the same warm starts, must give
+    # bitwise the same evaluations.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,8 +473,8 @@ def test_solver_checks_hessian_weights_once_per_step():
     obj, x0, _, _, _ = make_instance(119)
 
     class NegativeWeights(Objective):
-        def evaluate(self, x):
-            ev = super().evaluate(x)
+        def _data_evaluation(self, x):
+            ev = super()._data_evaluation(x)
             return Evaluation(ev.value, ev.x_hat, ev.z, -ev.d, ev.inlier_mask)
 
     bad = NegativeWeights(obj.op, obj.data, obj.sigma, obj.loss, obj.lam)
@@ -521,18 +523,18 @@ def _step_transforms(report, k, lam):
 
 def test_memo_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
     # A memo filled by a solve at another lambda holds the data-term parts
-    # of that solve's last iterate and of the default start.  A warm solve
+    # of that solve's last iterate and of the default start, whether the
+    # filling solve started there or computed pg_ref from it.  A warm solve
     # from that iterate reads both: its start and pg_ref cost one penalty
     # transform each at lam > 0 and none at lam = 0, instead of an
     # evaluation and a gradient each, and its path is bitwise unchanged.
     inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
     base = inst.objective(LossFunction(), 0.0)
     k = inst.n_frames
-    for lam in (1e-3, 0.0):
+    x_ref = default_start(inst.observed)
+    for x_fill, lam in itertools.product((x_ref, 1.1 * x_ref), (1e-3, 0.0)):
         memo = _SearchMemo()
-        x1, _ = projected_newton(
-            base.with_lambda(2e-3), default_start(inst.observed), _memo=memo
-        )
+        x1, _ = projected_newton(base.with_lambda(2e-3), x_fill, _memo=memo)
         obj = base.with_lambda(lam)
         # a few steps are enough; unregularized, the run would end at a
         # line-search failure, whose trials the closed form does not count
@@ -555,7 +557,7 @@ def test_memo_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
 def test_memo_filled_from_another_objective_is_not_used():
     # The memo serves only objectives with the data term that filled it:
     # a solve of other data, or of the same data at another sigma,
-    # evaluates afresh and matches a memo-free solve exactly.  The penalty
+    # evaluates afresh and matches a standalone solve exactly.  The penalty
     # symbol lap_sq is not part of the data term: an objective with its
     # own copy of it reads the memo and saves its start and pg_ref.
     inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
@@ -581,3 +583,29 @@ def test_memo_filled_from_another_objective_is_not_used():
             assert transforms == plain.counts.fft2 + plain.counts.ifft2 - saved
         else:
             assert memoed.counts == plain.counts
+
+
+def test_memo_keeps_the_last_iterate_and_only_what_pg_ref_reads():
+    # After a solve from the default start, the memo holds the last
+    # iterate with its data evaluation and data gradient, and of the
+    # default start only the half spectrum and data gradient that pg_ref
+    # reads: no copy of the point and no z or D stacks.
+    inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    opts = SolverOptions(use_preconditioner=True)
+    x0 = default_start(inst.observed)
+    tracemalloc.start()
+    try:
+        memo = _SearchMemo()
+        x, report = projected_newton(obj, x0, opts, _memo=memo)
+        ev = obj._data_evaluation(x)
+        before = tracemalloc.get_traced_memory()[0]
+        del memo
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "converged"
+    image, spectrum = x.nbytes, ev.x_hat.nbytes
+    last = image + spectrum + ev.z.nbytes + ev.d.nbytes + ev.inlier_mask.nbytes
+    last += image  # the data gradient
+    assert freed <= last + spectrum + image + 8 * 1024, freed
