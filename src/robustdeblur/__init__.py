@@ -64,19 +64,14 @@ from .testbed import (
     ProblemInstance,
     ScanPoint,
     gaussian_psf,
-    inject_added_object,
     inject_random_corruptions,
     lambda_scan,
     load_instance,
     make_instance,
-    motion_psf,
     psf_center,
     relative_error,
     save_instance,
-    shift_scene,
     simulate_data,
-    small_object,
-    snr,
     synthetic_scene,
 )
 
@@ -115,7 +110,6 @@ __all__ = [
     "gcv_eval",
     "hessian_apply",
     "idft2",
-    "inject_added_object",
     "inject_random_corruptions",
     "lambda_scan",
     "laplacian_symbol",
@@ -124,7 +118,6 @@ __all__ = [
     "loss_eval",
     "make_instance",
     "minimize_gcv",
-    "motion_psf",
     "precond_build",
     "projected_gradient_map",
     "projected_newton",
@@ -136,10 +129,7 @@ __all__ = [
     "relative_error",
     "robust_weights",
     "save_instance",
-    "shift_scene",
     "simulate_data",
-    "small_object",
-    "snr",
     "synthetic_scene",
     "talwar_weights",
     "trace_term",

@@ -12,7 +12,9 @@ a handful of common keys can be overridden by flags.  Every output is a
 plain file: CSV tables with a versioned ``# schema=...`` header line,
 raw float64 images with ``.hdr`` sidecars, and 16-bit PGM viewing copies.
 All commands are deterministic under their seeds and exit 0 on success,
-nonzero with a one-line reason otherwise.
+1 with a one-line reason on an error.  ``solve`` writes its outputs and
+summary line whatever the termination, then exits 3 unless the solve
+ended ``converged`` or ``all_saturated``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import numpy as np
 from .gcv import GcvOptions, _flag_counts, minimize_gcv, write_gcv_trace
 from .gridfft import COUNTS, write_pgm, write_raw
 from .objective import BETA_95, LossFunction
-from .solver import SolverOptions, projected_newton
+from .solver import SolverOptions, default_start, projected_newton
 from .testbed import (
     CARBON_ASH_PSF_PARAMS,
-    default_start,
     lambda_scan,
     load_instance,
     make_instance,
@@ -173,7 +174,24 @@ CONFIG_KEYS = {
     "pcg_tols": _float_list(_positive_float),
 }
 
+# config key -> (options dataclass, field); the dataclass holds the default
+OPTION_FIELDS = {
+    "newton_tol": (SolverOptions, "newton_tol"),
+    "newton_maxit": (SolverOptions, "newton_maxit"),
+    "pcg_tol": (SolverOptions, "pcg_tol"),
+    "pcg_maxit": (SolverOptions, "pcg_maxit"),
+    "linesearch_max_halvings": (SolverOptions, "linesearch_max_halvings"),
+    "use_precond": (SolverOptions, "use_preconditioner"),
+    "lambda_lo": (GcvOptions, "lambda_lo"),
+    "lambda_hi": (GcvOptions, "lambda_hi"),
+    "x_tol": (GcvOptions, "x_tol"),
+    "probe_seed": (GcvOptions, "probe_seed"),
+    "inner_cg_tol": (GcvOptions, "inner_cg_tol"),
+    "inner_cg_maxit": (GcvOptions, "inner_cg_maxit"),
+}
+
 DEFAULTS = {
+    **{key: getattr(cls, name) for key, (cls, name) in OPTION_FIELDS.items()},
     "kind": "satellite",
     "size": 64,
     "sigma": 5.0,
@@ -185,19 +203,7 @@ DEFAULTS = {
     "out": "out",
     "loss": "talwar",
     "beta": BETA_95,
-    "lambda": 0.0,
-    "newton_tol": 1e-4,
-    "newton_maxit": 40,
-    "pcg_tol": 1e-1,
-    "pcg_maxit": 100,
-    "linesearch_max_halvings": 20,
-    "use_precond": False,
-    "lambda_lo": 0.0,
-    "lambda_hi": 1e-1,
-    "x_tol": 1e-8,
-    "probe_seed": 0,
-    "inner_cg_tol": 1e-4,
-    "inner_cg_maxit": 150,
+    "lambda": 1e-3,
     "solve_at_star": True,
     "lambda_count": 12,
     "outlier_fractions": (0.0,),
@@ -268,17 +274,12 @@ def _make_loss(kind: str, beta: float) -> LossFunction:
     return LossFunction("talwar", beta=beta)
 
 
-def _solver_options(config, use_precond=None, pcg_tol=None) -> SolverOptions:
-    return SolverOptions(
-        newton_tol=config["newton_tol"],
-        newton_maxit=config["newton_maxit"],
-        pcg_tol=config["pcg_tol"] if pcg_tol is None else pcg_tol,
-        pcg_maxit=config["pcg_maxit"],
-        linesearch_max_halvings=config["linesearch_max_halvings"],
-        use_preconditioner=(
-            config["use_precond"] if use_precond is None else use_precond
-        ),
-    )
+def _options(cls, config, **fields):
+    """``cls`` from its OPTION_FIELDS keys in ``config``, then ``fields``."""
+    kwargs = {name: config[key]
+              for key, (owner, name) in OPTION_FIELDS.items() if owner is cls}
+    kwargs.update(fields)
+    return cls(**kwargs)
 
 
 def _build_instance(config, outlier_fraction=None):
@@ -348,7 +349,7 @@ def cmd_solve(config) -> int:
     instance = _obtain_instance(config)
     loss = _make_loss(config["loss"], config["beta"])
     obj = instance.objective(loss, config["lambda"])
-    opts = _solver_options(config)
+    opts = _options(SolverOptions, config)
     x0 = default_start(instance.observed)
 
     fft_marks = []
@@ -404,21 +405,15 @@ def cmd_solve(config) -> int:
         "solved: %d Newton steps (%s), relative error %.4f"
         % (report.iterations, report.termination, err)
     )
-    return 0
+    # outputs are written either way; a script must not take them as solved
+    return 0 if report.termination in ("converged", "all_saturated") else 3
 
 
 def cmd_gcv(config) -> int:
     instance = _obtain_instance(config)
     obj = instance.objective(_make_loss(config["loss"], config["beta"]), 0.0)
-    opts = GcvOptions(
-        lambda_lo=config["lambda_lo"],
-        lambda_hi=config["lambda_hi"],
-        x_tol=config["x_tol"],
-        inner_cg_tol=config["inner_cg_tol"],
-        inner_cg_maxit=config["inner_cg_maxit"],
-        probe_seed=config["probe_seed"],
-        solver=_solver_options(config),
-    )
+    opts = _options(GcvOptions, config,
+                    solver=_options(SolverOptions, config))
     lam_star, evaluations = minimize_gcv(
         obj, opts, x0=default_start(instance.observed)
     )
@@ -473,7 +468,7 @@ def _scan_grid(config):
 
 def cmd_scan(config) -> int:
     grid = _scan_grid(config)
-    opts = _solver_options(config)
+    opts = _options(SolverOptions, config)
     rows = []
     if "instance" in config:
         if config["outlier_fractions"] != (0.0,):
@@ -524,8 +519,8 @@ def cmd_bench_precond(config) -> int:
     summary = {}
     for use_precond in (False, True):
         for tol in config["pcg_tols"]:
-            opts = _solver_options(config, use_precond=use_precond,
-                                   pcg_tol=tol)
+            opts = _options(SolverOptions, config,
+                            use_preconditioner=use_precond, pcg_tol=tol)
             x, report = projected_newton(obj, x0, opts)
             flag = int(use_precond)
             for step, inner in enumerate(report.pcg_iterations, 1):

@@ -15,8 +15,9 @@ its variance, the gradient and Hessian carry extra chain-rule terms; see
 :func:`chain_rule_weights`.  For the Talwar loss these collapse to short
 closed forms that are nonnegative everywhere, which is what makes the
 data-term Hessian positive semidefinite and Newton's method safe.  The
-other losses are provided for evaluation and for
-:func:`convexity_diagnostic` only; the solver rejects them.
+other losses are provided for :func:`loss_eval`,
+:func:`chain_rule_weights` and :func:`convexity_diagnostic` only;
+:class:`Objective` rejects them.
 
 :meth:`Objective.evaluate` gives the value, z, D and the inlier mask from
 one ``A x`` (1 fft2 + k ifft2 for k frames), and :meth:`Objective.gradient_at`
@@ -222,9 +223,11 @@ class Evaluation:
 class Objective:
     """J(x) = sum rho(scaled residual) + (lam/2) ||L x||^2 on x >= 0.
 
-    Immutable; shares the operator and data arrays, so copies are cheap.
-    ``(b + sigma^2)^2``, which every Talwar evaluation reads, is computed
-    once, kept read-only and shared by :meth:`with_lambda` copies.
+    ``loss`` must be a Talwar loss (the default); any other kind raises
+    ``ValueError``.  Immutable; shares the operator and data arrays, so
+    copies are cheap.  ``(b + sigma^2)^2``, which every evaluation reads,
+    is computed once, kept read-only and shared by :meth:`with_lambda`
+    copies.
     """
 
     def __init__(
@@ -246,6 +249,11 @@ class Objective:
             raise ValueError(f"sigma must be nonnegative, got {sigma}")
         self.sigma = float(sigma)
         self.loss = loss if loss is not None else LossFunction()
+        if self.loss.kind != "talwar":
+            raise ValueError(
+                f"Objective requires the talwar loss (got {self.loss.kind!r}); "
+                "other losses can produce indefinite Hessians"
+            )
         self.lap_sq = lap_sq if lap_sq is not None else laplacian_symbol(op.shape)
         self.data.setflags(write=False)
         self._bs2 = _frozen((self.data + self.sigma**2) ** 2)
@@ -285,27 +293,21 @@ class Objective:
         """:meth:`evaluate` without the penalty: the value is the data term
         alone, so every field is independent of ``lam``.
 
-        For the Talwar loss the value, z and D are built in place: ``s``
-        is held in D's array, ``t`` overwrites ``A x``, and z's array is
-        scratch until z is built.
+        The value, z and D are built in place: ``s`` is held in D's array,
+        ``t`` overwrites ``A x``, and z's array is scratch until z is built.
         """
         x = self._check_x(x, feasible=True)
         x_hat = _rdft2(x)
         ax = self.op._forward(x_hat)
         beta, sigma2 = self.loss.beta, self.sigma**2
-        if self.loss.kind == "talwar":
-            z, d = np.empty_like(ax), np.empty_like(ax)
-            s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ax, z))
-            outlier = ~inlier
-            rho = np.multiply(0.5, t, out=z)
-            rho *= t
-            np.copyto(rho, 0.5 * beta * beta, where=outlier)
-            value = float(np.sum(rho))
-            z, d = _talwar_zd(s, outlier, self._bs2, z=z)
-        else:
-            s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta)
-            value = float(np.sum(loss_eval(self.loss, t)[0]))
-            z, d = chain_rule_weights(self.loss, ax, self.data, self.sigma)
+        z, d = np.empty_like(ax), np.empty_like(ax)
+        s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ax, z))
+        outlier = ~inlier
+        rho = np.multiply(0.5, t, out=z)
+        rho *= t
+        np.copyto(rho, 0.5 * beta * beta, where=outlier)
+        value = float(np.sum(rho))
+        z, d = _talwar_zd(s, outlier, self._bs2, z=z)
         return Evaluation(value, *map(_frozen, (x_hat, z, d, inlier)))
 
     def _same_data_term(self, other: "Objective") -> bool:

@@ -229,7 +229,7 @@ def hessian_apply(
     return _hessian_kernel(op, _penalty_symbol(lap_sq, lam), weights, ws, s)
 
 
-def _check_weights(op: BlurOperator, weights, lam: float) -> np.ndarray:
+def _check_weights(op: BlurOperator, weights, lam: float = 0.0) -> np.ndarray:
     """Validate Hessian weights and ``lam``; return the weights as a stack."""
     weights = as_stack(weights, op.shape, "weights")
     if weights.shape[0] != op.n_frames:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfft import _half, _irdft2, _rdft2, tally_mults
-from .operators import BlurOperator, Workspace, _adjoint_sum, as_stack
+from .operators import BlurOperator, Workspace, _adjoint_sum, _check_weights
 
 __all__ = ["Preconditioner", "build_dhat", "precond_build"]
 
@@ -84,11 +84,7 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     the constant sum_j sum(psf_j^2), which the operator stores when it is
     built.
     """
-    weights = as_stack(weights, op.shape, "weights")
-    if weights.shape[0] != op.n_frames:
-        raise ValueError("one weight frame per operator frame required")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
+    weights = _check_weights(op, weights)
     if not np.any(weights > 0):
         raise ValueError("all weights are zero (every residual saturated)")
 

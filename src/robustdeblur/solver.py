@@ -15,10 +15,11 @@ start that already meets it takes 0 steps.  A test relative to
 ``||P g0||`` alone is out of reach for a warm start near the optimum,
 whose ``||P g0||`` is at noise level.
 
-Only the Talwar loss is accepted: it is the one loss whose data-term
-Hessian diagonal stays nonnegative at every iterate, so the inner systems
-are positive semidefinite by construction.  ``beta = inf`` runs the same
-machinery as plain weighted least squares.
+The solver needs no loss check: :class:`.Objective` accepts only the
+Talwar loss, the one loss whose data-term Hessian diagonal stays
+nonnegative at every iterate, so the inner systems are positive
+semidefinite by construction.  ``beta = inf`` runs the same machinery as
+plain weighted least squares.
 
 Every solve runs one path.  Each point is evaluated once, as the data
 term (:meth:`.Objective._data_evaluation`) with the penalty added (no
@@ -393,11 +394,6 @@ def projected_newton(
     caller that solves the same data at many lambdas passes one memo to
     every solve.  The result is bitwise the same with any memo.
     """
-    if obj.loss.kind != "talwar":
-        raise ValueError(
-            f"solver requires the talwar loss (got {obj.loss.kind!r}); other "
-            "losses can produce indefinite Hessians"
-        )
     opts = opts or SolverOptions()
     x = as_image(x0, "x0").copy()
     if np.any(x < 0):

@@ -1,23 +1,14 @@
 """Synthetic deblurring problems: scenes, PSFs, noise, outliers, metrics.
 
 Generation is deterministic given the seeds.  Noise streams are spawned
-per frame from a single root seed, so editing one frame's clean data (the
-added-object corruption) leaves every other frame's observation bitwise
-unchanged.
-
-Three corruption families mirror common failure modes:
-
-* random corruptions: a fraction of entries gets a uniform positive bump
-  (dead/hot pixels, cosmic ray hits),
-* an added object: one frame sees an extra object blurred by a different
-  kernel (something moved through the scene),
-* a shifted scene: the truth is rolled toward the boundary so the
-  periodic model's wrap-around becomes a structural error.
+per frame from a single root seed, so each frame draws its own noise.
+Corruptions are random: a fraction of entries gets a uniform positive
+bump (dead/hot pixels, cosmic ray hits).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +26,10 @@ __all__ = [
     "gaussian_psf",
     "psf_center",
     "synthetic_scene",
-    "motion_psf",
-    "small_object",
     "simulate_data",
     "inject_random_corruptions",
-    "inject_added_object",
-    "shift_scene",
     "make_instance",
-    "default_start",
     "relative_error",
-    "snr",
     "lambda_scan",
     "save_instance",
     "load_instance",
@@ -149,29 +134,6 @@ def synthetic_scene(kind: str, shape, max_intensity: float = 255.0,
     return img * (max_intensity / peak)
 
 
-def motion_psf(shape, length: int = 7, axis: int = 1) -> np.ndarray:
-    """Unit-sum straight-line motion blur kernel on the full grid."""
-    psf = np.zeros(shape)
-    ci, cj = psf_center(shape)
-    half = length // 2
-    if axis == 1:
-        psf[ci, cj - half : cj - half + length] = 1.0
-    else:
-        psf[ci - half : ci - half + length, cj] = 1.0
-    return psf / psf.sum()
-
-
-def small_object(shape, radius: float = 3.0, intensity: float = 255.0,
-                 position=None) -> np.ndarray:
-    """A compact disk to drop into a scene as an unmodeled extra."""
-    h, w = shape
-    if position is None:
-        position = (h // 4, 3 * w // 4)
-    yy = np.arange(h)[:, None] - position[0]
-    xx = np.arange(w)[None, :] - position[1]
-    return np.where(yy**2 + xx**2 <= radius**2, intensity, 0.0)
-
-
 @dataclass
 class ProblemInstance:
     """A generated inverse problem plus everything needed to regenerate it."""
@@ -189,7 +151,6 @@ class ProblemInstance:
     kind: str = ""
     outlier_fraction: float = 0.0
     outlier_ceiling: float = 0.0
-    notes: str = ""
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -207,39 +168,28 @@ class ProblemInstance:
 def simulate_data(x_true, op: BlurOperator, sigma: float, noise_seed: int):
     """Observed frames: Poisson(clean) + sigma * standard normal.
 
-    Each frame draws from its own stream spawned off ``noise_seed``
-    (Poisson first, then the Gaussian part), so frames are independent and
-    individually reproducible.  Blurred values within rounding of zero
-    count as exactly zero, so the draws do not depend on transform rounding.
+    Frame ``j`` draws from stream ``j`` spawned off ``noise_seed`` (Poisson
+    first, then the Gaussian part), so frames are independent and
+    individually reproducible.  Blurred values within the negativity
+    tolerance of zero (1e-9 of the stack's peak) are snapped to exactly 0
+    first: the Poisson sampler draws no uniform for a zero rate but does
+    for a rounding-level positive one, so leaving them would let transform
+    rounding shift the rest of the frame's noise stream.
     """
     x_true = as_image(x_true, "x_true")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     clean = op.apply(x_true)
-    observed = np.empty_like(clean)
-    _sample_frames(observed, clean, sigma, noise_seed, range(op.n_frames))
-    return observed
-
-
-def _sample_frames(observed, clean, sigma: float, noise_seed: int,
-                   frames) -> None:
-    """Overwrite ``observed[j]`` with Poisson(clean[j]) + sigma * N(0, 1).
-
-    Frame ``j`` draws from stream ``j`` spawned off ``noise_seed``.  Entries
-    within the negativity tolerance of zero (1e-9 of the peak) are snapped
-    to exactly 0 first: the Poisson sampler draws no uniform for a zero
-    rate but does for a rounding-level positive one, so leaving them would
-    let transform rounding shift the rest of the frame's noise stream.
-    """
     tol = 1e-9 * max(clean.max(), 1.0)
     if clean.min() < -tol:
         raise ValueError("blurred scene has negative intensities")
-    streams = np.random.SeedSequence(noise_seed).spawn(clean.shape[0])
-    for j in frames:
+    observed = np.empty_like(clean)
+    streams = np.random.SeedSequence(noise_seed).spawn(op.n_frames)
+    for j, rate in enumerate(np.where(clean <= tol, 0.0, clean)):
         rng = np.random.default_rng(streams[j])
-        rate = np.where(clean[j] <= tol, 0.0, clean[j])
         counts = rng.poisson(rate).astype(np.float64)
         observed[j] = counts + sigma * rng.standard_normal(rate.shape)
+    return observed
 
 
 def inject_random_corruptions(observed, fraction: float, ceiling: float,
@@ -315,56 +265,6 @@ def make_instance(
     )
 
 
-def inject_added_object(instance: ProblemInstance, obj_img, blur_psf,
-                        frame_index: int) -> ProblemInstance:
-    """Add an extra object, blurred by its own kernel, to one frame.
-
-    The object enters the chosen frame's clean data before noise; the
-    instance is then re-simulated with the original seeds, so all other
-    frames stay bitwise identical.  The result deliberately violates
-    ``clean = A x_true`` on that frame; no outlier mask is set because the
-    corruption is structural rather than pointwise.
-    """
-    if not 0 <= frame_index < instance.n_frames:
-        raise IndexError(f"frame {frame_index} out of range")
-    obj_img = as_image(obj_img, "object")
-    blur_psf = as_image(blur_psf, "blur_psf")
-    if obj_img.shape != instance.shape or blur_psf.shape != instance.shape:
-        raise ValueError("object and kernel must match the instance grid")
-    extra_op = BlurOperator([blur_psf], [psf_center(instance.shape)])
-    extra = extra_op.apply(obj_img)[0]
-
-    clean = instance.clean.copy()
-    clean[frame_index] += extra
-    observed = instance.observed.copy()
-    _sample_frames(observed, clean, instance.sigma, instance.seeds[0],
-                   [frame_index])
-    return replace(
-        instance,
-        clean=clean,
-        observed=observed,
-        notes=f"added object in frame {frame_index}",
-    )
-
-
-def shift_scene(instance: ProblemInstance, di: int, dj: int) -> ProblemInstance:
-    """Roll the truth by (di, dj) pixels and regenerate the observations."""
-    x_true = np.roll(instance.x_true, (int(di), int(dj)), axis=(0, 1))
-    clean = instance.op.apply(x_true)
-    observed = simulate_data(x_true, instance.op, instance.sigma,
-                             instance.seeds[0])
-    observed, mask = inject_random_corruptions(
-        observed,
-        instance.outlier_fraction,
-        instance.outlier_ceiling,
-        instance.seeds[1],
-    )
-    return replace(
-        instance, x_true=x_true, clean=clean, observed=observed,
-        outlier_mask=mask,
-    )
-
-
 def relative_error(x, x_true) -> float:
     x = np.asarray(x, dtype=np.float64)
     x_true = np.asarray(x_true, dtype=np.float64)
@@ -374,17 +274,6 @@ def relative_error(x, x_true) -> float:
     if denom == 0:
         raise ValueError("x_true is identically zero")
     return float(np.linalg.norm(x - x_true) / denom)
-
-
-def snr(clean, sigma: float) -> float:
-    """||Ax|| / sqrt(sum([Ax]_i + sigma^2)): signal against total noise power."""
-    clean = np.asarray(clean, dtype=np.float64)
-    if clean.min() < -1e-9 * max(clean.max(), 1.0):
-        raise ValueError("clean data must be nonnegative")
-    clean = np.clip(clean, 0.0, None)  # forgive transform rounding
-    return float(
-        np.linalg.norm(clean) / np.sqrt(np.sum(clean + sigma**2))
-    )
 
 
 @dataclass(frozen=True)
@@ -465,8 +354,6 @@ def save_instance(directory, instance: ProblemInstance) -> None:
         lines.append(f"psf{j}_params={p.gamma1!r},{p.gamma2!r},{p.tau!r}")
     for j, c in enumerate(instance.centers):
         lines.append(f"psf{j}_center={c[0]},{c[1]}")
-    if instance.notes:
-        lines.append(f"notes={instance.notes}")
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -511,5 +398,4 @@ def load_instance(directory) -> ProblemInstance:
         kind=manifest.get("kind", ""),
         outlier_fraction=float(manifest.get("outlier_fraction", 0.0)),
         outlier_ceiling=float(manifest.get("outlier_ceiling", 0.0)),
-        notes=manifest.get("notes", ""),
     )

@@ -26,10 +26,14 @@ from robustdeblur.operators import (
     laplacian_symbol,
 )
 from robustdeblur.precond import build_dhat, precond_build
-from robustdeblur.solver import SolverOptions, projected_newton, projected_pcg
+from robustdeblur.solver import (
+    SolverOptions,
+    default_start,
+    projected_newton,
+    projected_pcg,
+)
 from robustdeblur.testbed import (
     GaussianPsfParams,
-    default_start,
     gaussian_psf,
     make_instance,
     psf_center,

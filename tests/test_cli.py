@@ -181,6 +181,21 @@ def test_solve_writes_monotone_trace_and_solution(tmp_path):
     assert (out / "x.pgm").exists()
 
 
+def test_default_solve_converges_and_exits_zero(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--size", "32", "--out", str(out)]) == 0
+    assert "(converged)" in capsys.readouterr().out
+
+
+def test_unconverged_solve_writes_outputs_and_exits_three(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--size", "32", "--lambda", "0",
+                 "--out", str(out)]) == 3
+    assert "(max_iterations)" in capsys.readouterr().out
+    assert read_csv(out / "solve_summary.csv")[2][0][1] == "max_iterations"
+    assert (out / "x.raw").exists()
+
+
 def test_solve_loaded_instance_matches_inline(tmp_path):
     inst_dir = tmp_path / "inst"
     cfg = write_config(tmp_path, "gen.cfg", size=16, outlier_fraction=0.05)

@@ -17,8 +17,8 @@ from robustdeblur.gcv import (
 from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import BETA_95, LossFunction, Objective, loss_eval
 from robustdeblur.operators import BlurOperator
-from robustdeblur.solver import SolverOptions, projected_newton
-from robustdeblur.testbed import default_start, make_instance
+from robustdeblur.solver import SolverOptions, default_start, projected_newton
+from robustdeblur.testbed import make_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
 

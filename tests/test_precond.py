@@ -5,8 +5,8 @@ from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import LossFunction
 from robustdeblur.operators import BlurOperator, laplacian_symbol
 from robustdeblur.precond import build_dhat, precond_build
-from robustdeblur.solver import projected_pcg
-from robustdeblur.testbed import default_start, make_instance
+from robustdeblur.solver import default_start, projected_pcg
+from robustdeblur.testbed import make_instance
 from robustdeblur.operators import hessian_apply
 
 from oracles import dense_blur_matrix, dense_laplacian
