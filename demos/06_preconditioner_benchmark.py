@@ -12,6 +12,7 @@ where the same construction uses the weights W^2.
 import numpy as np
 
 from robustdeblur import (
+    GcvOptions,
     LossFunction,
     SolverOptions,
     count_transforms,
@@ -56,8 +57,8 @@ def main():
     print("GCV trace term at lam = %.0e (inner tol = 1e-4):" % LAM)
     for use, name in ((False, "plain"), (True, "preconditioned")):
         with count_transforms() as tally:
-            estimate, reliable = trace_term(obj, x_lam, LAM, probe,
-                                            use_preconditioner=use)
+            opts = GcvOptions(solver=SolverOptions(use_preconditioner=use))
+            estimate, reliable = trace_term(obj, x_lam, probe, opts)
         print("  %-15s estimate %.2f, reliable %s, %d fft2+ifft2"
               % (name, estimate, reliable, tally.fft2 + tally.ifft2))
 

@@ -12,9 +12,9 @@ a handful of common keys can be overridden by flags.  Every output is a
 plain file: CSV tables with a versioned ``# schema=...`` header line,
 raw float64 images with ``.hdr`` sidecars, and 16-bit PGM viewing copies.
 All commands are deterministic under their seeds and exit 0 on success,
-1 with a one-line reason on an error.  ``solve`` writes its outputs and
-summary line whatever the termination, then exits 3 unless the solve
-ended ``converged`` or ``all_saturated``.
+1 with a one-line reason on an error.  ``solve`` and ``scan`` write their
+outputs and summary line whatever the terminations, then exit 3 unless
+every solve ended ``converged`` or ``all_saturated``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ from .testbed import (
 )
 
 __all__ = ["ConfigError", "main", "parse_config", "run"]
+
+
+# Terminations whose solution stands: solve and scan exit 3 on any other.
+_SETTLED = ("converged", "all_saturated")
 
 
 class ConfigError(ValueError):
@@ -406,7 +410,7 @@ def cmd_solve(config) -> int:
         % (report.iterations, report.termination, err)
     )
     # outputs are written either way; a script must not take them as solved
-    return 0 if report.termination in ("converged", "all_saturated") else 3
+    return 0 if report.termination in _SETTLED else 3
 
 
 def cmd_gcv(config) -> int:
@@ -469,7 +473,7 @@ def _scan_grid(config):
 def cmd_scan(config) -> int:
     grid = _scan_grid(config)
     opts = _options(SolverOptions, config)
-    rows = []
+    rows, settled = [], True
     if "instance" in config:
         if config["outlier_fractions"] != (0.0,):
             raise ConfigError(
@@ -487,6 +491,7 @@ def cmd_scan(config) -> int:
         loss = _make_loss(kind, config["beta"])
         for instance, fraction in instances:
             for point in lambda_scan(instance, loss, grid, opts):
+                settled &= point.termination in _SETTLED
                 rows.append(
                     (
                         kind,
@@ -505,7 +510,7 @@ def cmd_scan(config) -> int:
         rows,
     )
     print("scan: %d rows -> %s" % (len(rows), outdir / "scan.csv"))
-    return 0
+    return 0 if settled else 3
 
 
 def cmd_bench_precond(config) -> int:

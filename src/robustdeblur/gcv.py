@@ -13,13 +13,13 @@ E[v^T M v] = trace(M) when v has independent +-1 entries.  Applying
 A_lam to the probe needs one linear solve, done by truncated projected
 CG on the weighted normal equations restricted to the positive support
 of the solution; the estimate then reads the solve's right-hand side,
-so it costs no transform beyond the solve.  With
-``GcvOptions.solver.use_preconditioner`` set, that solve uses the same
-column-scaling preconditioner as the Newton steps, built from the
-influence system's Hessian weights W^2; the stopping rule (the plain projected residual relative to ``||P rhs||``,
-the residual of the zero start) is the same either way.  An estimate is
-flagged unreliable when its solve breaks down or stops at the iteration
-cap.
+so it costs no transform beyond the solve.  It is the Newton steps'
+Hessian solve, :func:`.solver._hessian_solve`, with Hessian weights W^2:
+with ``GcvOptions.solver.use_preconditioner`` set it uses the same
+column-scaling preconditioner, and the stopping rule (the plain
+projected residual relative to ``||P rhs||``, the residual of the zero
+start) is the same either way.  An estimate is flagged unreliable when
+its solve breaks down or stops at the iteration cap.
 
 Within a :func:`minimize_gcv` search, each influence solve starts from
 the previous evaluation's solution, as each Newton solve starts from the
@@ -44,7 +44,6 @@ per evaluation would make the minimizer chase sampling noise.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -53,16 +52,14 @@ from pathlib import Path
 import numpy as np
 
 from .objective import Objective, _scaled_terms
-from .operators import Workspace, _check_weights, _hessian_kernel, _penalty_symbol
-from .precond import precond_build
 from .solver import (
     PcgBreakdownError,
     SolverOptions,
     SolverReport,
+    _hessian_solve,
     _SearchMemo,
     default_start,
     projected_newton,
-    projected_pcg,
 )
 
 __all__ = [
@@ -138,34 +135,33 @@ def rademacher_probe(shape, seed: int) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
-def trace_term(
-    obj: Objective,
-    x_lam: np.ndarray,
-    lam: float,
-    probe: np.ndarray,
-    inner_cg_tol: float = 1e-4,
-    inner_cg_maxit: int = 150,
-    *,
-    use_preconditioner: bool = False,
-    _weights: np.ndarray | None = None,
-    _y: np.ndarray | None = None,
-):
+def _check_probe(obj: Objective, probe) -> np.ndarray:
+    """The probe as floats; it must be finite and shaped like the data."""
+    probe, shape = np.asarray(probe, dtype=np.float64), obj.data.shape
+    if probe.shape != shape or not np.all(np.isfinite(probe)):
+        raise ValueError(f"probe must be finite with shape {shape}, got {probe.shape}")
+    return probe
+
+
+def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
+               opts: GcvOptions | None = None, *,
+               _weights: np.ndarray | None = None, _y: np.ndarray | None = None):
     """Estimate trace(I - A_lam) as v^T v - v^T (W A y) = v^T v - rhs^T y.
 
-    ``y`` approximately solves the influence system restricted to the
-    positive support of ``x_lam``:
+    ``y`` approximately solves the influence system at ``lam = obj.lam``,
+    restricted to the positive support of ``x_lam``:
 
         D (A^T W^2 A + lam L^T L) D y = D rhs,   rhs = A^T W v,
         D = diag(x_lam > 0),
 
-    by truncated projected CG from ``y = 0`` (or from ``_y``), stopped when
-    the projected residual is at most ``inner_cg_tol * ||P rhs||``.  With
-    ``use_preconditioner`` the CG is preconditioned by
-    :func:`.precond.precond_build` with Hessian weights W^2 (an
-    ill-conditioned symbol raises its ``ValueError``).  Returns
+    by the Newton steps' :func:`.solver._hessian_solve` from ``y = 0`` (or
+    ``_y``) until the projected residual is at most ``opts.inner_cg_tol *
+    ||P rhs||``, preconditioned with weights W^2 when
+    ``opts.solver.use_preconditioner`` (an ill-conditioned symbol raises
+    ``ValueError``, as does a probe not shaped like the data).  Returns
     ``(estimate, reliable)``; ``reliable`` goes false when CG hits
     non-positive curvature and only a partial solve is available, or when
-    it uses all ``inner_cg_maxit`` iterations.  ``_weights`` passes
+    it uses all ``opts.inner_cg_maxit`` iterations.  ``_weights`` passes
     ``robust_weights(obj, x_lam)`` when the caller already has it.
 
     ``_y`` is an image owned by the caller: on entry it holds the CG's
@@ -174,23 +170,16 @@ def trace_term(
     solution ends the solve early, after one Hessian product for its
     residual; a start that already meets the test takes 0 iterations.
     """
+    opts = opts or GcvOptions()
+    probe = _check_probe(obj, probe)
     W = robust_weights(obj, x_lam) if _weights is None else _weights
-    w2 = _check_weights(obj.op, W * W, lam)
-    active = x_lam <= 0
     rhs = obj.op.apply_adjoint(W * probe)
-    ws = Workspace(obj.op.shape, obj.op.n_frames)
-    precond = None
-    if use_preconditioner:
-        pre = precond_build(obj.op, obj.lap_sq, w2, lam)
-        precond = functools.partial(pre.solve, ws=ws)
-    penalty = _penalty_symbol(obj.lap_sq, lam)
-    hess = functools.partial(_hessian_kernel, obj.op, penalty, w2, ws)
     try:
-        y, iterations = projected_pcg(
-            hess, rhs, active, precond, tol=inner_cg_tol, maxit=inner_cg_maxit,
-            x0=_y,
+        y, iterations = _hessian_solve(
+            obj, W * W, rhs, x_lam <= 0, opts.solver.use_preconditioner,
+            opts.inner_cg_tol, opts.inner_cg_maxit, x0=_y,
         )
-        reliable = iterations < inner_cg_maxit
+        reliable = iterations < opts.inner_cg_maxit
     except PcgBreakdownError as err:
         warnings.warn(
             f"trace estimation CG broke down ({err}); value is unreliable",
@@ -223,18 +212,14 @@ def gcv_eval(
     """
     if probe is None:
         probe = rademacher_probe(obj.data.shape, opts.probe_seed)
+    probe = _check_probe(obj, probe)
     obj_lam = obj.with_lambda(lam)
-    x_lam, report = projected_newton(
-        obj_lam, warm_start, opts.solver, _memo=_memo
-    )
+    x_lam, report = projected_newton(obj_lam, warm_start, opts.solver, _memo=_memo)
     ax = obj.op.apply(x_lam)
     r = ax - obj.data
     W = _weights_from_fit(obj_lam, ax, r)
     numerator = float(np.sum((W * r) ** 2))
-    estimate, reliable = trace_term(
-        obj_lam, x_lam, lam, probe, opts.inner_cg_tol, opts.inner_cg_maxit,
-        use_preconditioner=opts.solver.use_preconditioner, _weights=W, _y=_y,
-    )
+    estimate, reliable = trace_term(obj_lam, x_lam, probe, opts, _weights=W, _y=_y)
     m = obj.n_residuals
     denom = estimate * estimate
     value = m * numerator / denom if denom > 0 else np.inf

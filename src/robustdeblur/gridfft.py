@@ -193,17 +193,17 @@ def _half(symbol: np.ndarray) -> np.ndarray:
 
 
 def _spectral_energy(
-    symbol: np.ndarray, spec: np.ndarray, shape: tuple[int, int]
+    half_symbol: np.ndarray, spec: np.ndarray, shape: tuple[int, int]
 ) -> float:
     """``(1/N) sum symbol * |X|^2`` over the full grid, from ``spec = _rdft2(x)``.
 
-    ``symbol`` is a real full-grid symbol with the Hermitian symmetry
-    ``symbol[-k, -l] == symbol[k, l]``.  Each half-spectrum column other
-    than column 0 and, for even widths, column ``w/2`` stands for itself
-    and its mirror, so it counts twice (Parseval).
+    ``half_symbol`` is :func:`_half` of a real full-grid symbol with the
+    Hermitian symmetry ``symbol[-k, -l] == symbol[k, l]``.  Each
+    half-spectrum column other than column 0 and, for even widths, column
+    ``w/2`` stands for itself and its mirror, so it counts twice (Parseval).
     """
     h, w = int(shape[0]), int(shape[1])
-    cols = np.sum(_half(symbol) * (spec.real**2 + spec.imag**2), axis=-2)
+    cols = np.sum(half_symbol * (spec.real**2 + spec.imag**2), axis=-2)
     total = 2.0 * np.sum(cols) - cols[0]
     if w % 2 == 0:
         total -= cols[-1]

@@ -44,9 +44,9 @@ from .operators import (
     BlurOperator,
     Workspace,
     _frozen,
+    _laplacian_half,
     _penalty_symbol,
     as_stack,
-    laplacian_symbol,
 )
 
 __all__ = [
@@ -237,7 +237,6 @@ class Objective:
         sigma: float,
         loss: LossFunction | None = None,
         lam: float = 0.0,
-        lap_sq: np.ndarray | None = None,
     ):
         self.op = op
         self.data = as_stack(data, op.shape, "data")
@@ -254,7 +253,6 @@ class Objective:
                 f"Objective requires the talwar loss (got {self.loss.kind!r}); "
                 "other losses can produce indefinite Hessians"
             )
-        self.lap_sq = lap_sq if lap_sq is not None else laplacian_symbol(op.shape)
         self.data.setflags(write=False)
         self._bs2 = _frozen((self.data + self.sigma**2) ** 2)
         self._set_lam(lam)
@@ -263,7 +261,7 @@ class Objective:
         if lam < 0:
             raise ValueError(f"lam must be nonnegative, got {lam}")
         self.lam = float(lam)
-        self._penalty = _frozen(_penalty_symbol(self.lap_sq, self.lam))
+        self._penalty = _frozen(_penalty_symbol(self.op.shape, self.lam))
 
     def with_lambda(self, lam: float) -> "Objective":
         """The same objective at another ``lam``, sharing the data arrays."""
@@ -313,8 +311,8 @@ class Objective:
     def _same_data_term(self, other: "Objective") -> bool:
         """Whether :meth:`_data_evaluation` and :meth:`_data_gradient` of
         ``other`` equal this objective's at every x: the same operator and
-        data arrays, an equal sigma and an equal loss.  ``lam`` and
-        ``lap_sq`` enter the penalty only."""
+        data arrays, an equal sigma and an equal loss.  ``lam`` enters
+        the penalty only."""
         return (
             other.op is self.op
             and other.data is self.data
@@ -327,7 +325,8 @@ class Objective:
         the same data; no transform.  It shares the arrays of ``data_ev``."""
         if not self.lam > 0:
             return data_ev
-        penalty = _spectral_energy(self.lap_sq, data_ev.x_hat, self.op.shape)
+        half_lap = _laplacian_half(self.op.shape)
+        penalty = _spectral_energy(half_lap, data_ev.x_hat, self.op.shape)
         return dataclasses.replace(
             data_ev, value=data_ev.value + 0.5 * self.lam * penalty
         )

@@ -23,6 +23,8 @@ each with its own workspace.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .gridfft import (
@@ -203,12 +205,14 @@ def laplacian_symbol(shape: tuple[int, int]) -> np.ndarray:
     return symbol * symbol
 
 
+@functools.cache
+def _laplacian_half(shape: tuple[int, int]) -> np.ndarray:
+    """Read-only half spectrum of :func:`laplacian_symbol`, one per grid."""
+    return _frozen(_half(laplacian_symbol(shape)).copy())
+
+
 def hessian_apply(
-    op: BlurOperator,
-    lap_sq: np.ndarray,
-    weights: np.ndarray,
-    lam: float,
-    s: np.ndarray,
+    op: BlurOperator, weights: np.ndarray, lam: float, s: np.ndarray
 ) -> np.ndarray:
     """Evaluate ``(A^T D A + lam * L^T L) s`` with the fused schedule.
 
@@ -218,15 +222,15 @@ def hessian_apply(
     multiply; the regularization term adds one multiply on the shared input
     spectrum.  Single-frame total: 2 fft2, 2 ifft2, 4 multiplies, 1 add.
 
-    This is the checked entry point and returns a fresh array.  Solvers
-    that apply one Hessian many times validate its weights once with
-    :func:`_check_weights` and call :func:`_hessian_kernel`, the same
-    schedule without the checks, in a workspace of their own.
+    This is the checked entry point and returns a fresh array.  The
+    solvers' :func:`.solver._hessian_solve` checks the weights once per
+    system and calls :func:`_hessian_kernel`, the same schedule unchecked,
+    in a workspace of their own.
     """
     s = as_image(s, "s")
     weights = _check_weights(op, weights, lam)
     ws = Workspace(op.shape, op.n_frames)
-    return _hessian_kernel(op, _penalty_symbol(lap_sq, lam), weights, ws, s)
+    return _hessian_kernel(op, _penalty_symbol(op.shape, lam), weights, ws, s)
 
 
 def _check_weights(op: BlurOperator, weights, lam: float = 0.0) -> np.ndarray:
@@ -241,20 +245,20 @@ def _check_weights(op: BlurOperator, weights, lam: float = 0.0) -> np.ndarray:
     return weights
 
 
-def _penalty_symbol(lap_sq: np.ndarray, lam: float) -> np.ndarray:
+def _penalty_symbol(shape: tuple[int, int], lam: float) -> np.ndarray:
     """``lam * L^T L`` on the half spectrum, for :func:`_hessian_kernel`.
 
     Stored complex (zero imaginary part) so that multiplying it into a
     spectrum needs no cast buffer; numpy casts a real operand the same
     way, so the products are bitwise unchanged.
     """
-    return (lam * _half(lap_sq)).astype(np.complex128)
+    return (lam * _laplacian_half(shape)).astype(np.complex128)
 
 
 def _hessian_kernel(op, penalty, weights, ws, s):
     """:func:`hessian_apply` on weights already passed by :func:`_check_weights`.
 
-    ``penalty`` is ``_penalty_symbol(lap_sq, lam)``.  Runs in the
+    ``penalty`` is ``_penalty_symbol(op.shape, lam)``.  Runs in the
     :class:`Workspace` ``ws`` and returns its ``image``, which the next
     call overwrites.
     """
@@ -267,7 +271,7 @@ def _hessian_kernel(op, penalty, weights, ws, s):
     acc = op._adjoint_spectrum(u, scratch=ws.stack_spectrum)
     tally_mults(k)
     tally_adds(k - 1)
-    # The budget counts the spectral products; lam * lap_sq is not tallied.
+    # The budget counts the spectral products; lam * L^T L is not tallied.
     acc += np.multiply(penalty, s_hat, out=s_hat)
     tally_mults()
     tally_adds()

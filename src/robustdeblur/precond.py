@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import _half, _irdft2, _rdft2, tally_mults
-from .operators import BlurOperator, Workspace, _adjoint_sum, _check_weights
+from .gridfft import _irdft2, _rdft2, tally_mults
+from .operators import (
+    BlurOperator, Workspace, _adjoint_sum, _check_weights, _laplacian_half
+)
 
 __all__ = ["Preconditioner", "build_dhat", "precond_build"]
 
@@ -95,15 +97,13 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     return np.maximum(dhat, DHAT_FLOOR * dhat.max(), out=dhat)
 
 
-def precond_build(
-    op: BlurOperator, lap_sq: np.ndarray, weights, lam: float
-) -> Preconditioner:
+def precond_build(op: BlurOperator, weights, lam: float) -> Preconditioner:
     """Assemble the preconditioner for the current Hessian weights."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     dhat = build_dhat(op, weights)
     lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
-    symbol = op._gram_half + lambda_hat * _half(lap_sq)
+    symbol = op._gram_half + lambda_hat * _laplacian_half(op.shape)
     lo, hi = float(symbol.min()), float(symbol.max())
     if lo <= SYMBOL_RCOND * hi:
         ratio = lo / hi if hi > 0 else 0.0

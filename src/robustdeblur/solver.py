@@ -26,9 +26,10 @@ term (:meth:`.Objective._data_evaluation`) with the penalty added (no
 transform): the start, and every line-search trial.  The accepted trial's
 evaluation supplies the next step's gradient, the data gradient ``A^T z``
 plus the penalty gradient, and its Hessian weights and preconditioner
-input; the weights are validated once per step, and PCG calls the
-unchecked Hessian kernel.  With k frames a Newton step therefore costs,
-in transforms (fft2 + ifft2):
+input.  One Hessian solve, :func:`_hessian_solve`, serves the Newton
+steps and the GCV influence solves alike: it checks the weights once,
+and PCG calls the unchecked Hessian kernel.  With k frames a Newton
+step therefore costs, in transforms (fft2 + ifft2):
 
 - (k+1) per line-search trial, and (k+2) for the gradient of the
   accepted point, (k+1) when lam = 0;
@@ -296,6 +297,21 @@ def linesearch(
     )
 
 
+def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
+                   ws=None, x0=None):
+    """:func:`projected_pcg` on ``(A^T W A + lam L^T L) s = rhs``, with the
+    operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``
+    (a fresh one when None): the one Hessian solve, of Newton and GCV."""
+    weights = _check_weights(obj.op, weights, obj.lam)
+    ws = Workspace(obj.op.shape, obj.op.n_frames) if ws is None else ws
+    precond = None
+    if use_preconditioner:
+        pre = precond_build(obj.op, weights, obj.lam)
+        precond = functools.partial(pre.solve, ws=ws)
+    hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws)
+    return projected_pcg(hess, rhs, active, precond, tol=tol, maxit=maxit, x0=x0)
+
+
 class _Trials:
     """Line-search stand-in for the objective that keeps the last evaluation
     and its data-term evaluation, which shares its arrays."""
@@ -440,29 +456,23 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         return x, data_ev, g_data
     report.termination = "max_iterations"
     for k in range(1, opts.newton_maxit + 1):
-        d = _check_weights(obj.op, ev.d, obj.lam)
-        if not np.any(d > 0):
+        d = ev.d  # nonnegative (_hessian_solve checks): all zero if all saturated
+        if not np.any(d):
             report.termination = "all_saturated"
             break
         value = ev.value
         # Drop this step's evaluation before the preconditioner build, and
-        # its Hessian, preconditioner and gradient once the direction is
-        # formed, so the build and the line search, where a solve's memory
-        # peaks, run beside as few arrays as possible.
+        # its weights and gradient once the direction is formed, so the
+        # build and the line search, where a solve's memory peaks, run
+        # beside as few arrays as possible.
         ev = data_ev = g_data = None
-        precond = None
-        if opts.use_preconditioner:
-            pre = precond_build(obj.op, obj.lap_sq, d, obj.lam)
-            precond = functools.partial(pre.solve, ws=ws)
-        hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, d, ws)
         try:
-            s, inner = projected_pcg(
-                hess, -g, active, precond, tol=opts.pcg_tol, maxit=opts.pcg_maxit
-            )
+            s, inner = _hessian_solve(obj, d, -g, active, opts.use_preconditioner,
+                                      opts.pcg_tol, opts.pcg_maxit, ws)
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
-        pre = precond = hess = d = None
+        d = None
         report.pcg_iterations.append(inner)
 
         if np.any(active):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import as_image, read_raw, write_raw
+from .gridfft import read_raw, write_raw
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
 from .solver import SolverOptions, _SearchMemo, default_start, projected_newton
@@ -165,9 +165,10 @@ class ProblemInstance:
         return Objective(self.op, self.observed, self.sigma, loss, lam)
 
 
-def simulate_data(x_true, op: BlurOperator, sigma: float, noise_seed: int):
+def simulate_data(clean, sigma: float, noise_seed: int):
     """Observed frames: Poisson(clean) + sigma * standard normal.
 
+    ``clean`` is the blurred scene ``A x_true``, a finite (k, h, w) stack.
     Frame ``j`` draws from stream ``j`` spawned off ``noise_seed`` (Poisson
     first, then the Gaussian part), so frames are independent and
     individually reproducible.  Blurred values within the negativity
@@ -176,15 +177,16 @@ def simulate_data(x_true, op: BlurOperator, sigma: float, noise_seed: int):
     for a rounding-level positive one, so leaving them would let transform
     rounding shift the rest of the frame's noise stream.
     """
-    x_true = as_image(x_true, "x_true")
+    clean = np.asarray(clean, dtype=np.float64)
+    if clean.ndim != 3 or not clean.size or not np.all(np.isfinite(clean)):
+        raise ValueError(f"clean must be a finite (k, h, w) stack, got {clean.shape}")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    clean = op.apply(x_true)
     tol = 1e-9 * max(clean.max(), 1.0)
     if clean.min() < -tol:
         raise ValueError("blurred scene has negative intensities")
     observed = np.empty_like(clean)
-    streams = np.random.SeedSequence(noise_seed).spawn(op.n_frames)
+    streams = np.random.SeedSequence(noise_seed).spawn(clean.shape[0])
     for j, rate in enumerate(np.where(clean <= tol, 0.0, clean)):
         rng = np.random.default_rng(streams[j])
         counts = rng.poisson(rate).astype(np.float64)
@@ -242,7 +244,7 @@ def make_instance(
     centers = [center] * len(psfs)
     op = BlurOperator(psfs, centers)
     clean = op.apply(x_true)
-    observed = simulate_data(x_true, op, sigma, noise_seed)
+    observed = simulate_data(clean, sigma, noise_seed)
     if outlier_ceiling is None:
         outlier_ceiling = float(clean.max())
     observed, mask = inject_random_corruptions(

@@ -299,6 +299,16 @@ def test_scan_covers_loss_by_fraction_by_lambda(tmp_path):
     }
 
 
+def test_unconverged_scan_writes_outputs_and_exits_three(tmp_path, capsys):
+    # At lambda = 0 the 32x32 solve runs out of Newton steps, as in solve.
+    out = tmp_path / "scan"
+    cfg = write_config(tmp_path, size=32, lambda_grid="0")
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+    assert "scan: 1 rows" in capsys.readouterr().out
+    _, _, rows = read_csv(out / "scan.csv")
+    assert len(rows) == 1 and rows[0][4] == "40"
+
+
 def test_scan_log_grid_requires_positive_lower_bound(tmp_path, capsys):
     cfg = write_config(tmp_path, size=16)  # lambda_lo defaults to 0
     assert main(["scan", "--config", cfg]) == 1

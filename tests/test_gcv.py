@@ -146,24 +146,23 @@ def test_trace_term_matches_dense_influence_matrix():
     expected = v @ v - v @ (W * (A @ y))
 
     for use_preconditioner in (False, True):
+        solver = SolverOptions(use_preconditioner=use_preconditioner)
         estimate, reliable = trace_term(
-            obj, x_lam, lam, probe, inner_cg_tol=1e-12, inner_cg_maxit=2000,
-            use_preconditioner=use_preconditioner,
+            obj, x_lam, probe,
+            GcvOptions(inner_cg_tol=1e-12, inner_cg_maxit=2000, solver=solver),
         )
         assert reliable
         assert estimate == pytest.approx(expected, rel=1e-6)
 
         # the default truncated solve lands close to the tight one
-        loose, _ = trace_term(
-            obj, x_lam, lam, probe, use_preconditioner=use_preconditioner
-        )
+        loose, _ = trace_term(obj, x_lam, probe, GcvOptions(solver=solver))
         assert loose == pytest.approx(expected, rel=1e-2)
 
 
 def test_capped_trace_solve_is_unreliable():
     obj, x_lam, _, _ = interior_instance(66)
     probe = rademacher_probe((1, 8, 8), seed=3)
-    _, reliable = trace_term(obj, x_lam, obj.lam, probe, inner_cg_maxit=1)
+    _, reliable = trace_term(obj, x_lam, probe, GcvOptions(inner_cg_maxit=1))
     assert reliable is False
 
 
@@ -179,12 +178,32 @@ def test_preconditioned_trace_term_agrees_with_fewer_transforms():
     for use_preconditioner in (False, True):
         with count_transforms() as tally:
             estimates[use_preconditioner], reliable = trace_term(
-                obj, x_lam, lam, probe, use_preconditioner=use_preconditioner
+                obj, x_lam, probe, GcvOptions(
+                    solver=SolverOptions(use_preconditioner=use_preconditioner)
+                ),
             )
         assert reliable
         transforms[use_preconditioner] = tally.fft2 + tally.ifft2
     assert estimates[True] == pytest.approx(estimates[False], rel=1e-2)
     assert transforms[True] < transforms[False]
+
+
+def test_probe_not_shaped_like_the_data_is_rejected():
+    # A frame-shaped probe of a 3-frame objective would broadcast into a
+    # wrong estimate; gcv_eval rejects it before its Newton solve.
+    inst = make_instance("ash", (16, 16), noise_seed=74)
+    obj = inst.objective(LossFunction(), 1e-3)
+    x = default_start(inst.observed)
+    probe = rademacher_probe(inst.observed.shape, seed=0)
+    not_finite = probe.copy()
+    not_finite[1, 2, 3] = np.nan
+    for bad in (probe[0], probe[:2], not_finite):
+        with count_transforms() as tally:
+            for call in (lambda: trace_term(obj, x, bad),
+                         lambda: gcv_eval(obj, 1e-3, x, GcvOptions(), bad)):
+                with pytest.raises(ValueError, match=r"shape \(3, 16, 16\)"):
+                    call()
+        assert tally.fft2 + tally.ifft2 == 0
 
 
 def test_trace_term_approaches_residual_count_for_huge_lambda():
@@ -194,7 +213,7 @@ def test_trace_term_approaches_residual_count_for_huge_lambda():
     obj = inst.objective(LossFunction(), lam)
     x_lam, _ = projected_newton(obj, np.maximum(inst.observed[0], 0.0))
     probe = rademacher_probe(inst.observed.shape, seed=4)
-    estimate, _ = trace_term(obj, x_lam, lam, probe)
+    estimate, _ = trace_term(obj, x_lam, probe)
     # the limit is m-1, not m: the smoothing penalty cannot suppress the
     # constant mode; a single probe adds a couple units of variance on top
     assert abs(estimate - m) <= 4.0
@@ -394,10 +413,7 @@ def test_warm_trace_solves_match_cold_ones_for_fewer_transforms():
     cold_transforms = 0
     for e in evals:
         with count_transforms() as tally:
-            cold, reliable = trace_term(
-                obj.with_lambda(e.lam), e.x, e.lam, probe, opts.inner_cg_tol,
-                opts.inner_cg_maxit, use_preconditioner=True,
-            )
+            cold, reliable = trace_term(obj.with_lambda(e.lam), e.x, probe, opts)
         cold_transforms += tally.fft2 + tally.ifft2
         assert reliable and e.reliable
         assert e.trace_estimate == pytest.approx(cold, rel=1e-5)

@@ -13,7 +13,7 @@ from robustdeblur.gridfft import (
     write_pgm,
     write_raw,
 )
-from robustdeblur.operators import BlurOperator
+from robustdeblur.operators import BlurOperator, _laplacian_half, laplacian_symbol
 
 from oracles import dense_blur_matrix, naive_dft2
 
@@ -59,6 +59,14 @@ def test_parseval(shape):
     lhs = np.sum(np.abs(dft2(img)) ** 2)
     rhs = n * np.sum(img**2)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, rhs)
+    # The Laplacian the kernels read is the symbol's half spectrum, shared
+    # read-only; its energy counts each dropped column through its mirror.
+    half = _laplacian_half(shape)
+    assert not half.flags.writeable
+    assert np.array_equal(half, laplacian_symbol(shape)[:, : shape[1] // 2 + 1])
+    energy = gridfft._spectral_energy(half, gridfft._rdft2(img), shape)
+    full = np.sum(laplacian_symbol(shape) * np.abs(dft2(img)) ** 2) / n
+    assert energy == pytest.approx(full, rel=1e-12)
 
 
 def test_linearity():

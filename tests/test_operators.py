@@ -172,10 +172,9 @@ def test_hessian_apply_matches_dense_assembly():
         weights = rng.random((2,) + shape)
         lam = 0.37
         H = dense_hessian(psfs, centers, weights, lam, shape)
-        lap_sq = laplacian_symbol(shape)
         for _ in range(3):
             s = rng.standard_normal(shape)
-            got = hessian_apply(op, lap_sq, weights, lam, s)
+            got = hessian_apply(op, weights, lam, s)
             expected = (H @ s.ravel()).reshape(shape)
             assert np.max(np.abs(got - expected)) < 1e-9, shape
 
@@ -185,12 +184,11 @@ def test_hessian_apply_symmetric_and_psd():
     shape = (8, 8)
     op, _, _ = make_operator(rng, shape, 2)
     weights = rng.random((2,) + shape)
-    lap_sq = laplacian_symbol(shape)
     for _ in range(5):
         s = rng.standard_normal(shape)
         t = rng.standard_normal(shape)
-        hs = hessian_apply(op, lap_sq, weights, 0.2, s)
-        ht = hessian_apply(op, lap_sq, weights, 0.2, t)
+        hs = hessian_apply(op, weights, 0.2, s)
+        ht = hessian_apply(op, weights, 0.2, t)
         assert np.sum(hs * t) == pytest.approx(np.sum(s * ht), rel=1e-10)
         assert np.sum(s * hs) >= -1e-12
 
@@ -203,7 +201,7 @@ def test_hessian_apply_zero_lambda_is_weighted_normal_matrix():
     A = dense_blur_matrix(psfs[0], centers[0])
     H = A.T @ np.diag(weights.ravel()) @ A
     s = rng.standard_normal(shape)
-    got = hessian_apply(op, laplacian_symbol(shape), weights, 0.0, s)
+    got = hessian_apply(op, weights, 0.0, s)
     assert np.max(np.abs(got - (H @ s.ravel()).reshape(shape))) < 1e-10
 
 
@@ -211,10 +209,9 @@ def test_hessian_apply_transform_budget_single_frame():
     rng = np.random.default_rng(42)
     op, _, _ = make_operator(rng, (16, 16))
     weights = rng.random((1, 16, 16))
-    lap_sq = laplacian_symbol((16, 16))
     s = rng.standard_normal((16, 16))
     with count_transforms() as c:
-        hessian_apply(op, lap_sq, weights, 0.1, s)
+        hessian_apply(op, weights, 0.1, s)
     assert (c.fft2, c.ifft2, c.mults, c.adds) == (2, 2, 4, 1)
 
 
@@ -222,10 +219,9 @@ def test_hessian_apply_transform_budget_three_frames():
     rng = np.random.default_rng(43)
     op, _, _ = make_operator(rng, (16, 16), 3)
     weights = rng.random((3, 16, 16))
-    lap_sq = laplacian_symbol((16, 16))
     s = rng.standard_normal((16, 16))
     with count_transforms() as c:
-        hessian_apply(op, lap_sq, weights, 0.1, s)
+        hessian_apply(op, weights, 0.1, s)
     # k frames cost k+1 transforms each way, 3k+1 multiplies, k additions.
     assert (c.fft2, c.ifft2, c.mults, c.adds) == (4, 4, 10, 3)
 
@@ -233,32 +229,30 @@ def test_hessian_apply_transform_budget_three_frames():
 def test_hessian_apply_rejects_bad_weights():
     rng = np.random.default_rng(44)
     op, _, _ = make_operator(rng)
-    lap_sq = laplacian_symbol((6, 6))
     s = np.zeros((6, 6))
     with pytest.raises(ValueError):
-        hessian_apply(op, lap_sq, -np.ones((1, 6, 6)), 0.1, s)
+        hessian_apply(op, -np.ones((1, 6, 6)), 0.1, s)
     with pytest.raises(ValueError):
-        hessian_apply(op, lap_sq, np.ones((2, 6, 6)), 0.1, s)
+        hessian_apply(op, np.ones((2, 6, 6)), 0.1, s)
     with pytest.raises(ValueError):
-        hessian_apply(op, lap_sq, np.ones((1, 6, 6)), -0.1, s)
+        hessian_apply(op, np.ones((1, 6, 6)), -0.1, s)
 
 
 def test_hessian_apply_rejects_non_finite_inputs():
     rng = np.random.default_rng(45)
     op, _, _ = make_operator(rng)
-    lap_sq = laplacian_symbol((6, 6))
     s = np.zeros((6, 6))
     with pytest.raises(ValueError, match="Hessian weights must be nonnegative"):
-        hessian_apply(op, lap_sq, -np.ones((1, 6, 6)), 0.1, s)
+        hessian_apply(op, -np.ones((1, 6, 6)), 0.1, s)
     for bad in (np.nan, np.inf):
         weights = np.ones((1, 6, 6))
         weights[0, 2, 3] = bad
         with pytest.raises(ValueError, match="weights contains non-finite"):
-            hessian_apply(op, lap_sq, weights, 0.1, s)
+            hessian_apply(op, weights, 0.1, s)
         s_bad = s.copy()
         s_bad[1, 1] = bad
         with pytest.raises(ValueError, match="s contains non-finite"):
-            hessian_apply(op, lap_sq, np.ones((1, 6, 6)), 0.1, s_bad)
+            hessian_apply(op, np.ones((1, 6, 6)), 0.1, s_bad)
 
 
 def test_workspace_kernels_allocate_no_grid_arrays():
@@ -268,16 +262,15 @@ def test_workspace_kernels_allocate_no_grid_arrays():
     rng = np.random.default_rng(46)
     shape, lam = (64, 64), 0.1
     op, _, _ = make_operator(rng, shape, 3)
-    lap_sq = laplacian_symbol(shape)
     weights = rng.random((3,) + shape)
     s = rng.standard_normal(shape)
-    pre = precond_build(op, lap_sq, weights, lam)
+    pre = precond_build(op, weights, lam)
     ws = Workspace(shape, 3)
-    penalty = _penalty_symbol(lap_sq, lam)
+    penalty = _penalty_symbol(shape, lam)
     kernels = {
         "hessian": (
             lambda: _hessian_kernel(op, penalty, weights, ws, s),
-            hessian_apply(op, lap_sq, weights, lam, s),
+            hessian_apply(op, weights, lam, s),
         ),
         "preconditioner": (lambda: pre.solve(s, ws=ws), pre.solve(s)),
     }

@@ -3,7 +3,7 @@ import pytest
 
 from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import LossFunction
-from robustdeblur.operators import BlurOperator, laplacian_symbol
+from robustdeblur.operators import BlurOperator
 from robustdeblur.precond import build_dhat, precond_build
 from robustdeblur.solver import default_start, projected_pcg
 from robustdeblur.testbed import make_instance
@@ -38,7 +38,7 @@ def test_constant_weights_scale_as_sqrt():
     c = 3.7
     dhat = build_dhat(op, np.full((1, 8, 8), c))
     assert np.max(np.abs(dhat - np.sqrt(c))) < 1e-12
-    pre = precond_build(op, laplacian_symbol((8, 8)), np.full((1, 8, 8), c), 0.9)
+    pre = precond_build(op, np.full((1, 8, 8), c), 0.9)
     assert pre.lambda_hat == pytest.approx(0.9 / c, rel=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_delta_psf_unit_weights_zero_lambda_is_identity():
     psf = np.zeros((8, 8))
     psf[0, 0] = 1.0
     op = BlurOperator([psf], [(0, 0)])
-    pre = precond_build(op, laplacian_symbol((8, 8)), np.ones((1, 8, 8)), 0.0)
+    pre = precond_build(op, np.ones((1, 8, 8)), 0.0)
     rng = np.random.default_rng(84)
     r = rng.standard_normal((8, 8))
     assert np.max(np.abs(pre.solve(r) - r)) < 1e-12
@@ -83,7 +83,7 @@ def test_solve_round_trips_against_dense_m():
         op, psfs, centers = random_operator(rng, shape)
         D = rng.random((1,) + shape) + 0.2
         lam = 0.4
-        pre = precond_build(op, laplacian_symbol(shape), D, lam)
+        pre = precond_build(op, D, lam)
         A = dense_blur_matrix(psfs[0], centers[0])
         L = dense_laplacian(shape)
         dh = np.diag(pre.dhat.ravel())
@@ -97,7 +97,7 @@ def test_solve_is_symmetric_positive_definite():
     rng = np.random.default_rng(86)
     op, _, _ = random_operator(rng, (8, 8), frames=2)
     D = rng.random((2, 8, 8))
-    pre = precond_build(op, laplacian_symbol((8, 8)), D, 0.15)
+    pre = precond_build(op, D, 0.15)
     for _ in range(5):
         r = rng.standard_normal((8, 8))
         t = rng.standard_normal((8, 8))
@@ -110,9 +110,7 @@ def test_solve_is_symmetric_positive_definite():
 def test_solve_transform_budget():
     rng = np.random.default_rng(87)
     op, _, _ = random_operator(rng, (16, 16))
-    pre = precond_build(
-        op, laplacian_symbol((16, 16)), rng.random((1, 16, 16)), 0.1
-    )
+    pre = precond_build(op, rng.random((1, 16, 16)), 0.1)
     r = rng.standard_normal((16, 16))
     with count_transforms() as c:
         pre.solve(r)
@@ -123,14 +121,13 @@ def test_constant_weights_make_preconditioner_exact():
     # M then equals the true Hessian, so PCG converges essentially at once.
     rng = np.random.default_rng(88)
     op, _, _ = random_operator(rng, (16, 16))
-    lap_sq = laplacian_symbol((16, 16))
     c = 2.3
     weights = np.full((1, 16, 16), c)
     lam = 0.05
-    pre = precond_build(op, lap_sq, weights, lam)
+    pre = precond_build(op, weights, lam)
 
     def hess(v):
-        return hessian_apply(op, lap_sq, weights, lam, v)
+        return hessian_apply(op, weights, lam, v)
 
     rhs = rng.standard_normal((16, 16))
     active = np.zeros((16, 16), dtype=bool)
@@ -147,7 +144,7 @@ def test_ill_conditioned_symbol_is_named():
     obj = inst.objective(LossFunction(), 0.0)
     weights = obj.hessian_weights(default_start(inst.observed)).d
     with pytest.raises(ValueError, match="ill-conditioned .* min/max ratio"):
-        precond_build(inst.op, obj.lap_sq, weights, 0.0)
+        precond_build(inst.op, weights, 0.0)
 
 
 def test_floor_keeps_dhat_positive():
@@ -168,4 +165,4 @@ def test_build_dhat_validation():
     with pytest.raises(ValueError):
         build_dhat(op, -np.ones((1, 8, 8)))
     with pytest.raises(ValueError):
-        precond_build(op, laplacian_symbol((8, 8)), np.ones((1, 8, 8)), -1.0)
+        precond_build(op, np.ones((1, 8, 8)), -1.0)

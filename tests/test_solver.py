@@ -556,18 +556,16 @@ def test_memo_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
 def test_memo_filled_from_another_objective_is_not_used():
     # The memo serves only objectives with the data term that filled it:
     # a solve of other data, or of the same data at another sigma,
-    # evaluates afresh and matches a standalone solve exactly.  The penalty
-    # symbol lap_sq is not part of the data term: an objective with its
-    # own copy of it reads the memo and saves its start and pg_ref.
+    # evaluates afresh and matches a standalone solve exactly.  A freshly
+    # built objective of the same operator, data, sigma and loss has the
+    # same data term: it reads the memo and saves its start and pg_ref.
     inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
     loss = LossFunction()
     filled = Objective(inst.op, inst.observed, inst.sigma, loss, lam=1e-3)
     others = (
         Objective(inst.op, inst.observed * 1.01, inst.sigma, loss, lam=1e-3),
         Objective(inst.op, inst.observed, 1.5 * inst.sigma, loss, lam=1e-3),
-        Objective(
-            filled.op, filled.data, inst.sigma, loss, 1e-3, filled.lap_sq.copy()
-        ),
+        Objective(filled.op, filled.data, inst.sigma, loss, lam=1e-3),
     )
     saved = 2 * (2 * inst.n_frames + 2)
     for other, hit in zip(others, (False, False, True)):

@@ -98,7 +98,7 @@ def test_simulated_moments_match_model():
     shape = (100, 100)
     op = identity_operator(shape)
     x_true = np.full(shape, 50.0)
-    b = simulate_data(x_true, op, sigma=5.0, noise_seed=7)[0]
+    b = simulate_data(op.apply(x_true), sigma=5.0, noise_seed=7)[0]
     n = b.size
     assert abs(b.mean() - 50.0) < 3.0 * np.sqrt(75.0 / n)
     assert abs(b.var() - 75.0) < 0.1 * 75.0
@@ -107,17 +107,17 @@ def test_simulated_moments_match_model():
 def test_zero_signal_zero_sigma_gives_zero_data():
     shape = (8, 8)
     op = identity_operator(shape)
-    b = simulate_data(np.zeros(shape), op, sigma=0.0, noise_seed=3)
+    b = simulate_data(op.apply(np.zeros(shape)), sigma=0.0, noise_seed=3)
     assert np.all(b == 0.0)
 
 
 def test_simulation_is_seed_deterministic():
     shape = (16, 16)
     op = identity_operator(shape)
-    x = np.full(shape, 20.0)
-    b1 = simulate_data(x, op, 5.0, noise_seed=11)
-    b2 = simulate_data(x, op, 5.0, noise_seed=11)
-    b3 = simulate_data(x, op, 5.0, noise_seed=12)
+    clean = op.apply(np.full(shape, 20.0))
+    b1 = simulate_data(clean, 5.0, noise_seed=11)
+    b2 = simulate_data(clean, 5.0, noise_seed=11)
+    b3 = simulate_data(clean, 5.0, noise_seed=12)
     assert np.array_equal(b1, b2)
     assert not np.array_equal(b1, b3)
 
@@ -128,7 +128,7 @@ def test_observations_ignore_rounding_level_changes_in_clean_data():
     assert np.sum(np.abs(inst.clean) < 1e-12) > 100
     for delta in (1e-13, -1e-13):
         # a unit-sum kernel carries a constant shift of the truth into clean
-        shifted = simulate_data(inst.x_true + delta, inst.op, inst.sigma, 11)
+        shifted = simulate_data(inst.op.apply(inst.x_true + delta), inst.sigma, 11)
         assert np.array_equal(shifted, inst.observed)
 
 
@@ -140,10 +140,35 @@ def test_each_frame_draws_its_own_noise_stream():
     x_true = synthetic_scene("ash", shape)
     psfs = [gaussian_psf(p, shape) for p in CARBON_ASH_PSF_PARAMS]
     centers = [psf_center(shape)] * 2
-    a = simulate_data(x_true, BlurOperator(psfs[:2], centers), 5.0, 21)
-    b = simulate_data(x_true, BlurOperator(psfs[::2], centers), 5.0, 21)
+    a = simulate_data(BlurOperator(psfs[:2], centers).apply(x_true), 5.0, 21)
+    b = simulate_data(BlurOperator(psfs[::2], centers).apply(x_true), 5.0, 21)
     assert np.array_equal(a[0], b[0])
     assert not np.array_equal(a[1], b[1])
+
+
+def test_simulate_data_checks_the_clean_stack():
+    clean = np.full((2, 8, 8), 10.0)
+    assert simulate_data(clean, 1.0, 5).shape == clean.shape
+    infinite = clean.copy()
+    infinite[1, 0, 0] = np.inf
+    for bad in (clean[0], infinite, np.zeros((0, 8, 8))):
+        with pytest.raises(ValueError, match=r"finite \(k, h, w\) stack"):
+            simulate_data(bad, 1.0, 5)
+    with pytest.raises(ValueError, match="negative intensities"):
+        simulate_data(clean - 20.0, 1.0, 5)
+    with pytest.raises(ValueError, match="sigma"):
+        simulate_data(clean, -1.0, 5)
+
+
+def test_make_instance_blurs_the_scene_once():
+    # Two spectra per frame PSF (the kernel and its square) and one forward
+    # apply, whose result is both the clean stack and the noise's mean.
+    with count_transforms() as tally:
+        inst = make_instance("ash", (32, 32), noise_seed=5)
+    k = inst.n_frames
+    assert tally.fft2 + tally.ifft2 == 2 * k + (1 + k)
+    assert np.array_equal(inst.clean, inst.op.apply(inst.x_true))
+    assert np.array_equal(inst.observed, simulate_data(inst.clean, inst.sigma, 5))
 
 
 # -- corruptions ---------------------------------------------------------
