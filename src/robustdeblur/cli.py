@@ -14,7 +14,9 @@ raw float64 images with ``.hdr`` sidecars, and 16-bit PGM viewing copies.
 All commands are deterministic under their seeds and exit 0 on success,
 1 with a one-line reason on an error.  ``solve`` and ``scan`` write their
 outputs and summary line whatever the terminations, then exit 3 unless
-every solve ended ``converged`` or ``all_saturated``.
+every solve ended ``converged`` or ``all_saturated``.  ``gcv`` does the
+same for the evaluation at the selected lambda, which must also have a
+reliable trace estimate.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .testbed import (
 __all__ = ["ConfigError", "main", "parse_config", "run"]
 
 
-# Terminations whose solution stands: solve and scan exit 3 on any other.
+# Terminations whose solution stands: solve, scan and gcv exit 3 on any other.
 _SETTLED = ("converged", "all_saturated")
 
 
@@ -425,12 +427,12 @@ def cmd_gcv(config) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_gcv_trace(outdir / "gcv_trace.csv", evaluations)
 
+    # minimize_gcv always evaluates lambda*
+    at_star = next(e for e in evaluations if e.lam == lam_star)
     err = ""
     if config["solve_at_star"]:
-        # minimize_gcv always evaluates lambda*
-        x_star = next(e.x for e in evaluations if e.lam == lam_star)
-        _write_solution(outdir, x_star)
-        err = "%.6e" % relative_error(x_star, instance.x_true)
+        _write_solution(outdir, at_star.x)
+        err = "%.6e" % relative_error(at_star.x, instance.x_true)
     _write_csv(
         outdir / "gcv_summary.csv",
         "gcv-summary v1",
@@ -448,7 +450,8 @@ def cmd_gcv(config) -> int:
             "" if not err else ", relative error %s" % err,
         )
     )
-    return 0
+    settled = at_star.reliable and at_star.newton_report.termination in _SETTLED
+    return 0 if settled else 3
 
 
 def _scan_grid(config):

@@ -97,17 +97,28 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     return np.maximum(dhat, DHAT_FLOOR * dhat.max(), out=dhat)
 
 
-def precond_build(op: BlurOperator, weights, lam: float) -> Preconditioner:
-    """Assemble the preconditioner for the current Hessian weights."""
+class _IllConditionedSymbol(ValueError):
+    """The symbol of M fails the :data:`SYMBOL_RCOND` test; a Hessian solve
+    catches this one error and runs unpreconditioned."""
+
+
+def precond_build(op: BlurOperator, weights, lam: float, *,
+                  dhat: np.ndarray | None = None) -> Preconditioner:
+    """Assemble the preconditioner for the current Hessian weights.
+
+    ``dhat`` is :func:`build_dhat` of ``weights`` when the caller already
+    has it; only the lambda-dependent part is then built.  A symbol at or
+    below :data:`SYMBOL_RCOND` raises ``ValueError``.
+    """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    dhat = build_dhat(op, weights)
+    dhat = build_dhat(op, weights) if dhat is None else dhat
     lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
     symbol = op._gram_half + lambda_hat * _laplacian_half(op.shape)
     lo, hi = float(symbol.min()), float(symbol.max())
     if lo <= SYMBOL_RCOND * hi:
         ratio = lo / hi if hi > 0 else 0.0
-        raise ValueError(
+        raise _IllConditionedSymbol(
             f"ill-conditioned preconditioner symbol: min/max ratio {ratio:.1e} "
             f"is at or below machine epsilon (blur kernel has near-zero "
             f"spectral gain and lambda_hat {lambda_hat:.1e} is too small)"

@@ -36,6 +36,10 @@ step therefore costs, in transforms (fft2 + ifft2):
 - (2k+2) per PCG iteration;
 - with the preconditioner, (k+1) for its build and 2 per solve.
 
+A preconditioner whose symbol is too ill-conditioned to invert is not
+used: that step's system is solved without one, and
+``SolverReport.precond_fallbacks`` counts it.
+
 The start and ``pg_ref`` come from a :class:`_SearchMemo`, which keeps
 the lambda-free parts of two points: the data evaluation and data
 gradient of the last solve's final iterate, and the half spectrum and
@@ -70,7 +74,7 @@ import numpy as np
 from .gridfft import OpCounts, as_image, count_transforms
 from .objective import Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
-from .precond import precond_build
+from .precond import _IllConditionedSymbol, precond_build
 
 __all__ = [
     "SolverOptions",
@@ -118,7 +122,9 @@ class SolverReport:
 
     ``pg_scale`` is the norm the Newton tolerance was applied to,
     ``max(pg_norms[0], pg_ref)``; it equals ``pg_norms[0]`` for a solve
-    started at :func:`default_start`.
+    started at :func:`default_start`.  ``precond_fallbacks`` counts the
+    steps whose preconditioner symbol was too ill-conditioned to invert,
+    so that their system was solved without it.
     """
 
     iterations: int = 0
@@ -129,6 +135,7 @@ class SolverReport:
     step_lengths: list = field(default_factory=list)
     counts: OpCounts = field(default_factory=OpCounts)
     termination: str = ""
+    precond_fallbacks: int = 0
 
     @property
     def total_pcg_iterations(self) -> int:
@@ -298,18 +305,29 @@ def linesearch(
 
 
 def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
-                   ws=None, x0=None):
+                   ws=None, x0=None, dhat=None):
     """:func:`projected_pcg` on ``(A^T W A + lam L^T L) s = rhs``, with the
     operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``
-    (a fresh one when None): the one Hessian solve, of Newton and GCV."""
+    (a fresh one when None): the one Hessian solve, of Newton and GCV.
+
+    ``dhat`` is :func:`.precond.build_dhat` of ``weights`` when the caller
+    already has it.  A preconditioner whose symbol is too ill-conditioned
+    to invert is not used: the system is solved without one.  Returns
+    ``(s, iterations, fell_back)``, ``fell_back`` true in that case.
+    """
     weights = _check_weights(obj.op, weights, obj.lam)
     ws = Workspace(obj.op.shape, obj.op.n_frames) if ws is None else ws
-    precond = None
+    precond, fell_back = None, False
     if use_preconditioner:
-        pre = precond_build(obj.op, weights, obj.lam)
-        precond = functools.partial(pre.solve, ws=ws)
+        try:
+            pre = precond_build(obj.op, weights, obj.lam, dhat=dhat)
+            precond = functools.partial(pre.solve, ws=ws)
+        except _IllConditionedSymbol:
+            fell_back = True
     hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws)
-    return projected_pcg(hess, rhs, active, precond, tol=tol, maxit=maxit, x0=x0)
+    s, iterations = projected_pcg(hess, rhs, active, precond, tol=tol,
+                                  maxit=maxit, x0=x0)
+    return s, iterations, fell_back
 
 
 class _Trials:
@@ -467,13 +485,16 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         # beside as few arrays as possible.
         ev = data_ev = g_data = None
         try:
-            s, inner = _hessian_solve(obj, d, -g, active, opts.use_preconditioner,
-                                      opts.pcg_tol, opts.pcg_maxit, ws)
+            s, inner, fell_back = _hessian_solve(
+                obj, d, -g, active, opts.use_preconditioner, opts.pcg_tol,
+                opts.pcg_maxit, ws,
+            )
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
         d = None
         report.pcg_iterations.append(inner)
+        report.precond_fallbacks += fell_back
 
         if np.any(active):
             g_active = np.where(active, g, 0.0)

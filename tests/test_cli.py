@@ -249,7 +249,8 @@ def test_gcv_repeats_and_honors_bracket(tmp_path):
 
 
 def test_gcv_final_line_counts_flagged_evaluations(tmp_path, capsys):
-    # a one-iteration trace solve is never reliable
+    # a one-iteration trace solve is never reliable, lambda*'s included, so
+    # the search writes its outputs and exits 3
     cfg = write_config(
         tmp_path,
         size=16,
@@ -259,7 +260,7 @@ def test_gcv_final_line_counts_flagged_evaluations(tmp_path, capsys):
         inner_cg_maxit=1,
     )
     with pytest.warns(RuntimeWarning, match="GCV search used"):
-        assert main(["gcv", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+        assert main(["gcv", "--config", cfg, "--out", str(tmp_path / "g")]) == 3
     last = capsys.readouterr().out.strip().splitlines()[-1]
     n = int(read_csv(tmp_path / "g" / "gcv_summary.csv")[2][0][1])
     assert f"after {n} evaluations ({n} unreliable, 0 not converged)" in last

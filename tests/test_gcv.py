@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from robustdeblur import gcv as gcv_module
 from robustdeblur.gcv import (
     GcvOptions,
+    _LastFit,
     bounded_minimize,
     gcv_eval,
     minimize_gcv,
@@ -17,7 +19,12 @@ from robustdeblur.gcv import (
 from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import BETA_95, LossFunction, Objective, loss_eval
 from robustdeblur.operators import BlurOperator
-from robustdeblur.solver import SolverOptions, default_start, projected_newton
+from robustdeblur.solver import (
+    SolverOptions,
+    _SearchMemo,
+    default_start,
+    projected_newton,
+)
 from robustdeblur.testbed import make_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
@@ -420,27 +427,54 @@ def test_warm_trace_solves_match_cold_ones_for_fewer_transforms():
     assert search.fft2 + search.ifft2 - newton < cold_transforms
 
 
-def test_memoized_search_replays_bitwise_without_the_memo():
+def _outside_newton(transforms, evaluation):
+    """Transforms of a gcv_eval call spent outside its Newton solve."""
+    counts = evaluation.newton_report.counts
+    return transforms - counts.fft2 - counts.ifft2
+
+
+def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     # A search keeps the lambda-free parts of each solve's last iterate and
     # of the default start, so every warm solve after the first reads its
-    # start and pg_ref for one penalty transform each instead of 2k+3.
-    # Replaying its lambdas through standalone gcv_eval calls, each solve
-    # with a fresh memo of its own, from the same warm starts, must give
+    # start and pg_ref for one penalty transform each instead of 2k+3.  It
+    # also keeps the last solution's W, ||W r||^2, A^T W v and dhat, which
+    # an evaluation whose solve takes no step reads instead of 3(k+1)
+    # transforms.  Replaying its lambdas through standalone gcv_eval calls,
+    # each with fresh memos of its own, from the same warm starts, must give
     # bitwise the same evaluations.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
     opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
                       solver=SolverOptions(use_preconditioner=True))
+    calls = []
+
+    def counted_gcv_eval(*args, **kwargs):
+        with count_transforms() as tally:
+            out = gcv_eval(*args, **kwargs)
+        calls.append(_outside_newton(tally.fft2 + tally.ifft2, out))
+        return out
+
+    monkeypatch.setattr(gcv_module, "gcv_eval", counted_gcv_eval)
     _, evals = minimize_gcv(obj, opts)
+    monkeypatch.undo()
+    assert len(calls) == len(evals)
     k = inst.n_frames
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     warm, y = default_start(inst.observed), np.zeros(obj.op.shape)
+    reused = 0
     for i, e in enumerate(evals):
-        again = gcv_eval(obj, e.lam, warm, opts, probe, _y=y)
+        with count_transforms() as tally:
+            again = gcv_eval(obj, e.lam, warm, opts, probe, _y=y)
+        same_x = i > 0 and np.array_equal(e.x, evals[i - 1].x)
+        assert same_x == (i > 0 and e.newton_report.iterations == 0), i
+        reused += same_x
+        outside = _outside_newton(tally.fft2 + tally.ifft2, again)
+        assert outside - calls[i] == (3 * (k + 1) if same_x else 0), i
         warm = again.x
         assert np.array_equal(again.x, e.x), i
         assert again.gcv_value == e.gcv_value, i
+        assert again.numerator == e.numerator, i
         assert again.trace_estimate == e.trace_estimate, i
         memo, plain = e.newton_report, again.newton_report
         assert memo.objective_trace == plain.objective_trace, i
@@ -450,6 +484,38 @@ def test_memoized_search_replays_bitwise_without_the_memo():
                  - memo.counts.fft2 - memo.counts.ifft2)
         # the first solve starts at the default start: nothing to read yet
         assert saved == (0 if i == 0 else 2 * (2 * k + 3) - 2), i
+    assert 0 < reused < len(evals) - 1
+
+
+def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
+    # Three evaluations sharing one entry: a solve that steps, a repeat at
+    # the same lambda from its solution (no step: the entry is read), then
+    # a solve at another lambda that steps (the entry is rebuilt).  Each
+    # must equal a standalone gcv_eval, which builds its own entry, with
+    # 3(k+1) transforms fewer outside the Newton solve for the read only.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(solver=SolverOptions(use_preconditioner=True))
+    k = inst.n_frames
+    probe = rademacher_probe(obj.data.shape, opts.probe_seed)
+    memo, last = _SearchMemo(), _LastFit(obj, probe, True)
+    warm = default_start(inst.observed)
+    for lam, steps, fewer in ((1e-3, True, 0), (1e-3, False, 3 * (k + 1)),
+                              (2e-2, True, 0)):
+        with count_transforms() as shared:
+            ev = gcv_eval(obj, lam, warm, opts, probe, _memo=memo, _last=last)
+        with count_transforms() as alone:
+            ref = gcv_eval(obj, lam, warm, opts, probe)
+        assert (ev.newton_report.iterations > 0) == steps, lam
+        assert ev.newton_report.termination == "converged", lam
+        assert np.array_equal(ev.x, ref.x), lam
+        assert ev.numerator == ref.numerator, lam
+        assert ev.trace_estimate == ref.trace_estimate, lam
+        assert ev.gcv_value == ref.gcv_value, lam
+        assert (_outside_newton(alone.fft2 + alone.ifft2, ref)
+                - _outside_newton(shared.fft2 + shared.ifft2, ev)) == fewer, lam
+        warm = ev.x
 
 
 def test_minimize_gcv_warns_once_about_flagged_evaluations():

@@ -468,6 +468,38 @@ def test_all_saturated_step_ends_as_named_termination():
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
 
+def test_ill_conditioned_preconditioner_falls_back_to_none():
+    # At lam = 0 the ash kernels' symbol has a min/max ratio of about 6e-23,
+    # which precond_build rejects; every step must solve its system without
+    # the preconditioner and the run end in a named termination.
+    inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
+    smallest = []
+
+    class Feasible(Objective):
+        def _data_evaluation(self, x):
+            smallest.append(float(np.min(x)))
+            return super()._data_evaluation(x)
+
+    obj = Feasible(inst.op, inst.observed, inst.sigma, LossFunction(), 0.0)
+    x, report = projected_newton(
+        obj, default_start(inst.observed), SolverOptions(use_preconditioner=True)
+    )
+    assert report.termination in ("converged", "max_iterations",
+                                  "linesearch_failure", "pcg_breakdown")
+    assert report.iterations >= 1
+    assert report.precond_fallbacks == len(report.pcg_iterations) >= 1
+    assert min(smallest) >= 0.0 and np.all(x >= 0.0)
+    trace = report.objective_trace
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    # a symbol that can be inverted never falls back
+    _, report = projected_newton(
+        inst.objective(LossFunction(), 1e-3), default_start(inst.observed),
+        SolverOptions(use_preconditioner=True),
+    )
+    assert report.precond_fallbacks == 0
+
+
 def test_solver_checks_hessian_weights_once_per_step():
     obj, x0, _, _, _ = make_instance(119)
 
