@@ -8,15 +8,18 @@ error over a lambda grid, per loss and corruption level), and
 preconditioner).
 
 Configuration comes from a plain ``key=value`` text file (``--config``);
-a handful of common keys can be overridden by flags.  Every output is a
-plain file: CSV tables with a versioned ``# schema=...`` header line,
-raw float64 images with ``.hdr`` sidecars, and 16-bit PGM viewing copies.
-All commands are deterministic under their seeds and exit 0 on success,
-1 with a one-line reason on an error.  ``solve`` and ``scan`` write their
-outputs and summary line whatever the terminations, then exit 3 unless
-every solve ended ``converged`` or ``all_saturated``.  ``gcv`` does the
-same for the evaluation at the selected lambda, which must also have a
-reliable trace estimate.
+each flag overrides the key of its name (:data:`FLAGS`) and is parsed by
+that key's parser, as a config line is.  Every output is a plain file:
+CSV tables with a versioned ``# schema=...`` header line, raw float64
+images with ``.hdr`` sidecars, and 16-bit PGM viewing copies.  All
+commands are deterministic under their seeds and exit 0 on success, 1
+with a one-line reason on an error: a bad flag and a bad config line
+each print one line naming the key, and a usage error (an unknown flag,
+a missing value or subcommand) prints one line too.  ``solve`` and
+``scan`` write their outputs and summary line whatever the terminations,
+then exit 3 unless every solve ended ``converged`` or ``all_saturated``.
+``gcv`` does the same for the evaluation at the selected lambda, which
+must also have a reliable trace estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .gcv import GcvOptions, _flag_counts, minimize_gcv, write_gcv_trace
-from .gridfft import COUNTS, write_pgm, write_raw
+from .gridfft import (
+    COUNTS, _read_key_values, _write_table, write_pgm, write_raw
+)
 from .objective import BETA_95, LossFunction
 from .solver import SolverOptions, default_start, projected_newton
 from .testbed import (
@@ -60,93 +65,52 @@ def _boolean(text: str) -> bool:
     raise ValueError("expected a boolean (0/1/true/false)")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be nonnegative")
-    return value
+def _bounded(convert, holds, reason: str):
+    """Parser: ``convert`` the text, then require ``holds`` of the value."""
 
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:
-        raise ValueError("must be nonnegative")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise ValueError("must be positive")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError("must lie in [0, 1]")
-    return value
-
-
-def _loss_kind(text: str) -> str:
-    value = text.strip().lower()
-    if value not in ("talwar", "standard"):
-        raise ValueError("must be 'talwar' or 'standard'")
-    return value
-
-
-def _scene_kind(text: str) -> str:
-    value = text.strip().lower()
-    if value not in ("satellite", "ash"):
-        raise ValueError("must be 'satellite' or 'ash'")
-    return value
-
-
-def _frames(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= len(CARBON_ASH_PSF_PARAMS):
-        raise ValueError(
-            "must be between 1 and %d" % len(CARBON_ASH_PSF_PARAMS)
-        )
-    return value
-
-
-def _size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise ValueError("must be at least 2")
-    return value
-
-
-def _float_list(conv):
     def parse(text: str):
-        items = [p for p in text.split(",") if p.strip()]
-        if not items:
-            raise ValueError("expected a comma-separated list")
-        return tuple(conv(p) for p in items)
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(reason)
+        return value
 
     return parse
 
 
-def _loss_list(text: str):
-    items = [p for p in text.split(",") if p.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return tuple(_loss_kind(p) for p in items)
+def _one_of(*names: str):
+    """Parser: one of ``names``, in any case."""
+    reason = "must be " + " or ".join("'%s'" % name for name in names)
+    return _bounded(lambda text: text.strip().lower(),
+                    lambda value: value in names, reason)
 
+
+def _list_of(item):
+    """Parser: a comma-separated list of ``item`` values, as a tuple."""
+
+    def parse(text: str):
+        items = [p for p in text.split(",") if p.strip()]
+        if not items:
+            raise ValueError("expected a comma-separated list")
+        return tuple(item(p) for p in items)
+
+    return parse
+
+
+_nonneg_int = _bounded(int, lambda v: v >= 0, "must be nonnegative")
+_positive_int = _bounded(int, lambda v: v >= 1, "must be at least 1")
+_nonneg_float = _bounded(float, lambda v: v >= 0, "must be nonnegative")
+_positive_float = _bounded(float, lambda v: v > 0, "must be positive")
+_fraction = _bounded(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_loss_kind = _one_of("talwar", "standard")
 
 # key -> value parser; every config line must name one of these
 CONFIG_KEYS = {
-    "kind": _scene_kind,
-    "size": _size,
-    "frames": _frames,
+    "kind": _one_of("satellite", "ash"),
+    "size": _bounded(int, lambda v: v >= 2, "must be at least 2"),
+    "frames": _bounded(
+        int, lambda v: 1 <= v <= len(CARBON_ASH_PSF_PARAMS),
+        "must be between 1 and %d" % len(CARBON_ASH_PSF_PARAMS),
+    ),
     "sigma": _nonneg_float,
     "max_intensity": _positive_float,
     "seed": _nonneg_int,
@@ -173,11 +137,11 @@ CONFIG_KEYS = {
     "inner_cg_tol": _positive_float,
     "inner_cg_maxit": _positive_int,
     "solve_at_star": _boolean,
-    "lambda_grid": _float_list(_nonneg_float),
+    "lambda_grid": _list_of(_nonneg_float),
     "lambda_count": _positive_int,
-    "outlier_fractions": _float_list(_fraction),
-    "losses": _loss_list,
-    "pcg_tols": _float_list(_positive_float),
+    "outlier_fractions": _list_of(_fraction),
+    "losses": _list_of(_loss_kind),
+    "pcg_tols": _list_of(_positive_float),
 }
 
 # config key -> (options dataclass, field); the dataclass holds the default
@@ -218,28 +182,40 @@ DEFAULTS = {
 }
 
 
+# flag -> help; each flag sets the config key of its name, parsed as a
+# config line's value is
+FLAGS = {
+    "out": "output directory",
+    "seed": "master seed for noise/outliers/scene",
+    "size": "square grid side",
+    "frames": "number of observation frames",
+    "loss": "talwar or standard",
+    "beta": "saturation threshold of the robust loss",
+    "lambda": "regularization weight",
+    "sigma": "read-out noise standard deviation",
+}
+
+
+def _parse_value(key: str, text: str):
+    """``text`` through the parser of config key ``key``; a failure names
+    the key."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError("unknown config key '%s'" % key)
+    try:
+        return CONFIG_KEYS[key](text)
+    except ValueError as err:
+        raise ConfigError(
+            "invalid value for key '%s': %s" % (key, err)
+        ) from err
+
+
 def parse_config(path) -> dict:
     """Read a key=value file; unknown keys and bad values are errors."""
-    config = {}
-    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                "line %d is not a key=value pair: %r" % (lineno, line)
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError("unknown config key '%s'" % key)
-        try:
-            config[key] = CONFIG_KEYS[key](value.strip())
-        except ValueError as err:
-            raise ConfigError(
-                "invalid value for key '%s': %s" % (key, err)
-            ) from err
-    return config
+    try:
+        pairs = _read_key_values(path)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return {key: _parse_value(key, value) for key, value in pairs}
 
 
 def _resolve(args) -> dict:
@@ -250,19 +226,10 @@ def _resolve(args) -> dict:
         file_config = parse_config(args.config)
         file_keys = set(file_config)
         config.update(file_config)
-    overrides = {
-        "out": args.out,
-        "seed": args.seed,
-        "size": args.size,
-        "frames": args.frames,
-        "loss": args.loss,
-        "beta": args.beta,
-        "lambda": args.lam,
-        "sigma": args.sigma,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = CONFIG_KEYS[key](str(value))
+    for key in FLAGS:
+        text = getattr(args, key)
+        if text is not None:
+            config[key] = _parse_value(key, text)
     if "seed" in config:
         # one master seed fans out to the three streams unless a stream
         # was pinned in the config file
@@ -288,17 +255,13 @@ def _options(cls, config, **fields):
     return cls(**kwargs)
 
 
-def _build_instance(config, outlier_fraction=None):
+def _build_instance(config):
     kwargs = dict(
         kind=config["kind"],
         shape=(config["size"], config["size"]),
         sigma=config["sigma"],
         noise_seed=config["noise_seed"],
-        outlier_fraction=(
-            config["outlier_fraction"]
-            if outlier_fraction is None
-            else outlier_fraction
-        ),
+        outlier_fraction=config["outlier_fraction"],
         outlier_seed=config["outlier_seed"],
         max_intensity=config["max_intensity"],
         scene_seed=config["scene_seed"],
@@ -321,10 +284,11 @@ def _obtain_instance(config):
     return _build_instance(config)
 
 
-def _write_csv(path, schema: str, header: str, rows) -> None:
-    lines = ["# schema=%s" % schema, header]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def _outdir(config) -> Path:
+    """The output directory, created if missing."""
+    outdir = Path(config["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
 def _write_solution(outdir: Path, x: np.ndarray) -> None:
@@ -378,16 +342,15 @@ def cmd_solve(config) -> int:
                 ffts,
             )
         )
-    outdir = Path(config["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    outdir = _outdir(config)
+    _write_table(
         outdir / "solve_trace.csv",
         "solve-trace v1",
         "iter,objective,proj_grad_norm,pcg_iters,ffts",
         rows,
     )
     err = relative_error(x, instance.x_true)
-    _write_csv(
+    _write_table(
         outdir / "solve_summary.csv",
         "solve-summary v1",
         "iterations,termination,objective,relative_error,"
@@ -423,8 +386,7 @@ def cmd_gcv(config) -> int:
     lam_star, evaluations = minimize_gcv(
         obj, opts, x0=default_start(instance.observed)
     )
-    outdir = Path(config["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(config)
     write_gcv_trace(outdir / "gcv_trace.csv", evaluations)
 
     # minimize_gcv always evaluates lambda*
@@ -433,7 +395,7 @@ def cmd_gcv(config) -> int:
     if config["solve_at_star"]:
         _write_solution(outdir, at_star.x)
         err = "%.6e" % relative_error(at_star.x, instance.x_true)
-    _write_csv(
+    _write_table(
         outdir / "gcv_summary.csv",
         "gcv-summary v1",
         "lambda_star,evaluations,relative_error",
@@ -487,7 +449,7 @@ def cmd_scan(config) -> int:
         instances = [(stored, stored.outlier_fraction)]
     else:
         instances = [
-            (_build_instance(config, outlier_fraction=f), f)
+            (_build_instance({**config, "outlier_fraction": f}), f)
             for f in config["outlier_fractions"]
         ]
     for kind in config["losses"]:
@@ -504,9 +466,8 @@ def cmd_scan(config) -> int:
                         point.iterations,
                     )
                 )
-    outdir = Path(config["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    outdir = _outdir(config)
+    _write_table(
         outdir / "scan.csv",
         "lambda-scan v1",
         "loss,outlier_fraction,lambda,relative_error,newton_iters",
@@ -547,15 +508,14 @@ def cmd_bench_precond(config) -> int:
                 )
             )
             summary[(use_precond, tol)] = report.total_pcg_iterations
-    outdir = Path(config["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    outdir = _outdir(config)
+    _write_table(
         outdir / "bench_steps.csv",
         "precond-bench-steps v1",
         "preconditioned,pcg_tol,newton_step,pcg_iters",
         step_rows,
     )
-    _write_csv(
+    _write_table(
         outdir / "bench_totals.csv",
         "precond-bench-totals v1",
         "preconditioned,pcg_tol,newton_iters,total_pcg,"
@@ -579,8 +539,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ConfigError` instead of printing the
+    usage and exiting 2, so they end like every other error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robustdeblur",
         description=(
             "Robust multi-frame deblurring under mixed Poisson-Gaussian "
@@ -593,19 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.set_defaults(func=func)
         cmd.add_argument("--config", help="key=value configuration file")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--seed", type=int,
-                         help="master seed for noise/outliers/scene")
-        cmd.add_argument("--size", type=int, help="square grid side")
-        cmd.add_argument("--frames", type=int,
-                         help="number of observation frames")
-        cmd.add_argument("--loss", choices=("talwar", "standard"))
-        cmd.add_argument("--beta", type=float,
-                         help="saturation threshold of the robust loss")
-        cmd.add_argument("--lambda", dest="lam", type=float,
-                         help="regularization weight")
-        cmd.add_argument("--sigma", type=float,
-                         help="read-out noise standard deviation")
+        for key, text in FLAGS.items():
+            cmd.add_argument("--" + key, help=text)
     return parser
 
 

@@ -47,11 +47,7 @@ is bitwise the previous one and they read the entry instead of spending
 3(k+1) transforms on it (2(k+1) without the preconditioner).  Such an
 evaluation then costs 2 transforms for its solve's start and ``pg_ref``,
 2k+2 for the influence solve's warm-start residual and 2k+4 per PCG
-iteration.  The seed-1 panel falls from 18184 to 16732 transforms
-(seed 2: 17661 to 15741), with bitwise the same evaluations; in ten
-alternating pairs of 55 s ``gcv-ash64`` benchmark runs (seeds 1-10, a
-2-vCPU Xeon VM) time per evaluation fell in all ten, from a median of
-4.69 to 4.06 ms (-13%).
+iteration.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -63,10 +59,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .gridfft import _write_table
 from .objective import Objective, _scaled_terms
 from .operators import _frozen
 from .precond import build_dhat
@@ -479,10 +475,8 @@ def _flag_counts(evaluations) -> tuple[int, int]:
 
 def write_gcv_trace(path, evaluations) -> None:
     """CSV trace of the minimization, one row per functional evaluation."""
-    lines = ["# schema=gcv-trace v1", "lambda,gcv,numerator,trace_estimate"]
-    for ev in evaluations:
-        lines.append(
-            f"{ev.lam:.12e},{ev.gcv_value:.12e},{ev.numerator:.12e},"
-            f"{ev.trace_estimate:.12e}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(
+        path, "gcv-trace v1", "lambda,gcv,numerator,trace_estimate",
+        [("%.12e" % ev.lam, "%.12e" % ev.gcv_value, "%.12e" % ev.numerator,
+          "%.12e" % ev.trace_estimate) for ev in evaluations],
+    )

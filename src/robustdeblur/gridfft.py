@@ -246,8 +246,35 @@ def embed_psf(
 
 
 # ---------------------------------------------------------------------------
-# File formats: 16-bit PGM for viewing, raw float64 for lossless round trips.
+# File formats: 16-bit PGM for viewing, raw float64 for lossless round trips,
+# and the text files: schema-tagged CSV tables and key=value lines.
 # ---------------------------------------------------------------------------
+
+
+def _write_table(path, schema: str, header: str, rows) -> None:
+    """CSV table under a ``# schema=<schema>`` line and the ``header`` line;
+    each row's cells are written with ``str``."""
+    lines = ["# schema=%s" % schema, header]
+    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_key_values(path) -> list[tuple[str, str]]:
+    """The ``(key, value)`` pairs of a ``key=value`` text file, both
+    stripped, in file order.  Blank lines and ``#`` comments are skipped;
+    any other line without ``=`` raises ``ValueError`` naming its number."""
+    pairs = []
+    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(
+                "line %d is not a key=value pair: %r" % (lineno, line)
+            )
+        key, _, value = line.partition("=")
+        pairs.append((key.strip(), value.strip()))
+    return pairs
 
 
 def write_raw(path, img: np.ndarray) -> None:

@@ -86,10 +86,19 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     the constant sum_j sum(psf_j^2), which the operator stores when it is
     built.
     """
+    return _scaling(op, _positive_weights(op, weights))
+
+
+def _positive_weights(op: BlurOperator, weights) -> np.ndarray:
+    """:func:`.operators._check_weights`, and at least one weight positive."""
     weights = _check_weights(op, weights)
     if not np.any(weights > 0):
         raise ValueError("all weights are zero (every residual saturated)")
+    return weights
 
+
+def _scaling(op: BlurOperator, weights: np.ndarray) -> np.ndarray:
+    """:func:`build_dhat` of weights already passed by :func:`_positive_weights`."""
     dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights), op.shape)
     np.maximum(dhat, 0.0, out=dhat)  # clip rounding noise before sqrt
     dhat /= op._gram_diag
@@ -102,6 +111,17 @@ class _IllConditionedSymbol(ValueError):
     catches this one error and runs unpreconditioned."""
 
 
+def _check_symbol(symbol: np.ndarray, lambda_hat: float) -> None:
+    lo, hi = float(symbol.min()), float(symbol.max())
+    if lo <= SYMBOL_RCOND * hi:
+        ratio = lo / hi if hi > 0 else 0.0
+        raise _IllConditionedSymbol(
+            f"ill-conditioned preconditioner symbol: min/max ratio {ratio:.1e} "
+            f"is at or below machine epsilon (blur kernel has near-zero "
+            f"spectral gain and lambda_hat {lambda_hat:.1e} is too small)"
+        )
+
+
 def precond_build(op: BlurOperator, weights, lam: float, *,
                   dhat: np.ndarray | None = None) -> Preconditioner:
     """Assemble the preconditioner for the current Hessian weights.
@@ -112,17 +132,14 @@ def precond_build(op: BlurOperator, weights, lam: float, *,
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    dhat = build_dhat(op, weights) if dhat is None else dhat
+    if dhat is None:
+        weights = _positive_weights(op, weights)
+        if lam == 0:  # the symbol does not depend on dhat: check it first
+            _check_symbol(op._gram_half, 0.0)
+        dhat = _scaling(op, weights)
     lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
     symbol = op._gram_half + lambda_hat * _laplacian_half(op.shape)
-    lo, hi = float(symbol.min()), float(symbol.max())
-    if lo <= SYMBOL_RCOND * hi:
-        ratio = lo / hi if hi > 0 else 0.0
-        raise _IllConditionedSymbol(
-            f"ill-conditioned preconditioner symbol: min/max ratio {ratio:.1e} "
-            f"is at or below machine epsilon (blur kernel has near-zero "
-            f"spectral gain and lambda_hat {lambda_hat:.1e} is too small)"
-        )
+    _check_symbol(symbol, lambda_hat)
     inv_dhat = 1.0 / dhat
     inv_symbol = (1.0 / symbol).astype(np.complex128)
     for arr in (dhat, inv_dhat, inv_symbol):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import read_raw, write_raw
+from .gridfft import _read_key_values, read_raw, write_raw
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
 from .solver import SolverOptions, _SearchMemo, default_start, projected_newton
@@ -170,12 +170,14 @@ def simulate_data(clean, sigma: float, noise_seed: int):
 
     ``clean`` is the blurred scene ``A x_true``, a finite (k, h, w) stack.
     Frame ``j`` draws from stream ``j`` spawned off ``noise_seed`` (Poisson
-    first, then the Gaussian part), so frames are independent and
-    individually reproducible.  Blurred values within the negativity
+    first, then the Gaussian part).  Blurred values within the negativity
     tolerance of zero (1e-9 of the stack's peak) are snapped to exactly 0
     first: the Poisson sampler draws no uniform for a zero rate but does
     for a rounding-level positive one, so leaving them would let transform
-    rounding shift the rest of the frame's noise stream.
+    rounding shift the rest of the frame's noise stream.  Because that
+    tolerance follows the whole stack's peak, a frame's draws are not
+    reproducible on their own: changing another frame can move the peak,
+    snap a different set of this frame's cells, and so change its noise.
     """
     clean = np.asarray(clean, dtype=np.float64)
     if clean.ndim != 3 or not clean.size or not np.all(np.isfinite(clean)):
@@ -361,13 +363,7 @@ def save_instance(directory, instance: ProblemInstance) -> None:
 
 def load_instance(directory) -> ProblemInstance:
     directory = Path(directory)
-    manifest = {}
-    for raw_line in (directory / "manifest.txt").read_text().splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        manifest[key.strip()] = value.strip()
+    manifest = dict(_read_key_values(directory / "manifest.txt"))
     if manifest.get("format") != "instance-dir v1":
         raise ValueError(f"unrecognized manifest format {manifest.get('format')!r}")
     frames = int(manifest["frames"])

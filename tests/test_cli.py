@@ -8,7 +8,9 @@ import pytest
 
 import robustdeblur
 
-from robustdeblur.cli import ConfigError, main, parse_config
+from robustdeblur.cli import (
+    CONFIG_KEYS, FLAGS, ConfigError, _resolve, build_parser, main, parse_config,
+)
 from robustdeblur.gridfft import read_raw
 
 
@@ -78,6 +80,129 @@ def test_cli_error_exit_is_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bogus" in err
     assert err.count("\n") == 1  # one-line reason
+
+
+# key -> (literal, parsed value): a literal each key accepts
+VALID = {
+    "kind": (" Ash", "ash"),
+    "size": ("2", 2),
+    "frames": ("3", 3),
+    "sigma": ("0", 0.0),
+    "max_intensity": ("1e3", 1000.0),
+    "seed": ("0", 0),
+    "noise_seed": ("7", 7),
+    "outlier_seed": ("8", 8),
+    "scene_seed": ("9", 9),
+    "outlier_fraction": ("1", 1.0),
+    "outlier_ceiling": ("300", 300.0),
+    "instance": ("inst dir", "inst dir"),
+    "out": ("results", "results"),
+    "loss": ("TALWAR", "talwar"),
+    "beta": ("2.5", 2.5),
+    "lambda": ("1e-3", 1e-3),
+    "newton_tol": ("1e-6", 1e-6),
+    "newton_maxit": ("1", 1),
+    "pcg_tol": ("0.5", 0.5),
+    "pcg_maxit": ("10", 10),
+    "linesearch_max_halvings": ("0", 0),
+    "use_precond": ("Yes", True),
+    "lambda_lo": ("0", 0.0),
+    "lambda_hi": ("inf", float("inf")),
+    "x_tol": ("1e-4", 1e-4),
+    "probe_seed": ("3", 3),
+    "inner_cg_tol": ("1e-2", 1e-2),
+    "inner_cg_maxit": ("150", 150),
+    "solve_at_star": ("off", False),
+    "lambda_grid": ("1e-4, 1e-3,", (1e-4, 1e-3)),
+    "lambda_count": ("12", 12),
+    "outlier_fractions": ("0,0.1", (0.0, 0.1)),
+    "losses": ("talwar, Standard", ("talwar", "standard")),
+    "pcg_tols": ("1e-1,1e-2", (0.1, 0.01)),
+}
+
+NOT_INT = "invalid literal for int() with base 10: "
+BOOLEAN = "expected a boolean (0/1/true/false)"
+
+# key -> (literal, reason): a literal each key rejects; 'instance' and 'out'
+# take any text
+INVALID = {
+    "kind": ("moon", "must be 'satellite' or 'ash'"),
+    "size": ("1", "must be at least 2"),
+    "frames": ("4", "must be between 1 and 3"),
+    "sigma": ("-0.5", "must be nonnegative"),
+    "max_intensity": ("0", "must be positive"),
+    "seed": ("-1", "must be nonnegative"),
+    "noise_seed": ("1.5", NOT_INT + "'1.5'"),
+    "outlier_seed": ("-2", "must be nonnegative"),
+    "scene_seed": ("x", NOT_INT + "'x'"),
+    "outlier_fraction": ("1.5", "must lie in [0, 1]"),
+    "outlier_ceiling": ("-1", "must be positive"),
+    "loss": ("cauchy", "must be 'talwar' or 'standard'"),
+    "beta": ("0", "must be positive"),
+    "lambda": ("-1e-3", "must be nonnegative"),
+    "newton_tol": ("0", "must be positive"),
+    "newton_maxit": ("0", "must be at least 1"),
+    "pcg_tol": ("nan", "must be positive"),
+    "pcg_maxit": ("2.5", NOT_INT + "'2.5'"),
+    "linesearch_max_halvings": ("-1", "must be nonnegative"),
+    "use_precond": ("maybe", BOOLEAN),
+    "lambda_lo": ("-1", "must be nonnegative"),
+    "lambda_hi": ("nan", "must be nonnegative"),
+    "x_tol": ("-1e-4", "must be positive"),
+    "probe_seed": ("-3", "must be nonnegative"),
+    "inner_cg_tol": ("0", "must be positive"),
+    "inner_cg_maxit": ("0", "must be at least 1"),
+    "solve_at_star": ("2", BOOLEAN),
+    "lambda_grid": ("1e-3,-1", "must be nonnegative"),
+    "lambda_count": ("0", "must be at least 1"),
+    "outlier_fractions": (" , ", "expected a comma-separated list"),
+    "losses": ("talwar,huber", "must be 'talwar' or 'standard'"),
+    "pcg_tols": ("0.1,0", "must be positive"),
+}
+
+
+def test_every_key_parses_and_rejects_as_pinned(tmp_path):
+    assert set(VALID) == set(CONFIG_KEYS)
+    assert set(INVALID) == set(CONFIG_KEYS) - {"instance", "out"}
+    for key, (literal, value) in VALID.items():
+        config = parse_config(write_config(tmp_path, **{key: literal}))
+        assert config == {key: value}, key
+        assert type(config[key]) is type(value), key
+    for key, (literal, reason) in INVALID.items():
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, **{key: literal}))
+        assert str(err.value) == "invalid value for key '%s': %s" % (key, reason)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["solve", "--size", "abc"], "'size'"),
+    (["solve", "--size", "1"], "'size'"),
+    (["solve", "--loss", "cauchy"], "'loss'"),
+    (["solve", "--seed", "-1"], "'seed'"),
+    (["solve", "--frames", "9"], "'frames'"),
+    (["solve", "--bogus", "3"], "--bogus"),
+    ([], "command"),
+])
+def test_bad_flag_or_usage_exits_one_with_one_line(argv, names, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+    assert err.count("\n") == 1
+
+
+def test_flags_and_config_lines_resolve_alike(tmp_path):
+    values = {"out": "o", "seed": "4", "size": "16", "frames": "2",
+              "loss": "Standard", "beta": "3", "lambda": "1e-2", "sigma": "0"}
+    assert set(values) == set(FLAGS)
+    flags = [token for key, value in values.items()
+             for token in ("--" + key, value)]
+    parser = build_parser()
+    from_flags = _resolve(parser.parse_args(["solve", *flags]))
+    from_file = _resolve(parser.parse_args(
+        ["solve", "--config", write_config(tmp_path, **values)]
+    ))
+    assert from_flags == from_file
+    assert from_flags["loss"] == "standard" and from_flags["scene_seed"] == 6
 
 
 def test_missing_instance_directory_fails(tmp_path, capsys):

@@ -500,6 +500,29 @@ def test_ill_conditioned_preconditioner_falls_back_to_none():
     assert report.precond_fallbacks == 0
 
 
+@pytest.mark.parametrize("kind, side, steps, pcg, fallbacks", [
+    ("satellite", 64, 40, 2657, 40),
+    ("ash", 32, 17, 910, 18),
+])
+def test_rejected_preconditioner_at_lambda_zero_costs_nothing(
+        kind, side, steps, pcg, fallbacks):
+    # At lam = 0 the symbol does not depend on the scaling, so a rejected
+    # preconditioner must not build one: the run spends exactly what the
+    # unpreconditioned run spends.
+    inst = make_testbed_instance(kind, (side, side), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 0.0)
+    runs = [
+        projected_newton(obj, default_start(inst.observed),
+                         SolverOptions(use_preconditioner=pre))[1]
+        for pre in (False, True)
+    ]
+    for report, fell_back in zip(runs, (0, fallbacks)):
+        assert report.iterations == steps
+        assert report.total_pcg_iterations == pcg
+        assert report.precond_fallbacks == fell_back
+    assert runs[1].counts == runs[0].counts
+
+
 def test_solver_checks_hessian_weights_once_per_step():
     obj, x0, _, _, _ = make_instance(119)
 

@@ -315,3 +315,11 @@ def test_load_rejects_unknown_format(tmp_path):
     (d / "manifest.txt").write_text("format=something-else\n")
     with pytest.raises(ValueError):
         load_instance(d)
+
+
+def test_load_rejects_a_manifest_line_without_equals(tmp_path):
+    d = tmp_path / "bad"
+    d.mkdir()
+    (d / "manifest.txt").write_text("# comment\n\nformat=instance-dir v1\nframes 1\n")
+    with pytest.raises(ValueError, match="line 4 is not a key=value pair"):
+        load_instance(d)
