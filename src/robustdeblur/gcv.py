@@ -21,33 +21,31 @@ projected residual relative to ``||P rhs||``, the residual of the zero
 start) is the same either way.  An estimate is flagged unreliable when
 its solve breaks down or stops at the iteration cap.
 
-Within a :func:`minimize_gcv` search, each influence solve starts from
-the previous evaluation's solution, as each Newton solve starts from the
-previous ``x``: the search asks for nearby lambdas, whose solutions are
-close.  The stop reference does not depend on the start, so a warm start
-only saves iterations; a nonzero start costs one Hessian product for its
-residual.
-Standalone :func:`trace_term` and :func:`gcv_eval` calls start from zero.
+A :func:`minimize_gcv` search carries one :class:`_Search` from each
+evaluation to the next, holding three things; standalone
+:func:`gcv_eval` and :func:`trace_term` calls make a fresh one and start
+cold.  The memo and the fit leave every result bitwise unchanged; the
+influence start moves an estimate only within the solve's tolerance.
 
-The Newton solves of a search share more than their starts.  Only the
-penalty term of the objective depends on lambda, so the search passes
-every solve one :class:`.solver._SearchMemo`, which keeps the
-lambda-free parts of the last solve's final iterate and of the default
-start.  Each warm solve reads its start and its ``pg_ref`` from it for
-the penalty's one transform each, instead of an evaluation and a
-gradient each, with bitwise the result of a standalone solve.
-
-What an evaluation derives from its solution ``x_lam`` does not depend
-on lambda either: W, ``||W r||^2``, the influence solve's right-hand side
-``A^T W v`` and weights W^2, and the preconditioner's scaling built from
-W^2.  The search keeps these for the last solution in one
-:class:`_LastFit` entry.  Late in a search most solves take no Newton
-step (121 of 163 on the seed-1 ``gcv-ash64`` panel), so their solution
-is bitwise the previous one and they read the entry instead of spending
-3(k+1) transforms on it (2(k+1) without the preconditioner).  Such an
-evaluation then costs 2 transforms for its solve's start and ``pg_ref``,
-2k+2 for the influence solve's warm-start residual and 2k+4 per PCG
-iteration.
+- The :class:`.solver._SearchMemo` of its Newton solves.  Only the
+  penalty term depends on lambda, so each warm solve reads its start and
+  ``pg_ref`` from the memo for the penalty's one transform each, instead
+  of an evaluation and a gradient each.
+- The last influence solution ``y``, the next influence solve's start,
+  as each Newton solve starts from the previous ``x``: nearby lambdas
+  have close solutions.  The stop reference does not depend on the
+  start, so a warm start only saves iterations; a nonzero start costs
+  one Hessian product for its residual.
+- The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
+  influence solve's right-hand side ``A^T W v`` and weights W^2, and the
+  preconditioner's scaling built from W^2, none of which depends on
+  lambda.  Late in a search most solves take no Newton step (121 of 163
+  on the seed-1 ``gcv-ash64`` panel), so their solution is bitwise the
+  previous one and they read the fit instead of spending 3(k+1)
+  transforms on it (2(k+1) without the preconditioner).  Such an
+  evaluation then costs 2 transforms for its solve's start and
+  ``pg_ref``, 2k+2 for the influence solve's warm-start residual and
+  2k+4 per PCG iteration.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -184,33 +182,32 @@ def _fit_at(obj: Objective, x: np.ndarray, probe: np.ndarray,
     return _Fit(x, numerator, rhs, weights, dhat)
 
 
-class _LastFit:
-    """One entry: the :class:`_Fit` of the last solution it was asked for,
-    all with the data term of ``obj``, the probe and the preconditioner flag
-    it was made with.
-
-    A :func:`minimize_gcv` search passes one to every :func:`gcv_eval`.  A
-    solve that took no Newton step returns its start, the previous
-    evaluation's solution, so the entry serves it bitwise for no transform.
-    Any other solution replaces the entry.
-    """
+class _Search:
+    """What a :func:`minimize_gcv` search carries between evaluations (see
+    the module docstring), for the data term of ``obj``, the probe and the
+    preconditioner flag it was made with: ``memo``, the Newton solves'
+    :class:`.solver._SearchMemo`; ``y``, the last influence solution and
+    the next influence solve's start (None: zero); ``fit``, the
+    :class:`_Fit` of the last solution, which :meth:`fit_of` serves again
+    while the solution is bitwise unchanged."""
 
     def __init__(self, obj: Objective, probe: np.ndarray,
                  use_preconditioner: bool):
         self._obj, self._probe = obj, probe
         self._use_preconditioner = use_preconditioner
-        self._fit = None
+        self.memo = _SearchMemo()
+        self.y = None
+        self.fit = None
 
-    def at(self, x: np.ndarray) -> _Fit:
-        if self._fit is None or not np.array_equal(x, self._fit.x):
-            self._fit = _fit_at(self._obj, x, self._probe,
-                                self._use_preconditioner)
-        return self._fit
+    def fit_of(self, x: np.ndarray) -> _Fit:
+        if self.fit is None or not np.array_equal(x, self.fit.x):
+            self.fit = _fit_at(self._obj, x, self._probe,
+                               self._use_preconditioner)
+        return self.fit
 
 
 def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
-               opts: GcvOptions | None = None, *,
-               _fit: _Fit | None = None, _y: np.ndarray | None = None):
+               opts: GcvOptions | None = None, *, _search: _Search | None = None):
     """Estimate trace(I - A_lam) as v^T v - v^T (W A y) = v^T v - rhs^T y.
 
     ``y`` approximately solves the influence system at ``lam = obj.lam``,
@@ -219,31 +216,31 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
         D (A^T W^2 A + lam L^T L) D y = D rhs,   rhs = A^T W v,
         D = diag(x_lam > 0),
 
-    by the Newton steps' :func:`.solver._hessian_solve` from ``y = 0`` (or
-    ``_y``) until the projected residual is at most ``opts.inner_cg_tol *
-    ||P rhs||``, preconditioned with weights W^2 when
-    ``opts.solver.use_preconditioner`` and the preconditioner's symbol can
-    be inverted.  A probe not shaped like the data raises ``ValueError``.
-    Returns ``(estimate, reliable)``; ``reliable`` goes false when CG hits
-    non-positive curvature and only a partial solve is available, or when
-    it uses all ``opts.inner_cg_maxit`` iterations.  ``_fit`` passes the
-    :class:`_Fit` of ``x_lam`` when the caller already has it.
+    by the Newton steps' :func:`.solver._hessian_solve` until the projected
+    residual is at most ``opts.inner_cg_tol * ||P rhs||``, preconditioned
+    with weights W^2 when ``opts.solver.use_preconditioner`` and the
+    preconditioner's symbol can be inverted.  A probe not shaped like the
+    data raises ``ValueError``.  Returns ``(estimate, reliable)``;
+    ``reliable`` goes false when CG hits non-positive curvature and only a
+    partial solve is available, or when it uses all ``opts.inner_cg_maxit``
+    iterations.
 
-    ``_y`` is an image owned by the caller: on entry it holds the CG's
-    start (zeroed off the support), on return the solution ``y``.  The
-    stop test keeps its ``||P rhs||`` reference, so a start near the
+    ``_search`` is the :class:`_Search` (None: a fresh one) that W, rhs and
+    the scaling are read from, and whose ``y`` is the CG's start (zeroed
+    off the support; zero when None) and is replaced by this solve's ``y``.
+    The stop test keeps its ``||P rhs||`` reference, so a start near the
     solution ends the solve early, after one Hessian product for its
     residual; a start that already meets the test takes 0 iterations.
     """
     opts = opts or GcvOptions()
     probe = _check_probe(obj, probe)
     use_preconditioner = opts.solver.use_preconditioner
-    fit = _fit_at(obj, x_lam, probe, use_preconditioner) if _fit is None else _fit
-    rhs = fit.rhs
+    search = _Search(obj, probe, use_preconditioner) if _search is None else _search
+    fit = search.fit_of(x_lam)
     try:
         y, iterations, _ = _hessian_solve(
-            obj, fit.weights, rhs, x_lam <= 0, use_preconditioner,
-            opts.inner_cg_tol, opts.inner_cg_maxit, x0=_y, dhat=fit.dhat,
+            obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
+            opts.inner_cg_tol, opts.inner_cg_maxit, x0=search.y, dhat=fit.dhat,
         )
         reliable = iterations < opts.inner_cg_maxit
     except PcgBreakdownError as err:
@@ -253,10 +250,9 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
         )
         y = err.iterate
         reliable = False
-    if _y is not None:
-        np.copyto(_y, y)
+    search.y = y
     # v^T W A y = (A^T W v)^T y = rhs^T y: no transform of y is needed.
-    estimate = float(np.sum(probe * probe) - np.sum(rhs * y))
+    estimate = float(np.sum(probe * probe) - np.sum(fit.rhs * y))
     return estimate, reliable
 
 
@@ -267,28 +263,25 @@ def gcv_eval(
     opts: GcvOptions,
     probe: np.ndarray | None = None,
     *,
-    _y: np.ndarray | None = None,
-    _memo: _SearchMemo | None = None,
-    _last: _LastFit | None = None,
+    _search: _Search | None = None,
 ) -> GcvEvaluation:
     """Solve at ``lam`` and evaluate the functional there.
 
-    ``_y`` is passed to :func:`trace_term`: the influence solve's start on
-    entry and its solution on return.  ``_memo`` is passed to
-    :func:`.solver.projected_newton` (None: the solve's own).  ``_last``
-    is the :class:`_LastFit`, made with ``obj``, ``probe`` and
-    ``opts.solver.use_preconditioner``, that the solution's terms are read
-    from or computed into (None: a fresh one).
+    ``_search`` is the :class:`_Search`, made with ``obj``, ``probe`` and
+    ``opts.solver.use_preconditioner``, that the Newton solve and
+    :func:`trace_term` read from and leave their state in (None: a fresh
+    one, so the call starts cold).
     """
     if probe is None:
         probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     probe = _check_probe(obj, probe)
+    if _search is None:
+        _search = _Search(obj, probe, opts.solver.use_preconditioner)
     obj_lam = obj.with_lambda(lam)
-    x_lam, report = projected_newton(obj_lam, warm_start, opts.solver, _memo=_memo)
-    if _last is None:
-        _last = _LastFit(obj, probe, opts.solver.use_preconditioner)
-    fit = _last.at(x_lam)
-    estimate, reliable = trace_term(obj_lam, x_lam, probe, opts, _fit=fit, _y=_y)
+    x_lam, report = projected_newton(obj_lam, warm_start, opts.solver,
+                                     _memo=_search.memo)
+    fit = _search.fit_of(x_lam)
+    estimate, reliable = trace_term(obj_lam, x_lam, probe, opts, _search=_search)
     m = obj.n_residuals
     denom = estimate * estimate
     value = m * fit.numerator / denom if denom > 0 else np.inf
@@ -401,20 +394,17 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
 
     Returns ``(lambda_star, evaluations)`` with the evaluation trace in
     call order.  Each Newton solve warm-starts from the previous
-    evaluation's solution ``x``, and each influence solve of the trace
-    term from the previous evaluation's ``y`` (the first from zero); the
-    probe is drawn once from ``probe_seed``.  The influence solve keeps its
-    ``inner_cg_tol * ||P rhs||`` stop test, so its start moves an estimate
-    only within that tolerance; a nonzero start costs one Hessian product.
-    The Newton solves share one :class:`.solver._SearchMemo`: a warm solve
-    reads the data-term evaluation and gradient of its start, and of the
-    default start for ``pg_ref``, from the previous solves, for the
-    penalty's one transform each when lam > 0.  The evaluations share one
-    :class:`_LastFit`: one whose solve took no step reads its solution's
-    weights, numerator, influence right-hand side and preconditioner
-    scaling from the previous one.  Each result is bitwise that of a
-    standalone :func:`gcv_eval`.  The whole trajectory is deterministic
-    given (instance, options).
+    evaluation's solution ``x``; the probe is drawn once from
+    ``probe_seed``.  The evaluations share one :class:`_Search`: each warm
+    Newton solve reads its start and ``pg_ref`` from its memo, each
+    influence solve starts from the previous evaluation's ``y`` (the first
+    from zero) and keeps its ``inner_cg_tol * ||P rhs||`` stop test, so
+    the start moves an estimate only within that tolerance, and an
+    evaluation whose solve took no step reads its solution's weights,
+    numerator, influence right-hand side and preconditioner scaling from
+    the previous one.  Each result is bitwise that of a :func:`gcv_eval`
+    from the same warm start with a fresh search whose ``y`` is the same.
+    The whole trajectory is deterministic given (instance, options).
 
     Evaluations whose trace estimate has ``reliable=False``, or whose
     solve did not end ``converged``, steer the search like any other.
@@ -424,9 +414,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     opts = opts or GcvOptions()
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     warm = default_start(obj.data) if x0 is None else np.array(x0, dtype=np.float64)
-    y = np.zeros(obj.op.shape)
-    memo = _SearchMemo()
-    last = _LastFit(obj, probe, opts.solver.use_preconditioner)
+    search = _Search(obj, probe, opts.solver.use_preconditioner)
     evaluations: list[GcvEvaluation] = []
     cache: dict[float, GcvEvaluation] = {}
 
@@ -435,8 +423,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
         lam = float(lam)
         hit = cache.get(lam)
         if hit is None:
-            hit = gcv_eval(obj, lam, warm, opts, probe, _y=y, _memo=memo,
-                           _last=last)
+            hit = gcv_eval(obj, lam, warm, opts, probe, _search=search)
             warm = hit.x
             cache[lam] = hit
             evaluations.append(hit)

@@ -24,19 +24,22 @@ into ``out`` (a fresh array when ``out`` is None).  The result is bitwise
 that of ``irfft2(spec, s=shape)``, odd widths included; every caller
 passes a spectrum it no longer needs.
 
-The module keeps a global tally of transforms and pixel-wise multiplies /
-additions issued by the operator kernels.  Every transform counts once per
-frame image, whichever pair issued it: one ``fft2`` or ``ifft2`` for a 2D
-image, ``k`` for a ``(k, h, w)`` stack.  The multiplies and additions are
-tallied by the kernels themselves, one per frame image for a batched
-product.  The tally exists so tests can pin exact per-apply operation
-counts; see :func:`count_transforms`.
+The module keeps a per-thread tally of transforms and pixel-wise
+multiplies / additions issued by the operator kernels: each thread counts
+only what it issues, so concurrent solves each get their own counts.
+Every transform counts once per frame image, whichever pair issued it:
+one ``fft2`` or ``ifft2`` for a 2D image, ``k`` for a ``(k, h, w)``
+stack.  The multiplies and additions are tallied by the kernels
+themselves, one per frame image for a batched product.  The tally exists
+so tests can pin exact per-apply operation counts; see
+:func:`count_transforms`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,14 +83,20 @@ class OpCounts:
         return OpCounts(self.fft2, self.ifft2, self.mults, self.adds)
 
 
-#: Global tally. Incremented by both transform pairs and by the operator kernels
-#: (pixel-wise multiplies and additions only; scalar folding is free).
-COUNTS = OpCounts()
+class _ThreadCounts(threading.local, OpCounts):
+    """An :class:`OpCounts` with one set of fields per thread."""
+
+
+#: The calling thread's tally. Incremented by both transform pairs and by the
+#: operator kernels (pixel-wise multiplies and additions only; scalar folding
+#: is free).
+COUNTS = _ThreadCounts()
 
 
 @contextlib.contextmanager
 def count_transforms():
-    """Yield an :class:`OpCounts` holding the ops issued inside the block.
+    """Yield an :class:`OpCounts` holding the ops the calling thread issued
+    inside the block.
 
     >>> with count_transforms() as c:
     ...     spec = dft2(img)

@@ -124,7 +124,8 @@ class SolverReport:
     ``max(pg_norms[0], pg_ref)``; it equals ``pg_norms[0]`` for a solve
     started at :func:`default_start`.  ``precond_fallbacks`` counts the
     steps whose preconditioner symbol was too ill-conditioned to invert,
-    so that their system was solved without it.
+    so that their system was solved without it.  ``counts`` holds the
+    operations issued by the thread that ran the solve.
     """
 
     iterations: int = 0

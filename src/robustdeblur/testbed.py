@@ -362,16 +362,28 @@ def save_instance(directory, instance: ProblemInstance) -> None:
 
 
 def load_instance(directory) -> ProblemInstance:
+    """Read an instance written by :func:`save_instance`.  A fault in its
+    manifest raises ``ValueError`` naming ``<directory>/manifest.txt``."""
     directory = Path(directory)
-    manifest = dict(_read_key_values(directory / "manifest.txt"))
+    path = directory / "manifest.txt"
+    try:
+        manifest = dict(_read_key_values(path))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if manifest.get("format") != "instance-dir v1":
-        raise ValueError(f"unrecognized manifest format {manifest.get('format')!r}")
-    frames = int(manifest["frames"])
+        raise ValueError(f"{path}: unrecognized format {manifest.get('format')!r}")
+
+    def field(key):
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
+        return manifest[key]
+
+    frames = int(field("frames"))
     x_true = read_raw(directory / "x_true.raw")
     psfs, centers, clean, observed, masks = [], [], [], [], []
     for j in range(frames):
         psfs.append(read_raw(directory / f"psf_{j}.raw"))
-        ci, cj = manifest[f"psf{j}_center"].split(",")
+        ci, cj = field(f"psf{j}_center").split(",")
         centers.append((int(ci), int(cj)))
         clean.append(read_raw(directory / f"clean_{j}.raw"))
         observed.append(read_raw(directory / f"observed_{j}.raw"))
@@ -388,8 +400,8 @@ def load_instance(directory) -> ProblemInstance:
         clean=np.stack(clean),
         observed=np.stack(observed),
         outlier_mask=np.stack(masks),
-        sigma=float(manifest["sigma"]),
-        seeds=(int(manifest["noise_seed"]), int(manifest["outlier_seed"])),
+        sigma=float(field("sigma")),
+        seeds=(int(field("noise_seed")), int(field("outlier_seed"))),
         psfs=psfs,
         centers=centers,
         psf_params=tuple(psf_params),

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import robustdeblur
+from robustdeblur import gcv as gcv_module
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,3 +33,24 @@ def test_benchmark_span_targets_resolve():
             assert method in vars(getattr(owner, cls_name)), span
         else:
             assert callable(getattr(owner, attr)), span
+
+
+def test_gcv_search_calls_each_span_target_once_per_evaluation(monkeypatch):
+    # The gcv.* spans exist only if a search routes its calls through the
+    # gcv module's names, which the traced run rebinds.
+    calls = {"projected_newton": 0, "gcv_eval": 0, "trace_term": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gcv_module, name, counted(name, getattr(gcv_module, name)))
+    inst = robustdeblur.make_instance("satellite", (16, 16), noise_seed=73)
+    obj = inst.objective(robustdeblur.LossFunction(), 0.0)
+    opts = robustdeblur.GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4)
+    _, evaluations = robustdeblur.minimize_gcv(obj, opts)
+    assert len(evaluations) > 1
+    assert calls == dict.fromkeys(calls, len(evaluations))

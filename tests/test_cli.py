@@ -211,6 +211,14 @@ def test_missing_instance_directory_fails(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_manifest_fault_exits_one_with_one_line_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("format=instance-dir v1\n")
+    cfg = write_config(tmp_path, instance=str(tmp_path))
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: %s: missing key 'frames'\n" % manifest
+
+
 # -- generate ------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from robustdeblur import gcv as gcv_module
 from robustdeblur.gcv import (
     GcvOptions,
-    _LastFit,
+    _Search,
     bounded_minimize,
     gcv_eval,
     minimize_gcv,
@@ -19,12 +19,7 @@ from robustdeblur.gcv import (
 from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import BETA_95, LossFunction, Objective, loss_eval
 from robustdeblur.operators import BlurOperator
-from robustdeblur.solver import (
-    SolverOptions,
-    _SearchMemo,
-    default_start,
-    projected_newton,
-)
+from robustdeblur.solver import SolverOptions, default_start, projected_newton
 from robustdeblur.testbed import make_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
@@ -440,8 +435,8 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     # also keeps the last solution's W, ||W r||^2, A^T W v and dhat, which
     # an evaluation whose solve takes no step reads instead of 3(k+1)
     # transforms.  Replaying its lambdas through standalone gcv_eval calls,
-    # each with fresh memos of its own, from the same warm starts, must give
-    # bitwise the same evaluations.
+    # each with a fresh search of its own, from the same warm starts and
+    # influence starts, must give bitwise the same evaluations.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
@@ -461,11 +456,14 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     assert len(calls) == len(evals)
     k = inst.n_frames
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
-    warm, y = default_start(inst.observed), np.zeros(obj.op.shape)
+    warm, y = default_start(inst.observed), None
     reused = 0
     for i, e in enumerate(evals):
+        search = _Search(obj, probe, True)
+        search.y = y
         with count_transforms() as tally:
-            again = gcv_eval(obj, e.lam, warm, opts, probe, _y=y)
+            again = gcv_eval(obj, e.lam, warm, opts, probe, _search=search)
+        y = search.y
         same_x = i > 0 and np.array_equal(e.x, evals[i - 1].x)
         assert same_x == (i > 0 and e.newton_report.iterations == 0), i
         reused += same_x
@@ -488,23 +486,26 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
 
 
 def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
-    # Three evaluations sharing one entry: a solve that steps, a repeat at
-    # the same lambda from its solution (no step: the entry is read), then
-    # a solve at another lambda that steps (the entry is rebuilt).  Each
-    # must equal a standalone gcv_eval, which builds its own entry, with
+    # Three evaluations sharing one search: a solve that steps, a repeat at
+    # the same lambda from its solution (no step: the fit is read), then
+    # a solve at another lambda that steps (the fit is rebuilt).  Each
+    # must equal a standalone gcv_eval, which builds its own fit, with
     # 3(k+1) transforms fewer outside the Newton solve for the read only.
+    # The shared influence start is cleared before each call, so that only
+    # the fit separates the two counts.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
     opts = GcvOptions(solver=SolverOptions(use_preconditioner=True))
     k = inst.n_frames
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
-    memo, last = _SearchMemo(), _LastFit(obj, probe, True)
+    search = _Search(obj, probe, True)
     warm = default_start(inst.observed)
     for lam, steps, fewer in ((1e-3, True, 0), (1e-3, False, 3 * (k + 1)),
                               (2e-2, True, 0)):
+        search.y = None
         with count_transforms() as shared:
-            ev = gcv_eval(obj, lam, warm, opts, probe, _memo=memo, _last=last)
+            ev = gcv_eval(obj, lam, warm, opts, probe, _search=search)
         with count_transforms() as alone:
             ref = gcv_eval(obj, lam, warm, opts, probe)
         assert (ev.newton_report.iterations > 0) == steps, lam

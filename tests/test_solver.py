@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -661,3 +663,34 @@ def test_memo_keeps_the_last_iterate_and_only_what_pg_ref_reads():
     last = image + spectrum + ev.z.nbytes + ev.d.nbytes + ev.inlier_mask.nbytes
     last += image  # the data gradient
     assert freed <= last + spectrum + image + 8 * 1024, freed
+
+
+def test_concurrent_solves_each_count_only_their_own_operations():
+    # The tally is per thread: two threads solving at once, switching every
+    # 0.1 ms, must each report exactly the counts of a serial solve.
+    inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05,
+                                 noise_seed=1, outlier_seed=2)
+    obj = inst.objective(LossFunction(), 1e-3)
+    x0 = default_start(inst.observed)
+    _, serial = projected_newton(obj, x0)
+    start = threading.Barrier(2)
+    reports = [None, None]
+
+    def solve(i):
+        start.wait()
+        reports[i] = projected_newton(obj, x0)[1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.counts.fft2 + serial.counts.ifft2 > 0
+    for report in reports:
+        assert report.counts == serial.counts
+        assert report.objective_trace == serial.objective_trace

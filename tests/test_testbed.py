@@ -321,5 +321,15 @@ def test_load_rejects_a_manifest_line_without_equals(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
     (d / "manifest.txt").write_text("# comment\n\nformat=instance-dir v1\nframes 1\n")
-    with pytest.raises(ValueError, match="line 4 is not a key=value pair"):
+    with pytest.raises(ValueError) as err:
         load_instance(d)
+    assert str(err.value) == (
+        f"{d / 'manifest.txt'}: line 4 is not a key=value pair: 'frames 1'"
+    )
+
+
+def test_load_names_the_manifest_and_a_missing_key(tmp_path):
+    (tmp_path / "manifest.txt").write_text("format=instance-dir v1\n")
+    with pytest.raises(ValueError) as err:
+        load_instance(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'manifest.txt'}: missing key 'frames'"
