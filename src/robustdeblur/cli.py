@@ -3,9 +3,10 @@
 Subcommands: ``generate`` (write a synthetic instance directory),
 ``solve`` (run the projected Newton solver and dump traces), ``gcv``
 (select the regularization weight automatically), ``scan`` (relative
-error over a lambda grid, per loss and corruption level), and
-``bench-precond`` (inner-iteration counts with and without the
-preconditioner).
+error over a lambda grid, per loss and corruption level).  Comparing
+the preconditioner with plain CG takes two ``solve`` runs, with
+``use_precond`` 0 and 1: each writes its per-step and total PCG
+iterations and transform counts.
 
 Configuration comes from a plain ``key=value`` text file (``--config``);
 each flag overrides the key of its name (:data:`FLAGS`) and is parsed by
@@ -136,12 +137,10 @@ CONFIG_KEYS = {
     "probe_seed": _nonneg_int,
     "inner_cg_tol": _positive_float,
     "inner_cg_maxit": _positive_int,
-    "solve_at_star": _boolean,
     "lambda_grid": _list_of(_nonneg_float),
     "lambda_count": _positive_int,
     "outlier_fractions": _list_of(_fraction),
     "losses": _list_of(_loss_kind),
-    "pcg_tols": _list_of(_positive_float),
 }
 
 # config key -> (options dataclass, field); the dataclass holds the default
@@ -174,11 +173,9 @@ DEFAULTS = {
     "loss": "talwar",
     "beta": BETA_95,
     "lambda": 1e-3,
-    "solve_at_star": True,
     "lambda_count": 12,
     "outlier_fractions": (0.0,),
     "losses": ("talwar",),
-    "pcg_tols": (1e-1,),
 }
 
 
@@ -391,10 +388,8 @@ def cmd_gcv(config) -> int:
 
     # minimize_gcv always evaluates lambda*
     at_star = next(e for e in evaluations if e.lam == lam_star)
-    err = ""
-    if config["solve_at_star"]:
-        _write_solution(outdir, at_star.x)
-        err = "%.6e" % relative_error(at_star.x, instance.x_true)
+    _write_solution(outdir, at_star.x)
+    err = "%.6e" % relative_error(at_star.x, instance.x_true)
     _write_table(
         outdir / "gcv_summary.csv",
         "gcv-summary v1",
@@ -403,14 +398,9 @@ def cmd_gcv(config) -> int:
     )
     unreliable, nonconverged = _flag_counts(evaluations)
     print(
-        "lambda_star=%.6e after %d evaluations (%d unreliable, %d not converged)%s"
-        % (
-            lam_star,
-            len(evaluations),
-            unreliable,
-            nonconverged,
-            "" if not err else ", relative error %s" % err,
-        )
+        "lambda_star=%.6e after %d evaluations (%d unreliable, "
+        "%d not converged), relative error %s"
+        % (lam_star, len(evaluations), unreliable, nonconverged, err)
     )
     settled = at_star.reliable and at_star.newton_report.termination in _SETTLED
     return 0 if settled else 3
@@ -477,65 +467,11 @@ def cmd_scan(config) -> int:
     return 0 if settled else 3
 
 
-def cmd_bench_precond(config) -> int:
-    instance = _obtain_instance(config)
-    loss = _make_loss(config["loss"], config["beta"])
-    obj = instance.objective(loss, config["lambda"])
-    x0 = default_start(instance.observed)
-
-    step_rows = []
-    total_rows = []
-    summary = {}
-    for use_precond in (False, True):
-        for tol in config["pcg_tols"]:
-            opts = _options(SolverOptions, config,
-                            use_preconditioner=use_precond, pcg_tol=tol)
-            x, report = projected_newton(obj, x0, opts)
-            flag = int(use_precond)
-            for step, inner in enumerate(report.pcg_iterations, 1):
-                step_rows.append((flag, "%g" % tol, step, inner))
-            total_rows.append(
-                (
-                    flag,
-                    "%g" % tol,
-                    report.iterations,
-                    report.total_pcg_iterations,
-                    report.counts.fft2,
-                    report.counts.ifft2,
-                    report.counts.mults,
-                    report.counts.adds,
-                    report.termination,
-                )
-            )
-            summary[(use_precond, tol)] = report.total_pcg_iterations
-    outdir = _outdir(config)
-    _write_table(
-        outdir / "bench_steps.csv",
-        "precond-bench-steps v1",
-        "preconditioned,pcg_tol,newton_step,pcg_iters",
-        step_rows,
-    )
-    _write_table(
-        outdir / "bench_totals.csv",
-        "precond-bench-totals v1",
-        "preconditioned,pcg_tol,newton_iters,total_pcg,"
-        "fft2,ifft2,mults,adds,termination",
-        total_rows,
-    )
-    for tol in config["pcg_tols"]:
-        print(
-            "tol=%g: total PCG %d without preconditioner, %d with"
-            % (tol, summary[(False, tol)], summary[(True, tol)])
-        )
-    return 0
-
-
 COMMANDS = {
     "generate": cmd_generate,
     "solve": cmd_solve,
     "gcv": cmd_gcv,
     "scan": cmd_scan,
-    "bench-precond": cmd_bench_precond,
 }
 
 
@@ -553,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Robust multi-frame deblurring under mixed Poisson-Gaussian "
             "noise: generate synthetic instances, solve, pick lambda by "
-            "GCV, scan error curves, and benchmark the preconditioner."
+            "GCV, and scan error curves."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -393,7 +393,8 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     """Pick lambda by minimizing the functional over the bracket.
 
     Returns ``(lambda_star, evaluations)`` with the evaluation trace in
-    call order.  Each Newton solve warm-starts from the previous
+    call order; a collapsed bracket (``lambda_hi <= lambda_lo``) evaluates
+    ``lambda_lo`` alone.  Each Newton solve warm-starts from the previous
     evaluation's solution ``x``; the probe is drawn once from
     ``probe_seed``.  The evaluations share one :class:`_Search`: each warm
     Newton solve reads its start and ``pg_ref`` from its memo, each
@@ -429,14 +430,13 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
             evaluations.append(hit)
         return hit.gcv_value
 
-    if opts.lambda_hi <= opts.lambda_lo:
-        lambda_star = opts.lambda_lo
-        evaluate(lambda_star)
-    else:
-        lambda_star = bounded_minimize(
-            evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol,
-            opts.max_evaluations,
-        )
+    lambda_star = bounded_minimize(
+        evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol,
+        opts.max_evaluations,
+    )
+    # a cache hit unless the bracket collapsed, which bounded_minimize
+    # returns without evaluating
+    evaluate(lambda_star)
     unreliable, nonconverged = _flag_counts(evaluations)
     if unreliable or nonconverged:
         at_star = _flag_counts([cache[float(lambda_star)]])

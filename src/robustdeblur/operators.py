@@ -91,7 +91,8 @@ class BlurOperator:
     ``psfs`` are full-grid kernels of one shape (embed smaller ones with
     :func:`~.gridfft.embed_psf` first) and ``centers[j]`` is the (row,
     column) of the kernel's origin in ``psfs[j]``; it is given explicitly
-    because peak detection is ambiguous for flat-topped kernels.
+    because peak detection is ambiguous for flat-topped kernels.  The grid
+    must be at least 2x2, as the Laplacian penalty needs.
 
     The operator keeps only what the kernels read: the half spectra of A
     and of its adjoint, the symbol of A^T A, and the conjugate half
@@ -112,6 +113,7 @@ class BlurOperator:
                 f"one center per psf required, got {len(centers)} for {len(psfs)}"
             )
         shape = psfs[0].shape
+        _check_grid(shape)
         for p in psfs:
             if p.shape != shape:
                 raise ValueError("all frame PSFs must share the grid shape")
@@ -187,6 +189,14 @@ def _adjoint_sum(otf_half_adj, y, scratch=None) -> np.ndarray:
     return spec[0]
 
 
+def _check_grid(shape) -> tuple[int, int]:
+    """``(h, w)`` of ``shape``; the Laplacian needs at least 2x2."""
+    h, w = int(shape[0]), int(shape[1])
+    if h < 2 or w < 2:
+        raise ValueError(f"grid must be at least 2x2, got {shape}")
+    return h, w
+
+
 def laplacian_symbol(shape: tuple[int, int]) -> np.ndarray:
     """Squared DFT eigenvalues of the periodic 5-point Laplacian stencil.
 
@@ -196,9 +206,7 @@ def laplacian_symbol(shape: tuple[int, int]) -> np.ndarray:
     constant mode).  Only ``L^T L`` enters the math, so the squared symbol
     is stored.
     """
-    h, w = int(shape[0]), int(shape[1])
-    if h < 2 or w < 2:
-        raise ValueError(f"grid must be at least 2x2, got {shape}")
+    h, w = _check_grid(shape)
     rows = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(h) / h)
     cols = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(w) / w)
     symbol = rows[:, None] + cols[None, :]

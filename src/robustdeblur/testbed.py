@@ -373,39 +373,53 @@ def load_instance(directory) -> ProblemInstance:
     if manifest.get("format") != "instance-dir v1":
         raise ValueError(f"{path}: unrecognized format {manifest.get('format')!r}")
 
-    def field(key):
+    def field(key, convert=str, default=None):
         if key not in manifest:
+            if default is not None:
+                return default
             raise ValueError(f"{path}: missing key {key!r}")
-        return manifest[key]
+        try:
+            return convert(manifest[key])
+        except ValueError as err:
+            raise ValueError(f"{path}: invalid value for key {key!r}: {err}") from None
 
-    frames = int(field("frames"))
+    frames = field("frames", int)
     x_true = read_raw(directory / "x_true.raw")
     psfs, centers, clean, observed, masks = [], [], [], [], []
     for j in range(frames):
         psfs.append(read_raw(directory / f"psf_{j}.raw"))
-        ci, cj = field(f"psf{j}_center").split(",")
-        centers.append((int(ci), int(cj)))
+        centers.append(field(f"psf{j}_center", _numbers(int, 2)))
         clean.append(read_raw(directory / f"clean_{j}.raw"))
         observed.append(read_raw(directory / f"observed_{j}.raw"))
         masks.append(read_raw(directory / f"outlier_mask_{j}.raw") != 0.0)
-    psf_params = []
-    for j in range(frames):
-        key = f"psf{j}_params"
-        if key in manifest:
-            g1, g2, tau = (float(v) for v in manifest[key].split(","))
-            psf_params.append(GaussianPsfParams(g1, g2, tau))
+    psf_params = tuple(
+        GaussianPsfParams(*field(f"psf{j}_params", _numbers(float, 3)))
+        for j in range(frames) if f"psf{j}_params" in manifest
+    )
     return ProblemInstance(
         x_true=x_true,
         op=BlurOperator(psfs, centers),
         clean=np.stack(clean),
         observed=np.stack(observed),
         outlier_mask=np.stack(masks),
-        sigma=float(field("sigma")),
-        seeds=(int(field("noise_seed")), int(field("outlier_seed"))),
+        sigma=field("sigma", float),
+        seeds=(field("noise_seed", int), field("outlier_seed", int)),
         psfs=psfs,
         centers=centers,
-        psf_params=tuple(psf_params),
-        kind=manifest.get("kind", ""),
-        outlier_fraction=float(manifest.get("outlier_fraction", 0.0)),
-        outlier_ceiling=float(manifest.get("outlier_ceiling", 0.0)),
+        psf_params=psf_params,
+        kind=field("kind", default=""),
+        outlier_fraction=field("outlier_fraction", float, default=0.0),
+        outlier_ceiling=field("outlier_ceiling", float, default=0.0),
     )
+
+
+def _numbers(convert, count: int):
+    """Manifest parser: ``count`` comma-separated ``convert`` values."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != count:
+            raise ValueError(f"expected {count} comma-separated values, got {len(parts)}")
+        return tuple(convert(p) for p in parts)
+
+    return parse

@@ -112,12 +112,10 @@ VALID = {
     "probe_seed": ("3", 3),
     "inner_cg_tol": ("1e-2", 1e-2),
     "inner_cg_maxit": ("150", 150),
-    "solve_at_star": ("off", False),
     "lambda_grid": ("1e-4, 1e-3,", (1e-4, 1e-3)),
     "lambda_count": ("12", 12),
     "outlier_fractions": ("0,0.1", (0.0, 0.1)),
     "losses": ("talwar, Standard", ("talwar", "standard")),
-    "pcg_tols": ("1e-1,1e-2", (0.1, 0.01)),
 }
 
 NOT_INT = "invalid literal for int() with base 10: "
@@ -152,12 +150,10 @@ INVALID = {
     "probe_seed": ("-3", "must be nonnegative"),
     "inner_cg_tol": ("0", "must be positive"),
     "inner_cg_maxit": ("0", "must be at least 1"),
-    "solve_at_star": ("2", BOOLEAN),
     "lambda_grid": ("1e-3,-1", "must be nonnegative"),
     "lambda_count": ("0", "must be at least 1"),
     "outlier_fractions": (" , ", "expected a comma-separated list"),
     "losses": ("talwar,huber", "must be 'talwar' or 'standard'"),
-    "pcg_tols": ("0.1,0", "must be positive"),
 }
 
 
@@ -182,6 +178,7 @@ def test_every_key_parses_and_rejects_as_pinned(tmp_path):
     (["solve", "--frames", "9"], "'frames'"),
     (["solve", "--bogus", "3"], "--bogus"),
     ([], "command"),
+    (["bench-precond"], "bench-precond"),
 ])
 def test_bad_flag_or_usage_exits_one_with_one_line(argv, names, capsys):
     assert main(argv) == 1
@@ -449,28 +446,23 @@ def test_scan_log_grid_requires_positive_lower_bound(tmp_path, capsys):
     assert "lambda_lo" in capsys.readouterr().err
 
 
-# -- bench-precond -------------------------------------------------------
+# -- preconditioner comparison -------------------------------------------
 
 
-def test_bench_emits_step_and_total_tables(tmp_path):
-    out = tmp_path / "bench"
-    cfg = write_config(tmp_path, size=16, outlier_fraction=0.05,
-                       **{"lambda": "1e-3"})
-    assert main(["bench-precond", "--config", cfg, "--out", str(out)]) == 0
-
-    schema, header, steps = read_csv(out / "bench_steps.csv")
-    assert schema == "# schema=precond-bench-steps v1"
-    assert header == ["preconditioned", "pcg_tol", "newton_step",
-                      "pcg_iters"]
-    schema, header, totals = read_csv(out / "bench_totals.csv")
-    assert schema == "# schema=precond-bench-totals v1"
-    assert len(totals) == 2  # with and without, one tolerance
-    by_flag = {int(r[0]): r for r in totals}
-    assert set(by_flag) == {0, 1}
-    # per-step rows add up to the reported totals
-    for flag, row in by_flag.items():
-        step_sum = sum(int(r[3]) for r in steps if int(r[0]) == flag)
-        assert step_sum == int(row[3])
+def test_solve_with_and_without_preconditioner_reports_pcg_per_step(tmp_path):
+    # the on/off comparison is two solves; each one's per-step PCG
+    # iterations add up to its summary's total
+    totals = {}
+    for flag in (0, 1):
+        out = solve_into(tmp_path, "precond%d" % flag, size=16,
+                         outlier_fraction=0.05, use_precond=flag,
+                         **{"lambda": "1e-3"})
+        _, _, steps = read_csv(out / "solve_trace.csv")
+        _, header, summary = read_csv(out / "solve_summary.csv")
+        total = int(summary[0][header.index("total_pcg")])
+        assert sum(int(r[3]) for r in steps) == total > 0
+        totals[flag] = total
+    assert totals[1] < totals[0]
 
 
 def test_import_loads_no_scipy():

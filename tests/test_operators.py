@@ -14,6 +14,7 @@ from robustdeblur.operators import (
     laplacian_symbol,
 )
 from robustdeblur.precond import precond_build
+from robustdeblur.testbed import make_instance
 
 from oracles import dense_blur_matrix, dense_hessian, dense_laplacian
 
@@ -133,6 +134,16 @@ def test_operator_validation():
         BlurOperator([psf, np.ones((4, 5)) / 20], [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         as_stack(np.zeros((1, 4, 5)), (4, 4))
+
+
+def test_grid_below_2x2_is_rejected_where_the_operator_is_built():
+    # The Laplacian needs two rows and two columns; the error comes from
+    # the operator's construction, not from the first objective built on it.
+    for shape in ((1, 7), (7, 1)):
+        with pytest.raises(ValueError, match="grid must be at least 2x2"):
+            BlurOperator([np.ones(shape) / 7], [(0, 0)])
+    with pytest.raises(ValueError, match="grid must be at least 2x2"):
+        make_instance("ash", (1, 7))
 
 
 # -- Laplacian ----------------------------------------------------------

@@ -333,3 +333,20 @@ def test_load_names_the_manifest_and_a_missing_key(tmp_path):
     with pytest.raises(ValueError) as err:
         load_instance(tmp_path)
     assert str(err.value) == f"{tmp_path / 'manifest.txt'}: missing key 'frames'"
+
+    # a malformed value names the manifest, the key and the fault
+    save_instance(tmp_path, make_instance("ash", (8, 8)))
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    for key, value, reason in [
+        ("frames", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("psf0_center", "3", "expected 2 comma-separated values, got 1"),
+        ("sigma", "x", "could not convert string to float: 'x'"),
+    ]:
+        manifest.write_text("".join(
+            f"{key}={value}\n" if line.startswith(key + "=") else line + "\n"
+            for line in lines
+        ))
+        with pytest.raises(ValueError) as err:
+            load_instance(tmp_path)
+        assert str(err.value) == f"{manifest}: invalid value for key {key!r}: {reason}"
