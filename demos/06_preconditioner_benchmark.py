@@ -54,7 +54,8 @@ def main():
 
     # the influence solve at the last (preconditioned) solution
     probe = rademacher_probe(inst.observed.shape, seed=0)
-    print("GCV trace term at lam = %.0e (inner tol = 1e-4):" % LAM)
+    print("GCV trace term at lam = %.0e (inner tol = %.0e):"
+          % (LAM, GcvOptions().inner_cg_tol))
     for use, name in ((False, "plain"), (True, "preconditioned")):
         with count_transforms() as tally:
             opts = GcvOptions(solver=SolverOptions(use_preconditioner=use))

@@ -21,11 +21,16 @@ projected residual relative to ``||P rhs||``, the residual of the zero
 start) is the same either way.  An estimate is flagged unreliable when
 its solve breaks down or stops at the iteration cap.
 
+The solve stops at ``GcvOptions.inner_cg_tol`` (default 1e-3) of its
+zero start's residual, the precision a single-probe estimate can use
+(see :class:`GcvOptions`).
+
 A :func:`minimize_gcv` search carries one :class:`_Search` from each
-evaluation to the next, holding three things; standalone
+evaluation to the next, holding four things; standalone
 :func:`gcv_eval` and :func:`trace_term` calls make a fresh one and start
-cold.  The memo and the fit leave every result bitwise unchanged; the
-influence start moves an estimate only within the solve's tolerance.
+cold.  The memo, the fit and the start product leave every result
+bitwise unchanged; the influence start moves an estimate only within the
+solve's tolerance.
 
 - The :class:`.solver._SearchMemo` of its Newton solves.  Only the
   penalty term depends on lambda, so each warm solve reads its start and
@@ -39,13 +44,20 @@ influence start moves an estimate only within the solve's tolerance.
 - The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
   influence solve's right-hand side ``A^T W v`` and weights W^2, and the
   preconditioner's scaling built from W^2, none of which depends on
-  lambda.  Late in a search most solves take no Newton step (121 of 163
+  lambda.  Late in a search most solves take no Newton step (155 of 197
   on the seed-1 ``gcv-ash64`` panel), so their solution is bitwise the
   previous one and they read the fit instead of spending 3(k+1)
-  transforms on it (2(k+1) without the preconditioner).  Such an
-  evaluation then costs 2 transforms for its solve's start and
-  ``pg_ref``, 2k+2 for the influence solve's warm-start residual and
-  2k+4 per PCG iteration.
+  transforms on it (2(k+1) without the preconditioner).
+- The lambda-free half of the last influence start's Hessian product,
+  ``y0_hat`` and ``A^T W^2 A y0`` on the half spectrum, kept for the
+  current fit.  When the fit is read and the previous influence solve
+  took 0 iterations, the start ``y0`` is bitwise the previous one too,
+  and only the penalty and one inverse transform are left to apply.
+
+Such a zero-step evaluation costs 2 transforms for its Newton solve's
+start and ``pg_ref``, then 2k+2 for the influence solve's warm-start
+residual, or 1 when that start's product is read, and 2k+4 per PCG
+iteration.
 
 One probe is drawn per minimization and shared across every lambda, so
 the scalar function handed to the optimizer is deterministic; redrawing
@@ -54,6 +66,7 @@ per evaluation would make the minimizer chase sampling noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -62,7 +75,7 @@ import numpy as np
 
 from .gridfft import _write_table
 from .objective import Objective, _scaled_terms
-from .operators import _frozen
+from .operators import Workspace, _frozen, _hessian_data_half, _hessian_finish
 from .precond import build_dhat
 from .solver import (
     PcgBreakdownError,
@@ -89,12 +102,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GcvOptions:
-    """Search bracket and tolerances for the 1D minimization."""
+    """Search bracket and tolerances for the 1D minimization.
+
+    ``inner_cg_tol`` stops each influence solve once its projected
+    residual is that fraction of ``||P rhs||``.  The default 1e-3 is as
+    tight as the estimate can use: one probe's estimate already spreads
+    by about 10% between probes, far above a 1e-3 solve error.  On the
+    ``gcv-ash64`` panel (seeds 1-8) it spends 22-32% fewer transforms per
+    evaluation than 1e-4, while lambda* moves by at most 1.6% and the
+    panel-mean relative error by at most 3.1e-6.
+    """
 
     lambda_lo: float = 0.0
     lambda_hi: float = 1e-1
     x_tol: float = 1e-8
-    inner_cg_tol: float = 1e-4
+    inner_cg_tol: float = 1e-3
     inner_cg_maxit: int = 150
     probe_seed: int = 0
     max_evaluations: int = 100
@@ -120,6 +142,7 @@ class GcvEvaluation:
     newton_report: SolverReport
     x: np.ndarray
     reliable: bool = True
+    influence_iterations: int = 0  # PCG iterations of the trace solve
 
 
 def robust_weights(obj: Objective, x: np.ndarray) -> np.ndarray:
@@ -187,9 +210,12 @@ class _Search:
     the module docstring), for the data term of ``obj``, the probe and the
     preconditioner flag it was made with: ``memo``, the Newton solves'
     :class:`.solver._SearchMemo`; ``y``, the last influence solution and
-    the next influence solve's start (None: zero); ``fit``, the
-    :class:`_Fit` of the last solution, which :meth:`fit_of` serves again
-    while the solution is bitwise unchanged."""
+    the next influence solve's start (None: zero), and ``iterations``, the
+    PCG iterations that solve took; ``fit``, the :class:`_Fit` of the last
+    solution, which :meth:`fit_of` serves again while the solution is
+    bitwise unchanged; and the lambda-free half of the last influence
+    start's Hessian product under that fit, which :meth:`start_product`
+    serves again while the start is unchanged too."""
 
     def __init__(self, obj: Objective, probe: np.ndarray,
                  use_preconditioner: bool):
@@ -197,13 +223,34 @@ class _Search:
         self._use_preconditioner = use_preconditioner
         self.memo = _SearchMemo()
         self.y = None
+        self.iterations = 0
         self.fit = None
+        self._start = None  # (y0, y0_hat, acc) of _hessian_data_half
 
     def fit_of(self, x: np.ndarray) -> _Fit:
         if self.fit is None or not np.array_equal(x, self.fit.x):
             self.fit = _fit_at(self._obj, x, self._probe,
                                self._use_preconditioner)
+            self._start = None
         return self.fit
+
+    def start_product(self, obj: Objective, ws: Workspace,
+                      y0: np.ndarray) -> np.ndarray:
+        """``H y0`` at ``obj.lam`` with the weights of ``fit``, in ``ws.image``.
+
+        The lambda-free half (2k+1 transforms) is kept, and read again while
+        the fit and ``y0`` are bitwise unchanged; the penalty and the
+        inverse transform (1 transform) are applied at every call, so the
+        product is bitwise that of :func:`.operators._hessian_kernel`.
+        """
+        if self._start is None or not np.array_equal(y0, self._start[0]):
+            y0_hat, acc = _hessian_data_half(obj.op, self.fit.weights, ws, y0)
+            self._start = (y0.copy(), y0_hat.copy(), acc.copy())
+        else:
+            y0_hat, acc = ws.spectrum, ws.stack_spectrum[0]
+            np.copyto(y0_hat, self._start[1])
+            np.copyto(acc, self._start[2])
+        return _hessian_finish(obj.op, obj._penalty, y0_hat, acc, ws)
 
 
 def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
@@ -230,17 +277,22 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     off the support; zero when None) and is replaced by this solve's ``y``.
     The stop test keeps its ``||P rhs||`` reference, so a start near the
     solution ends the solve early, after one Hessian product for its
-    residual; a start that already meets the test takes 0 iterations.
+    residual, which :meth:`_Search.start_product` serves; a start that
+    already meets the test takes 0 iterations.  The iterations are left
+    in the search's ``iterations``.
     """
     opts = opts or GcvOptions()
     probe = _check_probe(obj, probe)
     use_preconditioner = opts.solver.use_preconditioner
     search = _Search(obj, probe, use_preconditioner) if _search is None else _search
     fit = search.fit_of(x_lam)
+    ws = Workspace(obj.op.shape, obj.op.n_frames)
     try:
         y, iterations, _ = _hessian_solve(
             obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
-            opts.inner_cg_tol, opts.inner_cg_maxit, x0=search.y, dhat=fit.dhat,
+            opts.inner_cg_tol, opts.inner_cg_maxit, ws, x0=search.y,
+            dhat=fit.dhat,
+            start_hess=functools.partial(search.start_product, obj, ws),
         )
         reliable = iterations < opts.inner_cg_maxit
     except PcgBreakdownError as err:
@@ -248,9 +300,9 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
             f"trace estimation CG broke down ({err}); value is unreliable",
             RuntimeWarning,
         )
-        y = err.iterate
+        y, iterations = err.iterate, err.iterations
         reliable = False
-    search.y = y
+    search.y, search.iterations = y, iterations
     # v^T W A y = (A^T W v)^T y = rhs^T y: no transform of y is needed.
     estimate = float(np.sum(probe * probe) - np.sum(fit.rhs * y))
     return estimate, reliable
@@ -293,6 +345,7 @@ def gcv_eval(
         newton_report=report,
         x=x_lam,
         reliable=reliable,
+        influence_iterations=_search.iterations,
     )
 
 
@@ -403,8 +456,10 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     the start moves an estimate only within that tolerance, and an
     evaluation whose solve took no step reads its solution's weights,
     numerator, influence right-hand side and preconditioner scaling from
-    the previous one.  Each result is bitwise that of a :func:`gcv_eval`
-    from the same warm start with a fresh search whose ``y`` is the same.
+    the previous one, and also its influence start's lambda-free Hessian
+    product when the previous influence solve took 0 iterations.  Each
+    result is bitwise that of a :func:`gcv_eval` from the same warm start
+    with a fresh search whose ``y`` is the same.
     The whole trajectory is deterministic given (instance, options).
 
     Evaluations whose trace estimate has ``reliable=False``, or whose

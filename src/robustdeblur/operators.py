@@ -268,7 +268,19 @@ def _hessian_kernel(op, penalty, weights, ws, s):
 
     ``penalty`` is ``_penalty_symbol(op.shape, lam)``.  Runs in the
     :class:`Workspace` ``ws`` and returns its ``image``, which the next
-    call overwrites.
+    call overwrites.  It is :func:`_hessian_data_half` followed by
+    :func:`_hessian_finish`.
+    """
+    s_hat, acc = _hessian_data_half(op, weights, ws, s)
+    return _hessian_finish(op, penalty, s_hat, acc, ws)
+
+
+def _hessian_data_half(op, weights, ws, s):
+    """The lambda-free half of :func:`_hessian_kernel`: ``(s_hat, acc)``,
+    the half spectra of ``s`` and of ``A^T D A s``; 2k+1 transforms.
+
+    Both live in ``ws`` (``spectrum`` and frame 0 of ``stack_spectrum``)
+    and are overwritten by the next kernel call.
     """
     k = op.n_frames
     s_hat = _rdft2(s, out=ws.spectrum)
@@ -279,6 +291,12 @@ def _hessian_kernel(op, penalty, weights, ws, s):
     acc = op._adjoint_spectrum(u, scratch=ws.stack_spectrum)
     tally_mults(k)
     tally_adds(k - 1)
+    return s_hat, acc
+
+
+def _hessian_finish(op, penalty, s_hat, acc, ws):
+    """Add ``penalty * s_hat`` to ``acc`` and return the inverse transform in
+    ``ws.image``; 1 transform.  Overwrites ``s_hat`` and ``acc``."""
     # The budget counts the spectral products; lam * L^T L is not tallied.
     acc += np.multiply(penalty, s_hat, out=s_hat)
     tally_mults()

@@ -194,6 +194,8 @@ def projected_pcg(
     tol: float = 1e-1,
     maxit: int = 100,
     x0: np.ndarray | None = None,
+    *,
+    _start_hess=None,
 ):
     """Conjugate gradients on the inactive subspace of ``hess s = rhs``.
 
@@ -208,7 +210,10 @@ def projected_pcg(
     start whatever ``x0`` is, so a good start saves iterations without
     tightening the test; a start that already meets it returns after 0
     iterations.  A nonzero start costs one ``hess`` call for its residual,
-    which is not counted as an iteration.  A zero ``P rhs`` returns zeros.
+    which is not counted as an iteration; ``_start_hess``, when given, is
+    called for that one product instead, on the start zeroed on active
+    cells, and must return what ``hess`` would (the GCV influence solve
+    serves it from a product it keeps).  A zero ``P rhs`` returns zeros.
 
     The iterate, residual, direction, preconditioned residual and Hessian
     product live in five arrays allocated here and updated in place.  What
@@ -242,7 +247,7 @@ def projected_pcg(
     if x0 is not None:
         project_into(x, x0)
         if np.any(x):  # a zero start is the cold start, at no extra cost
-            r -= project_into(hp, hess(x))
+            r -= project_into(hp, (_start_hess or hess)(x))
             if np.linalg.norm(r) <= stop:
                 return x, 0
     z = project_into(np.empty_like(rhs), precond(r) if precond is not None else r)
@@ -306,15 +311,18 @@ def linesearch(
 
 
 def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
-                   ws=None, x0=None, dhat=None):
+                   ws=None, x0=None, dhat=None, start_hess=None):
     """:func:`projected_pcg` on ``(A^T W A + lam L^T L) s = rhs``, with the
     operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``
     (a fresh one when None): the one Hessian solve, of Newton and GCV.
 
     ``dhat`` is :func:`.precond.build_dhat` of ``weights`` when the caller
-    already has it.  A preconditioner whose symbol is too ill-conditioned
-    to invert is not used: the system is solved without one.  Returns
-    ``(s, iterations, fell_back)``, ``fell_back`` true in that case.
+    already has it, and ``start_hess`` serves the product of the start
+    ``x0`` (:func:`projected_pcg`'s ``_start_hess``) when the caller can
+    form it more cheaply than the kernel.  A preconditioner whose symbol is
+    too ill-conditioned to invert is not used: the system is solved
+    without one.  Returns ``(s, iterations, fell_back)``, ``fell_back``
+    true in that case.
     """
     weights = _check_weights(obj.op, weights, obj.lam)
     ws = Workspace(obj.op.shape, obj.op.n_frames) if ws is None else ws
@@ -327,7 +335,7 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
             fell_back = True
     hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws)
     s, iterations = projected_pcg(hess, rhs, active, precond, tol=tol,
-                                  maxit=maxit, x0=x0)
+                                  maxit=maxit, x0=x0, _start_hess=start_hess)
     return s, iterations, fell_back
 
 

@@ -383,7 +383,7 @@ def load_instance(directory) -> ProblemInstance:
         except ValueError as err:
             raise ValueError(f"{path}: invalid value for key {key!r}: {err}") from None
 
-    frames = field("frames", int)
+    frames = field("frames", _at_least_one)
     x_true = read_raw(directory / "x_true.raw")
     psfs, centers, clean, observed, masks = [], [], [], [], []
     for j in range(frames):
@@ -411,6 +411,14 @@ def load_instance(directory) -> ProblemInstance:
         outlier_fraction=field("outlier_fraction", float, default=0.0),
         outlier_ceiling=field("outlier_ceiling", float, default=0.0),
     )
+
+
+def _at_least_one(text: str) -> int:
+    """Manifest parser: an integer count of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
 
 
 def _numbers(convert, count: int):

@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robustdeblur import gcv as gcv_module
+from robustdeblur import solver as solver_module
 from robustdeblur.gcv import (
     GcvOptions,
     _Search,
@@ -19,7 +21,12 @@ from robustdeblur.gcv import (
 from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import BETA_95, LossFunction, Objective, loss_eval
 from robustdeblur.operators import BlurOperator
-from robustdeblur.solver import SolverOptions, default_start, projected_newton
+from robustdeblur.solver import (
+    SolverOptions,
+    default_start,
+    projected_newton,
+    projected_pcg,
+)
 from robustdeblur.testbed import make_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
@@ -401,11 +408,13 @@ def test_warm_trace_solves_match_cold_ones_for_fewer_transforms():
     # Each influence solve of a search starts from the previous one's
     # solution.  The estimates must agree with cold trace_term calls at the
     # same (lambda, x), while the search's transforms outside its Newton
-    # solves fall below what those cold calls cost.
+    # solves fall below what those cold calls cost.  The solves run at
+    # 1e-4, tighter than the default, so that rel=1e-5 tests the start
+    # rather than the tolerance.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
-    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1, inner_cg_tol=1e-4,
                       solver=SolverOptions(use_preconditioner=True))
     with count_transforms() as search:
         _, evals = minimize_gcv(obj, opts)
@@ -422,6 +431,22 @@ def test_warm_trace_solves_match_cold_ones_for_fewer_transforms():
     assert search.fft2 + search.ifft2 - newton < cold_transforms
 
 
+def test_default_influence_tolerance_keeps_the_lambda_star_of_a_tighter_one():
+    # The influence solves stop at inner_cg_tol = 1e-3 by default, which
+    # must cost the search no precision it can resolve.  On this instance
+    # lambda* at the default is within 5e-5 (relative) of lambda* at 1e-4,
+    # while 3e-3 moves it by 1.4% and 1e-2 by 6.4%; the bound is 1%.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+                      solver=SolverOptions(use_preconditioner=True))
+    assert opts.inner_cg_tol == 1e-3
+    lam_default, _ = minimize_gcv(obj, opts)
+    lam_tight, _ = minimize_gcv(obj, replace(opts, inner_cg_tol=1e-4))
+    assert lam_default == pytest.approx(lam_tight, rel=1e-2)
+
+
 def _outside_newton(transforms, evaluation):
     """Transforms of a gcv_eval call spent outside its Newton solve."""
     counts = evaluation.newton_report.counts
@@ -434,9 +459,12 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     # start and pg_ref for one penalty transform each instead of 2k+3.  It
     # also keeps the last solution's W, ||W r||^2, A^T W v and dhat, which
     # an evaluation whose solve takes no step reads instead of 3(k+1)
-    # transforms.  Replaying its lambdas through standalone gcv_eval calls,
-    # each with a fresh search of its own, from the same warm starts and
-    # influence starts, must give bitwise the same evaluations.
+    # transforms; when the previous influence solve also took 0
+    # iterations, that evaluation's influence start is unchanged too, and
+    # it reads the lambda-free half of the start's Hessian product, 2k+1
+    # transforms.  Replaying its lambdas through standalone gcv_eval
+    # calls, each with a fresh search of its own, from the same warm
+    # starts and influence starts, must give bitwise the same evaluations.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
@@ -457,7 +485,7 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     k = inst.n_frames
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     warm, y = default_start(inst.observed), None
-    reused = 0
+    reused = reused_start = 0
     for i, e in enumerate(evals):
         search = _Search(obj, probe, True)
         search.y = y
@@ -466,9 +494,13 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
         y = search.y
         same_x = i > 0 and np.array_equal(e.x, evals[i - 1].x)
         assert same_x == (i > 0 and e.newton_report.iterations == 0), i
+        same_start = same_x and evals[i - 1].influence_iterations == 0
         reused += same_x
+        reused_start += same_start
         outside = _outside_newton(tally.fft2 + tally.ifft2, again)
-        assert outside - calls[i] == (3 * (k + 1) if same_x else 0), i
+        assert outside - calls[i] == ((3 * (k + 1) if same_x else 0)
+                                      + (2 * k + 1 if same_start else 0)), i
+        assert again.influence_iterations == e.influence_iterations, i
         warm = again.x
         assert np.array_equal(again.x, e.x), i
         assert again.gcv_value == e.gcv_value, i
@@ -483,16 +515,18 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
         # the first solve starts at the default start: nothing to read yet
         assert saved == (0 if i == 0 else 2 * (2 * k + 3) - 2), i
     assert 0 < reused < len(evals) - 1
+    assert 0 < reused_start < reused
 
 
 def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
-    # Three evaluations sharing one search: a solve that steps, a repeat at
-    # the same lambda from its solution (no step: the fit is read), then
-    # a solve at another lambda that steps (the fit is rebuilt).  Each
-    # must equal a standalone gcv_eval, which builds its own fit, with
-    # 3(k+1) transforms fewer outside the Newton solve for the read only.
-    # The shared influence start is cleared before each call, so that only
-    # the fit separates the two counts.
+    # Four evaluations sharing one search: a solve that steps, two repeats
+    # at the same lambda from its solution (no step: the fit is read),
+    # then a solve at another lambda that steps (the fit is rebuilt).
+    # Each must equal a standalone gcv_eval from the same influence start,
+    # which builds its own fit and start product, with 3(k+1) transforms
+    # fewer outside the Newton solve for each read of the fit.  The first
+    # repeat's influence solve takes 0 iterations, so the second repeat
+    # also reads the lambda-free half of its start's product: 2k+1 fewer.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
@@ -502,21 +536,66 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
     search = _Search(obj, probe, True)
     warm = default_start(inst.observed)
     for lam, steps, fewer in ((1e-3, True, 0), (1e-3, False, 3 * (k + 1)),
+                              (1e-3, False, 3 * (k + 1) + 2 * k + 1),
                               (2e-2, True, 0)):
-        search.y = None
+        alone_search = _Search(obj, probe, True)
+        alone_search.y = search.y
         with count_transforms() as shared:
             ev = gcv_eval(obj, lam, warm, opts, probe, _search=search)
         with count_transforms() as alone:
-            ref = gcv_eval(obj, lam, warm, opts, probe)
+            ref = gcv_eval(obj, lam, warm, opts, probe, _search=alone_search)
         assert (ev.newton_report.iterations > 0) == steps, lam
         assert ev.newton_report.termination == "converged", lam
         assert np.array_equal(ev.x, ref.x), lam
         assert ev.numerator == ref.numerator, lam
         assert ev.trace_estimate == ref.trace_estimate, lam
         assert ev.gcv_value == ref.gcv_value, lam
+        assert ev.influence_iterations == ref.influence_iterations, lam
         assert (_outside_newton(alone.fft2 + alone.ifft2, ref)
                 - _outside_newton(shared.fft2 + shared.ifft2, ev)) == fewer, lam
         warm = ev.x
+
+
+def test_influence_iterations_are_reported_and_a_read_start_costs_one_transform(
+        monkeypatch):
+    # GcvEvaluation.influence_iterations is what the trace solve's PCG
+    # returned.  After an influence solve that took 0 iterations, a
+    # zero-step evaluation at another lambda > 0 reads its fit and the
+    # lambda-free half of its start's Hessian product: outside its Newton
+    # solve it spends exactly 1 transform, the product's inverse transform.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(solver=SolverOptions(use_preconditioner=True))
+    probe = rademacher_probe(obj.data.shape, opts.probe_seed)
+    returned = []
+
+    def recorded_pcg(*args, **kwargs):
+        out = projected_pcg(*args, **kwargs)
+        returned.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver_module, "projected_pcg", recorded_pcg)
+    search = _Search(obj, probe, True)
+    first = gcv_eval(obj, 1e-3, default_start(inst.observed), opts, probe,
+                     _search=search)
+    second = gcv_eval(obj, 1e-3, first.x, opts, probe, _search=search)
+    # a Newton solve's steps run PCG first; the influence solve runs last
+    assert len(returned) == first.newton_report.iterations + 2
+    assert first.influence_iterations == returned[-2] > 0
+    assert second.newton_report.iterations == 0
+    assert second.influence_iterations == returned[-1] == 0
+    y0 = search.y
+    with count_transforms() as tally:
+        third = gcv_eval(obj, 1.0001e-3, second.x, opts, probe, _search=search)
+    assert third.newton_report.iterations == 0
+    assert _outside_newton(tally.fft2 + tally.ifft2, third) == 1
+    # bitwise what a fresh search computes from the same starts
+    alone = _Search(obj, probe, True)
+    alone.y = y0
+    ref = gcv_eval(obj, 1.0001e-3, second.x, opts, probe, _search=alone)
+    assert third.trace_estimate == ref.trace_estimate
+    assert third.influence_iterations == ref.influence_iterations == 0
 
 
 def test_minimize_gcv_warns_once_about_flagged_evaluations():

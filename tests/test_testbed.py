@@ -340,6 +340,8 @@ def test_load_names_the_manifest_and_a_missing_key(tmp_path):
     lines = manifest.read_text().splitlines()
     for key, value, reason in [
         ("frames", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("frames", "0", "must be at least 1, got 0"),
+        ("frames", "-2", "must be at least 1, got -2"),
         ("psf0_center", "3", "expected 2 comma-separated values, got 1"),
         ("sigma", "x", "could not convert string to float: 'x'"),
     ]:
