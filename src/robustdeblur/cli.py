@@ -26,7 +26,9 @@ must also have a reliable trace estimate.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -143,32 +145,23 @@ CONFIG_KEYS = {
     "losses": _list_of(_loss_kind),
 }
 
-# config key -> (options dataclass, field); the dataclass holds the default
+# config key -> (options dataclass, field), for every dataclass field that
+# has a key: the key is the field's name, but for the one renamed below.
+# A key left out of the config leaves the field at its dataclass default.
+_KEY_OF_FIELD = {"use_preconditioner": "use_precond"}
 OPTION_FIELDS = {
-    "newton_tol": (SolverOptions, "newton_tol"),
-    "newton_maxit": (SolverOptions, "newton_maxit"),
-    "pcg_tol": (SolverOptions, "pcg_tol"),
-    "pcg_maxit": (SolverOptions, "pcg_maxit"),
-    "linesearch_max_halvings": (SolverOptions, "linesearch_max_halvings"),
-    "use_precond": (SolverOptions, "use_preconditioner"),
-    "lambda_lo": (GcvOptions, "lambda_lo"),
-    "lambda_hi": (GcvOptions, "lambda_hi"),
-    "x_tol": (GcvOptions, "x_tol"),
-    "probe_seed": (GcvOptions, "probe_seed"),
-    "inner_cg_tol": (GcvOptions, "inner_cg_tol"),
-    "inner_cg_maxit": (GcvOptions, "inner_cg_maxit"),
+    _KEY_OF_FIELD.get(f.name, f.name): (cls, f.name)
+    for cls in (SolverOptions, GcvOptions) for f in fields(cls)
+    if _KEY_OF_FIELD.get(f.name, f.name) in CONFIG_KEYS
 }
 
+# make_instance's keyword arguments that a config key of the same name sets;
+# "size" and "frames" set its shape and psf_params
+_INSTANCE_KEYS = inspect.signature(make_instance).parameters.keys() & CONFIG_KEYS
+
+# Defaults of the keys that no library signature defaults; every other key
+# left unset takes the default of the dataclass field or keyword it sets.
 DEFAULTS = {
-    **{key: getattr(cls, name) for key, (cls, name) in OPTION_FIELDS.items()},
-    "kind": "satellite",
-    "size": 64,
-    "sigma": 5.0,
-    "max_intensity": 255.0,
-    "noise_seed": 1,
-    "outlier_seed": 2,
-    "scene_seed": 0,
-    "outlier_fraction": 0.0,
     "out": "out",
     "loss": "talwar",
     "beta": BETA_95,
@@ -244,29 +237,20 @@ def _make_loss(kind: str, beta: float) -> LossFunction:
     return LossFunction("talwar", beta=beta)
 
 
-def _options(cls, config, **fields):
-    """``cls`` from its OPTION_FIELDS keys in ``config``, then ``fields``."""
-    kwargs = {name: config[key]
-              for key, (owner, name) in OPTION_FIELDS.items() if owner is cls}
-    kwargs.update(fields)
+def _options(cls, config, **extra):
+    """``cls`` from its OPTION_FIELDS keys set in ``config``, then ``extra``."""
+    kwargs = {name: config[key] for key, (owner, name) in OPTION_FIELDS.items()
+              if owner is cls and key in config}
+    kwargs.update(extra)
     return cls(**kwargs)
 
 
 def _build_instance(config):
-    kwargs = dict(
-        kind=config["kind"],
-        shape=(config["size"], config["size"]),
-        sigma=config["sigma"],
-        noise_seed=config["noise_seed"],
-        outlier_fraction=config["outlier_fraction"],
-        outlier_seed=config["outlier_seed"],
-        max_intensity=config["max_intensity"],
-        scene_seed=config["scene_seed"],
-    )
+    kwargs = {key: config[key] for key in _INSTANCE_KEYS if key in config}
+    if "size" in config:
+        kwargs["shape"] = (config["size"], config["size"])
     if "frames" in config:
         kwargs["psf_params"] = CARBON_ASH_PSF_PARAMS[: config["frames"]]
-    if "outlier_ceiling" in config:
-        kwargs["outlier_ceiling"] = config["outlier_ceiling"]
     return make_instance(**kwargs)
 
 
@@ -412,7 +396,8 @@ def _scan_grid(config):
         if list(grid) != sorted(grid):
             raise ConfigError("key 'lambda_grid': values must be ascending")
         return tuple(grid)
-    lo, hi = config["lambda_lo"], config["lambda_hi"]
+    lo = config.get("lambda_lo", GcvOptions.lambda_lo)
+    hi = config.get("lambda_hi", GcvOptions.lambda_hi)
     if not lo > 0:
         raise ConfigError(
             "key 'lambda_lo': must be positive to build a log grid "

@@ -99,6 +99,9 @@ __all__ = [
     "write_gcv_trace",
 ]
 
+# Cap on the functional evaluations of one minimize_gcv search.
+MAX_EVALUATIONS = 100
+
 
 @dataclass(frozen=True)
 class GcvOptions:
@@ -119,7 +122,6 @@ class GcvOptions:
     inner_cg_tol: float = 1e-3
     inner_cg_maxit: int = 150
     probe_seed: int = 0
-    max_evaluations: int = 100
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -127,8 +129,8 @@ class GcvOptions:
             raise ValueError("bracket must satisfy 0 <= lambda_lo <= lambda_hi")
         if self.x_tol <= 0 or self.inner_cg_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.inner_cg_maxit < 1 or self.max_evaluations < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.inner_cg_maxit < 1:
+            raise ValueError("inner_cg_maxit must be at least 1")
 
 
 @dataclass
@@ -350,7 +352,7 @@ def gcv_eval(
 
 
 def bounded_minimize(func, lo: float, hi: float, x_tol: float,
-                     max_evaluations: int = 100) -> float:
+                     max_evaluations: int = MAX_EVALUATIONS) -> float:
     """Golden-section / parabolic scalar minimization on [lo, hi].
 
     Brent's bounded method (Forsythe, Malcolm and Moler, *Computer Methods
@@ -486,8 +488,7 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
         return hit.gcv_value
 
     lambda_star = bounded_minimize(
-        evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol,
-        opts.max_evaluations,
+        evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol, MAX_EVALUATIONS
     )
     # a cache hit unless the bracket collapsed, which bounded_minimize
     # returns without evaluating

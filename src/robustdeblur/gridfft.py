@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "COUNTS",
     "OpCounts",
     "count_transforms",
     "dft2",
@@ -143,10 +144,10 @@ def dft2(img: np.ndarray) -> np.ndarray:
     return np.fft.fft2(img)
 
 
-def idft2(spec: np.ndarray, imag_tol: float = IMAG_TOL) -> np.ndarray:
+def idft2(spec: np.ndarray) -> np.ndarray:
     """Inverse 2D DFT (1/N normalization), returning a real image.
 
-    The imaginary residue is discarded when it is below ``imag_tol``
+    The imaginary residue is discarded when it is below :data:`IMAG_TOL`
     relative to the result norm; a larger residue raises
     :class:`InverseTransformError`.
     """
@@ -157,9 +158,9 @@ def idft2(spec: np.ndarray, imag_tol: float = IMAG_TOL) -> np.ndarray:
     out = np.fft.ifft2(spec)
     norm = np.linalg.norm(out)
     imag_norm = np.linalg.norm(out.imag)
-    if imag_norm > imag_tol * max(norm, np.finfo(np.float64).tiny):
+    if imag_norm > IMAG_TOL * max(norm, np.finfo(np.float64).tiny):
         raise InverseTransformError(
-            f"imaginary residue {imag_norm:.3e} exceeds {imag_tol:.1e} of norm "
+            f"imaginary residue {imag_norm:.3e} exceeds {IMAG_TOL:.1e} of norm "
             f"{norm:.3e}; operator symbol is not Hermitian-symmetric"
         )
     return np.ascontiguousarray(out.real)

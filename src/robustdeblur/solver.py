@@ -423,9 +423,10 @@ def projected_newton(
     Newton system inexactly with projected PCG from rhs = -gradient, give
     active cells a negative-gradient component rescaled to at most the
     magnitude of the Newton step, and line search.  ``callback`` receives
-    ``(iteration, objective_value, projected_gradient_norm)`` after every
-    accepted step.  The run ends as ``converged`` once the projected
-    gradient norm is at most ``opts.newton_tol * report.pg_scale``, where
+    ``(iteration, objective_value, projected_gradient_norm)`` at the start,
+    as iteration 0, and after every accepted step.  The run ends as
+    ``converged`` once the projected gradient norm is at most
+    ``opts.newton_tol * report.pg_scale``, where
     ``pg_scale = max(||P g0||, pg_ref)`` takes the larger of its value at
     ``x0`` and at :func:`default_start` of the data; a start that already
     meets this takes 0 steps.  A step whose Hessian weights are all zero
@@ -458,10 +459,12 @@ def _newton_loop(obj, x, opts, callback, report, memo):
     and data gradient, both None when the run dropped them before it
     ended.
 
-    Each accepted iterate is evaluated once, by the line search; its
-    evaluation then supplies the gradient, the Hessian weights and the
-    preconditioner input of the next step.  The data gradient is kept
-    apart, for the memo, and the penalty added to a copy.  Every
+    Pass ``k`` records point ``k``, the start at 0 and the iterate of the
+    ``k``-th accepted step after it, then takes the next step unless the
+    run ends there.  Each accepted iterate is evaluated once, by the line
+    search; its evaluation then supplies the gradient, the Hessian weights
+    and the preconditioner input of the next step.  The data gradient is
+    kept apart, for the memo, and the penalty added to a copy.  Every
     evaluation lives only in this frame, so dropping the name releases
     it.  So does the solve's workspace, which every gradient, Hessian
     product and preconditioner solve below runs in.
@@ -469,26 +472,29 @@ def _newton_loop(obj, x, opts, callback, report, memo):
     ws = Workspace(obj.op.shape, obj.op.n_frames)
     data_ev, g_data = memo.start(obj, x, ws)
     ev = obj._penalized(data_ev)
-    g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
-    report.objective_trace.append(ev.value)
-    active = x <= 0
-    pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
-    report.pg_norms.append(pg_norm)
-    report.pg_scale = max(pg_norm, memo.pg_ref(obj, x, pg_norm, ws))
-    tol = opts.newton_tol * report.pg_scale
-    if callback is not None:
-        callback(0, ev.value, pg_norm)
-    if pg_norm <= tol:
-        report.termination = "converged"
-        return x, data_ev, g_data
     report.termination = "max_iterations"
-    for k in range(1, opts.newton_maxit + 1):
+    for k in range(opts.newton_maxit + 1):
+        g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
+        report.objective_trace.append(ev.value)
+        active = x <= 0
+        pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
+        report.pg_norms.append(pg_norm)
+        if k == 0:
+            report.pg_scale = max(pg_norm, memo.pg_ref(obj, x, pg_norm, ws))
+            tol = opts.newton_tol * report.pg_scale
+        if callback is not None:
+            callback(k, ev.value, pg_norm)
+        if pg_norm <= tol:
+            report.termination = "converged"
+            break
+        if k == opts.newton_maxit:
+            break
         d = ev.d  # nonnegative (_hessian_solve checks): all zero if all saturated
         if not np.any(d):
             report.termination = "all_saturated"
             break
         value = ev.value
-        # Drop this step's evaluation before the preconditioner build, and
+        # Drop this point's evaluation before the preconditioner build, and
         # its weights and gradient once the direction is formed, so the
         # build and the line search, where a solve's memory peaks, run
         # beside as few arrays as possible.
@@ -524,19 +530,8 @@ def _newton_loop(obj, x, opts, callback, report, memo):
             break
         ev, data_ev = trials.last, trials.data
         trials = None
-
         x = ls.x
-        report.iterations = k
-        report.objective_trace.append(ev.value)
+        report.iterations = k + 1
         report.step_lengths.append(ls.step)
         g_data = _frozen(obj._data_gradient(data_ev, ws))
-        g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
-        active = x <= 0
-        pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
-        report.pg_norms.append(pg_norm)
-        if callback is not None:
-            callback(k, ev.value, pg_norm)
-        if pg_norm <= tol:
-            report.termination = "converged"
-            break
     return x, data_ev, g_data

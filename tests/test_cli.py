@@ -446,6 +446,35 @@ def test_scan_log_grid_requires_positive_lower_bound(tmp_path, capsys):
     assert "lambda_lo" in capsys.readouterr().err
 
 
+def test_scan_of_a_stored_instance(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert main(["generate", "--size", "16", "--out", str(inst)]) == 0
+    out = tmp_path / "scan"
+    cfg = write_config(tmp_path, instance=str(inst), lambda_grid="1e-3")
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "scan.csv")
+    assert len(rows) == 1 and rows[0][:3] == ["talwar", "0", "1.000000000000e-03"]
+    # a stored instance has its own corruption, which a scan cannot vary
+    cfg = write_config(tmp_path, instance=str(inst), lambda_grid="1e-3",
+                       outlier_fractions="0,0.1")
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'outlier_fractions'" in err
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"lambda_grid": "1e-2,1e-3"}, "'lambda_grid'"),
+    ({"lambda_lo": "1e-2", "lambda_hi": "1e-2"}, "'lambda_hi'"),
+    ({"lambda_lo": "1e-2", "lambda_hi": "1e-3"}, "'lambda_hi'"),
+])
+def test_scan_rejects_a_grid_out_of_order(tmp_path, capsys, keys, named):
+    cfg = write_config(tmp_path, size=16, **keys)
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert not (tmp_path / "s").exists()
+
+
 # -- preconditioner comparison -------------------------------------------
 
 

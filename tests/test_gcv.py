@@ -22,6 +22,7 @@ from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import BETA_95, LossFunction, Objective, loss_eval
 from robustdeblur.operators import BlurOperator
 from robustdeblur.solver import (
+    PcgBreakdownError,
     SolverOptions,
     default_start,
     projected_newton,
@@ -330,7 +331,7 @@ def test_gcv_search_replays_through_fminbound():
 
     want = optimize.fminbound(
         replay, opts.lambda_lo, opts.lambda_hi, xtol=opts.x_tol,
-        maxfun=opts.max_evaluations, disp=0,
+        maxfun=gcv_module.MAX_EVALUATIONS, disp=0,
     )
     assert list(dict.fromkeys(asked)) == [e.lam for e in evals]
     assert lam_star == want
@@ -554,6 +555,30 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
         assert (_outside_newton(alone.fft2 + alone.ifft2, ref)
                 - _outside_newton(shared.fft2 + shared.ifft2, ev)) == fewer, lam
         warm = ev.x
+
+
+def test_broken_down_trace_solve_is_unreliable_and_keeps_its_partial_iterate(
+        monkeypatch):
+    # A breakdown of the influence CG warns, flags the estimate unreliable
+    # and estimates from the partial iterate, whose iterations it reports.
+    inst = make_instance("satellite", (16, 16), noise_seed=76)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions()
+    probe = rademacher_probe(obj.data.shape, opts.probe_seed)
+    partial = np.full(inst.shape, 0.5)
+
+    def breaks_down(*args, **kwargs):
+        raise PcgBreakdownError("curvature -1 at iteration 8", partial, 7)
+
+    monkeypatch.setattr(gcv_module, "_hessian_solve", breaks_down)
+    search = _Search(obj, probe, False)
+    with pytest.warns(RuntimeWarning, match="broke down"):
+        ev = gcv_eval(obj, 1e-3, default_start(inst.observed), opts, probe,
+                      _search=search)
+    assert not ev.reliable and ev.influence_iterations == 7
+    assert search.y is partial
+    rhs = search.fit.rhs
+    assert ev.trace_estimate == float(np.sum(probe * probe) - np.sum(rhs * partial))
 
 
 def test_influence_iterations_are_reported_and_a_read_start_costs_one_transform(

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from robustdeblur import solver as solver_module
 from robustdeblur.objective import BETA_95, Evaluation, LossFunction, Objective
 from robustdeblur.operators import BlurOperator
 from robustdeblur.solver import (
@@ -214,6 +215,31 @@ def test_pcg_reports_breakdown_on_indefinite_system():
         projected_pcg(lambda v: -v, rhs, np.zeros((4, 4), bool))
     assert info.value.iterations == 0
     assert info.value.iterate.shape == (4, 4)
+
+
+def test_pcg_reports_breakdown_of_an_indefinite_preconditioner():
+    # A preconditioner returning -r makes r^T z negative: at the start, and
+    # after an iteration taken with a positive one.
+    rng = np.random.default_rng(106)
+    rhs = rng.standard_normal((4, 4))
+    active = np.zeros((4, 4), bool)
+    diag = 1.0 + rng.random((4, 4))
+    with pytest.raises(PcgBreakdownError, match="residual product") as info:
+        projected_pcg(lambda v: diag * v, rhs, active, precond=lambda r: -r)
+    assert info.value.iterations == 0 and not np.any(info.value.iterate)
+
+    calls = []
+
+    def flips(r):
+        calls.append(None)
+        return r if len(calls) == 1 else -r
+
+    with pytest.raises(PcgBreakdownError, match="at iteration 1") as info:
+        projected_pcg(lambda v: diag * v, rhs, active, precond=flips, tol=0.0)
+    # the iterate of the one step taken, alpha * rhs
+    alpha = np.sum(rhs * rhs) / np.sum(rhs * diag * rhs)
+    assert info.value.iterations == 1
+    np.testing.assert_allclose(info.value.iterate, alpha * rhs, rtol=1e-12)
 
 
 # -- line search --------------------------------------------------------
@@ -468,6 +494,30 @@ def test_all_saturated_step_ends_as_named_termination():
         assert not obj.hessian_weights(x).d.any()
         trace = report.objective_trace
         assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+def test_pcg_breakdown_ends_the_run_at_the_last_iterate(monkeypatch):
+    # A step whose Hessian solve breaks down is not taken: the run ends as
+    # pcg_breakdown at the iterate the steps before it reached.
+    obj, x0, _, _, _ = make_instance(120)
+    one_step, _ = projected_newton(obj, x0, SolverOptions(newton_maxit=1))
+    solves = []
+    real = solver_module._hessian_solve
+
+    def second_breaks_down(*args, **kwargs):
+        solves.append(None)
+        if len(solves) == 2:
+            raise PcgBreakdownError("curvature", np.zeros_like(x0), 3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_hessian_solve", second_breaks_down)
+    memo = _SearchMemo()
+    x, report = projected_newton(obj, x0, _memo=memo)
+    assert report.termination == "pcg_breakdown"
+    assert report.iterations == 1 and len(report.pcg_iterations) == 1
+    assert len(report.objective_trace) == len(report.pg_norms) == 2
+    assert np.array_equal(x, one_step)
+    assert memo._last is None  # the run dropped the evaluation it ended at
 
 
 def test_ill_conditioned_preconditioner_falls_back_to_none():
