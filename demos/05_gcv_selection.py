@@ -8,9 +8,10 @@ solution.  Each Newton solve also starts from the previous solution, and
 reads that point's data-term value, weights and gradient from the
 previous solve instead of recomputing them: only the penalty term depends
 on lambda.  The demo minimizes the score over a bracket, prints the
-search's transforms per evaluation, split between the Newton solve and
-the score (its fit and its trace solve), and compares the resulting error against the
-best value on a reference grid, which GCV never saw.
+search's transforms per evaluation, split between the Newton solve, the
+influence (trace) solve and the rest of the score (its fit), and
+compares the resulting error against the best value on a reference grid,
+which GCV never saw.
 """
 
 from pathlib import Path
@@ -53,10 +54,14 @@ def main():
     transforms = tally.fft2 + tally.ifft2
     newton = sum(e.newton_report.counts.fft2 + e.newton_report.counts.ifft2
                  for e in evals)
+    influence = sum(e.influence_transforms for e in evals)
+    n = len(evals)
     print("%d evaluations, %d transforms, %.1f per evaluation "
-          "(%.1f in the Newton solve, %.1f for the score)"
-          % (len(evals), transforms, transforms / len(evals),
-             newton / len(evals), (transforms - newton) / len(evals)))
+          "(%.1f in the Newton solve, %.1f in the influence solve, "
+          "%.1f for the fit); influence share %.0f%%"
+          % (n, transforms, transforms / n, newton / n, influence / n,
+             (transforms - newton - influence) / n,
+             100.0 * influence / transforms))
     starred = next(e for e in evals if e.lam == lam_star)
     err_gcv = relative_error(starred.x, inst.x_true)
 

@@ -8,22 +8,29 @@ where r_lam is the residual of the solution at lam, W is a reweighting
 that caps each saturated residual's contribution at the loss threshold
 (so outliers cannot steer the parameter choice), and A_lam is the
 influence matrix mapping data to fitted data.  The trace is estimated
-stochastically with a single Rademacher probe: for any matrix M,
-E[v^T M v] = trace(M) when v has independent +-1 entries.  Applying
-A_lam to the probe needs one linear solve, done by truncated projected
-CG on the weighted normal equations restricted to the positive support
-of the solution; the estimate then reads the solve's right-hand side,
-so it costs no transform beyond the solve.  It is the Newton steps'
-Hessian solve, :func:`.solver._hessian_solve`, with Hessian weights W^2:
-with ``GcvOptions.solver.use_preconditioner`` set it uses the same
-column-scaling preconditioner, and the stopping rule (the plain
-projected residual relative to ``||P rhs||``, the residual of the zero
-start) is the same either way.  An estimate is flagged unreliable when
-its solve breaks down or stops at the iteration cap.
+stochastically with a single Rademacher probe (Hutchinson, 1989): for
+any matrix M, E[v^T M v] = trace(M) when v has independent +-1 entries.
+Applying A_lam to the probe needs one linear solve H y = rhs, done by
+truncated projected CG on the weighted normal equations restricted to
+the positive support of the solution.  The estimate needs only the
+quadratic form rhs^T H^-1 rhs, which it reads as rhs^T y + r^T y from
+the solve's right-hand side and its final projected residual r, so it
+costs no transform beyond the solve.  That read equals
+2 rhs^T y - y^T H y and falls short of the exact form by e^T H e, the
+squared energy norm of the solve's error e (Golub and Meurant,
+*Matrices, Moments and Quadrature*, 2010): second order in the error,
+where rhs^T y alone is off to first order.  The solve is the Newton
+steps' Hessian solve, :func:`.solver._hessian_solve`, with Hessian
+weights W^2: with ``GcvOptions.solver.use_preconditioner`` set it uses
+the same column-scaling preconditioner, and the stopping rule (the
+plain projected residual relative to ``||P rhs||``, the residual of the
+zero start) is the same either way.  An estimate is flagged unreliable
+when its solve breaks down, and then reads rhs^T y alone, or stops at
+the iteration cap.
 
-The solve stops at ``GcvOptions.inner_cg_tol`` (default 1e-3) of its
-zero start's residual, the precision a single-probe estimate can use
-(see :class:`GcvOptions`).
+The solve stops at ``GcvOptions.inner_cg_tol`` (default 1e-2) of its
+zero start's residual: with a second-order read, the precision a
+single-probe estimate can use (see :class:`GcvOptions`).
 
 A :func:`minimize_gcv` search carries one :class:`_Search` from each
 evaluation to the next, holding four things; standalone
@@ -73,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import _write_table
+from .gridfft import _write_table, count_transforms
 from .objective import Objective, _scaled_terms
 from .operators import Workspace, _frozen, _hessian_data_half, _hessian_finish
 from .precond import build_dhat
@@ -108,18 +115,23 @@ class GcvOptions:
     """Search bracket and tolerances for the 1D minimization.
 
     ``inner_cg_tol`` stops each influence solve once its projected
-    residual is that fraction of ``||P rhs||``.  The default 1e-3 is as
+    residual is that fraction of ``||P rhs||``.  The default 1e-2 is as
     tight as the estimate can use: one probe's estimate already spreads
-    by about 10% between probes, far above a 1e-3 solve error.  On the
-    ``gcv-ash64`` panel (seeds 1-8) it spends 22-32% fewer transforms per
-    evaluation than 1e-4, while lambda* moves by at most 1.6% and the
-    panel-mean relative error by at most 3.1e-6.
+    by about 10% between probes, and :func:`trace_term` reads the
+    solve's quadratic form to second order in its error, so a 1e-2 solve
+    misses it by less than a 1e-3 solve read to first order did: against
+    a converged solve, the median relative error of the estimates of
+    three seed-1 ``gcv-ash64`` searches is 1.2e-7, against 1.2e-6 at
+    1e-3 and 6.9e-6 (max 5e-5) at 1e-2 when read to first order.  On
+    the ``gcv-ash64`` panel (seeds 1-8) it spends 19-23% fewer transforms
+    than 1e-3, while lambda* moves by at most 0.7% and the panel-mean
+    relative error by at most 3e-6.
     """
 
     lambda_lo: float = 0.0
     lambda_hi: float = 1e-1
     x_tol: float = 1e-8
-    inner_cg_tol: float = 1e-3
+    inner_cg_tol: float = 1e-2
     inner_cg_maxit: int = 150
     probe_seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -145,6 +157,7 @@ class GcvEvaluation:
     x: np.ndarray
     reliable: bool = True
     influence_iterations: int = 0  # PCG iterations of the trace solve
+    influence_transforms: int = 0  # its transforms, counted on this thread
 
 
 def robust_weights(obj: Objective, x: np.ndarray) -> np.ndarray:
@@ -212,8 +225,9 @@ class _Search:
     the module docstring), for the data term of ``obj``, the probe and the
     preconditioner flag it was made with: ``memo``, the Newton solves'
     :class:`.solver._SearchMemo`; ``y``, the last influence solution and
-    the next influence solve's start (None: zero), and ``iterations``, the
-    PCG iterations that solve took; ``fit``, the :class:`_Fit` of the last
+    the next influence solve's start (None: zero), and ``iterations`` and
+    ``transforms``, the PCG iterations and transforms that solve took;
+    ``fit``, the :class:`_Fit` of the last
     solution, which :meth:`fit_of` serves again while the solution is
     bitwise unchanged; and the lambda-free half of the last influence
     start's Hessian product under that fit, which :meth:`start_product`
@@ -225,7 +239,7 @@ class _Search:
         self._use_preconditioner = use_preconditioner
         self.memo = _SearchMemo()
         self.y = None
-        self.iterations = 0
+        self.iterations = self.transforms = 0
         self.fit = None
         self._start = None  # (y0, y0_hat, acc) of _hessian_data_half
 
@@ -257,7 +271,8 @@ class _Search:
 
 def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
                opts: GcvOptions | None = None, *, _search: _Search | None = None):
-    """Estimate trace(I - A_lam) as v^T v - v^T (W A y) = v^T v - rhs^T y.
+    """Estimate trace(I - A_lam) = v^T v - v^T W A H^-1 A^T W v as
+    v^T v - (rhs^T y + r^T y).
 
     ``y`` approximately solves the influence system at ``lam = obj.lam``,
     restricted to the positive support of ``x_lam``:
@@ -266,13 +281,19 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
         D = diag(x_lam > 0),
 
     by the Newton steps' :func:`.solver._hessian_solve` until the projected
-    residual is at most ``opts.inner_cg_tol * ||P rhs||``, preconditioned
-    with weights W^2 when ``opts.solver.use_preconditioner`` and the
-    preconditioner's symbol can be inverted.  A probe not shaped like the
-    data raises ``ValueError``.  Returns ``(estimate, reliable)``;
-    ``reliable`` goes false when CG hits non-positive curvature and only a
-    partial solve is available, or when it uses all ``opts.inner_cg_maxit``
-    iterations.
+    residual ``r = D (rhs - H y)`` is at most
+    ``opts.inner_cg_tol * ||P rhs||``, preconditioned with weights W^2
+    when ``opts.solver.use_preconditioner`` and the preconditioner's
+    symbol can be inverted.  ``rhs^T y + r^T y = 2 rhs^T y - y^T H y``
+    reads ``rhs^T y*`` of the exact solution ``y*`` to within
+    ``(y* - y)^T H (y* - y)``, second order in the solve's error, which
+    is what lets the default tolerance be 1e-2 (see :class:`GcvOptions`);
+    both terms use arrays the solve already holds, so the read costs no
+    transform.  A probe not shaped like the data raises ``ValueError``.
+    Returns ``(estimate, reliable)``; ``reliable`` goes false when CG hits
+    non-positive curvature and only a partial solve is available, whose
+    estimate reads ``rhs^T y`` alone, or when it uses all
+    ``opts.inner_cg_maxit`` iterations.
 
     ``_search`` is the :class:`_Search` (None: a fresh one) that W, rhs and
     the scaling are read from, and whose ``y`` is the CG's start (zeroed
@@ -280,8 +301,10 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     The stop test keeps its ``||P rhs||`` reference, so a start near the
     solution ends the solve early, after one Hessian product for its
     residual, which :meth:`_Search.start_product` serves; a start that
-    already meets the test takes 0 iterations.  The iterations are left
-    in the search's ``iterations``.
+    already meets the test takes 0 iterations, and its estimate adds
+    ``r^T y`` for that start residual.  The iterations are left in the
+    search's ``iterations``, and the transforms the solve issued on the
+    calling thread in its ``transforms``.
     """
     opts = opts or GcvOptions()
     probe = _check_probe(obj, probe)
@@ -289,24 +312,30 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     search = _Search(obj, probe, use_preconditioner) if _search is None else _search
     fit = search.fit_of(x_lam)
     ws = Workspace(obj.op.shape, obj.op.n_frames)
-    try:
-        y, iterations, _ = _hessian_solve(
-            obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
-            opts.inner_cg_tol, opts.inner_cg_maxit, ws, x0=search.y,
-            dhat=fit.dhat,
-            start_hess=functools.partial(search.start_product, obj, ws),
-        )
-        reliable = iterations < opts.inner_cg_maxit
-    except PcgBreakdownError as err:
-        warnings.warn(
-            f"trace estimation CG broke down ({err}); value is unreliable",
-            RuntimeWarning,
-        )
-        y, iterations = err.iterate, err.iterations
-        reliable = False
+    with count_transforms() as tally:
+        try:
+            y, iterations, _, r = _hessian_solve(
+                obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
+                opts.inner_cg_tol, opts.inner_cg_maxit, ws, x0=search.y,
+                dhat=fit.dhat,
+                start_hess=functools.partial(search.start_product, obj, ws),
+                residual=True,
+            )
+            reliable = iterations < opts.inner_cg_maxit
+            # rhs^T y + r^T y = 2 rhs^T y - y^T H y, short of rhs^T y* by
+            # the solve error's energy norm squared
+            quadratic = np.sum(fit.rhs * y) + np.sum(r * y)
+        except PcgBreakdownError as err:
+            warnings.warn(
+                f"trace estimation CG broke down ({err}); value is unreliable",
+                RuntimeWarning,
+            )
+            y, iterations = err.iterate, err.iterations
+            reliable = False
+            quadratic = np.sum(fit.rhs * y)
     search.y, search.iterations = y, iterations
-    # v^T W A y = (A^T W v)^T y = rhs^T y: no transform of y is needed.
-    estimate = float(np.sum(probe * probe) - np.sum(fit.rhs * y))
+    search.transforms = tally.fft2 + tally.ifft2
+    estimate = float(np.sum(probe * probe) - quadratic)
     return estimate, reliable
 
 
@@ -348,6 +377,7 @@ def gcv_eval(
         x=x_lam,
         reliable=reliable,
         influence_iterations=_search.iterations,
+        influence_transforms=_search.transforms,
     )
 
 

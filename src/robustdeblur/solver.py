@@ -196,6 +196,7 @@ def projected_pcg(
     x0: np.ndarray | None = None,
     *,
     _start_hess=None,
+    _residual=False,
 ):
     """Conjugate gradients on the inactive subspace of ``hess s = rhs``.
 
@@ -214,6 +215,10 @@ def projected_pcg(
     called for that one product instead, on the start zeroed on active
     cells, and must return what ``hess`` would (the GCV influence solve
     serves it from a product it keeps).  A zero ``P rhs`` returns zeros.
+    With ``_residual`` set, returns ``(s, iterations, r)``, ``r`` the
+    projected residual ``P (rhs - hess s)`` as the iteration holds it (no
+    ``hess`` call); the GCV influence solve reads its quadratic form from
+    it.
 
     The iterate, residual, direction, preconditioned residual and Hessian
     product live in five arrays allocated here and updated in place.  What
@@ -239,9 +244,13 @@ def projected_pcg(
 
     x = np.zeros_like(rhs)
     r = project_into(np.empty_like(rhs), rhs)
+
+    def result(iterations):
+        return (x, iterations, r) if _residual else (x, iterations)
+
     rhs_norm = np.linalg.norm(r)
     if rhs_norm == 0.0:
-        return x, 0
+        return result(0)
     stop = tol * rhs_norm
     hp = np.empty_like(rhs)
     if x0 is not None:
@@ -249,7 +258,7 @@ def projected_pcg(
         if np.any(x):  # a zero start is the cold start, at no extra cost
             r -= project_into(hp, (_start_hess or hess)(x))
             if np.linalg.norm(r) <= stop:
-                return x, 0
+                return result(0)
     z = project_into(np.empty_like(rhs), precond(r) if precond is not None else r)
     rz = dot(r, z, hp)
     if rz <= 0.0:
@@ -269,7 +278,7 @@ def projected_pcg(
         x += np.multiply(alpha, p, out=z)
         r -= np.multiply(alpha, hp, out=hp)
         if np.linalg.norm(r) <= stop:
-            return x, k
+            return result(k)
         project_into(z, precond(r) if precond is not None else r)
         rz_next = dot(r, z, hp)
         if rz_next <= 0.0:
@@ -281,7 +290,7 @@ def projected_pcg(
         p *= rz_next / rz
         p += z
         rz = rz_next
-    return x, maxit
+    return result(maxit)
 
 
 def linesearch(
@@ -311,7 +320,8 @@ def linesearch(
 
 
 def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
-                   ws=None, x0=None, dhat=None, start_hess=None):
+                   ws=None, x0=None, dhat=None, start_hess=None,
+                   residual=False):
     """:func:`projected_pcg` on ``(A^T W A + lam L^T L) s = rhs``, with the
     operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``
     (a fresh one when None): the one Hessian solve, of Newton and GCV.
@@ -322,7 +332,9 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
     form it more cheaply than the kernel.  A preconditioner whose symbol is
     too ill-conditioned to invert is not used: the system is solved
     without one.  Returns ``(s, iterations, fell_back)``, ``fell_back``
-    true in that case.
+    true in that case; with ``residual`` set, ``(s, iterations, fell_back,
+    r)``, ``r`` the projected residual the solve ended with
+    (:func:`projected_pcg`'s ``_residual``).
     """
     weights = _check_weights(obj.op, weights, obj.lam)
     ws = Workspace(obj.op.shape, obj.op.n_frames) if ws is None else ws
@@ -334,9 +346,10 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
         except _IllConditionedSymbol:
             fell_back = True
     hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws)
-    s, iterations = projected_pcg(hess, rhs, active, precond, tol=tol,
-                                  maxit=maxit, x0=x0, _start_hess=start_hess)
-    return s, iterations, fell_back
+    s, iterations, *r = projected_pcg(hess, rhs, active, precond, tol=tol,
+                                      maxit=maxit, x0=x0, _start_hess=start_hess,
+                                      _residual=residual)
+    return (s, iterations, fell_back, *r)
 
 
 class _Trials:
