@@ -51,8 +51,8 @@ solve's tolerance.
 - The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
   influence solve's right-hand side ``A^T W v`` and weights W^2, and the
   preconditioner's scaling built from W^2, none of which depends on
-  lambda.  Late in a search most solves take no Newton step (155 of 197
-  on the seed-1 ``gcv-ash64`` panel), so their solution is bitwise the
+  lambda.  Late in a search most solves take no Newton step: their
+  start already meets the stop test, so their solution is bitwise the
   previous one and they read the fit instead of spending 3(k+1)
   transforms on it (2(k+1) without the preconditioner).
 - The lambda-free half of the last influence start's Hessian product,
@@ -319,7 +319,6 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
                 opts.inner_cg_tol, opts.inner_cg_maxit, ws, x0=search.y,
                 dhat=fit.dhat,
                 start_hess=functools.partial(search.start_product, obj, ws),
-                residual=True,
             )
             reliable = iterations < opts.inner_cg_maxit
             # rhs^T y + r^T y = 2 rhs^T y - y^T H y, short of rhs^T y* by

@@ -52,7 +52,6 @@ __all__ = [
     "dft2",
     "idft2",
     "embed_psf",
-    "read_pgm",
     "write_pgm",
     "read_raw",
     "write_raw",
@@ -256,8 +255,9 @@ def embed_psf(
 
 
 # ---------------------------------------------------------------------------
-# File formats: 16-bit PGM for viewing, raw float64 for lossless round trips,
-# and the text files: schema-tagged CSV tables and key=value lines.
+# File formats: raw float64 for lossless round trips, a 16-bit PGM writer
+# for viewing, and the text files: schema-tagged CSV tables and key=value
+# lines, whose values are read through one checked converter.
 # ---------------------------------------------------------------------------
 
 
@@ -287,6 +287,28 @@ def _read_key_values(path) -> list[tuple[str, str]]:
     return pairs
 
 
+def _field(values: dict, key: str, source, convert=str, default=None):
+    """``convert(values[key])``, or ``default`` for an absent key when one is
+    given.  A missing key or a value ``convert`` rejects raises
+    ``ValueError`` naming ``source`` (the file read) and the key."""
+    if key not in values:
+        if default is not None:
+            return default
+        raise ValueError(f"{source}: missing key {key!r}")
+    try:
+        return convert(values[key])
+    except ValueError as err:
+        raise ValueError(f"{source}: invalid value for key {key!r}: {err}") from None
+
+
+def _at_least_one(text: str) -> int:
+    """Field converter: an integer count of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
 def write_raw(path, img: np.ndarray) -> None:
     """Write an image losslessly: little-endian float64, row-major.
 
@@ -302,82 +324,40 @@ def write_raw(path, img: np.ndarray) -> None:
 
 
 def read_raw(path) -> np.ndarray:
-    """Read an image written by :func:`write_raw`."""
+    """Read an image written by :func:`write_raw`.  A fault in the header
+    raises ``ValueError`` naming ``<path>.hdr`` (and the key), a payload
+    that is not ``height * width`` float64 values one naming ``path``."""
     path = Path(path)
-    header = Path(str(path) + ".hdr").read_text().split()
-    fields = dict(item.split("=", 1) for item in header)
-    h, w = int(fields["height"]), int(fields["width"])
-    data = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if data.size != h * w:
+    hdr = Path(str(path) + ".hdr")
+    fields = {}
+    for item in hdr.read_text().split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"{hdr}: {item!r} is not a key=value pair")
+        fields[key] = value
+    h = _field(fields, "height", hdr, _at_least_one)
+    w = _field(fields, "width", hdr, _at_least_one)
+    payload = path.read_bytes()
+    if len(payload) != 8 * h * w:
         raise ValueError(
-            f"{path}: payload has {data.size} values, header says {h}x{w}"
+            f"{path}: payload has {len(payload)} bytes, header says {h}x{w} "
+            f"float64 values ({8 * h * w} bytes)"
         )
-    return data.reshape(h, w).copy()
+    return np.frombuffer(payload, dtype="<f8").reshape(h, w).copy()
 
 
-def write_pgm(path, img: np.ndarray, maxval: int = 65535) -> None:
-    """Write a viewing copy as binary PGM (P5), rescaled to [0, maxval].
+def write_pgm(path, img: np.ndarray) -> None:
+    """Write a viewing copy as 16-bit binary PGM (P5), rescaled to [0, 65535].
 
     Lossy by design: values are clipped at zero and scaled so the image
-    maximum maps to ``maxval``.  Use :func:`write_raw` for exact storage.
+    maximum maps to 65535.  Use :func:`write_raw` for exact storage.
     """
-    if not 0 < maxval <= 65535:
-        raise ValueError("maxval must be in 1..65535")
     img = as_image(img)
     scaled = np.clip(img, 0.0, None)
     peak = scaled.max()
     if peak > 0:
-        scaled = scaled * (maxval / peak)
-    pixels = np.round(scaled).astype(np.uint32)
+        scaled = scaled * (65535 / peak)
     h, w = img.shape
-    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
-    if maxval < 256:
-        payload = pixels.astype(np.uint8).tobytes()
-    else:
-        payload = pixels.astype(">u2").tobytes()  # PGM 16-bit is big-endian
-    Path(path).write_bytes(header + payload)
-
-
-def _pgm_tokens(blob: bytes):
-    # Token stream over the header, skipping '#' comments.
-    i = 0
-    while True:
-        while i < len(blob) and blob[i : i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i : i + 1] == b"#":
-            while i < len(blob) and blob[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(blob) and not blob[i : i + 1].isspace():
-            i += 1
-        yield blob[start:i], i
-        i += 1
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read an 8- or 16-bit PGM image (P2 ascii or P5 binary) as float64."""
-    blob = Path(path).read_bytes()
-    tokens = _pgm_tokens(blob)
-    magic, _ = next(tokens)
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a PGM file (magic {magic!r})")
-    (w_tok, _), (h_tok, _), (max_tok, end) = (
-        next(tokens),
-        next(tokens),
-        next(tokens),
-    )
-    w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
-    if not 0 < maxval <= 65535:
-        raise ValueError(f"{path}: bad maxval {maxval}")
-    if magic == b"P2":
-        values = np.array(blob[end:].split(), dtype=np.float64)
-    else:
-        raster = blob[end + 1 :]  # single whitespace byte after maxval
-        dtype = np.uint8 if maxval < 256 else ">u2"
-        values = np.frombuffer(raster, dtype=dtype, count=h * w).astype(
-            np.float64
-        )
-    if values.size != h * w:
-        raise ValueError(f"{path}: expected {h * w} samples, got {values.size}")
-    return values.reshape(h, w)
+    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
+    # PGM 16-bit is big-endian
+    Path(path).write_bytes(header + np.round(scaled).astype(">u2").tobytes())

@@ -320,24 +320,21 @@ def linesearch(
 
 
 def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
-                   ws=None, x0=None, dhat=None, start_hess=None,
-                   residual=False):
+                   ws, x0=None, dhat=None, start_hess=None):
     """:func:`projected_pcg` on ``(A^T W A + lam L^T L) s = rhs``, with the
-    operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``
-    (a fresh one when None): the one Hessian solve, of Newton and GCV.
+    operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``:
+    the one Hessian solve, of Newton and GCV.
 
     ``dhat`` is :func:`.precond.build_dhat` of ``weights`` when the caller
     already has it, and ``start_hess`` serves the product of the start
     ``x0`` (:func:`projected_pcg`'s ``_start_hess``) when the caller can
     form it more cheaply than the kernel.  A preconditioner whose symbol is
     too ill-conditioned to invert is not used: the system is solved
-    without one.  Returns ``(s, iterations, fell_back)``, ``fell_back``
-    true in that case; with ``residual`` set, ``(s, iterations, fell_back,
-    r)``, ``r`` the projected residual the solve ended with
-    (:func:`projected_pcg`'s ``_residual``).
+    without one.  Returns ``(s, iterations, fell_back, r)``, ``fell_back``
+    true in that case and ``r`` the projected residual the solve ended with
+    (:func:`projected_pcg`'s ``_residual``), which only GCV reads.
     """
     weights = _check_weights(obj.op, weights, obj.lam)
-    ws = Workspace(obj.op.shape, obj.op.n_frames) if ws is None else ws
     precond, fell_back = None, False
     if use_preconditioner:
         try:
@@ -346,10 +343,10 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
         except _IllConditionedSymbol:
             fell_back = True
     hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws)
-    s, iterations, *r = projected_pcg(hess, rhs, active, precond, tol=tol,
-                                      maxit=maxit, x0=x0, _start_hess=start_hess,
-                                      _residual=residual)
-    return (s, iterations, fell_back, *r)
+    s, iterations, r = projected_pcg(hess, rhs, active, precond, tol=tol,
+                                     maxit=maxit, x0=x0, _start_hess=start_hess,
+                                     _residual=True)
+    return s, iterations, fell_back, r
 
 
 class _Trials:
@@ -513,10 +510,11 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         # beside as few arrays as possible.
         ev = data_ev = g_data = None
         try:
+            # the residual (GCV's) is dropped here, before the line search
             s, inner, fell_back = _hessian_solve(
                 obj, d, -g, active, opts.use_preconditioner, opts.pcg_tol,
                 opts.pcg_maxit, ws,
-            )
+            )[:3]
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break

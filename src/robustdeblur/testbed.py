@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import _read_key_values, read_raw, write_raw
+from .gridfft import _at_least_one, _field, _read_key_values, read_raw, write_raw
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
 from .solver import SolverOptions, _SearchMemo, default_start, projected_newton
@@ -374,14 +374,7 @@ def load_instance(directory) -> ProblemInstance:
         raise ValueError(f"{path}: unrecognized format {manifest.get('format')!r}")
 
     def field(key, convert=str, default=None):
-        if key not in manifest:
-            if default is not None:
-                return default
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
-            return convert(manifest[key])
-        except ValueError as err:
-            raise ValueError(f"{path}: invalid value for key {key!r}: {err}") from None
+        return _field(manifest, key, path, convert, default)
 
     frames = field("frames", _at_least_one)
     x_true = read_raw(directory / "x_true.raw")
@@ -411,14 +404,6 @@ def load_instance(directory) -> ProblemInstance:
         outlier_fraction=field("outlier_fraction", float, default=0.0),
         outlier_ceiling=field("outlier_ceiling", float, default=0.0),
     )
-
-
-def _at_least_one(text: str) -> int:
-    """Manifest parser: an integer count of at least 1."""
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"must be at least 1, got {count}")
-    return count
 
 
 def _numbers(convert, count: int):

@@ -446,6 +446,15 @@ def test_scan_log_grid_requires_positive_lower_bound(tmp_path, capsys):
     assert "lambda_lo" in capsys.readouterr().err
 
 
+def test_scan_without_a_grid_builds_the_log_grid(tmp_path):
+    out = tmp_path / "scan"
+    cfg = write_config(tmp_path, size=16, lambda_lo="1e-4", lambda_hi="1e-2",
+                       lambda_count=3)
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "scan.csv")
+    assert [float(r[2]) for r in rows] == [1e-4, 1e-3, 1e-2]
+
+
 def test_scan_of_a_stored_instance(tmp_path, capsys):
     inst = tmp_path / "inst"
     assert main(["generate", "--size", "16", "--out", str(inst)]) == 0

@@ -8,7 +8,6 @@ from robustdeblur.gridfft import (
     dft2,
     embed_psf,
     idft2,
-    read_pgm,
     read_raw,
     write_pgm,
     write_raw,
@@ -219,36 +218,54 @@ def test_raw_read_checks_payload_size(tmp_path):
         read_raw(path)
 
 
+@pytest.mark.parametrize("header, payload_bytes, names", [
+    ("height=abc width=4\n", None, "invalid value for key 'height': "),
+    ("height=4\n", None, "missing key 'width'"),
+    ("height4 width=4\n", None, "'height4' is not a key=value pair"),
+    ("", None, "missing key 'height'"),
+    ("height=0 width=4\n", None,
+     "invalid value for key 'height': must be at least 1, got 0"),
+    (None, 7, "payload has 7 bytes, header says 4x4 float64 values (128 bytes)"),
+])
+def test_raw_read_names_the_file_and_key_of_a_fault(tmp_path, header,
+                                                     payload_bytes, names):
+    # A header fault names <path>.hdr and the key; a payload of the wrong
+    # length names the payload file.
+    path = tmp_path / "x.raw"
+    write_raw(path, np.ones((4, 4)))
+    if header is not None:
+        (tmp_path / "x.raw.hdr").write_text(header)
+        source = tmp_path / "x.raw.hdr"
+    else:
+        path.write_bytes(path.read_bytes()[:payload_bytes])
+        source = path
+    with pytest.raises(ValueError) as err:
+        read_raw(path)
+    assert str(err.value).startswith(f"{source}: {names}")
+
+
+def read_p5(path) -> np.ndarray:
+    """The samples of a 16-bit P5 file with a comment-free header."""
+    magic, size, maxval, raster = path.read_bytes().split(b"\n", 3)
+    assert (magic, maxval) == (b"P5", b"65535")
+    w, h = map(int, size.split())
+    return np.frombuffer(raster, dtype=">u2").reshape(h, w).astype(np.float64)
+
+
 def test_pgm_round_trip_16bit(tmp_path):
     rng = np.random.default_rng(8)
     img = np.floor(rng.random((11, 7)) * 65535)
     img.flat[0] = 65535.0  # pin the peak so rescaling is the identity
     path = tmp_path / "view.pgm"
     write_pgm(path, img)
-    back = read_pgm(path)
-    assert np.array_equal(back, img)
-    assert path.read_bytes()[:2] == b"P5"
-
-
-def test_pgm_round_trip_8bit(tmp_path):
-    img = np.arange(256.0).reshape(16, 16)
-    path = tmp_path / "small.pgm"
-    write_pgm(path, img, maxval=255)
-    assert np.array_equal(read_pgm(path), img)
+    assert np.array_equal(read_p5(path), img)
 
 
 def test_pgm_rescales_and_clips(tmp_path):
-    img = np.array([[-5.0, 0.0], [1.0, 2.0]])
+    img = np.array([[-5.0, 0.0], [1.0, 3.0]])
     path = tmp_path / "clip.pgm"
-    write_pgm(path, img, maxval=100)
-    back = read_pgm(path)
-    assert np.array_equal(back, [[0.0, 0.0], [50.0, 100.0]])
-
-
-def test_pgm_ascii_with_comments(tmp_path):
-    path = tmp_path / "ascii.pgm"
-    path.write_text("P2\n# a comment\n3 2\n255\n0 1 2\n3 4 5\n")
-    assert np.array_equal(read_pgm(path), [[0, 1, 2], [3, 4, 5]])
+    write_pgm(path, img)
+    assert np.array_equal(read_p5(path), [[0.0, 0.0], [21845.0, 65535.0]])
 
 
 def test_pgm_16bit_payload_is_big_endian(tmp_path):

@@ -309,6 +309,28 @@ def test_save_load_round_trip(tmp_path):
     assert np.allclose(back.op.apply(probe), inst.op.apply(probe), atol=1e-13)
 
 
+def test_load_fills_the_optional_manifest_keys(tmp_path):
+    # A manifest without kind, outlier_fraction, outlier_ceiling and the
+    # psf parameters loads with their defaults and the same arrays.
+    inst = make_instance("ash", (16, 16), outlier_fraction=0.05,
+                         noise_seed=43, outlier_seed=44)
+    save_instance(tmp_path, inst)
+    full = load_instance(tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    optional = ("kind=", "outlier_fraction=", "outlier_ceiling=")
+    manifest.write_text("".join(
+        line + "\n" for line in manifest.read_text().splitlines()
+        if not (line.startswith(optional) or "_params=" in line)
+    ))
+    back = load_instance(tmp_path)
+    assert (back.kind, back.outlier_fraction, back.outlier_ceiling,
+            back.psf_params) == ("", 0.0, 0.0, ())
+    assert full.psf_params and full.outlier_fraction == 0.05
+    assert np.array_equal(back.observed, full.observed)
+    for name in ("_otf_half", "_gram_half", "_sq_otf_half_adj"):
+        assert np.array_equal(getattr(back.op, name), getattr(full.op, name))
+
+
 def test_load_rejects_unknown_format(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
