@@ -284,19 +284,27 @@ class Objective:
 
     def evaluate(self, x) -> Evaluation:
         """Everything the solver reads at a feasible x, from one ``A x``:
-        :meth:`_data_evaluation` with the penalty added to its value."""
-        return self._penalized(self._data_evaluation(x))
+        :meth:`_data_evaluation` with the penalty added to its value.
+        Checks ``x`` (finite, nonnegative, on the grid) first."""
+        return self._penalized(self._data_evaluation(self._check_x(x, feasible=True)))
 
-    def _data_evaluation(self, x) -> Evaluation:
+    def _data_evaluation(self, x, ws: Workspace | None = None) -> Evaluation:
         """:meth:`evaluate` without the penalty: the value is the data term
         alone, so every field is independent of ``lam``.
 
-        The value, z and D are built in place: ``s`` is held in D's array,
-        ``t`` overwrites ``A x``, and z's array is scratch until z is built.
+        ``x`` is not checked: it must be a feasible float64 image on the
+        grid, as the solver's iterates are by construction.  ``A x`` and its
+        per-frame spectra are built in ``ws.stack`` and
+        ``ws.stack_spectrum`` (fresh arrays when ``ws`` is None), which the
+        returned evaluation does not share.  The value, z and D are built in
+        place: ``s`` is held in D's array, ``t`` overwrites ``A x``, and z's
+        array is scratch until z is built.
         """
-        x = self._check_x(x, feasible=True)
         x_hat = _rdft2(x)
-        ax = self.op._forward(x_hat)
+        if ws is None:
+            ax = self.op._forward(x_hat)
+        else:
+            ax = self.op._forward(x_hat, out=ws.stack, scratch=ws.stack_spectrum)
         beta, sigma2 = self.loss.beta, self.sigma**2
         z, d = np.empty_like(ax), np.empty_like(ax)
         s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ax, z))

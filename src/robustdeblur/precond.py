@@ -97,9 +97,13 @@ def _positive_weights(op: BlurOperator, weights) -> np.ndarray:
     return weights
 
 
-def _scaling(op: BlurOperator, weights: np.ndarray) -> np.ndarray:
-    """:func:`build_dhat` of weights already passed by :func:`_positive_weights`."""
-    dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights), op.shape)
+def _scaling(op: BlurOperator, weights: np.ndarray,
+             ws: Workspace | None = None) -> np.ndarray:
+    """:func:`build_dhat` of weights already passed by :func:`_positive_weights`;
+    the per-frame spectra go to ``ws.stack_spectrum`` (fresh when ``ws`` is
+    None)."""
+    scratch = None if ws is None else ws.stack_spectrum
+    dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights, scratch), op.shape)
     np.maximum(dhat, 0.0, out=dhat)  # clip rounding noise before sqrt
     dhat /= op._gram_diag
     np.sqrt(dhat, out=dhat)
@@ -123,12 +127,14 @@ def _check_symbol(symbol: np.ndarray, lambda_hat: float) -> None:
 
 
 def precond_build(op: BlurOperator, weights, lam: float, *,
-                  dhat: np.ndarray | None = None) -> Preconditioner:
+                  dhat: np.ndarray | None = None,
+                  ws: Workspace | None = None) -> Preconditioner:
     """Assemble the preconditioner for the current Hessian weights.
 
     ``dhat`` is :func:`build_dhat` of ``weights`` when the caller already
-    has it; only the lambda-dependent part is then built.  A symbol at or
-    below :data:`SYMBOL_RCOND` raises ``ValueError``.
+    has it; only the lambda-dependent part is then built.  Otherwise the
+    scaling's per-frame temporaries run in ``ws`` when one is given.  A
+    symbol at or below :data:`SYMBOL_RCOND` raises ``ValueError``.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -136,7 +142,7 @@ def precond_build(op: BlurOperator, weights, lam: float, *,
         weights = _positive_weights(op, weights)
         if lam == 0:  # the symbol does not depend on dhat: check it first
             _check_symbol(op._gram_half, 0.0)
-        dhat = _scaling(op, weights)
+        dhat = _scaling(op, weights, ws)
     lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
     symbol = op._gram_half + lambda_hat * _laplacian_half(op.shape)
     _check_symbol(symbol, lambda_hat)

@@ -56,10 +56,11 @@ at lam = 0, instead of 2k+3 each.  The values are bitwise those of a
 fresh evaluation, so the path is the same with any memo.
 
 Each solve allocates one :class:`.operators.Workspace` in
-:func:`_newton_loop`; the Hessian kernel and the preconditioner solve of
-every PCG iteration run in it, and :func:`projected_pcg` updates its own
-iterate, residual, direction and products in place, so the inner loop
-allocates no grid-sized array.  The workspace lives in the solve's frame
+:func:`_newton_loop`.  Each evaluation's ``A x``, the preconditioner
+build's per-frame spectra, and the Hessian kernel and the preconditioner
+solve of every PCG iteration run in it, and :func:`projected_pcg`
+updates its own iterate, residual, direction and products in place, so
+the inner loop allocates no grid-sized array.  The workspace lives in the solve's frame
 only, never on the objective, the operator or the preconditioner, which
 therefore stay immutable and can be shared by concurrent solves.
 """
@@ -67,6 +68,7 @@ therefore stay immutable and can be shared by concurrent solves.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,15 +242,21 @@ def projected_pcg(
         return dst
 
     def dot(u, v, scratch):
-        return float(np.sum(np.multiply(u, v, out=scratch)))
+        return float(np.multiply(u, v, out=scratch).sum())
 
     x = np.zeros_like(rhs)
     r = project_into(np.empty_like(rhs), rhs)
+    # ||r|| as np.linalg.norm computes it (ravel, dot, sqrt), without its
+    # wrapper: r is updated in place, so this view follows it.
+    r_flat = r.ravel(order="K")
+
+    def r_norm():
+        return math.sqrt(r_flat.dot(r_flat))
 
     def result(iterations):
         return (x, iterations, r) if _residual else (x, iterations)
 
-    rhs_norm = np.linalg.norm(r)
+    rhs_norm = r_norm()
     if rhs_norm == 0.0:
         return result(0)
     stop = tol * rhs_norm
@@ -257,7 +265,7 @@ def projected_pcg(
         project_into(x, x0)
         if np.any(x):  # a zero start is the cold start, at no extra cost
             r -= project_into(hp, (_start_hess or hess)(x))
-            if np.linalg.norm(r) <= stop:
+            if r_norm() <= stop:
                 return result(0)
     z = project_into(np.empty_like(rhs), precond(r) if precond is not None else r)
     rz = dot(r, z, hp)
@@ -277,7 +285,7 @@ def projected_pcg(
         alpha = rz / ph
         x += np.multiply(alpha, p, out=z)
         r -= np.multiply(alpha, hp, out=hp)
-        if np.linalg.norm(r) <= stop:
+        if r_norm() <= stop:
             return result(k)
         project_into(z, precond(r) if precond is not None else r)
         rz_next = dot(r, z, hp)
@@ -338,7 +346,7 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
     precond, fell_back = None, False
     if use_preconditioner:
         try:
-            pre = precond_build(obj.op, weights, obj.lam, dhat=dhat)
+            pre = precond_build(obj.op, weights, obj.lam, dhat=dhat, ws=ws)
             precond = functools.partial(pre.solve, ws=ws)
         except _IllConditionedSymbol:
             fell_back = True
@@ -351,15 +359,17 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
 
 class _Trials:
     """Line-search stand-in for the objective that keeps the last evaluation
-    and its data-term evaluation, which shares its arrays."""
+    and its data-term evaluation, which shares its arrays.  Each trial is
+    evaluated in the solve's workspace ``ws`` and is not checked: the line
+    search's projected points are feasible by construction."""
 
-    def __init__(self, obj: Objective):
-        self.obj = obj
+    def __init__(self, obj: Objective, ws: Workspace):
+        self.obj, self.ws = obj, ws
         self.last = self.data = None
 
     def value(self, x) -> float:
         self.last = self.data = None  # release the previous trial first
-        self.data = self.obj._data_evaluation(x)
+        self.data = self.obj._data_evaluation(x, self.ws)
         self.last = self.obj._penalized(self.data)
         return self.last.value
 
@@ -393,7 +403,7 @@ class _SearchMemo:
             self._obj, self._last, self._ref = obj, None, None
         if self._last is not None and np.array_equal(x, self._last[0]):
             return self._last[1:]
-        data_ev = obj._data_evaluation(x)
+        data_ev = obj._data_evaluation(x, ws)
         g_data = _frozen(obj._data_gradient(data_ev, ws))
         if np.array_equal(x, default_start(obj.data)):
             self._ref = (data_ev.x_hat, g_data)
@@ -407,7 +417,7 @@ class _SearchMemo:
         if np.array_equal(x, x_ref):
             return pg_norm
         if self._ref is None:
-            data_ev = obj._data_evaluation(x_ref)
+            data_ev = obj._data_evaluation(x_ref, ws)
             self._ref = (data_ev.x_hat, _frozen(obj._data_gradient(data_ev, ws)))
         x_hat, g_data = self._ref
         g = obj._add_penalty_gradient(g_data.copy(), x_hat, ws)
@@ -450,6 +460,8 @@ def projected_newton(
     """
     opts = opts or SolverOptions()
     x = as_image(x0, "x0").copy()
+    if x.shape != obj.op.shape:
+        raise ValueError(f"x0 shape {x.shape} != grid {obj.op.shape}")
     if np.any(x < 0):
         raise ValueError("x0 must be elementwise nonnegative")
     memo = _SearchMemo() if _memo is None else _memo
@@ -533,7 +545,7 @@ def _newton_loop(obj, x, opts, callback, report, memo):
             s = s - g_active
         g = g_active = None
 
-        trials = _Trials(obj)
+        trials = _Trials(obj, ws)
         try:
             ls = linesearch(trials, x, s, value, opts.linesearch_max_halvings)
         except LineSearchError:

@@ -444,6 +444,8 @@ def test_newton_input_validation():
     obj, x0, _, _, _ = make_instance(116)
     with pytest.raises(ValueError):
         projected_newton(obj, -x0)
+    with pytest.raises(ValueError, match="x0 shape"):
+        projected_newton(obj, x0[:-1])
     # the Talwar-only rule is enforced where the objective is built
     with pytest.raises(ValueError, match="'huber'"):
         Objective(obj.op, obj.data, obj.sigma, LossFunction("huber"), obj.lam)
@@ -528,9 +530,9 @@ def test_ill_conditioned_preconditioner_falls_back_to_none():
     smallest = []
 
     class Feasible(Objective):
-        def _data_evaluation(self, x):
+        def _data_evaluation(self, x, ws=None):
             smallest.append(float(np.min(x)))
-            return super()._data_evaluation(x)
+            return super()._data_evaluation(x, ws)
 
     obj = Feasible(inst.op, inst.observed, inst.sigma, LossFunction(), 0.0)
     x, report = projected_newton(
@@ -579,8 +581,8 @@ def test_solver_checks_hessian_weights_once_per_step():
     obj, x0, _, _, _ = make_instance(119)
 
     class NegativeWeights(Objective):
-        def _data_evaluation(self, x):
-            ev = super()._data_evaluation(x)
+        def _data_evaluation(self, x, ws=None):
+            ev = super()._data_evaluation(x, ws)
             return Evaluation(ev.value, ev.x_hat, ev.z, -ev.d, ev.inlier_mask)
 
     bad = NegativeWeights(obj.op, obj.data, obj.sigma, obj.loss, obj.lam)

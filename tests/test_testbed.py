@@ -331,6 +331,21 @@ def test_load_fills_the_optional_manifest_keys(tmp_path):
         assert np.array_equal(getattr(back.op, name), getattr(full.op, name))
 
 
+def test_load_rejects_a_partial_set_of_psf_params(tmp_path):
+    # Frame 2's parameters must not be read as frame 1's when frame 1's
+    # line is gone: the psf*_params lines are all or none.
+    save_instance(tmp_path, make_instance("ash", (16, 16)))
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    for missing in ("psf0_params", "psf1_params", "psf2_params"):
+        manifest.write_text("".join(
+            line + "\n" for line in lines if not line.startswith(missing + "=")
+        ))
+        with pytest.raises(ValueError) as err:
+            load_instance(tmp_path)
+        assert str(err.value) == f"{manifest}: missing key {missing!r}"
+
+
 def test_load_rejects_unknown_format(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
