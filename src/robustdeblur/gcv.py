@@ -24,9 +24,10 @@ steps' Hessian solve, :func:`.solver._hessian_solve`, with Hessian
 weights W^2: with ``GcvOptions.solver.use_preconditioner`` set it uses
 the same column-scaling preconditioner, and the stopping rule (the
 plain projected residual relative to ``||P rhs||``, the residual of the
-zero start) is the same either way.  An estimate is flagged unreliable
-when its solve breaks down, and then reads rhs^T y alone, or stops at
-the iteration cap.
+zero start) is the same either way.  A preconditioned solve that stops
+at the iteration cap is redone without the preconditioner.  An estimate
+is flagged unreliable when its solve breaks down, and then reads rhs^T y
+alone, or when the solve that gives it stops at the iteration cap.
 
 The solve stops at ``GcvOptions.inner_cg_tol`` (default 1e-2) of its
 zero start's residual: with a second-order read, the precision a
@@ -292,8 +293,12 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     transform.  A probe not shaped like the data raises ``ValueError``.
     Returns ``(estimate, reliable)``; ``reliable`` goes false when CG hits
     non-positive curvature and only a partial solve is available, whose
-    estimate reads ``rhs^T y`` alone, or when it uses all
-    ``opts.inner_cg_maxit`` iterations.
+    estimate reads ``rhs^T y`` alone, or when the solve the estimate is
+    read from uses all ``opts.inner_cg_maxit`` iterations.  A
+    preconditioned solve that uses them all is redone without the
+    preconditioner (:func:`.solver._hessian_solve`), so it is unreliable
+    only when the redo uses them all too; both attempts count in the
+    search's ``iterations``.
 
     ``_search`` is the :class:`_Search` (None: a fresh one) that W, rhs and
     the scaling are read from, and whose ``y`` is the CG's start (zeroed
@@ -314,13 +319,13 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     ws = Workspace(obj.op.shape, obj.op.n_frames)
     with count_transforms() as tally:
         try:
-            y, iterations, _, r = _hessian_solve(
+            y, iterations, _, capped, r = _hessian_solve(
                 obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
                 opts.inner_cg_tol, opts.inner_cg_maxit, ws, x0=search.y,
                 dhat=fit.dhat,
                 start_hess=functools.partial(search.start_product, obj, ws),
             )
-            reliable = iterations < opts.inner_cg_maxit
+            reliable = not capped
             # rhs^T y + r^T y = 2 rhs^T y - y^T H y, short of rhs^T y* by
             # the solve error's energy norm squared
             quadratic = np.sum(fit.rhs * y) + np.sum(r * y)

@@ -1,11 +1,14 @@
 """Projected Newton outer iteration with a projected PCG inner solver.
 
-The constraint x >= 0 is handled with an active-set strategy: cells at
-the bound (x <= 0) are frozen out of the Newton system, the remaining
-subspace is solved inexactly by preconditioned conjugate gradients
-restricted to that subspace, the frozen cells receive a rescaled steepest
-descent component, and a projected backtracking line search enforces
-strict objective decrease.
+The constraint x >= 0 is handled with the binding set of Bertsekas's
+projected Newton method ("Projected Newton methods for optimization
+problems with simple constraints", SIAM J. Control Optim. 20, 1982):
+cells at the bound whose gradient pushes into it (x <= 0 and g > 0) are
+held out of the Newton system, the system on every other cell, bound
+cells with g <= 0 included, is solved inexactly by preconditioned
+conjugate gradients restricted to that subspace, and a projected
+backtracking line search over max(x + alpha s, 0) enforces strict
+objective decrease.
 
 Convergence is declared when the projected gradient norm ``||P g||``
 falls to ``newton_tol * max(||P g0||, pg_ref)``, where ``g0`` is the
@@ -36,9 +39,10 @@ step therefore costs, in transforms (fft2 + ifft2):
 - (2k+2) per PCG iteration;
 - with the preconditioner, (k+1) for its build and 2 per solve.
 
-A preconditioner whose symbol is too ill-conditioned to invert is not
-used: that step's system is solved without one, and
-``SolverReport.precond_fallbacks`` counts it.
+A step's system is solved without the preconditioner when its symbol is
+too ill-conditioned to invert, or when the preconditioned PCG runs to
+``pcg_maxit`` (it is then redone without one);
+``SolverReport.precond_fallbacks`` counts both.
 
 The start and ``pg_ref`` come from a :class:`_SearchMemo`, which keeps
 the lambda-free parts of two points: the data evaluation and data
@@ -125,9 +129,13 @@ class SolverReport:
     ``pg_scale`` is the norm the Newton tolerance was applied to,
     ``max(pg_norms[0], pg_ref)``; it equals ``pg_norms[0]`` for a solve
     started at :func:`default_start`.  ``precond_fallbacks`` counts the
-    steps whose preconditioner symbol was too ill-conditioned to invert,
-    so that their system was solved without it.  ``counts`` holds the
-    operations issued by the thread that ran the solve.
+    steps whose system was solved without the preconditioner although it
+    was on, for either of two causes: its symbol was too ill-conditioned
+    to invert, so none was built; or the preconditioned PCG used all
+    ``pcg_maxit`` iterations, so the system was solved again without it.
+    In the second case the step's ``pcg_iterations`` entry counts both
+    attempts.  ``counts`` holds the operations issued by the thread that
+    ran the solve.
     """
 
     iterations: int = 0
@@ -336,10 +344,14 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
     ``dhat`` is :func:`.precond.build_dhat` of ``weights`` when the caller
     already has it, and ``start_hess`` serves the product of the start
     ``x0`` (:func:`projected_pcg`'s ``_start_hess``) when the caller can
-    form it more cheaply than the kernel.  A preconditioner whose symbol is
-    too ill-conditioned to invert is not used: the system is solved
-    without one.  Returns ``(s, iterations, fell_back, r)``, ``fell_back``
-    true in that case and ``r`` the projected residual the solve ended with
+    form it more cheaply than the kernel.  With ``use_preconditioner`` the
+    solve falls back to none in two cases: the symbol is too
+    ill-conditioned to invert, so none is built; or the preconditioned
+    solve uses all ``maxit`` iterations, so it is redone from ``x0``
+    without one.  Returns ``(s, iterations, fell_back, capped, r)``:
+    ``iterations`` counts every attempt, ``fell_back`` is true in either
+    case, ``capped`` true when the solve that gave ``s`` used all ``maxit``
+    iterations, and ``r`` is the projected residual it ended with
     (:func:`projected_pcg`'s ``_residual``), which only GCV reads.
     """
     weights = _check_weights(obj.op, weights, obj.lam)
@@ -350,11 +362,18 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
             precond = functools.partial(pre.solve, ws=ws)
         except _IllConditionedSymbol:
             fell_back = True
-    hess = functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws)
-    s, iterations, r = projected_pcg(hess, rhs, active, precond, tol=tol,
-                                     maxit=maxit, x0=x0, _start_hess=start_hess,
-                                     _residual=True)
-    return s, iterations, fell_back, r
+    solve = functools.partial(
+        projected_pcg,
+        functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws),
+        rhs, active, tol=tol, maxit=maxit, x0=x0, _start_hess=start_hess,
+        _residual=True,
+    )
+    s, iterations, r = solve(precond)
+    capped = iterations == maxit
+    if precond is not None and capped:
+        s, redo, r = solve(None)
+        fell_back, capped, iterations = True, redo == maxit, iterations + redo
+    return s, iterations, fell_back, capped, r
 
 
 class _Trials:
@@ -439,10 +458,11 @@ def projected_newton(
 ):
     """Minimize the objective over x >= 0; returns ``(x, SolverReport)``.
 
-    Per iteration: freeze the active set (x <= 0), solve the reduced
-    Newton system inexactly with projected PCG from rhs = -gradient, give
-    active cells a negative-gradient component rescaled to at most the
-    magnitude of the Newton step, and line search.  ``callback`` receives
+    Per iteration: hold the binding set (x <= 0 and g > 0; Bertsekas,
+    1982) at the bound, solve the Newton system on the other cells
+    inexactly with projected PCG from rhs = -gradient, and line search
+    over max(x + alpha s, 0).  The stop test keeps the whole bound set
+    (x <= 0) in its projected gradient.  ``callback`` receives
     ``(iteration, objective_value, projected_gradient_norm)`` at the start,
     as iteration 0, and after every accepted step.  The run ends as
     ``converged`` once the projected gradient norm is at most
@@ -524,26 +544,15 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         try:
             # the residual (GCV's) is dropped here, before the line search
             s, inner, fell_back = _hessian_solve(
-                obj, d, -g, active, opts.use_preconditioner, opts.pcg_tol,
-                opts.pcg_maxit, ws,
+                obj, d, -g, active & (g > 0), opts.use_preconditioner,
+                opts.pcg_tol, opts.pcg_maxit, ws,
             )[:3]
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
-        d = None
+        d = g = None
         report.pcg_iterations.append(inner)
         report.precond_fallbacks += fell_back
-
-        if np.any(active):
-            g_active = np.where(active, g, 0.0)
-            max_s = float(np.max(np.abs(s)))
-            max_g = float(np.max(np.abs(g_active)))
-            # cap the frozen-cell component at the Newton step's scale;
-            # skip when the Newton step vanished (scaling would zero it)
-            if max_g > max_s > 0.0:
-                g_active *= max_s / max_g
-            s = s - g_active
-        g = g_active = None
 
         trials = _Trials(obj, ws)
         try:

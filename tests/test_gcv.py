@@ -241,6 +241,31 @@ def test_capped_trace_solve_is_unreliable():
     assert reliable is False
 
 
+def test_capped_preconditioned_trace_solve_is_redone_without_it():
+    # With the data scaled by 1e6 most residuals saturate, and the
+    # preconditioned influence solve needs 321 iterations where the plain
+    # one needs 159.  A preconditioned solve that reaches the cap is redone
+    # without the preconditioner, so its estimate is bitwise the plain one,
+    # its iterations count both attempts, and it is unreliable only when
+    # the redo reaches the cap too.
+    inst = make_instance("satellite", (16, 16), outlier_fraction=0.05)
+    data = inst.observed * 1e6
+    obj = Objective(inst.op, data, inst.sigma, LossFunction(), 0.1)
+    x_lam = projected_newton(obj, default_start(data))[0]
+    probe = rademacher_probe(data.shape, seed=0)
+    for maxit, reliable in ((200, True), (100, False)):
+        results = {}
+        for pre in (False, True):
+            search = _Search(obj, probe, pre)
+            opts = GcvOptions(inner_cg_maxit=maxit,
+                              solver=SolverOptions(use_preconditioner=pre))
+            results[pre] = (trace_term(obj, x_lam, probe, opts, _search=search),
+                            search.iterations)
+        (plain, plain_iterations), (redone, iterations) = results[False], results[True]
+        assert plain == redone == (plain[0], reliable), maxit
+        assert iterations == maxit + plain_iterations, maxit
+
+
 def test_preconditioned_trace_term_agrees_with_fewer_transforms():
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)

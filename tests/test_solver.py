@@ -397,17 +397,9 @@ def dense_damped_newton(obj, psf, center, x0):
 
     x = x0.ravel().copy()
     for _ in range(300):
-        ax = A @ x
-        s = ax + sigma2
-        t = (ax - b) / np.sqrt(s)
-        inlier = np.abs(t) <= beta
-        bs2 = (b + sigma2) ** 2
-        z = np.where(inlier, 0.5 * (1 - bs2 / s**2), 0.0)
-        d = np.where(inlier, bs2 / s**3, 0.0)
-        g = A.T @ z + lam * (LTL @ x)
+        g, H = dense_gradient_and_hessian(obj, A, LTL, x)
         if np.linalg.norm(g) < 1e-12:
             break
-        H = A.T @ (d[:, None] * A) + lam * LTL
         step = np.linalg.solve(H, -g)
         v0 = value(x)
         alpha = 1.0
@@ -415,6 +407,58 @@ def dense_damped_newton(obj, psf, center, x0):
             alpha *= 0.5
         x = x + alpha * step
     return x.reshape(shape)
+
+
+def dense_gradient_and_hessian(obj, A, LTL, x):
+    """Gradient and Hessian of a one-frame objective at the flat ``x``,
+    from the dense blur matrix ``A`` and ``LTL = L^T L``."""
+    b = obj.data[0].ravel()
+    sigma2 = obj.sigma**2
+    ax = A @ x
+    s = ax + sigma2
+    inlier = np.abs((ax - b) / np.sqrt(s)) <= obj.loss.beta
+    bs2 = (b + sigma2) ** 2
+    z = np.where(inlier, 0.5 * (1 - bs2 / s**2), 0.0)
+    d = np.where(inlier, bs2 / s**3, 0.0)
+    g = A.T @ z + obj.lam * (LTL @ x)
+    return g, A.T @ (d[:, None] * A) + obj.lam * LTL
+
+
+def test_newton_step_holds_only_the_binding_cells_at_the_bound():
+    # Bertsekas's projected Newton (SIAM J. Control Optim. 1982): a cell at
+    # the bound stays out of the Newton system only when its gradient
+    # pushes into the bound (g > 0); one with g <= 0 joins the system and
+    # can leave the bound.  One step with a tight inner solve must land on
+    # max(x0 + alpha s, 0), s the dense Newton step on the other cells.
+    shape = (6, 6)
+    rng = np.random.default_rng(121)
+    psf = gaussian_like_psf(rng, shape, width=0.8)
+    op = BlurOperator([psf], [(3, 3)])
+    bright = np.arange(6) < 3
+    x_true = np.where(bright, 40.0, 0.5)[None, :] * np.ones(shape)
+    b = op.apply(x_true)[0] + 0.5 * rng.standard_normal(shape)
+    obj = Objective(op, b[None], 2.0, LossFunction(), 1e-4)
+    # zeroed cells in the bright half want to rise, in the dim half to fall
+    x0 = np.where(bright, 30.0, 4.0)[None, :] * np.ones(shape)
+    x0[1:5:2, 1] = x0[1:5:2, 4] = 0.0
+
+    A = dense_blur_matrix(psf, (3, 3))
+    L = dense_laplacian(shape)
+    g, H = dense_gradient_and_hessian(obj, A, L.T @ L, x0.ravel())
+    at_bound = x0.ravel() <= 0
+    binding = at_bound & (g > 0)
+    assert binding.sum() == 2 and (at_bound & (g < 0)).sum() == 2
+    free = ~binding
+    s = np.zeros(x0.size)
+    s[free] = np.linalg.solve(H[np.ix_(free, free)], -g[free])
+
+    x, report = projected_newton(
+        obj, x0, SolverOptions(newton_maxit=1, pcg_tol=1e-12)
+    )
+    assert report.iterations == 1
+    expected = np.maximum(x0.ravel() + report.step_lengths[0] * s, 0.0)
+    assert np.max(expected.reshape(shape)[1:5:2, 1]) > 0  # left the bound
+    assert np.allclose(x.ravel(), expected, rtol=1e-9, atol=1e-9)
 
 
 def test_newton_preconditioned_run_agrees_with_plain_run():
@@ -555,8 +599,8 @@ def test_ill_conditioned_preconditioner_falls_back_to_none():
 
 
 @pytest.mark.parametrize("kind, side, steps, pcg, fallbacks", [
-    ("satellite", 64, 40, 2657, 40),
-    ("ash", 32, 17, 910, 18),
+    ("satellite", 64, 40, 2647, 40),
+    ("ash", 32, 40, 2419, 40),
 ])
 def test_rejected_preconditioner_at_lambda_zero_costs_nothing(
         kind, side, steps, pcg, fallbacks):
@@ -575,6 +619,51 @@ def test_rejected_preconditioner_at_lambda_zero_costs_nothing(
         assert report.total_pcg_iterations == pcg
         assert report.precond_fallbacks == fell_back
     assert runs[1].counts == runs[0].counts
+
+
+def test_preconditioned_solve_at_huge_lambda_converges():
+    # At lam = 1e6 the preconditioner, scaled by the Hessian weights, falls
+    # far below the penalty-dominated Hessian, and its PCG runs to the cap;
+    # each such step is solved again without it, and the run converges
+    # instead of spending 40 steps at the cap.
+    inst = make_testbed_instance("satellite", (64, 64), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e6)
+    _, report = projected_newton(obj, default_start(inst.observed),
+                                 SolverOptions(use_preconditioner=True))
+    assert report.termination == "converged"
+    assert report.iterations <= 6 and report.precond_fallbacks >= 1
+
+
+def test_step_pcg_iterations_include_the_capped_attempt(monkeypatch):
+    # A step whose preconditioned PCG reaches the cap is redone without the
+    # preconditioner; its pcg_iterations entry holds both attempts, and the
+    # redo counts as a fallback.
+    inst = make_testbed_instance("satellite", (64, 64), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e6)
+    attempts = []
+    real = solver_module.projected_pcg
+
+    def recorded(hess, rhs, active, precond=None, **kwargs):
+        result = real(hess, rhs, active, precond, **kwargs)
+        attempts.append((precond is not None, result[1]))
+        return result
+
+    monkeypatch.setattr(solver_module, "projected_pcg", recorded)
+    opts = SolverOptions(use_preconditioner=True)
+    _, report = projected_newton(obj, default_start(inst.observed), opts)
+    steps, redone = [], 0
+    pending = iter(attempts)
+    for preconditioned, iterations in pending:
+        assert preconditioned
+        if iterations == opts.pcg_maxit:
+            preconditioned, redo = next(pending)
+            assert not preconditioned
+            iterations += redo
+            redone += 1
+        steps.append(iterations)
+    assert redone >= 1
+    assert report.pcg_iterations == steps
+    assert report.precond_fallbacks == redone
 
 
 def test_solver_checks_hessian_weights_once_per_step():
