@@ -34,9 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .gcv import GcvOptions, _flag_counts, minimize_gcv, write_gcv_trace
-from .gridfft import (
-    COUNTS, _read_key_values, _write_table, write_pgm, write_raw
-)
+from .gridfft import _read_key_values, _write_table, write_pgm, write_raw
 from .objective import BETA_95, LossFunction
 from .solver import SolverOptions, default_start, projected_newton
 from .testbed import (
@@ -131,7 +129,6 @@ CONFIG_KEYS = {
     "newton_maxit": _positive_int,
     "pcg_tol": _positive_float,
     "pcg_maxit": _positive_int,
-    "linesearch_max_halvings": _nonneg_int,
     "use_precond": _boolean,
     "lambda_lo": _nonneg_float,
     "lambda_hi": _nonneg_float,
@@ -301,18 +298,11 @@ def cmd_solve(config) -> int:
     loss = _make_loss(config["loss"], config["beta"])
     obj = instance.objective(loss, config["lambda"])
     opts = _options(SolverOptions, config)
-    x0 = default_start(instance.observed)
-
-    fft_marks = []
-
-    def snapshot(k, value, pg_norm):
-        fft_marks.append(COUNTS.fft2 + COUNTS.ifft2)
-
-    x, report = projected_newton(obj, x0, opts, callback=snapshot)
+    x, report = projected_newton(obj, default_start(instance.observed), opts)
 
     rows = []
     for k in range(len(report.objective_trace)):
-        ffts = 0 if k == 0 else fft_marks[k] - fft_marks[k - 1]
+        ffts = 0 if k == 0 else report.step_transforms[k - 1]
         pcg = 0 if k == 0 else report.pcg_iterations[k - 1]
         rows.append(
             (

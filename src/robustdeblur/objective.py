@@ -274,12 +274,12 @@ class Objective:
         """Stacked residual length m = frames * pixels."""
         return int(self.data.size)
 
-    def _check_x(self, x, feasible: bool) -> np.ndarray:
-        x = as_image(x, "x")
+    def _check_x(self, x, feasible: bool, name: str = "x") -> np.ndarray:
+        x = as_image(x, name)
         if x.shape != self.op.shape:
-            raise ValueError(f"x shape {x.shape} != grid {self.op.shape}")
+            raise ValueError(f"{name} shape {x.shape} != grid {self.op.shape}")
         if feasible and np.any(x < 0):
-            raise ValueError("x must be elementwise nonnegative")
+            raise ValueError(f"{name} must be elementwise nonnegative")
         return x
 
     def evaluate(self, x) -> Evaluation:

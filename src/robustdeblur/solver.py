@@ -10,9 +10,12 @@ conjugate gradients restricted to that subspace, and a projected
 backtracking line search over max(x + alpha s, 0) enforces strict
 objective decrease.
 
-Convergence is declared when the projected gradient norm ``||P g||``
-falls to ``newton_tol * max(||P g0||, pg_ref)``, where ``g0`` is the
-gradient at the start and ``pg_ref`` the projected gradient norm at
+One projection serves the step and its stop test: ``P g`` is ``g`` with
+the binding set zeroed (:func:`_binding_set`), so ``g`` on the free cells
+and its negative part on the bound ones.  Convergence is declared when
+the projected gradient norm ``||P g||`` falls to
+``newton_tol * max(||P g0||, pg_ref)``, where ``g0`` is the gradient at
+the start and ``pg_ref`` the projected gradient norm at
 :func:`default_start` of the data.  The test runs at the start too, so a
 start that already meets it takes 0 steps.  A test relative to
 ``||P g0||`` alone is out of reach for a warm start near the optimum,
@@ -77,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import OpCounts, as_image, count_transforms
+from .gridfft import COUNTS, OpCounts, as_image, count_transforms
 from .objective import Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
 from .precond import _IllConditionedSymbol, precond_build
@@ -88,7 +91,6 @@ __all__ = [
     "LineSearchError",
     "LineSearchResult",
     "PcgBreakdownError",
-    "projected_gradient_map",
     "projected_pcg",
     "linesearch",
     "projected_newton",
@@ -110,7 +112,6 @@ class SolverOptions:
     newton_maxit: int = 40
     pcg_tol: float = 1e-1
     pcg_maxit: int = 100
-    linesearch_max_halvings: int = 20
     use_preconditioner: bool = False
 
     def __post_init__(self):
@@ -118,8 +119,6 @@ class SolverOptions:
             raise ValueError("tolerances must be positive")
         if self.newton_maxit < 1 or self.pcg_maxit < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.linesearch_max_halvings < 0:
-            raise ValueError("linesearch_max_halvings must be nonnegative")
 
 
 @dataclass
@@ -135,18 +134,28 @@ class SolverReport:
     ``pcg_maxit`` iterations, so the system was solved again without it.
     In the second case the step's ``pcg_iterations`` entry counts both
     attempts.  ``counts`` holds the operations issued by the thread that
-    ran the solve.
+    ran the solve.  ``step_transforms`` holds, per accepted step, the
+    transforms (fft2 + ifft2) that thread issued between the step's two
+    recorded points: the Newton solve, the line search, and the new point's
+    gradient.  The start's evaluation, gradient and ``pg_ref`` are in
+    ``counts`` only, as is the work of a last step that is not taken (a
+    failed line search, a PCG breakdown), which has no entry.
     """
 
-    iterations: int = 0
     objective_trace: list = field(default_factory=list)
     pg_norms: list = field(default_factory=list)
     pg_scale: float = 0.0
     pcg_iterations: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
+    step_transforms: list = field(default_factory=list)
     counts: OpCounts = field(default_factory=OpCounts)
     termination: str = ""
     precond_fallbacks: int = 0
+
+    @property
+    def iterations(self) -> int:
+        """Accepted Newton steps."""
+        return len(self.step_lengths)
 
     @property
     def total_pcg_iterations(self) -> int:
@@ -185,15 +194,12 @@ def default_start(observed) -> np.ndarray:
     return np.maximum(observed.mean(axis=0), 0.0)
 
 
-def projected_gradient_map(g: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Free components pass through; bound components keep only their
-    negative part (the directions that could still decrease the objective
-    without leaving the feasible set)."""
-    g = np.asarray(g, dtype=np.float64)
-    active = np.asarray(active, dtype=bool)
-    if g.shape != active.shape:
-        raise ValueError("gradient and active mask shapes differ")
-    return np.where(active, np.minimum(g, 0.0), g)
+def _binding_set(x: np.ndarray, g: np.ndarray):
+    """``(binding, ||P g||)`` at ``x`` with gradient ``g``: the binding set
+    (x <= 0 and g > 0), held at the bound, and the norm of the projected
+    gradient ``P g``, ``g`` with the binding set zeroed."""
+    binding = (x <= 0) & (g > 0)
+    return binding, float(np.linalg.norm(np.where(binding, 0.0, g)))
 
 
 def projected_pcg(
@@ -440,7 +446,7 @@ class _SearchMemo:
             self._ref = (data_ev.x_hat, _frozen(obj._data_gradient(data_ev, ws)))
         x_hat, g_data = self._ref
         g = obj._add_penalty_gradient(g_data.copy(), x_hat, ws)
-        return float(np.linalg.norm(projected_gradient_map(g, x_ref <= 0)))
+        return _binding_set(x_ref, g)[1]
 
     def remember(self, x: np.ndarray, data_ev, g_data) -> None:
         """Keep the last iterate of a solve of the objective last seen by
@@ -452,7 +458,6 @@ def projected_newton(
     obj: Objective,
     x0: np.ndarray,
     opts: SolverOptions | None = None,
-    callback=None,
     *,
     _memo: _SearchMemo | None = None,
 ):
@@ -461,10 +466,11 @@ def projected_newton(
     Per iteration: hold the binding set (x <= 0 and g > 0; Bertsekas,
     1982) at the bound, solve the Newton system on the other cells
     inexactly with projected PCG from rhs = -gradient, and line search
-    over max(x + alpha s, 0).  The stop test keeps the whole bound set
-    (x <= 0) in its projected gradient.  ``callback`` receives
-    ``(iteration, objective_value, projected_gradient_norm)`` at the start,
-    as iteration 0, and after every accepted step.  The run ends as
+    over max(x + alpha s, 0).  The stop test reads ``||P g||``, the
+    gradient norm off that same binding set.  The report records the
+    objective value and ``||P g||`` at the start and after every accepted
+    step, and the transforms each accepted step cost
+    (``SolverReport.step_transforms``).  The run ends as
     ``converged`` once the projected gradient norm is at most
     ``opts.newton_tol * report.pg_scale``, where
     ``pg_scale = max(||P g0||, pg_ref)`` takes the larger of its value at
@@ -479,33 +485,30 @@ def projected_newton(
     every solve.  The result is bitwise the same with any memo.
     """
     opts = opts or SolverOptions()
-    x = as_image(x0, "x0").copy()
-    if x.shape != obj.op.shape:
-        raise ValueError(f"x0 shape {x.shape} != grid {obj.op.shape}")
-    if np.any(x < 0):
-        raise ValueError("x0 must be elementwise nonnegative")
+    x = obj._check_x(x0, feasible=True, name="x0").copy()
     memo = _SearchMemo() if _memo is None else _memo
 
     report = SolverReport()
     with count_transforms() as tally:
-        x, data_ev, g_data = _newton_loop(obj, x, opts, callback, report, memo)
+        x, data_ev, g_data = _newton_loop(obj, x, opts, report, memo)
         if g_data is not None:
             memo.remember(x, data_ev, g_data)
     report.counts = tally.copy()
     return x, report
 
 
-def _newton_loop(obj, x, opts, callback, report, memo):
+def _newton_loop(obj, x, opts, report, memo):
     """Newton steps from ``x``, whose evaluation and ``pg_ref`` are read
     from ``memo``; returns the last iterate and its data-term evaluation
     and data gradient, both None when the run dropped them before it
     ended.
 
     Pass ``k`` records point ``k``, the start at 0 and the iterate of the
-    ``k``-th accepted step after it, then takes the next step unless the
-    run ends there.  Each accepted iterate is evaluated once, by the line
-    search; its evaluation then supplies the gradient, the Hessian weights
-    and the preconditioner input of the next step.  The data gradient is
+    ``k``-th accepted step after it, and for ``k > 0`` the transforms this
+    thread issued since point ``k - 1``; then it takes the next step
+    unless the run ends there.  Each accepted iterate is evaluated once,
+    by the line search; its evaluation then supplies the gradient, the
+    Hessian weights and the preconditioner input of the next step.  The data gradient is
     kept apart, for the memo, and the penalty added to a copy.  Every
     evaluation lives only in this frame, so dropping the name releases
     it.  So does the solve's workspace, which every gradient, Hessian
@@ -518,14 +521,14 @@ def _newton_loop(obj, x, opts, callback, report, memo):
     for k in range(opts.newton_maxit + 1):
         g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
         report.objective_trace.append(ev.value)
-        active = x <= 0
-        pg_norm = float(np.linalg.norm(projected_gradient_map(g, active)))
+        binding, pg_norm = _binding_set(x, g)
         report.pg_norms.append(pg_norm)
         if k == 0:
             report.pg_scale = max(pg_norm, memo.pg_ref(obj, x, pg_norm, ws))
             tol = opts.newton_tol * report.pg_scale
-        if callback is not None:
-            callback(k, ev.value, pg_norm)
+        else:
+            report.step_transforms.append(COUNTS.fft2 + COUNTS.ifft2 - mark)
+        mark = COUNTS.fft2 + COUNTS.ifft2
         if pg_norm <= tol:
             report.termination = "converged"
             break
@@ -544,26 +547,25 @@ def _newton_loop(obj, x, opts, callback, report, memo):
         try:
             # the residual (GCV's) is dropped here, before the line search
             s, inner, fell_back = _hessian_solve(
-                obj, d, -g, active & (g > 0), opts.use_preconditioner,
+                obj, d, -g, binding, opts.use_preconditioner,
                 opts.pcg_tol, opts.pcg_maxit, ws,
             )[:3]
         except PcgBreakdownError:
             report.termination = "pcg_breakdown"
             break
-        d = g = None
+        d = g = binding = None
         report.pcg_iterations.append(inner)
         report.precond_fallbacks += fell_back
 
         trials = _Trials(obj, ws)
         try:
-            ls = linesearch(trials, x, s, value, opts.linesearch_max_halvings)
+            ls = linesearch(trials, x, s, value)
         except LineSearchError:
             report.termination = "linesearch_failure"
             break
         ev, data_ev = trials.last, trials.data
         trials = None
         x = ls.x
-        report.iterations = k + 1
         report.step_lengths.append(ls.step)
         g_data = _frozen(obj._data_gradient(data_ev, ws))
     return x, data_ev, g_data

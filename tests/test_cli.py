@@ -104,7 +104,6 @@ VALID = {
     "newton_maxit": ("1", 1),
     "pcg_tol": ("0.5", 0.5),
     "pcg_maxit": ("10", 10),
-    "linesearch_max_halvings": ("0", 0),
     "use_precond": ("Yes", True),
     "lambda_lo": ("0", 0.0),
     "lambda_hi": ("inf", float("inf")),
@@ -142,7 +141,6 @@ INVALID = {
     "newton_maxit": ("0", "must be at least 1"),
     "pcg_tol": ("nan", "must be positive"),
     "pcg_maxit": ("2.5", NOT_INT + "'2.5'"),
-    "linesearch_max_halvings": ("-1", "must be nonnegative"),
     "use_precond": ("maybe", BOOLEAN),
     "lambda_lo": ("-1", "must be nonnegative"),
     "lambda_hi": ("nan", "must be nonnegative"),

@@ -14,10 +14,10 @@ from robustdeblur.solver import (
     LineSearchError,
     PcgBreakdownError,
     SolverOptions,
+    _binding_set,
     _SearchMemo,
     default_start,
     linesearch,
-    projected_gradient_map,
     projected_newton,
     projected_pcg,
 )
@@ -57,23 +57,30 @@ def make_instance(seed, shape=(8, 8), lam=0.2, noise=1.0, outliers=0,
     return obj, x0, x_true, psf, center
 
 
-# -- projected gradient map ---------------------------------------------
+# -- binding set --------------------------------------------------------
 
 
-def test_projection_with_empty_active_set_is_identity():
-    g = np.array([[1.0, -2.0], [0.5, -0.25]])
-    assert np.array_equal(projected_gradient_map(g, np.zeros((2, 2), bool)), g)
-
-
-def test_projection_blocks_positive_components():
-    g = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.all(projected_gradient_map(g, np.ones((2, 2), bool)) == 0.0)
-
-
-def test_projection_keeps_negative_part():
-    g = np.array([[-2.0, 3.0]])
-    active = np.array([[True, True]])
-    assert np.array_equal(projected_gradient_map(g, active), [[-2.0, 0.0]])
+def test_binding_set_is_the_one_projection_of_step_and_stop_test():
+    # The mask is the bound cells whose gradient pushes into the bound, and
+    # ||P g|| (g with that mask zeroed) equals the stop-test norm that kept
+    # only the negative part of g on every bound cell; exact and signed
+    # zeros in x and g included.
+    rng = np.random.default_rng(23)
+    shape = (16, 12)
+    x = rng.random(shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.2] = -0.0
+    g = rng.standard_normal(shape)
+    g[rng.random(shape) < 0.2] = 0.0
+    g[rng.random(shape) < 0.2] = -0.0
+    bound = x <= 0
+    assert np.any(bound & np.signbit(x)) and np.any(bound & ~np.signbit(x))
+    for cell in (g > 0, g < 0, (g == 0) & np.signbit(g), (g == 0) & ~np.signbit(g)):
+        assert np.any(bound & cell) and np.any(~bound & cell)
+    binding, pg_norm = _binding_set(x, g)
+    assert binding.dtype == bool
+    assert np.array_equal(binding, bound & (g > 0))
+    assert pg_norm == np.linalg.norm(np.where(bound, np.minimum(g, 0.0), g))
 
 
 # -- projected PCG ------------------------------------------------------
@@ -473,21 +480,50 @@ def test_newton_preconditioned_run_agrees_with_plain_run():
     assert np.linalg.norm(x_plain - x_pre) / scale < 1e-2
 
 
-def test_newton_records_transform_counts_and_callback_rows():
-    obj, x0, _, _, _ = make_instance(115)
-    rows = []
-    x, report = projected_newton(
-        obj, x0, callback=lambda k, v, pg: rows.append((k, v, pg))
-    )
-    assert report.counts.fft2 > 0 and report.counts.ifft2 > 0
-    assert [r[0] for r in rows] == list(range(report.iterations + 1))
-    assert rows[-1][1] == report.objective_trace[-1]
+def _start_transforms(report):
+    """The transforms of a solve that no step accounts for."""
+    return report.counts.fft2 + report.counts.ifft2 - sum(report.step_transforms)
+
+
+def test_newton_records_transform_counts_per_accepted_step():
+    # step_transforms has one entry per accepted step and accounts for all
+    # of a run's transforms but its start: from default_start (pg_ref is
+    # free there) that is one evaluation and one gradient, 2k+3 transforms
+    # at lam > 0 and 2k+2 at lam = 0.  Without the preconditioner each
+    # entry is its step's closed form: (k+1) per line-search trial, the new
+    # point's gradient, and (2k+2) per PCG iteration.
+    ends = set()
+    for kind in ("satellite", "ash"):  # 1 frame and 3
+        inst = make_testbed_instance(kind, (32, 32), outlier_fraction=0.05)
+        k = inst.n_frames
+        x0 = default_start(inst.observed)
+        for lam, maxit, pre in itertools.product(
+            (1e-3, 0.0), (1, 3, 40), (False, True)
+        ):
+            obj = inst.objective(LossFunction(), lam)
+            opts = SolverOptions(newton_maxit=maxit, use_preconditioner=pre)
+            _, report = projected_newton(obj, x0, opts)
+            case = (kind, lam, maxit, pre)
+            assert report.termination in ("converged", "max_iterations"), case
+            ends.add(report.termination)
+            assert report.iterations >= 1, case
+            assert len(report.step_transforms) == report.iterations, case
+            assert _start_transforms(report) == 2 * k + 2 + (lam > 0), case
+            if not pre:
+                trials = [1 + round(math.log2(1.0 / a)) for a in report.step_lengths]
+                assert report.step_transforms == [
+                    (k + 1) * t + (k + 1 + (lam > 0)) + (2 * k + 2) * pcg
+                    for t, pcg in zip(trials, report.pcg_iterations)
+                ], case
+    assert ends == {"converged", "max_iterations"}
 
 
 def test_newton_input_validation():
     obj, x0, _, _, _ = make_instance(116)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x0 must be elementwise nonnegative"):
         projected_newton(obj, -x0)
+    with pytest.raises(ValueError, match="x0 contains non-finite values"):
+        projected_newton(obj, np.where(x0 == x0.max(), np.nan, x0))
     with pytest.raises(ValueError, match="x0 shape"):
         projected_newton(obj, x0[:-1])
     # the Talwar-only rule is enforced where the objective is built
@@ -832,6 +868,9 @@ def test_concurrent_solves_each_count_only_their_own_operations():
     finally:
         sys.setswitchinterval(interval)
     assert serial.counts.fft2 + serial.counts.ifft2 > 0
+    assert serial.termination in ("converged", "max_iterations")
     for report in reports:
         assert report.counts == serial.counts
         assert report.objective_trace == serial.objective_trace
+        assert report.step_transforms == serial.step_transforms
+        assert _start_transforms(report) == 2 * inst.n_frames + 3
