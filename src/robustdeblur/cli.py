@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -97,11 +98,13 @@ def _list_of(item):
     return parse
 
 
+# every float key but beta, whose inf means weighted least squares
+_finite_float = _bounded(float, math.isfinite, "must be finite")
 _nonneg_int = _bounded(int, lambda v: v >= 0, "must be nonnegative")
 _positive_int = _bounded(int, lambda v: v >= 1, "must be at least 1")
-_nonneg_float = _bounded(float, lambda v: v >= 0, "must be nonnegative")
-_positive_float = _bounded(float, lambda v: v > 0, "must be positive")
-_fraction = _bounded(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_nonneg_float = _bounded(_finite_float, lambda v: v >= 0, "must be nonnegative")
+_positive_float = _bounded(_finite_float, lambda v: v > 0, "must be positive")
+_fraction = _bounded(_finite_float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _loss_kind = _one_of("talwar", "standard")
 
 # key -> value parser; every config line must name one of these
@@ -123,7 +126,7 @@ CONFIG_KEYS = {
     "instance": str,
     "out": str,
     "loss": _loss_kind,
-    "beta": _positive_float,
+    "beta": _bounded(float, lambda v: v > 0, "must be positive"),
     "lambda": _nonneg_float,
     "newton_tol": _positive_float,
     "newton_maxit": _positive_int,

@@ -38,7 +38,8 @@ evaluation to the next, holding four things; standalone
 :func:`gcv_eval` and :func:`trace_term` calls make a fresh one and start
 cold.  The memo, the fit and the start product leave every result
 bitwise unchanged; the influence start moves an estimate only within the
-solve's tolerance.
+solve's tolerance.  A search checks its probe once, when it is made, and
+its fits and influence solves run in its one workspace.
 
 - The :class:`.solver._SearchMemo` of its Newton solves.  Only the
   penalty term depends on lambda, so each warm solve reads its start and
@@ -52,10 +53,11 @@ solve's tolerance.
 - The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
   influence solve's right-hand side ``A^T W v`` and weights W^2, and the
   preconditioner's scaling built from W^2, none of which depends on
-  lambda.  Late in a search most solves take no Newton step: their
-  start already meets the stop test, so their solution is bitwise the
-  previous one and they read the fit instead of spending 3(k+1)
-  transforms on it (2(k+1) without the preconditioner).
+  lambda; W^2 is checked when the fit is built.  Late in a search most
+  solves take no Newton step: their start already meets the stop test,
+  so their solution is bitwise the previous one and they read the fit
+  instead of spending 3(k+1) transforms on it (2(k+1) without the
+  preconditioner).
 - The lambda-free half of the last influence start's Hessian product,
   ``y0_hat`` and ``A^T W^2 A y0`` on the half spectrum, kept for the
   current fit.  When the fit is read and the previous influence solve
@@ -81,10 +83,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import _write_table, count_transforms
+from .gridfft import _nonnegative, _positive, _write_table, count_transforms
 from .objective import Objective, _scaled_terms
-from .operators import Workspace, _frozen, _hessian_data_half, _hessian_finish
-from .precond import build_dhat
+from .operators import (Workspace, _check_weights, _frozen, _hessian_data_half,
+                        _hessian_finish)
+from .precond import _scaling
 from .solver import (
     PcgBreakdownError,
     SolverOptions,
@@ -138,10 +141,12 @@ class GcvOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.lambda_lo < 0 or self.lambda_hi < self.lambda_lo:
+        _nonnegative("lambda_lo", self.lambda_lo)
+        _nonnegative("lambda_hi", self.lambda_hi)
+        if self.lambda_hi < self.lambda_lo:
             raise ValueError("bracket must satisfy 0 <= lambda_lo <= lambda_hi")
-        if self.x_tol <= 0 or self.inner_cg_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _positive("x_tol", self.x_tol)
+        _positive("inner_cg_tol", self.inner_cg_tol)
         if self.inner_cg_maxit < 1:
             raise ValueError("inner_cg_maxit must be at least 1")
 
@@ -186,14 +191,6 @@ def rademacher_probe(shape, seed: int) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
-def _check_probe(obj: Objective, probe) -> np.ndarray:
-    """The probe as floats; it must be finite and shaped like the data."""
-    probe, shape = np.asarray(probe, dtype=np.float64), obj.data.shape
-    if probe.shape != shape or not np.all(np.isfinite(probe)):
-        raise ValueError(f"probe must be finite with shape {shape}, got {probe.shape}")
-    return probe
-
-
 @dataclass(frozen=True)
 class _Fit:
     """The terms of a GCV evaluation that depend on its solution ``x`` (and
@@ -208,36 +205,44 @@ class _Fit:
 
 
 def _fit_at(obj: Objective, x: np.ndarray, probe: np.ndarray,
-            use_preconditioner: bool) -> _Fit:
+            use_preconditioner: bool, ws: Workspace) -> _Fit:
     """The :class:`_Fit` of ``x``: 2(k+1) transforms for ``A x`` and ``rhs``,
-    and (k+1) more for ``dhat`` when preconditioned."""
+    and (k+1) more for ``dhat`` in ``ws`` when preconditioned.  W^2 is
+    checked here; W is positive, so ``dhat`` needs no all-zero test."""
     ax = obj.op.apply(x)
     r = ax - obj.data
     W = _weights_from_fit(obj, ax, r)
     numerator = float(np.sum((W * r) ** 2))
     rhs = _frozen(obj.op.apply_adjoint(W * probe))
-    weights = _frozen(W * W)
-    dhat = _frozen(build_dhat(obj.op, weights)) if use_preconditioner else None
+    weights = _frozen(_check_weights(obj.op, W * W))
+    dhat = _frozen(_scaling(obj.op, weights, ws)) if use_preconditioner else None
     return _Fit(x, numerator, rhs, weights, dhat)
 
 
 class _Search:
     """What a :func:`minimize_gcv` search carries between evaluations (see
     the module docstring), for the data term of ``obj``, the probe and the
-    preconditioner flag it was made with: ``memo``, the Newton solves'
-    :class:`.solver._SearchMemo`; ``y``, the last influence solution and
-    the next influence solve's start (None: zero), and ``iterations`` and
-    ``transforms``, the PCG iterations and transforms that solve took;
-    ``fit``, the :class:`_Fit` of the last
-    solution, which :meth:`fit_of` serves again while the solution is
-    bitwise unchanged; and the lambda-free half of the last influence
-    start's Hessian product under that fit, which :meth:`start_product`
-    serves again while the start is unchanged too."""
+    preconditioner flag it was made with: ``probe``, checked here; ``ws``,
+    the workspace of its fits and influence solves; ``memo``, the Newton
+    solves' :class:`.solver._SearchMemo`; ``y``, the last influence
+    solution and the next influence solve's start (None: zero), and
+    ``iterations`` and ``transforms``, the PCG iterations and transforms
+    that solve took; ``fit``, the :class:`_Fit` of the last solution,
+    which :meth:`fit_of` serves again while the solution is bitwise
+    unchanged; and the lambda-free half of the last influence start's
+    Hessian product under that fit, which :meth:`start_product` serves
+    again while the start is unchanged too."""
 
     def __init__(self, obj: Objective, probe: np.ndarray,
                  use_preconditioner: bool):
-        self._obj, self._probe = obj, probe
+        probe, shape = np.asarray(probe, dtype=np.float64), obj.data.shape
+        if probe.shape != shape or not np.all(np.isfinite(probe)):
+            raise ValueError(
+                f"probe must be finite with shape {shape}, got {probe.shape}"
+            )
+        self._obj, self.probe = obj, probe
         self._use_preconditioner = use_preconditioner
+        self.ws = Workspace(obj.op.shape, obj.op.n_frames)
         self.memo = _SearchMemo()
         self.y = None
         self.iterations = self.transforms = 0
@@ -246,13 +251,12 @@ class _Search:
 
     def fit_of(self, x: np.ndarray) -> _Fit:
         if self.fit is None or not np.array_equal(x, self.fit.x):
-            self.fit = _fit_at(self._obj, x, self._probe,
-                               self._use_preconditioner)
+            self.fit = _fit_at(self._obj, x, self.probe,
+                               self._use_preconditioner, self.ws)
             self._start = None
         return self.fit
 
-    def start_product(self, obj: Objective, ws: Workspace,
-                      y0: np.ndarray) -> np.ndarray:
+    def start_product(self, obj: Objective, y0: np.ndarray) -> np.ndarray:
         """``H y0`` at ``obj.lam`` with the weights of ``fit``, in ``ws.image``.
 
         The lambda-free half (2k+1 transforms) is kept, and read again while
@@ -261,13 +265,13 @@ class _Search:
         product is bitwise that of :func:`.operators._hessian_kernel`.
         """
         if self._start is None or not np.array_equal(y0, self._start[0]):
-            y0_hat, acc = _hessian_data_half(obj.op, self.fit.weights, ws, y0)
+            y0_hat, acc = _hessian_data_half(obj.op, self.fit.weights, self.ws, y0)
             self._start = (y0.copy(), y0_hat.copy(), acc.copy())
         else:
-            y0_hat, acc = ws.spectrum, ws.stack_spectrum[0]
+            y0_hat, acc = self.ws.spectrum, self.ws.stack_spectrum[0]
             np.copyto(y0_hat, self._start[1])
             np.copyto(acc, self._start[2])
-        return _hessian_finish(obj.op, obj._penalty, y0_hat, acc, ws)
+        return _hessian_finish(obj.op, obj._penalty, y0_hat, acc, self.ws)
 
 
 def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
@@ -300,8 +304,9 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     only when the redo uses them all too; both attempts count in the
     search's ``iterations``.
 
-    ``_search`` is the :class:`_Search` (None: a fresh one) that W, rhs and
-    the scaling are read from, and whose ``y`` is the CG's start (zeroed
+    ``_search`` is the :class:`_Search` (None: a fresh one, which checks
+    ``probe``) that the probe, W, rhs and the scaling are read from, whose
+    workspace the solve runs in, and whose ``y`` is the CG's start (zeroed
     off the support; zero when None) and is replaced by this solve's ``y``.
     The stop test keeps its ``||P rhs||`` reference, so a start near the
     solution ends the solve early, after one Hessian product for its
@@ -312,18 +317,16 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     calling thread in its ``transforms``.
     """
     opts = opts or GcvOptions()
-    probe = _check_probe(obj, probe)
     use_preconditioner = opts.solver.use_preconditioner
     search = _Search(obj, probe, use_preconditioner) if _search is None else _search
     fit = search.fit_of(x_lam)
-    ws = Workspace(obj.op.shape, obj.op.n_frames)
     with count_transforms() as tally:
         try:
             y, iterations, _, capped, r = _hessian_solve(
                 obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
-                opts.inner_cg_tol, opts.inner_cg_maxit, ws, x0=search.y,
+                opts.inner_cg_tol, opts.inner_cg_maxit, search.ws, x0=search.y,
                 dhat=fit.dhat,
-                start_hess=functools.partial(search.start_product, obj, ws),
+                start_hess=functools.partial(search.start_product, obj),
             )
             reliable = not capped
             # rhs^T y + r^T y = 2 rhs^T y - y^T H y, short of rhs^T y* by
@@ -339,7 +342,7 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
             quadratic = np.sum(fit.rhs * y)
     search.y, search.iterations = y, iterations
     search.transforms = tally.fft2 + tally.ifft2
-    estimate = float(np.sum(probe * probe) - quadratic)
+    estimate = float(np.sum(search.probe * search.probe) - quadratic)
     return estimate, reliable
 
 
@@ -357,18 +360,18 @@ def gcv_eval(
     ``_search`` is the :class:`_Search`, made with ``obj``, ``probe`` and
     ``opts.solver.use_preconditioner``, that the Newton solve and
     :func:`trace_term` read from and leave their state in (None: a fresh
-    one, so the call starts cold).
+    one with ``probe``, drawn from ``opts.probe_seed`` when None).
     """
-    if probe is None:
-        probe = rademacher_probe(obj.data.shape, opts.probe_seed)
-    probe = _check_probe(obj, probe)
     if _search is None:
+        if probe is None:
+            probe = rademacher_probe(obj.data.shape, opts.probe_seed)
         _search = _Search(obj, probe, opts.solver.use_preconditioner)
     obj_lam = obj.with_lambda(lam)
     x_lam, report = projected_newton(obj_lam, warm_start, opts.solver,
                                      _memo=_search.memo)
     fit = _search.fit_of(x_lam)
-    estimate, reliable = trace_term(obj_lam, x_lam, probe, opts, _search=_search)
+    estimate, reliable = trace_term(obj_lam, x_lam, _search.probe, opts,
+                                    _search=_search)
     m = obj.n_residuals
     denom = estimate * estimate
     value = m * fit.numerator / denom if denom > 0 else np.inf

@@ -130,19 +130,30 @@ def count_transforms():
         tally.adds = COUNTS.adds - start.adds
 
 
-def tally_mults(n: int = 1) -> None:
-    COUNTS.mults += n
+def _nonnegative(name: str, value) -> float:
+    """``float(value)``; ``ValueError`` naming ``name`` unless finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+    return value
 
 
-def tally_adds(n: int = 1) -> None:
-    COUNTS.adds += n
+def _positive(name: str, value) -> float:
+    """``float(value)``; ``ValueError`` naming ``name`` unless finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
-def as_image(values, name: str = "image") -> np.ndarray:
-    """Validate and return a 2D float64 image (finite entries only)."""
+def as_image(values, name: str = "image", shape=None) -> np.ndarray:
+    """Validate and return a 2D float64 image (finite entries only), on the
+    ``shape`` grid when one is given."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must be a 2D array, got shape {arr.shape}")
+    if shape is not None and arr.shape != tuple(shape):
+        raise ValueError(f"{name} shape {arr.shape} != grid {tuple(shape)}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr

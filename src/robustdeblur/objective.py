@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import _irdft2, _rdft2, _spectral_energy, as_image
+from .gridfft import _irdft2, _nonnegative, _rdft2, _spectral_energy, as_image
 from .operators import (
     BlurOperator,
     Workspace,
+    _adjoint_sum,
     _frozen,
     _laplacian_half,
     _penalty_symbol,
@@ -244,9 +245,7 @@ class Objective:
             raise ValueError(
                 f"data has {self.data.shape[0]} frames, operator has {op.n_frames}"
             )
-        if sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma}")
-        self.sigma = float(sigma)
+        self.sigma = _nonnegative("sigma", sigma)
         self.loss = loss if loss is not None else LossFunction()
         if self.loss.kind != "talwar":
             raise ValueError(
@@ -258,9 +257,7 @@ class Objective:
         self._set_lam(lam)
 
     def _set_lam(self, lam) -> None:
-        if lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {lam}")
-        self.lam = float(lam)
+        self.lam = _nonnegative("lam", lam)
         self._penalty = _frozen(_penalty_symbol(self.op.shape, self.lam))
 
     def with_lambda(self, lam: float) -> "Objective":
@@ -275,9 +272,7 @@ class Objective:
         return int(self.data.size)
 
     def _check_x(self, x, feasible: bool, name: str = "x") -> np.ndarray:
-        x = as_image(x, name)
-        if x.shape != self.op.shape:
-            raise ValueError(f"{name} shape {x.shape} != grid {self.op.shape}")
+        x = as_image(x, name, self.op.shape)
         if feasible and np.any(x < 0):
             raise ValueError(f"{name} must be elementwise nonnegative")
         return x
@@ -286,25 +281,23 @@ class Objective:
         """Everything the solver reads at a feasible x, from one ``A x``:
         :meth:`_data_evaluation` with the penalty added to its value.
         Checks ``x`` (finite, nonnegative, on the grid) first."""
-        return self._penalized(self._data_evaluation(self._check_x(x, feasible=True)))
+        x = self._check_x(x, feasible=True)
+        ws = Workspace(self.op.shape, self.op.n_frames)
+        return self._penalized(self._data_evaluation(x, ws))
 
-    def _data_evaluation(self, x, ws: Workspace | None = None) -> Evaluation:
+    def _data_evaluation(self, x, ws: Workspace) -> Evaluation:
         """:meth:`evaluate` without the penalty: the value is the data term
         alone, so every field is independent of ``lam``.
 
         ``x`` is not checked: it must be a feasible float64 image on the
         grid, as the solver's iterates are by construction.  ``A x`` and its
         per-frame spectra are built in ``ws.stack`` and
-        ``ws.stack_spectrum`` (fresh arrays when ``ws`` is None), which the
-        returned evaluation does not share.  The value, z and D are built in
-        place: ``s`` is held in D's array, ``t`` overwrites ``A x``, and z's
-        array is scratch until z is built.
+        ``ws.stack_spectrum``, which the returned evaluation does not share.
+        The value, z and D are built in place: ``s`` is held in D's array,
+        ``t`` overwrites ``A x``, and z's array is scratch until z is built.
         """
         x_hat = _rdft2(x)
-        if ws is None:
-            ax = self.op._forward(x_hat)
-        else:
-            ax = self.op._forward(x_hat, out=ws.stack, scratch=ws.stack_spectrum)
+        ax = self.op._forward(x_hat, ws)
         beta, sigma2 = self.loss.beta, self.sigma**2
         z, d = np.empty_like(ax), np.empty_like(ax)
         s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ax, z))
@@ -348,7 +341,7 @@ class Objective:
     def _data_gradient(self, ev: Evaluation, ws: Workspace) -> np.ndarray:
         """``A^T z``, the gradient of the data term, as a fresh image;
         k fft2 + 1 ifft2."""
-        spec = self.op._adjoint_spectrum(ev.z, scratch=ws.stack_spectrum)
+        spec = _adjoint_sum(self.op._otf_half_adj, ev.z, ws)
         return _irdft2(spec, self.op.shape)
 
     def _add_penalty_gradient(self, g, x_hat, ws: Workspace) -> np.ndarray:

@@ -12,10 +12,11 @@ transform schedule costing exactly 2 fft2 + 2 ifft2 + 4 pixel-wise
 multiplies + 1 addition per single-frame apply.  The schedule is part of
 the module contract (tests pin the counts), not an optimization detail.
 
-The schedule runs in a :class:`Workspace`: one image, one half spectrum
-and one k-frame stack with its half spectrum, allocated once per solve by
-the solver (and per call by the public :func:`hessian_apply`), so the
-PCG loop allocates no grid-sized array.  A workspace belongs to one solve
+Every private kernel runs in a required :class:`Workspace` (one image,
+one half spectrum and one k-frame stack with its half spectrum) and
+trusts its arguments.  The solver allocates one per solve, so the PCG
+loop allocates no grid-sized array; each public entry point checks its
+inputs and allocates one per call.  A workspace belongs to one solve
 and is never stored on :class:`BlurOperator`, the preconditioner or the
 objective: those stay immutable, so concurrent solves may share them,
 each with its own workspace.
@@ -28,13 +29,13 @@ import functools
 import numpy as np
 
 from .gridfft import (
+    COUNTS,
     _half,
     _irdft2,
+    _nonnegative,
     _psf_spectra,
     _rdft2,
     as_image,
-    tally_adds,
-    tally_mults,
 )
 
 __all__ = [
@@ -142,10 +143,9 @@ class BlurOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Forward model: frame j of the result is ``idft2(H_j * dft2(x))``."""
-        x = as_image(x)
-        if x.shape != self.shape:
-            raise ValueError(f"image shape {x.shape} != operator grid {self.shape}")
-        return self._forward(_rdft2(x))
+        x = as_image(x, shape=self.shape)
+        ws = Workspace(self.shape, self.n_frames)
+        return self._forward(_rdft2(x, out=ws.spectrum), ws)
 
     def apply_adjoint(self, y) -> np.ndarray:
         """Adjoint: ``sum_j idft2(conj(H_j) * dft2(y_j))``."""
@@ -154,35 +154,29 @@ class BlurOperator:
             raise ValueError(
                 f"stack has {y.shape[0]} frames, operator has {self.n_frames}"
             )
-        return _irdft2(self._adjoint_spectrum(y), self.shape)
+        ws = Workspace(self.shape, self.n_frames)
+        spec = _adjoint_sum(self._otf_half_adj, y, ws)
+        return _irdft2(spec, self.shape, out=ws.image)
 
-    def _forward(self, x_hat, out=None, scratch=None) -> np.ndarray:
+    def _forward(self, x_hat, ws: Workspace) -> np.ndarray:
         """``A x`` from the half spectrum ``x_hat = _rdft2(x)``; k ifft2.
 
-        ``out`` receives the (k, h, w) result and ``scratch``, a
-        (k, h, w//2+1) complex array, the per-frame spectra; either may be
-        None for a fresh array.  The products are taken frame by frame
-        because numpy copies a broadcast operand into a temporary stack.
+        The per-frame spectra go to ``ws.stack_spectrum``, the result to
+        ``ws.stack``.  The products are taken frame by frame because numpy
+        copies a broadcast operand into a temporary stack.
         """
-        if scratch is None:
-            scratch = np.empty(self._otf_half.shape, dtype=np.complex128)
-        for otf, spec in zip(self._otf_half, scratch):
+        for otf, spec in zip(self._otf_half, ws.stack_spectrum):
             np.multiply(otf, x_hat, out=spec)
-        return _irdft2(scratch, self.shape, out=out)
-
-    def _adjoint_spectrum(self, y: np.ndarray, scratch=None) -> np.ndarray:
-        """Half spectrum of ``A^T y`` for a checked stack ``y``; k fft2."""
-        return _adjoint_sum(self._otf_half_adj, y, scratch)
+        return _irdft2(ws.stack_spectrum, self.shape, out=ws.stack)
 
 
-def _adjoint_sum(otf_half_adj, y, scratch=None) -> np.ndarray:
+def _adjoint_sum(otf_half_adj, y, ws: Workspace) -> np.ndarray:
     """``sum_j otf_half_adj[j] * _rdft2(y[j])``; k fft2.
 
-    The frames are summed into frame 0 of ``scratch`` (a fresh array when
-    None), in frame order, as ``np.sum(..., axis=0)`` would; the result
-    is that frame.
+    The frames are summed into frame 0 of ``ws.stack_spectrum``, in frame
+    order, as ``np.sum(..., axis=0)`` would; the result is that frame.
     """
-    spec = _rdft2(y, out=scratch)
+    spec = _rdft2(y, out=ws.stack_spectrum)
     np.multiply(otf_half_adj, spec, out=spec)
     for frame in spec[1:]:
         spec[0] += frame
@@ -231,25 +225,22 @@ def hessian_apply(
     spectrum.  Single-frame total: 2 fft2, 2 ifft2, 4 multiplies, 1 add.
 
     This is the checked entry point and returns a fresh array.  The
-    solvers' :func:`.solver._hessian_solve` checks the weights once per
-    system and calls :func:`_hessian_kernel`, the same schedule unchecked,
-    in a workspace of their own.
+    solver calls :func:`_hessian_kernel`, the same schedule unchecked, on
+    weights checked once where it made them.
     """
-    s = as_image(s, "s")
-    weights = _check_weights(op, weights, lam)
-    ws = Workspace(op.shape, op.n_frames)
-    return _hessian_kernel(op, _penalty_symbol(op.shape, lam), weights, ws, s)
+    s = as_image(s, "s", op.shape)
+    weights = _check_weights(op, weights)
+    penalty = _penalty_symbol(op.shape, _nonnegative("lam", lam))
+    return _hessian_kernel(op, penalty, weights, Workspace(op.shape, op.n_frames), s)
 
 
-def _check_weights(op: BlurOperator, weights, lam: float = 0.0) -> np.ndarray:
-    """Validate Hessian weights and ``lam``; return the weights as a stack."""
+def _check_weights(op: BlurOperator, weights) -> np.ndarray:
+    """Validate Hessian weights; return them as a stack."""
     weights = as_stack(weights, op.shape, "weights")
     if weights.shape[0] != op.n_frames:
         raise ValueError("one weight frame per operator frame required")
     if np.any(weights < 0):
         raise ValueError("Hessian weights must be nonnegative")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     return weights
 
 
@@ -282,15 +273,12 @@ def _hessian_data_half(op, weights, ws, s):
     Both live in ``ws`` (``spectrum`` and frame 0 of ``stack_spectrum``)
     and are overwritten by the next kernel call.
     """
-    k = op.n_frames
     s_hat = _rdft2(s, out=ws.spectrum)
-    u = op._forward(s_hat, out=ws.stack, scratch=ws.stack_spectrum)
-    tally_mults(k)
+    u = op._forward(s_hat, ws)
     u *= weights
-    tally_mults(k)
-    acc = op._adjoint_spectrum(u, scratch=ws.stack_spectrum)
-    tally_mults(k)
-    tally_adds(k - 1)
+    acc = _adjoint_sum(op._otf_half_adj, u, ws)
+    COUNTS.mults += 3 * op.n_frames
+    COUNTS.adds += op.n_frames - 1
     return s_hat, acc
 
 
@@ -299,6 +287,6 @@ def _hessian_finish(op, penalty, s_hat, acc, ws):
     ``ws.image``; 1 transform.  Overwrites ``s_hat`` and ``acc``."""
     # The budget counts the spectral products; lam * L^T L is not tallied.
     acc += np.multiply(penalty, s_hat, out=s_hat)
-    tally_mults()
-    tally_adds()
+    COUNTS.mults += 1
+    COUNTS.adds += 1
     return _irdft2(acc, op.shape, out=ws.image)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import _irdft2, _rdft2, tally_mults
+from .gridfft import COUNTS, _irdft2, _nonnegative, _rdft2, as_image
 from .operators import (
     BlurOperator, Workspace, _adjoint_sum, _check_weights, _laplacian_half
 )
@@ -62,19 +62,18 @@ class Preconditioner:
 
         Runs in the image and spectrum buffers of ``ws`` and returns its
         ``image``, which the next kernel call overwrites.  Without a
-        workspace it runs in a throwaway one, so the result is a fresh
-        array.
+        workspace ``r`` is checked and the solve runs in a throwaway one,
+        so the result is a fresh array.
         """
-        ws = Workspace(self.dhat.shape) if ws is None else ws
+        if ws is None:
+            r = as_image(r, "r", self.dhat.shape)
+            ws = Workspace(self.dhat.shape)
         u = np.multiply(self.inv_dhat, r, out=ws.image)
-        tally_mults()
         spec = _rdft2(u, out=ws.spectrum)
         np.multiply(self.inv_symbol, spec, out=spec)
         v = _irdft2(spec, u.shape, out=u)
-        tally_mults()
-        out = np.multiply(self.inv_dhat, v, out=v)
-        tally_mults()
-        return out
+        COUNTS.mults += 3
+        return np.multiply(self.inv_dhat, v, out=v)
 
 
 def build_dhat(op: BlurOperator, weights) -> np.ndarray:
@@ -86,7 +85,8 @@ def build_dhat(op: BlurOperator, weights) -> np.ndarray:
     the constant sum_j sum(psf_j^2), which the operator stores when it is
     built.
     """
-    return _scaling(op, _positive_weights(op, weights))
+    weights = _positive_weights(op, weights)
+    return _scaling(op, weights, Workspace(op.shape, op.n_frames))
 
 
 def _positive_weights(op: BlurOperator, weights) -> np.ndarray:
@@ -97,13 +97,10 @@ def _positive_weights(op: BlurOperator, weights) -> np.ndarray:
     return weights
 
 
-def _scaling(op: BlurOperator, weights: np.ndarray,
-             ws: Workspace | None = None) -> np.ndarray:
+def _scaling(op: BlurOperator, weights: np.ndarray, ws: Workspace) -> np.ndarray:
     """:func:`build_dhat` of weights already passed by :func:`_positive_weights`;
-    the per-frame spectra go to ``ws.stack_spectrum`` (fresh when ``ws`` is
-    None)."""
-    scratch = None if ws is None else ws.stack_spectrum
-    dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights, scratch), op.shape)
+    the per-frame spectra go to ``ws.stack_spectrum``."""
+    dhat = _irdft2(_adjoint_sum(op._sq_otf_half_adj, weights, ws), op.shape)
     np.maximum(dhat, 0.0, out=dhat)  # clip rounding noise before sqrt
     dhat /= op._gram_diag
     np.sqrt(dhat, out=dhat)
@@ -133,17 +130,16 @@ def precond_build(op: BlurOperator, weights, lam: float, *,
 
     ``dhat`` is :func:`build_dhat` of ``weights`` when the caller already
     has it; only the lambda-dependent part is then built.  Otherwise the
-    scaling's per-frame temporaries run in ``ws`` when one is given.  A
-    symbol at or below :data:`SYMBOL_RCOND` raises ``ValueError``.
+    scaling's per-frame temporaries run in ``ws`` (a throwaway one when
+    None).  A symbol at or below :data:`SYMBOL_RCOND` raises ``ValueError``.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = _nonnegative("lam", lam)
     if dhat is None:
         weights = _positive_weights(op, weights)
         if lam == 0:  # the symbol does not depend on dhat: check it first
             _check_symbol(op._gram_half, 0.0)
-        dhat = _scaling(op, weights, ws)
-    lambda_hat = float(lam) / float(np.mean(dhat)) ** 2
+        dhat = _scaling(op, weights, ws or Workspace(op.shape, op.n_frames))
+    lambda_hat = lam / float(np.mean(dhat)) ** 2
     symbol = op._gram_half + lambda_hat * _laplacian_half(op.shape)
     _check_symbol(symbol, lambda_hat)
     inv_dhat = 1.0 / dhat

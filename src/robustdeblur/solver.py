@@ -33,9 +33,10 @@ transform): the start, and every line-search trial.  The accepted trial's
 evaluation supplies the next step's gradient, the data gradient ``A^T z``
 plus the penalty gradient, and its Hessian weights and preconditioner
 input.  One Hessian solve, :func:`_hessian_solve`, serves the Newton
-steps and the GCV influence solves alike: it checks the weights once,
-and PCG calls the unchecked Hessian kernel.  With k frames a Newton
-step therefore costs, in transforms (fft2 + ifft2):
+steps and the GCV influence solves alike: its callers check the weights
+once, where they make them, and PCG calls the unchecked Hessian kernel.
+With k frames a Newton step therefore costs, in transforms (fft2 +
+ifft2):
 
 - (k+1) per line-search trial, and (k+2) for the gradient of the
   accepted point, (k+1) when lam = 0;
@@ -80,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import COUNTS, OpCounts, as_image, count_transforms
+from .gridfft import COUNTS, OpCounts, _positive, as_image, count_transforms
 from .objective import Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
 from .precond import _IllConditionedSymbol, precond_build
@@ -115,8 +116,8 @@ class SolverOptions:
     use_preconditioner: bool = False
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.pcg_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _positive("newton_tol", self.newton_tol)
+        _positive("pcg_tol", self.pcg_tol)
         if self.newton_maxit < 1 or self.pcg_maxit < 1:
             raise ValueError("iteration caps must be at least 1")
 
@@ -245,10 +246,12 @@ def projected_pcg(
     """
     rhs = as_image(rhs, "rhs")
     active = np.asarray(active, dtype=bool)
+    if active.shape != rhs.shape:
+        raise ValueError(
+            f"active shape {active.shape} differs from rhs {rhs.shape}"
+        )
     if x0 is not None:
-        x0 = as_image(x0, "x0")
-        if x0.shape != rhs.shape:
-            raise ValueError(f"x0 shape {x0.shape} differs from rhs {rhs.shape}")
+        x0 = as_image(x0, "x0", rhs.shape)
 
     def project_into(dst, v):
         np.copyto(dst, v)
@@ -326,7 +329,7 @@ def linesearch(
     projected point max(x + alpha s, 0) strictly decreases the objective."""
     if current_value is None:
         current_value = obj.value(x)
-    s = as_image(s, "s")
+    s = as_image(s, "s", np.shape(x))
     if not np.any(s):
         raise LineSearchError("zero search direction")
     alpha = 1.0
@@ -345,7 +348,8 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
                    ws, x0=None, dhat=None, start_hess=None):
     """:func:`projected_pcg` on ``(A^T W A + lam L^T L) s = rhs``, with the
     operator and ``lam`` of ``obj`` and ``W = diag(weights)``, run in ``ws``:
-    the one Hessian solve, of Newton and GCV.
+    the one Hessian solve, of Newton and GCV.  Its caller has checked
+    ``weights`` where it made them (a Newton step's D, a GCV fit's W^2).
 
     ``dhat`` is :func:`.precond.build_dhat` of ``weights`` when the caller
     already has it, and ``start_hess`` serves the product of the start
@@ -360,7 +364,6 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
     iterations, and ``r`` is the projected residual it ended with
     (:func:`projected_pcg`'s ``_residual``), which only GCV reads.
     """
-    weights = _check_weights(obj.op, weights, obj.lam)
     precond, fell_back = None, False
     if use_preconditioner:
         try:
@@ -534,7 +537,7 @@ def _newton_loop(obj, x, opts, report, memo):
             break
         if k == opts.newton_maxit:
             break
-        d = ev.d  # nonnegative (_hessian_solve checks): all zero if all saturated
+        d = _check_weights(obj.op, ev.d)  # all zero if all saturated
         if not np.any(d):
             report.termination = "all_saturated"
             break

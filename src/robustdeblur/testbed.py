@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import _at_least_one, _field, _read_key_values, read_raw, write_raw
+from .gridfft import (_at_least_one, _field, _nonnegative, _positive,
+                      _read_key_values, read_raw, write_raw)
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
 from .solver import SolverOptions, _SearchMemo, default_start, projected_newton
@@ -42,7 +43,7 @@ class GaussianPsfParams:
 
     The covariance is C = [[gamma1^2, tau^2], [tau^2, gamma2^2]]; tau
     tilts the kernel axes.  Positive definiteness requires
-    gamma1^2 gamma2^2 > tau^4.
+    gamma1^2 gamma2^2 > tau^4.  All three must be finite.
     """
 
     gamma1: float
@@ -50,8 +51,10 @@ class GaussianPsfParams:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("gamma1 and gamma2 must be positive")
+        _positive("gamma1", self.gamma1)
+        _positive("gamma2", self.gamma2)
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if self.det() <= 0:
             raise ValueError(
                 f"covariance not positive definite: gamma1^2*gamma2^2 - tau^4 "
@@ -104,6 +107,7 @@ def synthetic_scene(kind: str, shape, max_intensity: float = 255.0,
     ``ash``: overlapping soft blobs of varying intensity (extended smooth
     structure, little true black).
     """
+    max_intensity = _positive("max_intensity", max_intensity)
     h, w = int(shape[0]), int(shape[1])
     u = (np.arange(h) - h / 2.0)[:, None] / (h / 2.0)
     v = (np.arange(w) - w / 2.0)[None, :] / (w / 2.0)
@@ -182,8 +186,7 @@ def simulate_data(clean, sigma: float, noise_seed: int):
     clean = np.asarray(clean, dtype=np.float64)
     if clean.ndim != 3 or not clean.size or not np.all(np.isfinite(clean)):
         raise ValueError(f"clean must be a finite (k, h, w) stack, got {clean.shape}")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    sigma = _nonnegative("sigma", sigma)
     tol = 1e-9 * max(clean.max(), 1.0)
     if clean.min() < -tol:
         raise ValueError("blurred scene has negative intensities")
@@ -202,8 +205,7 @@ def inject_random_corruptions(observed, fraction: float, ceiling: float,
     observed = np.array(observed, dtype=np.float64, copy=True)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    if ceiling < 0:
-        raise ValueError("ceiling must be nonnegative")
+    ceiling = _nonnegative("ceiling", ceiling)
     mask = np.zeros(observed.shape, dtype=bool)
     count = int(np.floor(fraction * observed.size))
     if count:
@@ -311,7 +313,7 @@ def lambda_scan(
     ``pg_ref`` from the previous solve's work; each solution is bitwise
     that of a standalone solve from the same start.
     """
-    grid = [float(l) for l in lambda_grid]
+    grid = [_nonnegative("lambda_grid value", lam) for lam in lambda_grid]
     if not grid:
         raise ValueError("lambda grid is empty")
     if any(b < a for a, b in zip(grid, grid[1:])):

@@ -106,7 +106,7 @@ VALID = {
     "pcg_maxit": ("10", 10),
     "use_precond": ("Yes", True),
     "lambda_lo": ("0", 0.0),
-    "lambda_hi": ("inf", float("inf")),
+    "lambda_hi": ("0.5", 0.5),
     "x_tol": ("1e-4", 1e-4),
     "probe_seed": ("3", 3),
     "inner_cg_tol": ("1e-2", 1e-2),
@@ -139,11 +139,11 @@ INVALID = {
     "lambda": ("-1e-3", "must be nonnegative"),
     "newton_tol": ("0", "must be positive"),
     "newton_maxit": ("0", "must be at least 1"),
-    "pcg_tol": ("nan", "must be positive"),
+    "pcg_tol": ("nan", "must be finite"),
     "pcg_maxit": ("2.5", NOT_INT + "'2.5'"),
     "use_precond": ("maybe", BOOLEAN),
     "lambda_lo": ("-1", "must be nonnegative"),
-    "lambda_hi": ("nan", "must be nonnegative"),
+    "lambda_hi": ("nan", "must be finite"),
     "x_tol": ("-1e-4", "must be positive"),
     "probe_seed": ("-3", "must be nonnegative"),
     "inner_cg_tol": ("0", "must be positive"),
@@ -166,6 +166,33 @@ def test_every_key_parses_and_rejects_as_pinned(tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path, **{key: literal}))
         assert str(err.value) == "invalid value for key '%s': %s" % (key, reason)
+
+
+# the keys whose values are floats, or lists of floats
+FLOAT_KEYS = {
+    "sigma", "max_intensity", "outlier_fraction", "outlier_ceiling", "beta",
+    "lambda", "newton_tol", "pcg_tol", "lambda_lo", "lambda_hi", "x_tol",
+    "inner_cg_tol", "lambda_grid", "outlier_fractions",
+}
+
+
+def test_float_keys_are_finite_but_beta(tmp_path):
+    # inf would reach the library, which rejects it only once a run is
+    # under way; beta = inf is weighted least squares and stays valid
+    assert {key for key, (_, value) in VALID.items()
+            if isinstance(value, float)
+            or isinstance(value, tuple) and isinstance(value[0], float)
+            } == FLOAT_KEYS
+    for key in FLOAT_KEYS - {"beta"}:
+        lists = isinstance(VALID[key][1], tuple)
+        for literal in ("inf", "-inf") + (("0.1,inf",) if lists else ()):
+            with pytest.raises(ConfigError) as err:
+                parse_config(write_config(tmp_path, **{key: literal}))
+            assert str(err.value) == (
+                "invalid value for key '%s': must be finite" % key
+            )
+    config = parse_config(write_config(tmp_path, beta="inf"))
+    assert config == {"beta": float("inf")}
 
 
 @pytest.mark.parametrize("argv, names", [

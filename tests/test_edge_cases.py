@@ -1,10 +1,18 @@
-"""Edge-case sweep: every input ends in a solution with a named termination.
+"""Edge-case sweep: every input ends in a solution with a named termination,
+or in a one-line error raised where the input enters.
 
 Tiny and thin grids, both scenes, zero read-out noise, no and total
 corruption, data scaled far past its usual range, lambda from 0 to 1e6,
 and the preconditioner off and on.  No exception may escape a solve or a
 GCV search; the only error allowed is the scene generator's own, raised
 when the instance is built.
+
+These end in a ``ValueError`` that names the parameter, raised by the
+constructor, option object or function it enters through, before any
+transform: a NaN, infinite or negative sigma, lambda (of an objective, a
+Hessian product, a preconditioner, a GCV evaluation or a scan grid),
+Newton or PCG tolerance, GCV bracket end, GCV tolerance, corruption
+ceiling, PSF width or scene peak, and a NaN or infinite PSF tilt.
 """
 
 import math
@@ -13,10 +21,20 @@ import warnings
 import numpy as np
 import pytest
 
-from robustdeblur.gcv import GcvOptions, minimize_gcv
-from robustdeblur.objective import Objective
+from robustdeblur import testbed
+from robustdeblur.gcv import GcvOptions, gcv_eval, minimize_gcv
+from robustdeblur.gridfft import count_transforms
+from robustdeblur.objective import LossFunction, Objective
+from robustdeblur.operators import hessian_apply
+from robustdeblur.precond import precond_build
 from robustdeblur.solver import SolverOptions, default_start, projected_newton
-from robustdeblur.testbed import make_instance
+from robustdeblur.testbed import (
+    GaussianPsfParams,
+    inject_random_corruptions,
+    lambda_scan,
+    make_instance,
+    simulate_data,
+)
 
 TERMINATIONS = {"converged", "max_iterations", "all_saturated",
                 "pcg_breakdown", "linesearch_failure"}
@@ -62,3 +80,65 @@ def test_every_edge_case_ends_in_a_named_termination(kind, shape):
                     lam_star, _ = minimize_gcv(obj, opts)
                 assert math.isfinite(lam_star), (fraction, sigma, use_precond)
                 assert opts.lambda_lo <= lam_star <= opts.lambda_hi
+
+
+# parameter -> call that passes the value v through the one entry it
+# enters by; each must reject NaN, inf and -1 (only NaN and inf for tau,
+# which may be negative)
+ENTRIES = {
+    "sigma (objective)": lambda inst, v: Objective(inst.op, inst.observed, v),
+    "lam (objective)": lambda inst, v: inst.objective(lam=v),
+    "lam (with_lambda)": lambda inst, v: inst.objective().with_lambda(v),
+    "lam (hessian_apply)": lambda inst, v: hessian_apply(
+        inst.op, np.ones(inst.observed.shape), v, inst.x_true),
+    "lam (precond_build)": lambda inst, v: precond_build(
+        inst.op, np.ones(inst.observed.shape), v),
+    "lam (gcv_eval)": lambda inst, v: gcv_eval(
+        inst.objective(), v, default_start(inst.observed), GcvOptions()),
+    "newton_tol": lambda inst, v: SolverOptions(newton_tol=v),
+    "pcg_tol": lambda inst, v: SolverOptions(pcg_tol=v),
+    "lambda_lo": lambda inst, v: GcvOptions(lambda_lo=v),
+    "lambda_hi": lambda inst, v: GcvOptions(lambda_hi=v),
+    "x_tol": lambda inst, v: GcvOptions(x_tol=v),
+    "inner_cg_tol": lambda inst, v: GcvOptions(inner_cg_tol=v),
+    "sigma (simulate_data)": lambda inst, v: simulate_data(inst.clean, v, 1),
+    "ceiling": lambda inst, v: inject_random_corruptions(
+        inst.observed, 0.5, v, 2),
+    "lambda_grid": lambda inst, v: lambda_scan(
+        inst, LossFunction(), [1e-3, v]),
+    "gamma1": lambda inst, v: GaussianPsfParams(v, 2.0),
+    "gamma2": lambda inst, v: GaussianPsfParams(2.0, v),
+    "tau": lambda inst, v: GaussianPsfParams(2.0, 2.0, v),
+    "max_intensity": lambda inst, v: make_instance(
+        "satellite", (8, 8), max_intensity=v),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in ENTRIES
+    for value in (math.nan, math.inf, -1.0)
+    if not (entry == "tau" and value == -1.0)
+])
+def test_non_finite_or_negative_scalars_fail_where_they_enter(
+        entry, value, monkeypatch):
+    inst = make_instance("satellite", (8, 8))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the input was checked")
+
+    monkeypatch.setattr(testbed, "projected_newton", no_solve)
+    name = entry.split()[0]
+    with count_transforms() as tally:
+        with pytest.raises(ValueError) as err:
+            ENTRIES[entry](inst, value)
+    assert str(err.value).startswith(name + " "), str(err.value)
+    assert "\n" not in str(err.value)
+    assert tally.fft2 + tally.ifft2 == 0
+
+
+def test_infinite_beta_stays_weighted_least_squares():
+    # beta = inf is the documented switch to plain weighted least squares;
+    # a NaN beta is rejected
+    assert LossFunction(beta=math.inf).beta == math.inf
+    with pytest.raises(ValueError, match="beta must be positive"):
+        LossFunction(beta=math.nan)

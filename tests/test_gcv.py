@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from robustdeblur import gcv as gcv_module
+from robustdeblur import operators as operators_module
+from robustdeblur import precond as precond_module
 from robustdeblur import solver as solver_module
 from robustdeblur.gcv import (
     GcvOptions,
@@ -787,3 +789,44 @@ def test_gcv_options_validation():
         GcvOptions(x_tol=0.0)
     with pytest.raises(ValueError):
         GcvOptions(inner_cg_maxit=0)
+
+
+@pytest.mark.parametrize("use_preconditioner", [False, True])
+def test_weights_are_checked_once_per_step_and_once_per_fit(
+        monkeypatch, use_preconditioner):
+    # Each array of Hessian weights is checked where the package makes it:
+    # a Newton step's D when the step reads it, a fit's W^2 when the fit is
+    # built, never again by the Hessian solve that uses it.  With the
+    # preconditioner on, its build checks each step's D a second time.
+    checks, fits = [], []
+    real_check, real_fit = operators_module._check_weights, gcv_module._fit_at
+
+    def counted_check(*args, **kwargs):
+        checks.append(None)
+        return real_check(*args, **kwargs)
+
+    def counted_fit(*args, **kwargs):
+        fits.append(None)
+        return real_fit(*args, **kwargs)
+
+    for module in (operators_module, solver_module, gcv_module, precond_module):
+        monkeypatch.setattr(module, "_check_weights", counted_check)
+    monkeypatch.setattr(gcv_module, "_fit_at", counted_fit)
+    per_step = 1 + use_preconditioner
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=81, outlier_seed=82)
+    solver = SolverOptions(use_preconditioner=use_preconditioner)
+
+    _, report = projected_newton(inst.objective(LossFunction(), 1e-3),
+                                 default_start(inst.observed), solver)
+    assert report.termination == "converged" and report.iterations > 1
+    assert len(checks) == per_step * report.iterations
+
+    checks.clear()
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1, solver=solver)
+    _, evaluations = minimize_gcv(inst.objective(LossFunction(), 0.0), opts)
+    reports = [ev.newton_report for ev in evaluations]
+    assert {r.termination for r in reports} == {"converged"}
+    steps = sum(r.iterations for r in reports)
+    assert 1 <= len(fits) < len(evaluations)
+    assert len(checks) == per_step * steps + len(fits)

@@ -166,3 +166,16 @@ def test_build_dhat_validation():
         build_dhat(op, -np.ones((1, 8, 8)))
     with pytest.raises(ValueError):
         precond_build(op, np.ones((1, 8, 8)), -1.0)
+
+
+def test_solve_names_a_residual_off_the_grid():
+    # a residual of another shape would fail as a numpy broadcast error,
+    # or broadcast silently when it has one row
+    rng = np.random.default_rng(91)
+    op, _, _ = random_operator(rng, (16, 16))
+    pre = precond_build(op, np.ones((1, 16, 16)), 0.1)
+    assert pre.solve(np.ones((16, 16))).shape == (16, 16)
+    for bad in (np.ones((15, 16)), np.ones((1, 16))):
+        with pytest.raises(ValueError,
+                           match=r"^r shape \(\d+, 16\) != grid \(16, 16\)$"):
+            pre.solve(bad)

@@ -9,7 +9,7 @@ import pytest
 
 from robustdeblur import solver as solver_module
 from robustdeblur.objective import BETA_95, Evaluation, LossFunction, Objective
-from robustdeblur.operators import BlurOperator
+from robustdeblur.operators import BlurOperator, Workspace
 from robustdeblur.solver import (
     LineSearchError,
     PcgBreakdownError,
@@ -215,6 +215,12 @@ def test_pcg_rejects_a_start_of_another_shape():
                       x0=np.ones((1, 4)))
 
 
+def test_pcg_names_an_active_set_of_another_shape():
+    with pytest.raises(ValueError, match=r"^active shape \(3, 4\) differs "
+                                         r"from rhs \(4, 4\)$"):
+        projected_pcg(lambda v: v, np.ones((4, 4)), np.zeros((3, 4), bool))
+
+
 def test_pcg_reports_breakdown_on_indefinite_system():
     rng = np.random.default_rng(105)
     rhs = rng.standard_normal((4, 4))
@@ -266,6 +272,13 @@ def test_linesearch_rejects_zero_direction():
     stub = QuadraticStub(np.zeros((3, 3)))
     with pytest.raises(LineSearchError):
         linesearch(stub, np.ones((3, 3)), np.zeros((3, 3)))
+
+
+def test_linesearch_names_a_direction_of_another_shape():
+    stub = QuadraticStub(np.zeros((3, 3)))
+    for bad in (np.ones((2, 3)), np.ones((1, 3))):
+        with pytest.raises(ValueError, match=r"^s shape \(\d, 3\) != grid \(3, 3\)$"):
+            linesearch(stub, np.ones((3, 3)), bad)
 
 
 def test_linesearch_accepts_full_newton_step_on_quadratic():
@@ -711,8 +724,9 @@ def test_solver_checks_hessian_weights_once_per_step():
             return Evaluation(ev.value, ev.x_hat, ev.z, -ev.d, ev.inlier_mask)
 
     bad = NegativeWeights(obj.op, obj.data, obj.sigma, obj.loss, obj.lam)
-    with pytest.raises(ValueError, match="Hessian weights must be nonnegative"):
-        projected_newton(bad, x0)
+    for pre in (False, True):
+        with pytest.raises(ValueError, match="Hessian weights must be nonnegative"):
+            projected_newton(bad, x0, SolverOptions(use_preconditioner=pre))
 
 
 def test_solve_transform_budget_in_closed_form():
@@ -829,7 +843,7 @@ def test_memo_keeps_the_last_iterate_and_only_what_pg_ref_reads():
     try:
         memo = _SearchMemo()
         x, report = projected_newton(obj, x0, opts, _memo=memo)
-        ev = obj._data_evaluation(x)
+        ev = obj._data_evaluation(x, Workspace(obj.op.shape, obj.op.n_frames))
         before = tracemalloc.get_traced_memory()[0]
         del memo
         freed = before - tracemalloc.get_traced_memory()[0]
