@@ -53,11 +53,11 @@ its fits and influence solves run in its one workspace.
 - The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
   influence solve's right-hand side ``A^T W v`` and weights W^2, and the
   preconditioner's scaling built from W^2, none of which depends on
-  lambda; W^2 is checked when the fit is built.  Late in a search most
-  solves take no Newton step: their start already meets the stop test,
-  so their solution is bitwise the previous one and they read the fit
-  instead of spending 3(k+1) transforms on it (2(k+1) without the
-  preconditioner).
+  lambda, all built from the ``A x`` the Newton solve's last evaluation
+  left in the memo; W^2 is checked then.  Late in a search most solves
+  take no Newton step, so their solution is bitwise the previous one and
+  they read the fit instead of spending 2(k+1) transforms on it ((k+1)
+  without the preconditioner).
 - The lambda-free half of the last influence start's Hessian product,
   ``y0_hat`` and ``A^T W^2 A y0`` on the half spectrum, kept for the
   current fit.  When the fit is read and the previous influence solve
@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridfft import _nonnegative, _positive, _write_table, count_transforms
-from .objective import Objective, _scaled_terms
+from .objective import Evaluation, Objective, _scaled_terms
 from .operators import (Workspace, _check_weights, _frozen, _hessian_data_half,
                         _hessian_finish)
 from .precond import _scaling
@@ -101,7 +101,6 @@ from .solver import (
 __all__ = [
     "GcvOptions",
     "GcvEvaluation",
-    "robust_weights",
     "rademacher_probe",
     "trace_term",
     "gcv_eval",
@@ -166,19 +165,13 @@ class GcvEvaluation:
     influence_transforms: int = 0  # its transforms, counted on this thread
 
 
-def robust_weights(obj: Objective, x: np.ndarray) -> np.ndarray:
-    """Reweighting W with saturated entries contributing beta^2 apiece.
+def _weights_from_fit(obj: Objective, ax: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Reweighting W of the fit ``ax = A x``, residual ``r = ax - b``.
 
     Inliers get the usual 1/sqrt([Ax] + sigma^2); on a saturated entry the
     weight becomes beta / ([Ax] - b), so |W_ii r_i| = beta exactly and
     ||W r||^2 = 2 sum rho(t) regardless of how wild the outliers are.
     """
-    ax = obj.op.apply(x)
-    return _weights_from_fit(obj, ax, ax - obj.data)
-
-
-def _weights_from_fit(obj: Objective, ax: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """:func:`robust_weights` given the fit ``ax = A x`` and residual ``r = ax - b``."""
     beta = obj.loss.beta
     s, _, inlier = _scaled_terms(ax, obj.data, obj.sigma**2, beta)
     # |t| > beta >= 0 forces r != 0, so the outlier branch never divides by 0
@@ -204,12 +197,13 @@ class _Fit:
     dhat: np.ndarray | None  # build_dhat of W^2; None when unpreconditioned
 
 
-def _fit_at(obj: Objective, x: np.ndarray, probe: np.ndarray,
+def _fit_at(obj: Objective, x: np.ndarray, ev: Evaluation, probe: np.ndarray,
             use_preconditioner: bool, ws: Workspace) -> _Fit:
-    """The :class:`_Fit` of ``x``: 2(k+1) transforms for ``A x`` and ``rhs``,
-    and (k+1) more for ``dhat`` in ``ws`` when preconditioned.  W^2 is
-    checked here; W is positive, so ``dhat`` needs no all-zero test."""
-    ax = obj.op.apply(x)
+    """The :class:`_Fit` of ``x`` from its data evaluation ``ev``: k+1
+    transforms for ``rhs``, and k+1 for ``dhat`` in ``ws`` when
+    preconditioned.  W^2 is checked here; W is positive, so ``dhat``
+    needs no all-zero test."""
+    ax = ev.ax
     r = ax - obj.data
     W = _weights_from_fit(obj, ax, r)
     numerator = float(np.sum((W * r) ** 2))
@@ -250,8 +244,14 @@ class _Search:
         self._start = None  # (y0, y0_hat, acc) of _hessian_data_half
 
     def fit_of(self, x: np.ndarray) -> _Fit:
+        """The fit of ``x``, from the memo's evaluation of ``x``, or from one
+        made here (k+1 transforms) after a fresh search or a solve that
+        ended ``pcg_breakdown`` or ``linesearch_failure``."""
         if self.fit is None or not np.array_equal(x, self.fit.x):
-            self.fit = _fit_at(self._obj, x, self.probe,
+            ev = self.memo.evaluation(self._obj, x)
+            if ev is None:
+                ev = self._obj._data_evaluation(x, self.ws)
+            self.fit = _fit_at(self._obj, x, ev, self.probe,
                                self._use_preconditioner, self.ws)
             self._start = None
         return self.fit
@@ -294,7 +294,7 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     ``(y* - y)^T H (y* - y)``, second order in the solve's error, which
     is what lets the default tolerance be 1e-2 (see :class:`GcvOptions`);
     both terms use arrays the solve already holds, so the read costs no
-    transform.  A probe not shaped like the data raises ``ValueError``.
+    transform.  A probe or ``x_lam`` off the grid raises ``ValueError``.
     Returns ``(estimate, reliable)``; ``reliable`` goes false when CG hits
     non-positive curvature and only a partial solve is available, whose
     estimate reads ``rhs^T y`` alone, or when the solve the estimate is
@@ -304,10 +304,10 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     only when the redo uses them all too; both attempts count in the
     search's ``iterations``.
 
-    ``_search`` is the :class:`_Search` (None: a fresh one, which checks
-    ``probe``) that the probe, W, rhs and the scaling are read from, whose
-    workspace the solve runs in, and whose ``y`` is the CG's start (zeroed
-    off the support; zero when None) and is replaced by this solve's ``y``.
+    ``_search`` is the :class:`_Search` (None: a fresh one, and ``probe``
+    and ``x_lam`` are checked) that the probe, W, rhs and the scaling are
+    read from, whose workspace the solve runs in, and whose ``y``, the
+    CG's start (zeroed off the support; zero when None), becomes this solve's ``y``.
     The stop test keeps its ``||P rhs||`` reference, so a start near the
     solution ends the solve early, after one Hessian product for its
     residual, which :meth:`_Search.start_product` serves; a start that
@@ -318,6 +318,8 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     """
     opts = opts or GcvOptions()
     use_preconditioner = opts.solver.use_preconditioner
+    if _search is None:
+        x_lam = obj._check_x(x_lam, feasible=False, name="x_lam")
     search = _Search(obj, probe, use_preconditioner) if _search is None else _search
     fit = search.fit_of(x_lam)
     with count_transforms() as tally:
@@ -492,11 +494,11 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     Newton solve reads its start and ``pg_ref`` from its memo, each
     influence solve starts from the previous evaluation's ``y`` (the first
     from zero) and keeps its ``inner_cg_tol * ||P rhs||`` stop test, so
-    the start moves an estimate only within that tolerance, and an
-    evaluation whose solve took no step reads its solution's weights,
-    numerator, influence right-hand side and preconditioner scaling from
-    the previous one, and also its influence start's lambda-free Hessian
-    product when the previous influence solve took 0 iterations.  Each
+    the start moves an estimate only within that tolerance.  An evaluation
+    builds its fit from ``A x`` of its solve's last evaluation, or, when
+    the solve took no step, reads it from the previous one, with its
+    influence start's lambda-free Hessian product when the previous
+    influence solve took 0 iterations.  Each
     result is bitwise that of a :func:`gcv_eval` from the same warm start
     with a fresh search whose ``y`` is the same.
     The whole trajectory is deterministic given (instance, options).

@@ -64,7 +64,6 @@ __all__ = [
     "count_transforms",
     "dft2",
     "idft2",
-    "embed_psf",
     "write_pgm",
     "read_raw",
     "write_raw",
@@ -269,24 +268,6 @@ def _psf_spectra(psfs: np.ndarray, centers) -> np.ndarray:
     )
     COUNTS.fft2 += len(shifted)
     return np.ascontiguousarray(_half(np.fft.fft2(shifted)))
-
-
-def embed_psf(
-    psf: np.ndarray, shape: tuple[int, int], center: tuple[int, int]
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Zero-pad a small PSF into the top-left corner of a larger grid.
-
-    Returns the padded PSF and the center coordinates on the new grid
-    (unchanged: padding does not move pixel (0, 0)).
-    """
-    psf = as_image(psf, "psf")
-    h, w = psf.shape
-    H, W = int(shape[0]), int(shape[1])
-    if h > H or w > W:
-        raise ValueError(f"psf {psf.shape} larger than target grid {shape}")
-    out = np.zeros((H, W))
-    out[:h, :w] = psf
-    return out, (int(center[0]), int(center[1]))
 
 
 # ---------------------------------------------------------------------------

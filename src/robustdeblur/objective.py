@@ -19,12 +19,12 @@ other losses are provided for :func:`loss_eval`,
 :func:`chain_rule_weights` and :func:`convexity_diagnostic` only;
 :class:`Objective` rejects them.
 
-:meth:`Objective.evaluate` gives the value, z, D and the inlier mask from
-one ``A x`` (1 fft2 + k ifft2 for k frames), and :meth:`Objective.gradient_at`
-the gradient from that (k fft2 + 1 ifft2, one more ifft2 when lam > 0).
-Each is a data part that does not depend on lam, plus the penalty:
-``evaluate`` is :meth:`Objective._penalized` of
-:meth:`Objective._data_evaluation`, and ``gradient_at`` is
+:meth:`Objective.evaluate` gives ``A x`` and the value, z, D and the
+inlier mask from it (1 fft2 + k ifft2 for k frames), and
+:meth:`Objective.gradient_at` the gradient from that (k fft2 + 1 ifft2,
+one more ifft2 when lam > 0).  Each is a data part that does not depend
+on lam, plus the penalty: ``evaluate`` is :meth:`Objective._penalized`
+of :meth:`Objective._data_evaluation`, and ``gradient_at`` is
 :meth:`Objective._data_gradient` (``A^T z``) plus
 :meth:`Objective._add_penalty_gradient`.  The solver calls the parts: it
 keeps the data parts of a point, so that a search over lam adds each lam's
@@ -181,7 +181,7 @@ def _scaled_terms(ax, b, sigma2: float, beta: float, out=(None, None, None)):
     """``s = max(Ax + sigma^2, FLOOR)``, ``t = (Ax - b) / sqrt(s)``, ``|t| <= beta``.
 
     ``out`` names the arrays that receive ``s``, ``t`` and one scratch
-    (None: a fresh one); ``t``'s may be ``ax`` itself.
+    (None: a fresh one).
     """
     s = np.add(ax, sigma2, out=out[0])
     np.maximum(s, FLOOR, out=s)
@@ -211,11 +211,12 @@ def _talwar_zd(s, outlier, bs2, z=None):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Value, half spectrum ``x_hat`` of x, gradient weights, Hessian
-    diagonal and inlier mask at one iterate; the arrays are read-only."""
+    """Value, half spectrum ``x_hat`` of x, ``ax = A x``, gradient weights,
+    Hessian diagonal and inlier mask at one iterate; arrays are read-only."""
 
     value: float
     x_hat: np.ndarray
+    ax: np.ndarray
     z: np.ndarray
     d: np.ndarray
     inlier_mask: np.ndarray
@@ -290,24 +291,24 @@ class Objective:
         alone, so every field is independent of ``lam``.
 
         ``x`` is not checked: it must be a feasible float64 image on the
-        grid, as the solver's iterates are by construction.  ``A x`` and its
-        per-frame spectra are built in ``ws.stack`` and
-        ``ws.stack_spectrum``, which the returned evaluation does not share.
-        The value, z and D are built in place: ``s`` is held in D's array,
-        ``t`` overwrites ``A x``, and z's array is scratch until z is built.
+        grid, as the solver's iterates are by construction.  ``A x`` is
+        built in a fresh stack, which the evaluation keeps, from per-frame
+        spectra in ``ws.stack_spectrum``.  The value, z and D are built in
+        place: ``s`` is held in D's array, ``t`` in ``ws.stack``, and z's
+        array is scratch until z is built.
         """
         x_hat = _rdft2(x)
-        ax = self.op._forward(x_hat, ws)
+        ax = self.op._forward(x_hat, ws, np.empty_like(ws.stack))
         beta, sigma2 = self.loss.beta, self.sigma**2
         z, d = np.empty_like(ax), np.empty_like(ax)
-        s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ax, z))
+        s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ws.stack, z))
         outlier = ~inlier
         rho = np.multiply(0.5, t, out=z)
         rho *= t
         np.copyto(rho, 0.5 * beta * beta, where=outlier)
         value = float(np.sum(rho))
         z, d = _talwar_zd(s, outlier, self._bs2, z=z)
-        return Evaluation(value, *map(_frozen, (x_hat, z, d, inlier)))
+        return Evaluation(value, *map(_frozen, (x_hat, ax, z, d, inlier)))
 
     def _same_data_term(self, other: "Objective") -> bool:
         """Whether :meth:`_data_evaluation` and :meth:`_data_gradient` of

@@ -89,11 +89,11 @@ class Workspace:
 class BlurOperator:
     """Stacked periodic blur operator defined by one PSF per frame.
 
-    ``psfs`` are full-grid kernels of one shape (embed smaller ones with
-    :func:`~.gridfft.embed_psf` first) and ``centers[j]`` is the (row,
-    column) of the kernel's origin in ``psfs[j]``; it is given explicitly
-    because peak detection is ambiguous for flat-topped kernels.  The grid
-    must be at least 2x2, as the Laplacian penalty needs.
+    ``psfs`` are full-grid kernels of one shape (zero-pad smaller ones
+    with ``np.pad`` first) and ``centers[j]`` is the (row, column) of the
+    kernel's origin in ``psfs[j]``; it is given explicitly because peak
+    detection is ambiguous for flat-topped kernels.  The grid must be at
+    least 2x2, as the Laplacian penalty needs.
 
     The operator keeps only what the kernels read: the half spectra of A
     and of its adjoint, the symbol of A^T A, and the conjugate half
@@ -145,7 +145,7 @@ class BlurOperator:
         """Forward model: frame j of the result is ``idft2(H_j * dft2(x))``."""
         x = as_image(x, shape=self.shape)
         ws = Workspace(self.shape, self.n_frames)
-        return self._forward(_rdft2(x, out=ws.spectrum), ws)
+        return self._forward(_rdft2(x, out=ws.spectrum), ws, ws.stack)
 
     def apply_adjoint(self, y) -> np.ndarray:
         """Adjoint: ``sum_j idft2(conj(H_j) * dft2(y_j))``."""
@@ -158,16 +158,16 @@ class BlurOperator:
         spec = _adjoint_sum(self._otf_half_adj, y, ws)
         return _irdft2(spec, self.shape, out=ws.image)
 
-    def _forward(self, x_hat, ws: Workspace) -> np.ndarray:
+    def _forward(self, x_hat, ws: Workspace, out: np.ndarray) -> np.ndarray:
         """``A x`` from the half spectrum ``x_hat = _rdft2(x)``; k ifft2.
 
         The per-frame spectra go to ``ws.stack_spectrum``, the result to
-        ``ws.stack``.  The products are taken frame by frame because numpy
+        ``out``.  The products are taken frame by frame because numpy
         copies a broadcast operand into a temporary stack.
         """
         for otf, spec in zip(self._otf_half, ws.stack_spectrum):
             np.multiply(otf, x_hat, out=spec)
-        return _irdft2(ws.stack_spectrum, self.shape, out=ws.stack)
+        return _irdft2(ws.stack_spectrum, self.shape, out=out)
 
 
 def _adjoint_sum(otf_half_adj, y, ws: Workspace) -> np.ndarray:
@@ -274,7 +274,7 @@ def _hessian_data_half(op, weights, ws, s):
     and are overwritten by the next kernel call.
     """
     s_hat = _rdft2(s, out=ws.spectrum)
-    u = op._forward(s_hat, ws)
+    u = op._forward(s_hat, ws, ws.stack)
     u *= weights
     acc = _adjoint_sum(op._otf_half_adj, u, ws)
     COUNTS.mults += 3 * op.n_frames

@@ -129,9 +129,10 @@ def precond_build(op: BlurOperator, weights, lam: float, *,
     """Assemble the preconditioner for the current Hessian weights.
 
     ``dhat`` is :func:`build_dhat` of ``weights`` when the caller already
-    has it; only the lambda-dependent part is then built.  Otherwise the
-    scaling's per-frame temporaries run in ``ws`` (a throwaway one when
-    None).  A symbol at or below :data:`SYMBOL_RCOND` raises ``ValueError``.
+    has it (positive and finite on the grid, else ``ValueError``); only
+    the lambda-dependent part is then built.  Otherwise the scaling's
+    per-frame temporaries run in ``ws`` (a throwaway one when None).  A
+    symbol at or below :data:`SYMBOL_RCOND` raises ``ValueError``.
     """
     lam = _nonnegative("lam", lam)
     if dhat is None:
@@ -139,6 +140,10 @@ def precond_build(op: BlurOperator, weights, lam: float, *,
         if lam == 0:  # the symbol does not depend on dhat: check it first
             _check_symbol(op._gram_half, 0.0)
         dhat = _scaling(op, weights, ws or Workspace(op.shape, op.n_frames))
+    else:
+        dhat = as_image(dhat, "dhat", op.shape)
+        if not np.all(dhat > 0):
+            raise ValueError(f"dhat must be positive, got minimum {dhat.min()}")
     lambda_hat = lam / float(np.mean(dhat)) ** 2
     symbol = op._gram_half + lambda_hat * _laplacian_half(op.shape)
     _check_symbol(symbol, lambda_hat)

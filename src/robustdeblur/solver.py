@@ -64,13 +64,13 @@ at lam = 0, instead of 2k+3 each.  The values are bitwise those of a
 fresh evaluation, so the path is the same with any memo.
 
 Each solve allocates one :class:`.operators.Workspace` in
-:func:`_newton_loop`.  Each evaluation's ``A x``, the preconditioner
+:func:`_newton_loop`.  Each evaluation's scratch, the preconditioner
 build's per-frame spectra, and the Hessian kernel and the preconditioner
 solve of every PCG iteration run in it, and :func:`projected_pcg`
 updates its own iterate, residual, direction and products in place, so
-the inner loop allocates no grid-sized array.  The workspace lives in the solve's frame
-only, never on the objective, the operator or the preconditioner, which
-therefore stay immutable and can be shared by concurrent solves.
+the inner loop allocates no grid-sized array.  The workspace lives in
+the solve's frame only, never on the objective, the operator or the
+preconditioner, so concurrent solves may share those immutable objects.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ __all__ = [
     "projected_newton",
     "default_start",
 ]
+
+MAX_HALVINGS = 20  # step halvings a line search tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -323,24 +325,23 @@ def linesearch(
     x: np.ndarray,
     s: np.ndarray,
     current_value: float | None = None,
-    max_halvings: int = 20,
 ) -> LineSearchResult:
-    """Projected backtracking: first alpha in 1, 1/2, 1/4, ... whose
-    projected point max(x + alpha s, 0) strictly decreases the objective."""
+    """Projected backtracking: first alpha in 1, 1/2, ..., 2^-MAX_HALVINGS
+    whose point max(x + alpha s, 0) strictly decreases the objective."""
     if current_value is None:
         current_value = obj.value(x)
     s = as_image(s, "s", np.shape(x))
     if not np.any(s):
         raise LineSearchError("zero search direction")
     alpha = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         cand = np.maximum(x + alpha * s, 0.0)
         val = obj.value(cand)
         if val < current_value:
             return LineSearchResult(x=cand, value=val, step=alpha)
         alpha *= 0.5
     raise LineSearchError(
-        f"no objective decrease within {max_halvings} halvings"
+        f"no objective decrease within {MAX_HALVINGS} halvings"
     )
 
 
@@ -408,8 +409,8 @@ class _SearchMemo:
 
     - the last iterate of the latest solve: the point, its
       :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``;
-    - :func:`default_start` of the data: its half spectrum and data
-      gradient only, which is all ``pg_ref`` reads.
+    - :func:`default_start` of the data: the point, derived once, and its
+      half spectrum and data gradient, which is all ``pg_ref`` reads.
 
     Entries serve only an objective with the data term of the one that
     filled them (:meth:`.Objective._same_data_term`); any other objective
@@ -420,6 +421,7 @@ class _SearchMemo:
 
     def __init__(self):
         self._obj = None
+        self._x_ref = None  # default_start of the data
         self._last = None  # (x, data evaluation, data gradient)
         self._ref = None  # (x_hat, data gradient) at default_start
 
@@ -429,11 +431,12 @@ class _SearchMemo:
         :func:`default_start`, their reference parts are kept."""
         if self._obj is None or not self._obj._same_data_term(obj):
             self._obj, self._last, self._ref = obj, None, None
+            self._x_ref = _frozen(default_start(obj.data))
         if self._last is not None and np.array_equal(x, self._last[0]):
             return self._last[1:]
         data_ev = obj._data_evaluation(x, ws)
         g_data = _frozen(obj._data_gradient(data_ev, ws))
-        if np.array_equal(x, default_start(obj.data)):
+        if np.array_equal(x, self._x_ref):
             self._ref = (data_ev.x_hat, g_data)
         return data_ev, g_data
 
@@ -441,7 +444,7 @@ class _SearchMemo:
         """The projected gradient norm at :func:`default_start` of the data;
         ``pg_norm``, the norm at the start ``x``, when ``x`` is that point.
         Called after :meth:`start`, with the same objective."""
-        x_ref = default_start(obj.data)
+        x_ref = self._x_ref
         if np.array_equal(x, x_ref):
             return pg_norm
         if self._ref is None:
@@ -455,6 +458,13 @@ class _SearchMemo:
         """Keep the last iterate of a solve of the objective last seen by
         :meth:`start`."""
         self._last = (_frozen(x.copy()), data_ev, g_data)
+
+    def evaluation(self, obj: Objective, x: np.ndarray):
+        """The last entry's data evaluation when ``x`` is bitwise its point
+        and ``obj`` has the data term that filled it; else None."""
+        last = self._last
+        hit = last is not None and self._obj._same_data_term(obj)
+        return last[1] if hit and np.array_equal(x, last[0]) else None
 
 
 def projected_newton(

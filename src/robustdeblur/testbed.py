@@ -306,12 +306,12 @@ def lambda_scan(
     (:func:`.solver.projected_newton`) returns that start unchanged after
     0 Newton steps, and since the Talwar loss is not convex a warm solve
     may keep a different saturated set than a cold one.  On the default
-    64x64 ash instance, a 13-point grid over [0.012, 0.040] has 4 such
-    unchanged points, whose relative error differs from a cold solve's by
-    up to 2.4%.  As in a GCV search, the solves share a
-    :class:`.solver._SearchMemo`, so a point reads its start and
-    ``pg_ref`` from the previous solve's work; each solution is bitwise
-    that of a standalone solve from the same start.
+    64x64 ash instance, a 13-point geometric grid over [0.012, 0.040] has
+    5 such unchanged points, whose relative error differs from a cold
+    solve's by up to 2.7% (2.6% with the preconditioner).  As in a GCV
+    search, the solves share a :class:`.solver._SearchMemo`, so a point
+    reads its start and ``pg_ref`` from the previous solve's work; each
+    solution is bitwise that of a standalone solve from the same start.
     """
     grid = [_nonnegative("lambda_grid value", lam) for lam in lambda_grid]
     if not grid:

@@ -15,8 +15,8 @@ from robustdeblur.gcv import (
     bounded_minimize,
     gcv_eval,
     minimize_gcv,
+    _weights_from_fit,
     rademacher_probe,
-    robust_weights,
     trace_term,
     write_gcv_trace,
 )
@@ -39,6 +39,12 @@ def identity_operator(shape):
     psf = np.zeros(shape)
     psf[0, 0] = 1.0
     return BlurOperator([psf], [(0, 0)])
+
+
+def robust_weights(obj, x):
+    """The reweighting W at ``x``, from its fit ``A x``."""
+    ax = obj.op.apply(x)
+    return _weights_from_fit(obj, ax, ax - obj.data)
 
 
 # -- robust weights ------------------------------------------------------
@@ -553,8 +559,8 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     # of the default start, so every warm solve after the first reads its
     # start and pg_ref for one penalty transform each instead of 2k+3.  It
     # also keeps the last solution's W, ||W r||^2, A^T W v and dhat, which
-    # an evaluation whose solve takes no step reads instead of 3(k+1)
-    # transforms; when the previous influence solve also took 0
+    # an evaluation whose solve takes no step reads instead of 2(k+1)
+    # transforms (A x comes from the solve's last evaluation); when the previous influence solve also took 0
     # iterations, that evaluation's influence start is unchanged too, and
     # it reads the lambda-free half of the start's Hessian product, 2k+1
     # transforms.  Replaying its lambdas through standalone gcv_eval
@@ -593,7 +599,7 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
         reused += same_x
         reused_start += same_start
         outside = _outside_newton(tally.fft2 + tally.ifft2, again)
-        assert outside - calls[i] == ((3 * (k + 1) if same_x else 0)
+        assert outside - calls[i] == ((2 * (k + 1) if same_x else 0)
                                       + (2 * k + 1 if same_start else 0)), i
         assert again.influence_iterations == e.influence_iterations, i
         warm = again.x
@@ -618,7 +624,7 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
     # at the same lambda from its solution (no step: the fit is read),
     # then a solve at another lambda that steps (the fit is rebuilt).
     # Each must equal a standalone gcv_eval from the same influence start,
-    # which builds its own fit and start product, with 3(k+1) transforms
+    # which builds its own fit and start product, with 2(k+1) transforms
     # fewer outside the Newton solve for each read of the fit.  The first
     # repeat's influence solve takes 0 iterations, so the second repeat
     # also reads the lambda-free half of its start's product: 2k+1 fewer.
@@ -630,8 +636,8 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
     search = _Search(obj, probe, True)
     warm = default_start(inst.observed)
-    for lam, steps, fewer in ((1e-3, True, 0), (1e-3, False, 3 * (k + 1)),
-                              (1e-3, False, 3 * (k + 1) + 2 * k + 1),
+    for lam, steps, fewer in ((1e-3, True, 0), (1e-3, False, 2 * (k + 1)),
+                              (1e-3, False, 2 * (k + 1) + 2 * k + 1),
                               (2e-2, True, 0)):
         alone_search = _Search(obj, probe, True)
         alone_search.y = search.y
@@ -654,7 +660,7 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
 def test_influence_transforms_are_the_trace_solves_share(monkeypatch):
     # GcvEvaluation.influence_transforms counts the influence solve alone:
     # outside its Newton solve an evaluation spends those and, when its
-    # solution changed, 3(k+1) more on the fit.
+    # solution changed, 2(k+1) more on the fit.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
@@ -674,7 +680,7 @@ def test_influence_transforms_are_the_trace_solves_share(monkeypatch):
     assert len(calls) == len(evals)
     for i, (e, outside) in enumerate(zip(evals, calls)):
         same_x = i > 0 and np.array_equal(e.x, evals[i - 1].x)
-        assert outside - e.influence_transforms == (0 if same_x else 3 * (k + 1)), i
+        assert outside - e.influence_transforms == (0 if same_x else 2 * (k + 1)), i
         assert e.influence_transforms >= (2 * k + 4) * e.influence_iterations, i
 
 
@@ -789,6 +795,80 @@ def test_gcv_options_validation():
         GcvOptions(x_tol=0.0)
     with pytest.raises(ValueError):
         GcvOptions(inner_cg_maxit=0)
+
+
+@pytest.mark.parametrize("use_preconditioner", [False, True])
+def test_a_rebuilt_fit_reads_a_x_from_the_solves_last_evaluation(
+        use_preconditioner):
+    # The Newton solve leaves its last data evaluation in the search's memo,
+    # and that evaluation keeps A x, bitwise what op.apply gives.  A fit
+    # built from it spends k+1 transforms on A^T W v and, with the
+    # preconditioner, k+1 on the scaling.  A search whose memo does not
+    # hold the solution evaluates it first, for k+1 more, and builds
+    # bitwise the same fit.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    k = inst.n_frames
+    probe = rademacher_probe(obj.data.shape, 0)
+    search = _Search(obj, probe, use_preconditioner)
+    x, report = projected_newton(
+        obj.with_lambda(1e-3), default_start(inst.observed),
+        SolverOptions(use_preconditioner=use_preconditioner), _memo=search.memo)
+    assert report.termination == "converged" and report.iterations > 0
+    ev = search.memo.evaluation(obj, x)
+    assert ev.ax.tobytes() == obj.op.apply(x).tobytes()
+    assert not ev.ax.flags.writeable
+    assert search.memo.evaluation(obj, x + 1.0) is None
+    other = Objective(obj.op, obj.data * 1.01, obj.sigma)
+    assert search.memo.evaluation(other, x) is None
+
+    with count_transforms() as hit:
+        fit = search.fit_of(x)
+    with count_transforms() as miss:
+        ref = _Search(obj, probe, use_preconditioner).fit_of(x)
+    per_fit = (k + 1) * (1 + use_preconditioner)
+    assert hit.fft2 + hit.ifft2 == per_fit
+    assert miss.fft2 + miss.ifft2 == per_fit + k + 1
+    assert fit.numerator == ref.numerator
+    assert fit.rhs.tobytes() == ref.rhs.tobytes()
+    assert fit.weights.tobytes() == ref.weights.tobytes()
+    if use_preconditioner:
+        assert fit.dhat.tobytes() == ref.dhat.tobytes()
+    else:
+        assert fit.dhat is ref.dhat is None
+
+
+def test_a_search_derives_the_default_start_once(monkeypatch):
+    # The memo keeps default_start of its data term when it binds to it,
+    # rather than deriving it again for the start and pg_ref of each solve.
+    calls = []
+    real = solver_module.default_start
+
+    def counted(observed):
+        calls.append(None)
+        return real(observed)
+
+    monkeypatch.setattr(solver_module, "default_start", counted)
+    inst = make_instance("satellite", (16, 16), noise_seed=73)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4)
+    _, evaluations = minimize_gcv(obj, opts)
+    assert len(evaluations) > 1
+    assert len(calls) == 1
+
+
+def test_trace_term_names_a_bad_solution():
+    # A standalone trace_term checks x_lam, which its fit evaluates.
+    inst = make_instance("satellite", (16, 16), noise_seed=73)
+    obj = inst.objective(LossFunction(), 1e-3)
+    probe = rademacher_probe(obj.data.shape, 0)
+    x = default_start(inst.observed)
+    x[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^x_lam contains non-finite values$"):
+        trace_term(obj, x, probe)
+    with pytest.raises(ValueError, match=r"^x_lam shape \(8, 8\)"):
+        trace_term(obj, np.ones((8, 8)), probe)
 
 
 @pytest.mark.parametrize("use_preconditioner", [False, True])

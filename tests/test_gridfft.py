@@ -6,7 +6,6 @@ from robustdeblur.gridfft import (
     InverseTransformError,
     count_transforms,
     dft2,
-    embed_psf,
     idft2,
     read_raw,
     write_pgm,
@@ -187,17 +186,6 @@ def test_center_outside_grid_rejected():
         BlurOperator([np.ones((4, 4)) / 16], [(4, 0)])
     with pytest.raises(ValueError, match="outside grid"):
         BlurOperator([np.ones((4, 4)) / 16], [(0, -1)])
-
-
-def test_embed_psf_pads_top_left():
-    small = np.arange(6.0).reshape(2, 3)
-    padded, center = embed_psf(small, (5, 5), (1, 1))
-    assert padded.shape == (5, 5)
-    assert np.array_equal(padded[:2, :3], small)
-    assert padded[2:, :].sum() == 0 and padded[:, 3:].sum() == 0
-    assert center == (1, 1)
-    with pytest.raises(ValueError):
-        embed_psf(small, (1, 1), (0, 0))
 
 
 # -- File formats -------------------------------------------------------

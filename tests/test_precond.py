@@ -168,6 +168,25 @@ def test_build_dhat_validation():
         precond_build(op, np.ones((1, 8, 8)), -1.0)
 
 
+@pytest.mark.parametrize(
+    "dhat",
+    [np.full((8, 8), np.nan), np.ones((4, 4)), -np.ones((8, 8)), np.zeros((8, 8))],
+    ids=["nan", "other_grid", "negative", "zero"],
+)
+def test_precond_build_names_a_bad_dhat(dhat):
+    # A caller's dhat is checked, not trusted: NaN would give lambda_hat =
+    # nan, another grid a preconditioner for it, and zeros a division by
+    # zero.  Each fails with one line naming dhat.
+    rng = np.random.default_rng(92)
+    op, _, _ = random_operator(rng, (8, 8))
+    weights = np.ones((1, 8, 8))
+    pre = precond_build(op, weights, 0.1, dhat=build_dhat(op, weights))
+    assert np.isfinite(pre.lambda_hat)
+    with pytest.raises(ValueError, match="^dhat") as err:
+        precond_build(op, weights, 0.1, dhat=dhat)
+    assert "\n" not in str(err.value)
+
+
 def test_solve_names_a_residual_off_the_grid():
     # a residual of another shape would fail as a numpy broadcast error,
     # or broadcast silently when it has one row

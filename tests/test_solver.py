@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from robustdeblur import solver as solver_module
-from robustdeblur.objective import BETA_95, Evaluation, LossFunction, Objective
+from robustdeblur.objective import BETA_95, LossFunction, Objective
 from robustdeblur.operators import BlurOperator, Workspace
 from robustdeblur.solver import (
     LineSearchError,
@@ -305,7 +306,7 @@ def test_linesearch_error_after_exhausting_halvings():
     stub = QuadraticStub(np.zeros((2, 2)))
     x = np.zeros((2, 2))  # already optimal; any move increases J
     with pytest.raises(LineSearchError):
-        linesearch(stub, x, np.ones((2, 2)), max_halvings=5)
+        linesearch(stub, x, np.ones((2, 2)))
 
 
 # -- projected Newton ---------------------------------------------------
@@ -721,7 +722,7 @@ def test_solver_checks_hessian_weights_once_per_step():
     class NegativeWeights(Objective):
         def _data_evaluation(self, x, ws=None):
             ev = super()._data_evaluation(x, ws)
-            return Evaluation(ev.value, ev.x_hat, ev.z, -ev.d, ev.inlier_mask)
+            return dataclasses.replace(ev, d=-ev.d)
 
     bad = NegativeWeights(obj.op, obj.data, obj.sigma, obj.loss, obj.lam)
     for pre in (False, True):
@@ -832,9 +833,10 @@ def test_memo_filled_from_another_objective_is_not_used():
 
 def test_memo_keeps_the_last_iterate_and_only_what_pg_ref_reads():
     # After a solve from the default start, the memo holds the last
-    # iterate with its data evaluation and data gradient, and of the
-    # default start only the half spectrum and data gradient that pg_ref
-    # reads: no copy of the point and no z or D stacks.
+    # iterate with its data evaluation (A x included) and data gradient,
+    # and of the default start the point, derived once per data term, and
+    # only the half spectrum and data gradient that pg_ref reads: no A x,
+    # z or D stacks.
     inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
     obj = inst.objective(LossFunction(), 1e-3)
     opts = SolverOptions(use_preconditioner=True)
@@ -851,9 +853,9 @@ def test_memo_keeps_the_last_iterate_and_only_what_pg_ref_reads():
         tracemalloc.stop()
     assert report.termination == "converged"
     image, spectrum = x.nbytes, ev.x_hat.nbytes
-    last = image + spectrum + ev.z.nbytes + ev.d.nbytes + ev.inlier_mask.nbytes
-    last += image  # the data gradient
-    assert freed <= last + spectrum + image + 8 * 1024, freed
+    last = image + spectrum + ev.ax.nbytes + ev.z.nbytes + ev.d.nbytes
+    last += ev.inlier_mask.nbytes + image  # the mask, the data gradient
+    assert freed <= last + image + spectrum + image + 8 * 1024, freed
 
 
 def test_concurrent_solves_each_count_only_their_own_operations():
