@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from robustdeblur import LossFunction, lambda_scan, make_instance
+from robustdeblur import LossFunction, lambda_scan, make_instance, relative_error
 
 OUT = Path(__file__).parent / "out" / "04_scan"
 GRID = np.logspace(-5, -1, 12)
@@ -31,14 +31,15 @@ def main():
             inst = make_instance("satellite", (64, 64),
                                  outlier_fraction=fraction,
                                  noise_seed=11, outlier_seed=12)
-            points = lambda_scan(inst, loss, GRID)
-            for p in points:
+            curve = [(p.lam, relative_error(p.x, inst.x_true),
+                      p.newton_report.iterations)
+                     for p in lambda_scan(inst, loss, GRID)]
+            for lam, err, iterations in curve:
                 rows.append("%s,%g,%.12e,%.6e,%d"
-                            % (name, fraction, p.lam, p.relative_error,
-                               p.iterations))
-            best = min(points, key=lambda p: p.relative_error)
+                            % (name, fraction, lam, err, iterations))
+            best_lam, best_err, _ = min(curve, key=lambda c: c[1])
             print("%-9s %-9g %-11.2e %.4f"
-                  % (name, fraction, best.lam, best.relative_error))
+                  % (name, fraction, best_lam, best_err))
     (OUT / "scan.csv").write_text("\n".join(rows) + "\n")
     print("wrote", OUT / "scan.csv")
 

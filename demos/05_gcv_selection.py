@@ -66,11 +66,10 @@ def main():
     err_gcv = relative_error(starred.x, inst.x_true)
 
     grid = np.logspace(-5, -1, 12)
-    best = min(lambda_scan(inst, loss, grid),
-               key=lambda p: p.relative_error)
+    best_err, best_lam = min((relative_error(p.x, inst.x_true), p.lam)
+                             for p in lambda_scan(inst, loss, grid))
     print("\nchosen lambda %.3e -> relative error %.4f" % (lam_star, err_gcv))
-    print("grid best     %.3e -> relative error %.4f" % (best.lam,
-                                                         best.relative_error))
+    print("grid best     %.3e -> relative error %.4f" % (best_lam, best_err))
     print("wrote", OUT / "gcv_trace.csv")
 
 

@@ -424,16 +424,11 @@ def cmd_scan(config) -> int:
         loss = _make_loss(kind, config["beta"])
         for instance, fraction in instances:
             for point in lambda_scan(instance, loss, grid, opts):
-                settled &= point.termination in _SETTLED
-                rows.append(
-                    (
-                        kind,
-                        "%g" % fraction,
-                        "%.12e" % point.lam,
-                        "%.6e" % point.relative_error,
-                        point.iterations,
-                    )
-                )
+                report = point.newton_report
+                settled &= report.termination in _SETTLED
+                err = relative_error(point.x, instance.x_true)
+                rows.append((kind, "%g" % fraction, "%.12e" % point.lam,
+                             "%.6e" % err, report.iterations))
     outdir = _outdir(config)
     _write_table(
         outdir / "scan.csv",

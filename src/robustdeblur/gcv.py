@@ -33,8 +33,10 @@ The solve stops at ``GcvOptions.inner_cg_tol`` (default 1e-2) of its
 zero start's residual: with a second-order read, the precision a
 single-probe estimate can use (see :class:`GcvOptions`).
 
-A :func:`minimize_gcv` search carries one :class:`_Search` from each
-evaluation to the next, holding four things; standalone
+A :class:`_Walk`, the only chain of warm-started solves over lambda,
+serves :func:`minimize_gcv` and :func:`.testbed.lambda_scan`.  With a
+probe it carries one :class:`_Search` from each evaluation to the next,
+holding four things (a plain scan's holds the first alone); standalone
 :func:`gcv_eval` and :func:`trace_term` calls make a fresh one and start
 cold.  The memo, the fit and the start product leave every result
 bitwise unchanged; the influence start moves an estimate only within the
@@ -53,11 +55,11 @@ its fits and influence solves run in its one workspace.
 - The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
   influence solve's right-hand side ``A^T W v`` and weights W^2, and the
   preconditioner's scaling built from W^2, none of which depends on
-  lambda, all built from the ``A x`` the Newton solve's last evaluation
-  left in the memo; W^2 is checked then.  Late in a search most solves
-  take no Newton step, so their solution is bitwise the previous one and
-  they read the fit instead of spending 2(k+1) transforms on it ((k+1)
-  without the preconditioner).
+  lambda, all built from the ``A x`` and inlier mask of the Newton
+  solve's last evaluation, left in the memo; W^2 is checked then.  Late
+  in a search most solves take no Newton step, so their solution is
+  bitwise the previous one and they read the fit instead of spending
+  2(k+1) transforms on it ((k+1) without the preconditioner).
 - The lambda-free half of the last influence start's Hessian product,
   ``y0_hat`` and ``A^T W^2 A y0`` on the half spectrum, kept for the
   current fit.  When the fit is read and the previous influence solve
@@ -84,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridfft import _nonnegative, _positive, _write_table, count_transforms
-from .objective import Evaluation, Objective, _scaled_terms
+from .objective import FLOOR, Evaluation, Objective
 from .operators import (Workspace, _check_weights, _frozen, _hessian_data_half,
                         _hessian_finish)
 from .precond import _scaling
@@ -100,7 +102,7 @@ from .solver import (
 
 __all__ = [
     "GcvOptions",
-    "GcvEvaluation",
+    "LambdaPoint",
     "rademacher_probe",
     "trace_term",
     "gcv_eval",
@@ -151,31 +153,33 @@ class GcvOptions:
 
 
 @dataclass
-class GcvEvaluation:
-    """One functional evaluation; ``gcv_value = m * numerator / trace^2``."""
+class LambdaPoint:
+    """The solve at ``lam`` of a :class:`_Walk` and, in a GCV search, the
+    functional there, ``gcv_value = m * numerator / trace^2``; in a plain
+    scan the four GCV fields are None and both influence counts 0."""
 
     lam: float
-    gcv_value: float
-    numerator: float  # ||W r_lam||^2
-    trace_estimate: float
+    gcv_value: float | None
+    numerator: float | None  # ||W r_lam||^2
+    trace_estimate: float | None
     newton_report: SolverReport
     x: np.ndarray
-    reliable: bool = True
+    reliable: bool | None = True
     influence_iterations: int = 0  # PCG iterations of the trace solve
     influence_transforms: int = 0  # its transforms, counted on this thread
 
 
-def _weights_from_fit(obj: Objective, ax: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Reweighting W of the fit ``ax = A x``, residual ``r = ax - b``.
+def _weights_from_fit(obj: Objective, ev: Evaluation, r: np.ndarray) -> np.ndarray:
+    """Reweighting W of the fit ``ev.ax = A x`` of an evaluation, with its
+    inlier mask; ``r = ev.ax - b``.
 
     Inliers get the usual 1/sqrt([Ax] + sigma^2); on a saturated entry the
     weight becomes beta / ([Ax] - b), so |W_ii r_i| = beta exactly and
     ||W r||^2 = 2 sum rho(t) regardless of how wild the outliers are.
     """
-    beta = obj.loss.beta
-    s, _, inlier = _scaled_terms(ax, obj.data, obj.sigma**2, beta)
+    s, inlier = np.maximum(ev.ax + obj.sigma**2, FLOOR), ev.inlier_mask
     # |t| > beta >= 0 forces r != 0, so the outlier branch never divides by 0
-    return np.where(inlier, 1.0 / np.sqrt(s), beta / np.where(inlier, 1.0, r))
+    return np.where(inlier, 1.0 / np.sqrt(s), obj.loss.beta / np.where(inlier, 1.0, r))
 
 
 def rademacher_probe(shape, seed: int) -> np.ndarray:
@@ -203,9 +207,8 @@ def _fit_at(obj: Objective, x: np.ndarray, ev: Evaluation, probe: np.ndarray,
     transforms for ``rhs``, and k+1 for ``dhat`` in ``ws`` when
     preconditioned.  W^2 is checked here; W is positive, so ``dhat``
     needs no all-zero test."""
-    ax = ev.ax
-    r = ax - obj.data
-    W = _weights_from_fit(obj, ax, r)
+    r = ev.ax - obj.data
+    W = _weights_from_fit(obj, ev, r)
     numerator = float(np.sum((W * r) ** 2))
     rhs = _frozen(obj.op.apply_adjoint(W * probe))
     weights = _frozen(_check_weights(obj.op, W * W))
@@ -214,7 +217,7 @@ def _fit_at(obj: Objective, x: np.ndarray, ev: Evaluation, probe: np.ndarray,
 
 
 class _Search:
-    """What a :func:`minimize_gcv` search carries between evaluations (see
+    """What a :class:`_Walk` with a probe carries between evaluations (see
     the module docstring), for the data term of ``obj``, the probe and the
     preconditioner flag it was made with: ``probe``, checked here; ``ws``,
     the workspace of its fits and influence solves; ``memo``, the Newton
@@ -356,8 +359,9 @@ def gcv_eval(
     probe: np.ndarray | None = None,
     *,
     _search: _Search | None = None,
-) -> GcvEvaluation:
-    """Solve at ``lam`` and evaluate the functional there.
+) -> LambdaPoint:
+    """Solve at ``lam`` and evaluate the functional there: a
+    :class:`_Walk` with a probe makes each of its points by this call.
 
     ``_search`` is the :class:`_Search`, made with ``obj``, ``probe`` and
     ``opts.solver.use_preconditioner``, that the Newton solve and
@@ -377,7 +381,7 @@ def gcv_eval(
     m = obj.n_residuals
     denom = estimate * estimate
     value = m * fit.numerator / denom if denom > 0 else np.inf
-    return GcvEvaluation(
+    return LambdaPoint(
         lam=float(lam),
         gcv_value=value,
         numerator=fit.numerator,
@@ -388,6 +392,41 @@ def gcv_eval(
         influence_iterations=_search.iterations,
         influence_transforms=_search.transforms,
     )
+
+
+class _Walk:
+    """Warm-started solves of the lambda-free ``obj`` over lambda, with
+    ``opts.solver``: ``x``, the warm start (``x0``, None:
+    :func:`.solver.default_start`; then the last solution), ``points`` in
+    visit order, a cache from lambda to point, and the search state: with
+    a ``probe``, a :class:`_Search`, and each point is a :func:`gcv_eval`;
+    else a :class:`.solver._SearchMemo`, and the GCV fields stay empty."""
+
+    def __init__(self, obj: Objective, opts: GcvOptions, x0=None, probe=None):
+        self._obj, self._opts = obj, opts
+        self.x = (default_start(obj.data) if x0 is None
+                  else np.array(x0, dtype=np.float64))
+        self._search = (None if probe is None
+                        else _Search(obj, probe, opts.solver.use_preconditioner))
+        self._memo = _SearchMemo() if probe is None else self._search.memo
+        self.points, self._cache = [], {}
+
+    def visit(self, lam) -> LambdaPoint:
+        """The point at ``lam``: the cached one if ``lam`` was visited
+        before, at no transform; else solved from ``x`` (and scored, with a
+        probe), recorded, and made the next warm start."""
+        lam = float(lam)
+        if lam not in self._cache:
+            if self._search is None:
+                x, report = projected_newton(self._obj.with_lambda(lam), self.x,
+                                             self._opts.solver, _memo=self._memo)
+                point = LambdaPoint(lam, None, None, None, report, x, None)
+            else:
+                point = gcv_eval(self._obj, lam, self.x, self._opts, _search=self._search)
+            self._cache[lam] = point
+            self.points.append(point)
+            self.x = point.x
+        return self._cache[lam]
 
 
 def bounded_minimize(func, lo: float, hi: float, x_tol: float,
@@ -488,20 +527,14 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
 
     Returns ``(lambda_star, evaluations)`` with the evaluation trace in
     call order; a collapsed bracket (``lambda_hi <= lambda_lo``) evaluates
-    ``lambda_lo`` alone.  Each Newton solve warm-starts from the previous
-    evaluation's solution ``x``; the probe is drawn once from
-    ``probe_seed``.  The evaluations share one :class:`_Search`: each warm
-    Newton solve reads its start and ``pg_ref`` from its memo, each
-    influence solve starts from the previous evaluation's ``y`` (the first
-    from zero) and keeps its ``inner_cg_tol * ||P rhs||`` stop test, so
-    the start moves an estimate only within that tolerance.  An evaluation
-    builds its fit from ``A x`` of its solve's last evaluation, or, when
-    the solve took no step, reads it from the previous one, with its
-    influence start's lambda-free Hessian product when the previous
-    influence solve took 0 iterations.  Each
+    ``lambda_lo`` alone.  :func:`bounded_minimize` drives a :class:`_Walk`
+    from ``x0`` with the probe, drawn once from ``probe_seed``, so each
+    evaluation warm-starts from the previous solution and reads the
+    search state the previous one left (see the module docstring).  Each
     result is bitwise that of a :func:`gcv_eval` from the same warm start
-    with a fresh search whose ``y`` is the same.
-    The whole trajectory is deterministic given (instance, options).
+    with a fresh search whose influence start ``y`` is the same; that
+    start moves an estimate only within ``inner_cg_tol``.  The whole
+    trajectory is deterministic given (instance, options).
 
     Evaluations whose trace estimate has ``reliable=False``, or whose
     solve did not end ``converged``, steer the search like any other.
@@ -509,32 +542,17 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     whether lambda* is one of them; a search without any warns nothing.
     """
     opts = opts or GcvOptions()
-    probe = rademacher_probe(obj.data.shape, opts.probe_seed)
-    warm = default_start(obj.data) if x0 is None else np.array(x0, dtype=np.float64)
-    search = _Search(obj, probe, opts.solver.use_preconditioner)
-    evaluations: list[GcvEvaluation] = []
-    cache: dict[float, GcvEvaluation] = {}
-
-    def evaluate(lam: float) -> float:
-        nonlocal warm
-        lam = float(lam)
-        hit = cache.get(lam)
-        if hit is None:
-            hit = gcv_eval(obj, lam, warm, opts, probe, _search=search)
-            warm = hit.x
-            cache[lam] = hit
-            evaluations.append(hit)
-        return hit.gcv_value
-
+    walk = _Walk(obj, opts, x0, rademacher_probe(obj.data.shape, opts.probe_seed))
     lambda_star = bounded_minimize(
-        evaluate, opts.lambda_lo, opts.lambda_hi, opts.x_tol, MAX_EVALUATIONS
+        lambda lam: walk.visit(lam).gcv_value,
+        opts.lambda_lo, opts.lambda_hi, opts.x_tol, MAX_EVALUATIONS,
     )
     # a cache hit unless the bracket collapsed, which bounded_minimize
     # returns without evaluating
-    evaluate(lambda_star)
+    at_star = _flag_counts([walk.visit(lambda_star)])
+    evaluations = walk.points
     unreliable, nonconverged = _flag_counts(evaluations)
     if unreliable or nonconverged:
-        at_star = _flag_counts([cache[float(lambda_star)]])
         warnings.warn(
             f"GCV search used {unreliable} of {len(evaluations)} evaluations "
             f"with reliable=False and {nonconverged} whose solve did not end "

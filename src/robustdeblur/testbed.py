@@ -3,7 +3,8 @@
 Generation is deterministic given the seeds.  Noise streams are spawned
 per frame from a single root seed, so each frame draws its own noise.
 Corruptions are random: a fraction of entries gets a uniform positive
-bump (dead/hot pixels, cosmic ray hits).
+bump (dead/hot pixels, cosmic ray hits).  A lambda scan drives the GCV
+search's walk over lambda along a grid, unscored.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import numpy as np
 
 from .gridfft import (_at_least_one, _field, _nonnegative, _positive,
                       _read_key_values, read_raw, write_raw)
+from .gcv import GcvOptions, LambdaPoint, _Walk
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
-from .solver import SolverOptions, _SearchMemo, default_start, projected_newton
+from .solver import SolverOptions
 
 __all__ = [
     "GaussianPsfParams",
     "CARBON_ASH_PSF_PARAMS",
     "ProblemInstance",
-    "ScanPoint",
     "gaussian_psf",
     "psf_center",
     "synthetic_scene",
@@ -282,27 +283,21 @@ def relative_error(x, x_true) -> float:
     return float(np.linalg.norm(x - x_true) / denom)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    lam: float
-    relative_error: float
-    iterations: int
-    termination: str
-
-
 def lambda_scan(
     instance: ProblemInstance,
     loss: LossFunction,
     lambda_grid,
     opts: SolverOptions | None = None,
     x0=None,
-) -> list[ScanPoint]:
+) -> list[LambdaPoint]:
     """Solve along an ascending lambda grid, warm-starting each point.
 
-    Returns the semiconvergence curve (lambda, relative error) with the
-    iteration counts.  Each point is solved only to the solver's stop test
-    from the previous point's solution, so the curve depends on the order
-    the grid is visited.  A point whose warm start already meets the test
+    Returns one :class:`.gcv.LambdaPoint` per grid value, without GCV
+    fields, from a :class:`.gcv._Walk` started at ``x0`` (None: the
+    default start); a repeated value repeats its first point.  Each point
+    is solved only to the solver's stop test from the previous point's
+    solution, so the curve depends on the order the grid is visited.  A
+    point whose warm start already meets the test
     (:func:`.solver.projected_newton`) returns that start unchanged after
     0 Newton steps, and since the Talwar loss is not convex a warm solve
     may keep a different saturated set than a cold one.  On the default
@@ -318,21 +313,9 @@ def lambda_scan(
         raise ValueError("lambda grid is empty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be ascending")
-    x = default_start(instance.observed) if x0 is None else np.array(x0)
-    base = instance.objective(loss)
-    memo = _SearchMemo()
-    curve = []
-    for lam in grid:
-        x, report = projected_newton(base.with_lambda(lam), x, opts, _memo=memo)
-        curve.append(
-            ScanPoint(
-                lam=lam,
-                relative_error=relative_error(x, instance.x_true),
-                iterations=report.iterations,
-                termination=report.termination,
-            )
-        )
-    return curve
+    walk = _Walk(instance.objective(loss),
+                 GcvOptions(solver=opts or SolverOptions()), x0)
+    return [walk.visit(lam) for lam in grid]
 
 
 # -- serialization ------------------------------------------------------

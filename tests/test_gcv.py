@@ -12,6 +12,7 @@ from robustdeblur import solver as solver_module
 from robustdeblur.gcv import (
     GcvOptions,
     _Search,
+    _Walk,
     bounded_minimize,
     gcv_eval,
     minimize_gcv,
@@ -42,9 +43,10 @@ def identity_operator(shape):
 
 
 def robust_weights(obj, x):
-    """The reweighting W at ``x``, from its fit ``A x``."""
-    ax = obj.op.apply(x)
-    return _weights_from_fit(obj, ax, ax - obj.data)
+    """The reweighting W at ``x``, from the fit ``A x`` and inlier mask of
+    its evaluation."""
+    ev = obj.evaluate(x)
+    return _weights_from_fit(obj, ev, ev.ax - obj.data)
 
 
 # -- robust weights ------------------------------------------------------
@@ -619,6 +621,38 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     assert 0 < reused_start < reused
 
 
+def test_one_walk_serves_the_search_and_the_scan():
+    # minimize_gcv and lambda_scan drive the same walk.  Driven without a
+    # probe over the lambdas of a preconditioned search, in the order the
+    # search visited them, it must make bitwise the search's Newton solves,
+    # and a lambda visited again must return its cached point at no
+    # transform.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+                      solver=SolverOptions(use_preconditioner=True))
+    _, evals = minimize_gcv(obj, opts)
+    walk = _Walk(obj, opts)
+    for e in evals:
+        point = walk.visit(e.lam)
+        assert point.lam == e.lam
+        assert np.array_equal(point.x, e.x), e.lam
+        ours, theirs = point.newton_report, e.newton_report
+        assert ours.iterations == theirs.iterations, e.lam
+        assert ours.termination == theirs.termination, e.lam
+        assert ours.objective_trace == theirs.objective_trace, e.lam
+        assert ours.counts == theirs.counts, e.lam
+        assert (point.gcv_value, point.numerator, point.trace_estimate,
+                point.reliable) == (None, None, None, None)
+        assert point.influence_iterations == point.influence_transforms == 0
+    assert len(walk.points) == len(evals) > 1
+    revisited = walk.points[len(evals) // 2]
+    with count_transforms() as tally:
+        assert walk.visit(revisited.lam) is revisited
+    assert tally.fft2 + tally.ifft2 == 0
+    assert len(walk.points) == len(evals)
+
+
 def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
     # Four evaluations sharing one search: a solve that steps, two repeats
     # at the same lambda from its solution (no step: the fit is read),
@@ -658,7 +692,7 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
 
 
 def test_influence_transforms_are_the_trace_solves_share(monkeypatch):
-    # GcvEvaluation.influence_transforms counts the influence solve alone:
+    # LambdaPoint.influence_transforms counts the influence solve alone:
     # outside its Newton solve an evaluation spends those and, when its
     # solution changed, 2(k+1) more on the fit.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
@@ -710,7 +744,7 @@ def test_broken_down_trace_solve_is_unreliable_and_keeps_its_partial_iterate(
 
 def test_influence_iterations_are_reported_and_a_read_start_costs_one_transform(
         monkeypatch):
-    # GcvEvaluation.influence_iterations is what the trace solve's PCG
+    # LambdaPoint.influence_iterations is what the trace solve's PCG
     # returned.  After an influence solve that took 0 iterations, a
     # zero-step evaluation at another lambda > 0 reads its fit and the
     # lambda-free half of its start's Hessian product: outside its Newton

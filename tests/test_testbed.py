@@ -247,7 +247,7 @@ def test_lambda_scan_single_point():
                         SolverOptions(newton_maxit=20))
     assert len(curve) == 1
     assert curve[0].lam == 1e-4
-    assert 0.0 < curve[0].relative_error < 1.0
+    assert 0.0 < relative_error(curve[0].x, inst.x_true) < 1.0
 
 
 def test_lambda_scan_requires_ascending_grid():
@@ -264,8 +264,9 @@ def test_lambda_scan_records_iterations():
     curve = lambda_scan(inst, LossFunction(), grid,
                         SolverOptions(newton_maxit=25))
     assert [p.lam for p in curve] == grid
-    assert all(p.iterations >= 1 for p in curve)
-    assert all(p.termination in ("converged", "max_iterations") for p in curve)
+    assert all(p.newton_report.iterations >= 1 for p in curve)
+    assert all(p.newton_report.termination in ("converged", "max_iterations")
+               for p in curve)
 
 
 def test_lambda_scan_matches_standalone_solves_for_fewer_transforms():
@@ -282,9 +283,9 @@ def test_lambda_scan_matches_standalone_solves_for_fewer_transforms():
     with count_transforms() as standalone:
         for point in curve:
             x, report = projected_newton(obj.with_lambda(point.lam), x, opts)
-            assert point.relative_error == relative_error(x, inst.x_true)
-            assert point.iterations == report.iterations
-            assert point.termination == report.termination
+            assert np.array_equal(point.x, x)
+            assert point.newton_report.iterations == report.iterations
+            assert point.newton_report.termination == report.termination
     assert scan.fft2 + scan.ifft2 < standalone.fft2 + standalone.ifft2
 
 
