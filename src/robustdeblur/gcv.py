@@ -34,19 +34,21 @@ zero start's residual: with a second-order read, the precision a
 single-probe estimate can use (see :class:`GcvOptions`).
 
 A :class:`_Walk`, the only chain of warm-started solves over lambda,
-serves :func:`minimize_gcv` and :func:`.testbed.lambda_scan`.  With a
-probe it carries one :class:`_Search` from each evaluation to the next,
-holding four things (a plain scan's holds the first alone); standalone
-:func:`gcv_eval` and :func:`trace_term` calls make a fresh one and start
-cold.  The memo, the fit and the start product leave every result
-bitwise unchanged; the influence start moves an estimate only within the
-solve's tolerance.  A search checks its probe once, when it is made, and
-its fits and influence solves run in its one workspace.
+serves :func:`minimize_gcv` and :func:`.testbed.lambda_scan`; the two
+differ only by the probe.  From each solve to the next a walk carries
+four things, a plain scan the first alone; standalone :func:`gcv_eval`
+and :func:`trace_term` calls make a one-point walk and start cold.  The
+memo, the fit and the start product leave every result bitwise
+unchanged; the influence start moves an estimate only within the
+solve's tolerance.  A walk with a probe checks it once, when the walk is
+made, and runs its fits and influence solves in its one workspace.
 
 - The :class:`.solver._SearchMemo` of its Newton solves.  Only the
   penalty term depends on lambda, so each warm solve reads its start and
   ``pg_ref`` from the memo for the penalty's one transform each, instead
-  of an evaluation and a gradient each.
+  of an evaluation and a gradient each.  The memo derives
+  :func:`.solver.default_start` once, for the walk's first start when
+  ``x0`` is None and for every solve's ``pg_ref``.
 - The last influence solution ``y``, the next influence solve's start,
   as each Newton solve starts from the previous ``x``: nearby lambdas
   have close solutions.  The stop reference does not depend on the
@@ -85,7 +87,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import _nonnegative, _positive, _write_table, count_transforms
+from .gridfft import (_integer, _nonnegative, _positive, _write_table,
+                      count_transforms)
 from .objective import FLOOR, Evaluation, Objective
 from .operators import (Workspace, _check_weights, _frozen, _hessian_data_half,
                         _hessian_finish)
@@ -96,7 +99,6 @@ from .solver import (
     SolverReport,
     _hessian_solve,
     _SearchMemo,
-    default_start,
     projected_newton,
 )
 
@@ -148,8 +150,8 @@ class GcvOptions:
             raise ValueError("bracket must satisfy 0 <= lambda_lo <= lambda_hi")
         _positive("x_tol", self.x_tol)
         _positive("inner_cg_tol", self.inner_cg_tol)
-        if self.inner_cg_maxit < 1:
-            raise ValueError("inner_cg_maxit must be at least 1")
+        _integer("inner_cg_maxit", self.inner_cg_maxit, 1)
+        _integer("probe_seed", self.probe_seed, 0)
 
 
 @dataclass
@@ -184,7 +186,7 @@ def _weights_from_fit(obj: Objective, ev: Evaluation, r: np.ndarray) -> np.ndarr
 
 def rademacher_probe(shape, seed: int) -> np.ndarray:
     """Seeded +-1 probe; E[v v^T] = I and v_i^2 = 1 exactly."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
@@ -216,46 +218,71 @@ def _fit_at(obj: Objective, x: np.ndarray, ev: Evaluation, probe: np.ndarray,
     return _Fit(x, numerator, rhs, weights, dhat)
 
 
-class _Search:
-    """What a :class:`_Walk` with a probe carries between evaluations (see
-    the module docstring), for the data term of ``obj``, the probe and the
-    preconditioner flag it was made with: ``probe``, checked here; ``ws``,
-    the workspace of its fits and influence solves; ``memo``, the Newton
-    solves' :class:`.solver._SearchMemo`; ``y``, the last influence
-    solution and the next influence solve's start (None: zero), and
-    ``iterations`` and ``transforms``, the PCG iterations and transforms
-    that solve took; ``fit``, the :class:`_Fit` of the last solution,
-    which :meth:`fit_of` serves again while the solution is bitwise
-    unchanged; and the lambda-free half of the last influence start's
-    Hessian product under that fit, which :meth:`start_product` serves
-    again while the start is unchanged too."""
+class _Walk:
+    """Warm-started solves of the lambda-free ``obj`` over lambda with
+    ``opts``, the only chain of solves over lambda (see the module
+    docstring).  It holds ``x``, the next warm start (``x0``; None:
+    :func:`.solver.default_start`, which ``memo`` derives); ``memo``, the
+    Newton solves' :class:`.solver._SearchMemo`; ``points`` in visit
+    order; and a cache from lambda to point.
 
-    def __init__(self, obj: Objective, probe: np.ndarray,
-                 use_preconditioner: bool):
-        probe, shape = np.asarray(probe, dtype=np.float64), obj.data.shape
-        if probe.shape != shape or not np.all(np.isfinite(probe)):
-            raise ValueError(
-                f"probe must be finite with shape {shape}, got {probe.shape}"
-            )
-        self._obj, self.probe = obj, probe
-        self._use_preconditioner = use_preconditioner
-        self.ws = Workspace(obj.op.shape, obj.op.n_frames)
+    Without a ``probe`` it is a plain scan, and the GCV fields of its
+    points stay empty.  With one, each point is a :func:`gcv_eval`, and it
+    also holds ``probe``, checked here; ``ws``, the workspace of its fits
+    and influence solves; ``y``, the last influence solution and the next
+    influence solve's start (None: zero), and ``iterations`` and
+    ``transforms``, the PCG iterations and transforms that solve took;
+    ``fit``, the :class:`_Fit` of the last solution, which :meth:`fit_of`
+    serves again while the solution is bitwise unchanged; and the
+    lambda-free half of the last influence start's Hessian product under
+    that fit, which :meth:`start_product` serves again while the start is
+    unchanged too.  Standalone :func:`gcv_eval` and :func:`trace_term`
+    calls each make a one-point walk."""
+
+    def __init__(self, obj: Objective, opts: GcvOptions, x0=None, probe=None):
+        self._obj, self._opts = obj, opts
         self.memo = _SearchMemo()
-        self.y = None
+        self.x = self.memo.bind(obj) if x0 is None else x0
+        self.points, self._cache = [], {}
+        self.probe = self.ws = self.y = self.fit = None
         self.iterations = self.transforms = 0
-        self.fit = None
         self._start = None  # (y0, y0_hat, acc) of _hessian_data_half
+        if probe is not None:
+            probe, shape = np.asarray(probe, dtype=np.float64), obj.data.shape
+            if probe.shape != shape or not np.all(np.isfinite(probe)):
+                raise ValueError(
+                    f"probe must be finite with shape {shape}, got {probe.shape}"
+                )
+            self.probe = probe
+            self.ws = Workspace(obj.op.shape, obj.op.n_frames)
+
+    def visit(self, lam) -> LambdaPoint:
+        """The point at ``lam``: the cached one if ``lam`` was visited
+        before, at no transform; else solved from ``x`` (and scored, with a
+        probe), recorded, and made the next warm start."""
+        lam = float(lam)
+        if lam not in self._cache:
+            if self.probe is None:
+                x, report = projected_newton(self._obj.with_lambda(lam), self.x,
+                                             self._opts.solver, _memo=self.memo)
+                point = LambdaPoint(lam, None, None, None, report, x, None)
+            else:
+                point = gcv_eval(self._obj, lam, self.x, self._opts, _walk=self)
+            self._cache[lam] = point
+            self.points.append(point)
+            self.x = point.x
+        return self._cache[lam]
 
     def fit_of(self, x: np.ndarray) -> _Fit:
         """The fit of ``x``, from the memo's evaluation of ``x``, or from one
-        made here (k+1 transforms) after a fresh search or a solve that
+        made here (k+1 transforms) after a fresh walk or a solve that
         ended ``pcg_breakdown`` or ``linesearch_failure``."""
         if self.fit is None or not np.array_equal(x, self.fit.x):
             ev = self.memo.evaluation(self._obj, x)
             if ev is None:
                 ev = self._obj._data_evaluation(x, self.ws)
             self.fit = _fit_at(self._obj, x, ev, self.probe,
-                               self._use_preconditioner, self.ws)
+                               self._opts.solver.use_preconditioner, self.ws)
             self._start = None
         return self.fit
 
@@ -278,7 +305,7 @@ class _Search:
 
 
 def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
-               opts: GcvOptions | None = None, *, _search: _Search | None = None):
+               opts: GcvOptions | None = None, *, _walk: _Walk | None = None):
     """Estimate trace(I - A_lam) = v^T v - v^T W A H^-1 A^T W v as
     v^T v - (rhs^T y + r^T y).
 
@@ -305,33 +332,34 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
     preconditioned solve that uses them all is redone without the
     preconditioner (:func:`.solver._hessian_solve`), so it is unreliable
     only when the redo uses them all too; both attempts count in the
-    search's ``iterations``.
+    walk's ``iterations``.
 
-    ``_search`` is the :class:`_Search` (None: a fresh one, and ``probe``
-    and ``x_lam`` are checked) that the probe, W, rhs and the scaling are
-    read from, whose workspace the solve runs in, and whose ``y``, the
-    CG's start (zeroed off the support; zero when None), becomes this solve's ``y``.
-    The stop test keeps its ``||P rhs||`` reference, so a start near the
-    solution ends the solve early, after one Hessian product for its
-    residual, which :meth:`_Search.start_product` serves; a start that
-    already meets the test takes 0 iterations, and its estimate adds
-    ``r^T y`` for that start residual.  The iterations are left in the
-    search's ``iterations``, and the transforms the solve issued on the
-    calling thread in its ``transforms``.
+    ``_walk`` is the :class:`_Walk` with a probe, made with ``opts``
+    (None: a one-point walk at ``x_lam`` with ``probe``, both checked),
+    that the probe, W, rhs and the scaling are read from, whose workspace
+    the solve runs in, and whose ``y``, the CG's start (zeroed off the
+    support; zero when None), becomes this solve's ``y``.  The stop test
+    keeps its ``||P rhs||`` reference, so a start near the solution ends
+    the solve early, after one Hessian product for its residual, which
+    :meth:`_Walk.start_product` serves; a start that already meets the
+    test takes 0 iterations, and its estimate adds ``r^T y`` for that
+    start residual.  The iterations are left in the walk's
+    ``iterations``, and the transforms the solve issued on the calling
+    thread in its ``transforms``.
     """
     opts = opts or GcvOptions()
     use_preconditioner = opts.solver.use_preconditioner
-    if _search is None:
+    if _walk is None:
         x_lam = obj._check_x(x_lam, feasible=False, name="x_lam")
-    search = _Search(obj, probe, use_preconditioner) if _search is None else _search
-    fit = search.fit_of(x_lam)
+        _walk = _Walk(obj, opts, x_lam, probe)
+    fit = _walk.fit_of(x_lam)
     with count_transforms() as tally:
         try:
             y, iterations, _, capped, r = _hessian_solve(
                 obj, fit.weights, fit.rhs, x_lam <= 0, use_preconditioner,
-                opts.inner_cg_tol, opts.inner_cg_maxit, search.ws, x0=search.y,
+                opts.inner_cg_tol, opts.inner_cg_maxit, _walk.ws, x0=_walk.y,
                 dhat=fit.dhat,
-                start_hess=functools.partial(search.start_product, obj),
+                start_hess=functools.partial(_walk.start_product, obj),
             )
             reliable = not capped
             # rhs^T y + r^T y = 2 rhs^T y - y^T H y, short of rhs^T y* by
@@ -345,9 +373,9 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
             y, iterations = err.iterate, err.iterations
             reliable = False
             quadratic = np.sum(fit.rhs * y)
-    search.y, search.iterations = y, iterations
-    search.transforms = tally.fft2 + tally.ifft2
-    estimate = float(np.sum(search.probe * search.probe) - quadratic)
+    _walk.y, _walk.iterations = y, iterations
+    _walk.transforms = tally.fft2 + tally.ifft2
+    estimate = float(np.sum(_walk.probe * _walk.probe) - quadratic)
     return estimate, reliable
 
 
@@ -358,26 +386,26 @@ def gcv_eval(
     opts: GcvOptions,
     probe: np.ndarray | None = None,
     *,
-    _search: _Search | None = None,
+    _walk: _Walk | None = None,
 ) -> LambdaPoint:
     """Solve at ``lam`` and evaluate the functional there: a
     :class:`_Walk` with a probe makes each of its points by this call.
 
-    ``_search`` is the :class:`_Search`, made with ``obj``, ``probe`` and
-    ``opts.solver.use_preconditioner``, that the Newton solve and
-    :func:`trace_term` read from and leave their state in (None: a fresh
-    one with ``probe``, drawn from ``opts.probe_seed`` when None).
+    ``_walk`` is the :class:`_Walk` with a probe, made with ``obj`` and
+    ``opts``, that the Newton solve and :func:`trace_term` read from and
+    leave their state in (None: a one-point walk from ``warm_start`` with
+    ``probe``, drawn from ``opts.probe_seed`` when None).
     """
-    if _search is None:
+    if _walk is None:
         if probe is None:
             probe = rademacher_probe(obj.data.shape, opts.probe_seed)
-        _search = _Search(obj, probe, opts.solver.use_preconditioner)
+        _walk = _Walk(obj, opts, warm_start, probe)
     obj_lam = obj.with_lambda(lam)
     x_lam, report = projected_newton(obj_lam, warm_start, opts.solver,
-                                     _memo=_search.memo)
-    fit = _search.fit_of(x_lam)
-    estimate, reliable = trace_term(obj_lam, x_lam, _search.probe, opts,
-                                    _search=_search)
+                                     _memo=_walk.memo)
+    fit = _walk.fit_of(x_lam)
+    estimate, reliable = trace_term(obj_lam, x_lam, _walk.probe, opts,
+                                    _walk=_walk)
     m = obj.n_residuals
     denom = estimate * estimate
     value = m * fit.numerator / denom if denom > 0 else np.inf
@@ -389,44 +417,9 @@ def gcv_eval(
         newton_report=report,
         x=x_lam,
         reliable=reliable,
-        influence_iterations=_search.iterations,
-        influence_transforms=_search.transforms,
+        influence_iterations=_walk.iterations,
+        influence_transforms=_walk.transforms,
     )
-
-
-class _Walk:
-    """Warm-started solves of the lambda-free ``obj`` over lambda, with
-    ``opts.solver``: ``x``, the warm start (``x0``, None:
-    :func:`.solver.default_start`; then the last solution), ``points`` in
-    visit order, a cache from lambda to point, and the search state: with
-    a ``probe``, a :class:`_Search`, and each point is a :func:`gcv_eval`;
-    else a :class:`.solver._SearchMemo`, and the GCV fields stay empty."""
-
-    def __init__(self, obj: Objective, opts: GcvOptions, x0=None, probe=None):
-        self._obj, self._opts = obj, opts
-        self.x = (default_start(obj.data) if x0 is None
-                  else np.array(x0, dtype=np.float64))
-        self._search = (None if probe is None
-                        else _Search(obj, probe, opts.solver.use_preconditioner))
-        self._memo = _SearchMemo() if probe is None else self._search.memo
-        self.points, self._cache = [], {}
-
-    def visit(self, lam) -> LambdaPoint:
-        """The point at ``lam``: the cached one if ``lam`` was visited
-        before, at no transform; else solved from ``x`` (and scored, with a
-        probe), recorded, and made the next warm start."""
-        lam = float(lam)
-        if lam not in self._cache:
-            if self._search is None:
-                x, report = projected_newton(self._obj.with_lambda(lam), self.x,
-                                             self._opts.solver, _memo=self._memo)
-                point = LambdaPoint(lam, None, None, None, report, x, None)
-            else:
-                point = gcv_eval(self._obj, lam, self.x, self._opts, _search=self._search)
-            self._cache[lam] = point
-            self.points.append(point)
-            self.x = point.x
-        return self._cache[lam]
 
 
 def bounded_minimize(func, lo: float, hi: float, x_tol: float,
@@ -530,9 +523,9 @@ def minimize_gcv(obj: Objective, opts: GcvOptions | None = None, x0=None):
     ``lambda_lo`` alone.  :func:`bounded_minimize` drives a :class:`_Walk`
     from ``x0`` with the probe, drawn once from ``probe_seed``, so each
     evaluation warm-starts from the previous solution and reads the
-    search state the previous one left (see the module docstring).  Each
+    walk's state the previous one left (see the module docstring).  Each
     result is bitwise that of a :func:`gcv_eval` from the same warm start
-    with a fresh search whose influence start ``y`` is the same; that
+    with a fresh walk whose influence start ``y`` is the same; that
     start moves an estimate only within ``inner_cg_tol``.  The whole
     trajectory is deterministic given (instance, options).
 

@@ -145,6 +145,17 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``int(value)``; ``ValueError`` naming ``name`` unless ``value`` is an
+    integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def as_image(values, name: str = "image", shape=None) -> np.ndarray:
     """Validate and return a 2D float64 image (finite entries only), on the
     ``shape`` grid when one is given."""

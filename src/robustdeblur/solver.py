@@ -81,7 +81,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import COUNTS, OpCounts, _positive, as_image, count_transforms
+from .gridfft import (COUNTS, OpCounts, _integer, _positive, as_image,
+                      count_transforms)
 from .objective import Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
 from .precond import _IllConditionedSymbol, precond_build
@@ -120,8 +121,8 @@ class SolverOptions:
     def __post_init__(self):
         _positive("newton_tol", self.newton_tol)
         _positive("pcg_tol", self.pcg_tol)
-        if self.newton_maxit < 1 or self.pcg_maxit < 1:
-            raise ValueError("iteration caps must be at least 1")
+        _integer("newton_maxit", self.newton_maxit, 1)
+        _integer("pcg_maxit", self.pcg_maxit, 1)
 
 
 @dataclass
@@ -414,9 +415,10 @@ class _SearchMemo:
 
     Entries serve only an objective with the data term of the one that
     filled them (:meth:`.Objective._same_data_term`); any other objective
-    empties the memo first.  Each solve gets one: its own, or that of a
-    search over lambda, whose caller passes the same memo to every solve.
-    Never shared between concurrent solves.
+    empties the memo first.  Each solve gets one: its own, or that of the
+    :class:`.gcv._Walk` it runs in, which passes the same memo to every
+    solve and, given no start, takes its first from :meth:`bind`.  Never
+    shared between concurrent solves.
     """
 
     def __init__(self):
@@ -425,13 +427,20 @@ class _SearchMemo:
         self._last = None  # (x, data evaluation, data gradient)
         self._ref = None  # (x_hat, data gradient) at default_start
 
+    def bind(self, obj: Objective) -> np.ndarray:
+        """Serve the data term of ``obj``, emptying the memo first if it
+        served another; returns :func:`default_start` of its data, derived
+        once per data term and read-only."""
+        if self._obj is None or not self._obj._same_data_term(obj):
+            self._obj, self._last, self._ref = obj, None, None
+            self._x_ref = _frozen(default_start(obj.data))
+        return self._x_ref
+
     def start(self, obj: Objective, x: np.ndarray, ws: Workspace):
         """``(data evaluation, data gradient)`` at a solve's start ``x``: the
         last entry's when ``x`` is its point, else computed here; at
         :func:`default_start`, their reference parts are kept."""
-        if self._obj is None or not self._obj._same_data_term(obj):
-            self._obj, self._last, self._ref = obj, None, None
-            self._x_ref = _frozen(default_start(obj.data))
+        self.bind(obj)
         if self._last is not None and np.array_equal(x, self._last[0]):
             return self._last[1:]
         data_ev = obj._data_evaluation(x, ws)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import (_at_least_one, _field, _nonnegative, _positive,
-                      _read_key_values, read_raw, write_raw)
+from .gridfft import (_at_least_one, _field, _integer, _nonnegative,
+                      _positive, _read_key_values, read_raw, write_raw)
 from .gcv import GcvOptions, LambdaPoint, _Walk
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
@@ -109,6 +109,7 @@ def synthetic_scene(kind: str, shape, max_intensity: float = 255.0,
     structure, little true black).
     """
     max_intensity = _positive("max_intensity", max_intensity)
+    seed = _integer("seed", seed, 0)
     h, w = int(shape[0]), int(shape[1])
     u = (np.arange(h) - h / 2.0)[:, None] / (h / 2.0)
     v = (np.arange(w) - w / 2.0)[None, :] / (w / 2.0)
@@ -184,6 +185,7 @@ def simulate_data(clean, sigma: float, noise_seed: int):
     reproducible on their own: changing another frame can move the peak,
     snap a different set of this frame's cells, and so change its noise.
     """
+    noise_seed = _integer("noise_seed", noise_seed, 0)
     clean = np.asarray(clean, dtype=np.float64)
     if clean.ndim != 3 or not clean.size or not np.all(np.isfinite(clean)):
         raise ValueError(f"clean must be a finite (k, h, w) stack, got {clean.shape}")
@@ -203,6 +205,7 @@ def simulate_data(clean, sigma: float, noise_seed: int):
 def inject_random_corruptions(observed, fraction: float, ceiling: float,
                               outlier_seed: int):
     """Add uniform(0, ceiling) bumps to floor(fraction * m) distinct entries."""
+    outlier_seed = _integer("outlier_seed", outlier_seed, 0)
     observed = np.array(observed, dtype=np.float64, copy=True)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
@@ -235,7 +238,11 @@ def make_instance(
     frame; the default is a single tilted kernel for ``satellite`` and the
     three-frame set for ``ash``.  ``outlier_ceiling`` defaults to the peak
     of the clean data, so corruption bumps are on the data's own scale.
+    The seeds are checked first, before any transform.
     """
+    noise_seed = _integer("noise_seed", noise_seed, 0)
+    outlier_seed = _integer("outlier_seed", outlier_seed, 0)
+    scene_seed = _integer("scene_seed", scene_seed, 0)
     x_true = synthetic_scene(kind, shape, max_intensity, scene_seed)
     if psf_params is None:
         psf_params = (
@@ -262,7 +269,7 @@ def make_instance(
         observed=observed,
         outlier_mask=mask,
         sigma=float(sigma),
-        seeds=(int(noise_seed), int(outlier_seed)),
+        seeds=(noise_seed, outlier_seed),
         psfs=psfs,
         centers=centers,
         psf_params=psf_params,

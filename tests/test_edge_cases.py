@@ -12,7 +12,9 @@ constructor, option object or function it enters through, before any
 transform: a NaN, infinite or negative sigma, lambda (of an objective, a
 Hessian product, a preconditioner, a GCV evaluation or a scan grid),
 Newton or PCG tolerance, GCV bracket end, GCV tolerance, corruption
-ceiling, PSF width or scene peak, and a NaN or infinite PSF tilt.
+ceiling, PSF width or scene peak, and a NaN or infinite PSF tilt; and a
+non-integer or too small iteration cap (``newton_maxit``, ``pcg_maxit``,
+``inner_cg_maxit``) or seed (probe, scene, noise or corruption).
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from robustdeblur import gcv as gcv_module
-from robustdeblur.gcv import GcvOptions, gcv_eval, minimize_gcv
+from robustdeblur.gcv import GcvOptions, gcv_eval, minimize_gcv, rademacher_probe
 from robustdeblur.gridfft import count_transforms
 from robustdeblur.objective import LossFunction, Objective
 from robustdeblur.operators import hessian_apply
@@ -34,6 +36,7 @@ from robustdeblur.testbed import (
     lambda_scan,
     make_instance,
     simulate_data,
+    synthetic_scene,
 )
 
 TERMINATIONS = {"converged", "max_iterations", "all_saturated",
@@ -121,6 +124,48 @@ ENTRIES = {
 ])
 def test_non_finite_or_negative_scalars_fail_where_they_enter(
         entry, value, monkeypatch):
+    assert_fails_where_it_enters(ENTRIES[entry], entry, value, monkeypatch)
+
+
+# integer parameter -> (its least value, call that passes the value v
+# through the one entry it enters by); each must reject a non-integer and
+# a value below its least
+INTEGER_ENTRIES = {
+    "newton_maxit": (1, lambda inst, v: SolverOptions(newton_maxit=v)),
+    "pcg_maxit": (1, lambda inst, v: SolverOptions(pcg_maxit=v)),
+    "inner_cg_maxit": (1, lambda inst, v: GcvOptions(inner_cg_maxit=v)),
+    "probe_seed": (0, lambda inst, v: GcvOptions(probe_seed=v)),
+    "seed (rademacher_probe)": (0, lambda inst, v: rademacher_probe(
+        inst.observed.shape, v)),
+    "seed (synthetic_scene)": (0, lambda inst, v: synthetic_scene(
+        "ash", (8, 8), seed=v)),
+    "noise_seed (simulate_data)": (0, lambda inst, v: simulate_data(
+        inst.clean, 1.0, v)),
+    "outlier_seed (inject_random_corruptions)": (
+        0, lambda inst, v: inject_random_corruptions(inst.observed, 0.5, 1.0, v)),
+    "noise_seed (make_instance)": (0, lambda inst, v: make_instance(
+        "satellite", (8, 8), noise_seed=v)),
+    # no corruption draws from this stream, and it is checked all the same
+    "outlier_seed (make_instance)": (0, lambda inst, v: make_instance(
+        "satellite", (8, 8), outlier_seed=v)),
+    "scene_seed (make_instance)": (0, lambda inst, v: make_instance(
+        "ash", (8, 8), scene_seed=v)),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry, (least, _) in INTEGER_ENTRIES.items()
+    for value in (2.5, least - 1)
+])
+def test_non_integer_or_too_small_counts_and_seeds_fail_where_they_enter(
+        entry, value, monkeypatch):
+    assert_fails_where_it_enters(INTEGER_ENTRIES[entry][1], entry, value,
+                                 monkeypatch)
+
+
+def assert_fails_where_it_enters(call, entry, value, monkeypatch):
+    """``call`` with ``value`` raises a one-line ``ValueError`` that starts
+    with the parameter named by ``entry``, before any solve or transform."""
     inst = make_instance("satellite", (8, 8))
 
     def no_solve(*args, **kwargs):
@@ -131,7 +176,7 @@ def test_non_finite_or_negative_scalars_fail_where_they_enter(
     name = entry.split()[0]
     with count_transforms() as tally:
         with pytest.raises(ValueError) as err:
-            ENTRIES[entry](inst, value)
+            call(inst, value)
     assert str(err.value).startswith(name + " "), str(err.value)
     assert "\n" not in str(err.value)
     assert tally.fft2 + tally.ifft2 == 0

@@ -11,7 +11,6 @@ from robustdeblur import precond as precond_module
 from robustdeblur import solver as solver_module
 from robustdeblur.gcv import (
     GcvOptions,
-    _Search,
     _Walk,
     bounded_minimize,
     gcv_eval,
@@ -31,7 +30,7 @@ from robustdeblur.solver import (
     projected_newton,
     projected_pcg,
 )
-from robustdeblur.testbed import make_instance
+from robustdeblur.testbed import lambda_scan, make_instance
 
 from oracles import dense_blur_matrix, dense_laplacian
 
@@ -202,12 +201,12 @@ def test_trace_term_reads_the_quadratic_form_to_second_order():
     # start from the influence solution at twice lambda
     H_start, _ = dense_influence_system(obj.with_lambda(2 * obj.lam), x_lam,
                                         psf, center, probe)
-    search = _Search(obj, probe, False)
-    search.y = np.linalg.solve(H_start, rhs).reshape(8, 8)
-    estimate, reliable = trace_term(obj, x_lam, probe, GcvOptions(),
-                                    _search=search)
-    assert reliable and 0 < search.iterations < 20
-    y = search.y.ravel()
+    opts = GcvOptions()
+    walk = _Walk(obj, opts, probe=probe)
+    walk.y = np.linalg.solve(H_start, rhs).reshape(8, 8)
+    estimate, reliable = trace_term(obj, x_lam, probe, opts, _walk=walk)
+    assert reliable and 0 < walk.iterations < 20
+    y = walk.y.ravel()
     q = v @ v - estimate
     assert q == pytest.approx(2 * rhs @ y - y @ H @ y, rel=1e-10)
     e = y_star - y
@@ -219,7 +218,7 @@ def test_trace_term_reads_the_quadratic_form_to_second_order():
 def test_trace_solve_stopped_on_its_start_applies_the_start_residual():
     # A start that already meets the stop test takes 0 iterations, and
     # the estimate still adds r0^T y0 for its residual r0 = rhs - H y0:
-    # first when the search forms the start's product (2k+2 transforms),
+    # first when the walk forms the start's product (2k+2 transforms),
     # then at another lambda when it reads the product's lambda-free half
     # (1 transform).
     obj, x_lam, psf, center = interior_instance(66)
@@ -228,16 +227,17 @@ def test_trace_solve_stopped_on_its_start_applies_the_start_residual():
     H, rhs = dense_influence_system(obj, x_lam, psf, center, probe)
     y0 = np.linalg.solve(H, rhs)
     y0 += 1e-4 * np.random.default_rng(0).standard_normal(y0.shape)
-    search = _Search(obj, probe, False)
-    search.y = y0.reshape(8, 8)
+    opts = GcvOptions()
+    walk = _Walk(obj, opts, probe=probe)
+    walk.y = y0.reshape(8, 8)
     for lam, transforms in ((obj.lam, 4), (1.001 * obj.lam, 1)):
         obj_lam = obj.with_lambda(lam)
         H, _ = dense_influence_system(obj_lam, x_lam, psf, center, probe)
-        estimate, reliable = trace_term(obj_lam, x_lam, probe, GcvOptions(),
-                                        _search=search)
-        assert reliable and search.iterations == 0, lam
-        assert search.transforms == transforms, lam
-        assert np.array_equal(search.y.ravel(), y0), lam
+        estimate, reliable = trace_term(obj_lam, x_lam, probe, opts,
+                                        _walk=walk)
+        assert reliable and walk.iterations == 0, lam
+        assert walk.transforms == transforms, lam
+        assert np.array_equal(walk.y.ravel(), y0), lam
         r0 = rhs - H @ y0
         assert estimate == pytest.approx(v @ v - rhs @ y0 - r0 @ y0,
                                          rel=1e-12), lam
@@ -266,11 +266,11 @@ def test_capped_preconditioned_trace_solve_is_redone_without_it():
     for maxit, reliable in ((200, True), (100, False)):
         results = {}
         for pre in (False, True):
-            search = _Search(obj, probe, pre)
             opts = GcvOptions(inner_cg_maxit=maxit,
                               solver=SolverOptions(use_preconditioner=pre))
-            results[pre] = (trace_term(obj, x_lam, probe, opts, _search=search),
-                            search.iterations)
+            walk = _Walk(obj, opts, probe=probe)
+            results[pre] = (trace_term(obj, x_lam, probe, opts, _walk=walk),
+                            walk.iterations)
         (plain, plain_iterations), (redone, iterations) = results[False], results[True]
         assert plain == redone == (plain[0], reliable), maxit
         assert iterations == maxit + plain_iterations, maxit
@@ -566,7 +566,7 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     # iterations, that evaluation's influence start is unchanged too, and
     # it reads the lambda-free half of the start's Hessian product, 2k+1
     # transforms.  Replaying its lambdas through standalone gcv_eval
-    # calls, each with a fresh search of its own, from the same warm
+    # calls, each with a fresh walk of its own, from the same warm
     # starts and influence starts, must give bitwise the same evaluations.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
@@ -590,11 +590,11 @@ def test_memoized_search_replays_bitwise_without_the_memo(monkeypatch):
     warm, y = default_start(inst.observed), None
     reused = reused_start = 0
     for i, e in enumerate(evals):
-        search = _Search(obj, probe, True)
-        search.y = y
+        walk = _Walk(obj, opts, probe=probe)
+        walk.y = y
         with count_transforms() as tally:
-            again = gcv_eval(obj, e.lam, warm, opts, probe, _search=search)
-        y = search.y
+            again = gcv_eval(obj, e.lam, warm, opts, probe, _walk=walk)
+        y = walk.y
         same_x = i > 0 and np.array_equal(e.x, evals[i - 1].x)
         assert same_x == (i > 0 and e.newton_report.iterations == 0), i
         same_start = same_x and evals[i - 1].influence_iterations == 0
@@ -654,7 +654,7 @@ def test_one_walk_serves_the_search_and_the_scan():
 
 
 def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
-    # Four evaluations sharing one search: a solve that steps, two repeats
+    # Four evaluations sharing one walk: a solve that steps, two repeats
     # at the same lambda from its solution (no step: the fit is read),
     # then a solve at another lambda that steps (the fit is rebuilt).
     # Each must equal a standalone gcv_eval from the same influence start,
@@ -668,17 +668,17 @@ def test_last_fit_is_read_after_a_zero_step_solve_and_rebuilt_after_a_step():
     opts = GcvOptions(solver=SolverOptions(use_preconditioner=True))
     k = inst.n_frames
     probe = rademacher_probe(obj.data.shape, opts.probe_seed)
-    search = _Search(obj, probe, True)
+    walk = _Walk(obj, opts, probe=probe)
     warm = default_start(inst.observed)
     for lam, steps, fewer in ((1e-3, True, 0), (1e-3, False, 2 * (k + 1)),
                               (1e-3, False, 2 * (k + 1) + 2 * k + 1),
                               (2e-2, True, 0)):
-        alone_search = _Search(obj, probe, True)
-        alone_search.y = search.y
+        alone_walk = _Walk(obj, opts, probe=probe)
+        alone_walk.y = walk.y
         with count_transforms() as shared:
-            ev = gcv_eval(obj, lam, warm, opts, probe, _search=search)
+            ev = gcv_eval(obj, lam, warm, opts, probe, _walk=walk)
         with count_transforms() as alone:
-            ref = gcv_eval(obj, lam, warm, opts, probe, _search=alone_search)
+            ref = gcv_eval(obj, lam, warm, opts, probe, _walk=alone_walk)
         assert (ev.newton_report.iterations > 0) == steps, lam
         assert ev.newton_report.termination == "converged", lam
         assert np.array_equal(ev.x, ref.x), lam
@@ -732,13 +732,13 @@ def test_broken_down_trace_solve_is_unreliable_and_keeps_its_partial_iterate(
         raise PcgBreakdownError("curvature -1 at iteration 8", partial, 7)
 
     monkeypatch.setattr(gcv_module, "_hessian_solve", breaks_down)
-    search = _Search(obj, probe, False)
+    walk = _Walk(obj, opts, probe=probe)
     with pytest.warns(RuntimeWarning, match="broke down"):
         ev = gcv_eval(obj, 1e-3, default_start(inst.observed), opts, probe,
-                      _search=search)
+                      _walk=walk)
     assert not ev.reliable and ev.influence_iterations == 7
-    assert search.y is partial
-    rhs = search.fit.rhs
+    assert walk.y is partial
+    rhs = walk.fit.rhs
     assert ev.trace_estimate == float(np.sum(probe * probe) - np.sum(rhs * partial))
 
 
@@ -762,24 +762,24 @@ def test_influence_iterations_are_reported_and_a_read_start_costs_one_transform(
         return out
 
     monkeypatch.setattr(solver_module, "projected_pcg", recorded_pcg)
-    search = _Search(obj, probe, True)
+    walk = _Walk(obj, opts, probe=probe)
     first = gcv_eval(obj, 1e-3, default_start(inst.observed), opts, probe,
-                     _search=search)
-    second = gcv_eval(obj, 1e-3, first.x, opts, probe, _search=search)
+                     _walk=walk)
+    second = gcv_eval(obj, 1e-3, first.x, opts, probe, _walk=walk)
     # a Newton solve's steps run PCG first; the influence solve runs last
     assert len(returned) == first.newton_report.iterations + 2
     assert first.influence_iterations == returned[-2] > 0
     assert second.newton_report.iterations == 0
     assert second.influence_iterations == returned[-1] == 0
-    y0 = search.y
+    y0 = walk.y
     with count_transforms() as tally:
-        third = gcv_eval(obj, 1.0001e-3, second.x, opts, probe, _search=search)
+        third = gcv_eval(obj, 1.0001e-3, second.x, opts, probe, _walk=walk)
     assert third.newton_report.iterations == 0
     assert _outside_newton(tally.fft2 + tally.ifft2, third) == 1
-    # bitwise what a fresh search computes from the same starts
-    alone = _Search(obj, probe, True)
+    # bitwise what a fresh walk computes from the same starts
+    alone = _Walk(obj, opts, probe=probe)
     alone.y = y0
-    ref = gcv_eval(obj, 1.0001e-3, second.x, opts, probe, _search=alone)
+    ref = gcv_eval(obj, 1.0001e-3, second.x, opts, probe, _walk=alone)
     assert third.trace_estimate == ref.trace_estimate
     assert third.influence_iterations == ref.influence_iterations == 0
 
@@ -834,10 +834,10 @@ def test_gcv_options_validation():
 @pytest.mark.parametrize("use_preconditioner", [False, True])
 def test_a_rebuilt_fit_reads_a_x_from_the_solves_last_evaluation(
         use_preconditioner):
-    # The Newton solve leaves its last data evaluation in the search's memo,
+    # The Newton solve leaves its last data evaluation in the walk's memo,
     # and that evaluation keeps A x, bitwise what op.apply gives.  A fit
     # built from it spends k+1 transforms on A^T W v and, with the
-    # preconditioner, k+1 on the scaling.  A search whose memo does not
+    # preconditioner, k+1 on the scaling.  A walk whose memo does not
     # hold the solution evaluates it first, for k+1 more, and builds
     # bitwise the same fit.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
@@ -845,22 +845,23 @@ def test_a_rebuilt_fit_reads_a_x_from_the_solves_last_evaluation(
     obj = inst.objective(LossFunction(), 0.0)
     k = inst.n_frames
     probe = rademacher_probe(obj.data.shape, 0)
-    search = _Search(obj, probe, use_preconditioner)
-    x, report = projected_newton(
-        obj.with_lambda(1e-3), default_start(inst.observed),
-        SolverOptions(use_preconditioner=use_preconditioner), _memo=search.memo)
+    opts = GcvOptions(solver=SolverOptions(use_preconditioner=use_preconditioner))
+    walk = _Walk(obj, opts, probe=probe)
+    x, report = projected_newton(obj.with_lambda(1e-3),
+                                 default_start(inst.observed), opts.solver,
+                                 _memo=walk.memo)
     assert report.termination == "converged" and report.iterations > 0
-    ev = search.memo.evaluation(obj, x)
+    ev = walk.memo.evaluation(obj, x)
     assert ev.ax.tobytes() == obj.op.apply(x).tobytes()
     assert not ev.ax.flags.writeable
-    assert search.memo.evaluation(obj, x + 1.0) is None
+    assert walk.memo.evaluation(obj, x + 1.0) is None
     other = Objective(obj.op, obj.data * 1.01, obj.sigma)
-    assert search.memo.evaluation(other, x) is None
+    assert walk.memo.evaluation(other, x) is None
 
     with count_transforms() as hit:
-        fit = search.fit_of(x)
+        fit = walk.fit_of(x)
     with count_transforms() as miss:
-        ref = _Search(obj, probe, use_preconditioner).fit_of(x)
+        ref = _Walk(obj, opts, probe=probe).fit_of(x)
     per_fit = (k + 1) * (1 + use_preconditioner)
     assert hit.fft2 + hit.ifft2 == per_fit
     assert miss.fft2 + miss.ifft2 == per_fit + k + 1
@@ -876,6 +877,10 @@ def test_a_rebuilt_fit_reads_a_x_from_the_solves_last_evaluation(
 def test_a_search_derives_the_default_start_once(monkeypatch):
     # The memo keeps default_start of its data term when it binds to it,
     # rather than deriving it again for the start and pg_ref of each solve.
+    # With x0=None, a GCV search and a scan each start their walk there and
+    # take that point from the walk's memo, so each derives it once in all,
+    # and bitwise the same as from x0=default_start.  Both the solver's and
+    # the gcv module's names are counted, should gcv ever import its own.
     calls = []
     real = solver_module.default_start
 
@@ -883,13 +888,54 @@ def test_a_search_derives_the_default_start_once(monkeypatch):
         calls.append(None)
         return real(observed)
 
-    monkeypatch.setattr(solver_module, "default_start", counted)
     inst = make_instance("satellite", (16, 16), noise_seed=73)
+    x0 = real(inst.observed)
     obj = inst.objective(LossFunction(), 0.0)
     opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4)
+    grid = [1e-4, 1e-3, 1e-2]
+    _, given = minimize_gcv(obj, opts, x0=x0)
+    scanned = lambda_scan(inst, LossFunction(), grid, x0=x0)
+    monkeypatch.setattr(solver_module, "default_start", counted)
+    monkeypatch.setattr(gcv_module, "default_start", counted, raising=False)
     _, evaluations = minimize_gcv(obj, opts)
     assert len(evaluations) > 1
     assert len(calls) == 1
+    assert [e.x.tobytes() for e in evaluations] == [e.x.tobytes() for e in given]
+    calls.clear()
+    points = lambda_scan(inst, LossFunction(), grid)
+    assert len(calls) == 1
+    assert [p.x.tobytes() for p in points] == [p.x.tobytes() for p in scanned]
+
+
+def test_a_walk_makes_one_memo_and_a_scan_no_gcv_workspace(monkeypatch):
+    # A GCV search and a plain scan each run one walk, which owns the one
+    # _SearchMemo all their solves share; only a walk with a probe makes
+    # the workspace of its fits and influence solves.
+    memos, workspaces = [], []
+    real_memo, real_workspace = solver_module._SearchMemo, gcv_module.Workspace
+
+    class CountedMemo(real_memo):
+        def __init__(self):
+            memos.append(None)
+            super().__init__()
+
+    def counted_workspace(*args, **kwargs):
+        workspaces.append(None)
+        return real_workspace(*args, **kwargs)
+
+    for module in (solver_module, gcv_module):
+        monkeypatch.setattr(module, "_SearchMemo", CountedMemo)
+    monkeypatch.setattr(gcv_module, "Workspace", counted_workspace)
+    inst = make_instance("satellite", (16, 16), noise_seed=73)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4)
+    _, evaluations = minimize_gcv(inst.objective(LossFunction(), 0.0), opts)
+    assert len(evaluations) > 1
+    assert (len(memos), len(workspaces)) == (1, 1)
+    memos.clear()
+    workspaces.clear()
+    points = lambda_scan(inst, LossFunction(), [1e-4, 1e-3, 1e-2])
+    assert len(points) == 3
+    assert (len(memos), len(workspaces)) == (1, 0)
 
 
 def test_trace_term_names_a_bad_solution():
