@@ -35,38 +35,44 @@ single-probe estimate can use (see :class:`GcvOptions`).
 
 A :class:`_Walk`, the only chain of warm-started solves over lambda,
 serves :func:`minimize_gcv` and :func:`.testbed.lambda_scan`; the two
-differ only by the probe.  From each solve to the next a walk carries
-four things, a plain scan the first alone; standalone :func:`gcv_eval`
-and :func:`trace_term` calls make a one-point walk and start cold.  The
-memo, the fit and the start product leave every result bitwise
-unchanged; the influence start moves an estimate only within the
-solve's tolerance.  A walk with a probe checks it once, when the walk is
-made, and runs its fits and influence solves in its one workspace.
+differ only by the probe.  Each solve hands its end state to the next,
+and the walk holds four things, a plain scan the first two alone;
+standalone :func:`gcv_eval` and :func:`trace_term` calls make a
+one-point walk and start cold.  Each is read because the walk holds it,
+never because two arrays compare equal.  The first three leave every
+result bitwise unchanged; the influence start moves an estimate only
+within the solve's tolerance.  A walk with a probe checks it once, when
+the walk is made, and runs its fits and influence solves in its one
+workspace.
 
-- The :class:`.solver._SearchMemo` of its Newton solves.  Only the
-  penalty term depends on lambda, so each warm solve reads its start and
-  ``pg_ref`` from the memo for the penalty's one transform each, instead
-  of an evaluation and a gradient each.  The memo derives
-  :func:`.solver.default_start` once, for the walk's first start when
-  ``x0`` is None and for every solve's ``pg_ref``.
-- The last influence solution ``y``, the next influence solve's start,
-  as each Newton solve starts from the previous ``x``: nearby lambdas
-  have close solutions.  The stop reference does not depend on the
-  start, so a warm start only saves iterations; a nonzero start costs
-  one Hessian product for its residual.
-- The :class:`_Fit` of the last solution: W, ``||W r||^2``, the
+- The end state of its last Newton solve (:class:`.solver._State`): the
+  point, its data evaluation and its data gradient.  Only the penalty
+  term depends on lambda, so the next solve, which starts there, rebuilds
+  its start's value and gradient for the penalty's one transform instead
+  of an evaluation and a gradient.  A solve that ends ``pcg_breakdown``
+  or ``linesearch_failure`` drops its state, and the next one evaluates
+  its start, as the first solve of a walk does.
+- :func:`.solver.default_start` of the data, derived once per walk (the
+  first start when ``x0`` is None), with its half spectrum and data
+  gradient once a solve has evaluated them, which is all ``pg_ref``
+  reads: one transform per solve.
+- The :class:`_Fit` of its current point: W, ``||W r||^2``, the
   influence solve's right-hand side ``A^T W v`` and weights W^2, and the
   preconditioner's scaling built from W^2, none of which depends on
-  lambda, all built from the ``A x`` and inlier mask of the Newton
-  solve's last evaluation, left in the memo; W^2 is checked then.  Late
-  in a search most solves take no Newton step, so their solution is
-  bitwise the previous one and they read the fit instead of spending
-  2(k+1) transforms on it ((k+1) without the preconditioner).
-- The lambda-free half of the last influence start's Hessian product,
-  ``y0_hat`` and ``A^T W^2 A y0`` on the half spectrum, kept for the
-  current fit.  When the fit is read and the previous influence solve
-  took 0 iterations, the start ``y0`` is bitwise the previous one too,
-  and only the penalty and one inverse transform are left to apply.
+  lambda, all built from the ``A x`` and inlier mask of the end state's
+  evaluation; W^2 is checked then.  Late in a search most solves take no
+  Newton step and hand back the state they were given, so they read the
+  fit instead of spending 2(k+1) transforms on it ((k+1) without the
+  preconditioner).
+- The lambda-free half of the current influence start's Hessian
+  product, ``y0_hat`` and ``A^T W^2 A y0`` on the half spectrum.  The
+  last influence solution ``y`` is the next influence solve's start, as
+  each Newton solve starts from the previous ``x``: nearby lambdas have
+  close solutions.  The stop reference does not depend on the start, so
+  a warm start only saves iterations; a nonzero start costs one Hessian
+  product for its residual.  When the fit is unchanged and the previous
+  influence solve took 0 iterations, its ``y`` is bitwise its start, and
+  only the penalty and one inverse transform are left to apply.
 
 Such a zero-step evaluation costs 2 transforms for its Newton solve's
 start and ``pg_ref``, then 2k+2 for the influence solve's warm-start
@@ -98,7 +104,7 @@ from .solver import (
     SolverOptions,
     SolverReport,
     _hessian_solve,
-    _SearchMemo,
+    default_start,
     projected_newton,
 )
 
@@ -222,9 +228,12 @@ class _Walk:
     """Warm-started solves of the lambda-free ``obj`` over lambda with
     ``opts``, the only chain of solves over lambda (see the module
     docstring).  It holds ``x``, the next warm start (``x0``; None:
-    :func:`.solver.default_start`, which ``memo`` derives); ``memo``, the
-    Newton solves' :class:`.solver._SearchMemo`; ``points`` in visit
-    order; and a cache from lambda to point.
+    ``x_ref``); ``points`` in visit order and a cache from lambda to
+    point; ``state``, the end state the last solve handed back (None
+    before the first solve and after one that dropped it); and ``x_ref``,
+    :func:`.solver.default_start` of the data, with ``ref``, its half
+    spectrum and data gradient once a solve has evaluated them.  Each
+    solve reads and replaces the last three (:func:`.solver.projected_newton`).
 
     Without a ``probe`` it is a plain scan, and the GCV fields of its
     points stay empty.  With one, each point is a :func:`gcv_eval`, and it
@@ -232,21 +241,20 @@ class _Walk:
     and influence solves; ``y``, the last influence solution and the next
     influence solve's start (None: zero), and ``iterations`` and
     ``transforms``, the PCG iterations and transforms that solve took;
-    ``fit``, the :class:`_Fit` of the last solution, which :meth:`fit_of`
-    serves again while the solution is bitwise unchanged; and the
-    lambda-free half of the last influence start's Hessian product under
-    that fit, which :meth:`start_product` serves again while the start is
-    unchanged too.  Standalone :func:`gcv_eval` and :func:`trace_term`
-    calls each make a one-point walk."""
+    ``fit``, the :class:`_Fit` of its current point; and the lambda-free
+    half of the current influence start's Hessian product.  Standalone
+    :func:`gcv_eval` and :func:`trace_term` calls each make a one-point
+    walk."""
 
     def __init__(self, obj: Objective, opts: GcvOptions, x0=None, probe=None):
         self._obj, self._opts = obj, opts
-        self.memo = _SearchMemo()
-        self.x = self.memo.bind(obj) if x0 is None else x0
+        self.x_ref = _frozen(default_start(obj.data))
+        self.x = self.x_ref if x0 is None else x0
+        self.state = self.ref = None
         self.points, self._cache = [], {}
         self.probe = self.ws = self.y = self.fit = None
         self.iterations = self.transforms = 0
-        self._start = None  # (y0, y0_hat, acc) of _hessian_data_half
+        self._start = None  # (y0_hat, acc) of _hessian_data_half
         if probe is not None:
             probe, shape = np.asarray(probe, dtype=np.float64), obj.data.shape
             if probe.shape != shape or not np.all(np.isfinite(probe)):
@@ -264,7 +272,7 @@ class _Walk:
         if lam not in self._cache:
             if self.probe is None:
                 x, report = projected_newton(self._obj.with_lambda(lam), self.x,
-                                             self._opts.solver, _memo=self.memo)
+                                             self._opts.solver, _walk=self)
                 point = LambdaPoint(lam, None, None, None, report, x, None)
             else:
                 point = gcv_eval(self._obj, lam, self.x, self._opts, _walk=self)
@@ -274,12 +282,15 @@ class _Walk:
         return self._cache[lam]
 
     def fit_of(self, x: np.ndarray) -> _Fit:
-        """The fit of ``x``, from the memo's evaluation of ``x``, or from one
-        made here (k+1 transforms) after a fresh walk or a solve that
-        ended ``pcg_breakdown`` or ``linesearch_failure``."""
-        if self.fit is None or not np.array_equal(x, self.fit.x):
-            ev = self.memo.evaluation(self._obj, x)
-            if ev is None:
+        """The fit of the point ``x``: the held one when ``x`` is its point;
+        else built from the end state's evaluation when ``x`` is that
+        state's point, or from one made here (k+1 transforms) in a fresh
+        walk or after a solve that dropped its state."""
+        if self.fit is None or self.fit.x is not x:
+            state = self.state
+            if state is not None and state.x is x:
+                ev = state.data_ev
+            else:
                 ev = self._obj._data_evaluation(x, self.ws)
             self.fit = _fit_at(self._obj, x, ev, self.probe,
                                self._opts.solver.use_preconditioner, self.ws)
@@ -289,18 +300,20 @@ class _Walk:
     def start_product(self, obj: Objective, y0: np.ndarray) -> np.ndarray:
         """``H y0`` at ``obj.lam`` with the weights of ``fit``, in ``ws.image``.
 
-        The lambda-free half (2k+1 transforms) is kept, and read again while
-        the fit and ``y0`` are bitwise unchanged; the penalty and the
-        inverse transform (1 transform) are applied at every call, so the
-        product is bitwise that of :func:`.operators._hessian_kernel`.
+        ``y0`` is the current influence start.  Its lambda-free half (2k+1
+        transforms) is formed at the first call and held until the fit is
+        rebuilt or an influence solve moves ``y`` off its start; the
+        penalty and the inverse transform (1 transform) are applied at
+        every call, so the product is bitwise that of
+        :func:`.operators._hessian_kernel`.
         """
-        if self._start is None or not np.array_equal(y0, self._start[0]):
+        if self._start is None:
             y0_hat, acc = _hessian_data_half(obj.op, self.fit.weights, self.ws, y0)
-            self._start = (y0.copy(), y0_hat.copy(), acc.copy())
+            self._start = (y0_hat.copy(), acc.copy())
         else:
             y0_hat, acc = self.ws.spectrum, self.ws.stack_spectrum[0]
-            np.copyto(y0_hat, self._start[1])
-            np.copyto(acc, self._start[2])
+            np.copyto(y0_hat, self._start[0])
+            np.copyto(acc, self._start[1])
         return _hessian_finish(obj.op, obj._penalty, y0_hat, acc, self.ws)
 
 
@@ -373,6 +386,8 @@ def trace_term(obj: Objective, x_lam: np.ndarray, probe: np.ndarray,
             y, iterations = err.iterate, err.iterations
             reliable = False
             quadratic = np.sum(fit.rhs * y)
+    if iterations:  # y moved off the start whose product the walk holds
+        _walk._start = None
     _walk.y, _walk.iterations = y, iterations
     _walk.transforms = tally.fft2 + tally.ifft2
     estimate = float(np.sum(_walk.probe * _walk.probe) - quadratic)
@@ -402,10 +417,10 @@ def gcv_eval(
         _walk = _Walk(obj, opts, warm_start, probe)
     obj_lam = obj.with_lambda(lam)
     x_lam, report = projected_newton(obj_lam, warm_start, opts.solver,
-                                     _memo=_walk.memo)
-    fit = _walk.fit_of(x_lam)
+                                     _walk=_walk)
     estimate, reliable = trace_term(obj_lam, x_lam, _walk.probe, opts,
                                     _walk=_walk)
+    fit = _walk.fit
     m = obj.n_residuals
     denom = estimate * estimate
     value = m * fit.numerator / denom if denom > 0 else np.inf

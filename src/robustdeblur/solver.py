@@ -48,20 +48,20 @@ too ill-conditioned to invert, or when the preconditioned PCG runs to
 ``pcg_maxit`` (it is then redone without one);
 ``SolverReport.precond_fallbacks`` counts both.
 
-The start and ``pg_ref`` come from a :class:`_SearchMemo`, which keeps
-the lambda-free parts of two points: the data evaluation and data
-gradient of the last solve's final iterate, and the half spectrum and
-data gradient of :func:`default_start`.  A standalone solve gets a fresh
-memo, so its start costs one evaluation and one gradient, and ``pg_ref``
+A solve hands its end state to the next one: the :class:`_State` of its
+last iterate, that point with its data evaluation and data gradient
+``A^T z``, which depend on the data term alone.  A standalone solve
+evaluates its start, for one evaluation and one gradient, and ``pg_ref``
 as much again unless the start is :func:`default_start`, where it is
 ``||P g0||`` itself.  A search over lambda (:func:`.gcv.minimize_gcv`,
 :func:`.testbed.lambda_scan`) solves the same data term at many lambdas,
-and only the penalty term depends on lambda, so it passes every solve
-one memo.  A warm solve that starts where the previous one ended then
-rebuilds its start's value and gradient from the memo, and ``pg_ref``
-likewise: 1 transform each (the penalty's ifft2) when lam > 0 and none
-at lam = 0, instead of 2k+3 each.  The values are bitwise those of a
-fresh evaluation, so the path is the same with any memo.
+and only the penalty term depends on lambda.  Its walk
+(:class:`.gcv._Walk`) holds the last solve's end state, and the half
+spectrum and data gradient of :func:`default_start`.  A warm solve
+starts from the state it is handed and reads ``pg_ref`` from the held
+parts: 1 transform each (the penalty's ifft2) when lam > 0 and none at
+lam = 0, instead of 2k+3 each.  The values are bitwise those of a fresh
+evaluation, so the path is the same either way.
 
 Each solve allocates one :class:`.operators.Workspace` in
 :func:`_newton_loop`.  Each evaluation's scratch, the preconditioner
@@ -78,12 +78,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .gridfft import (COUNTS, OpCounts, _integer, _positive, as_image,
                       count_transforms)
-from .objective import Objective
+from .objective import Evaluation, Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
 from .precond import _IllConditionedSymbol, precond_build
 
@@ -404,76 +405,27 @@ class _Trials:
         return self.last.value
 
 
-class _SearchMemo:
-    """The lambda-free parts of two evaluated points, kept across the solves
-    that share it (see the module docstring).  Its entries:
+class _State(NamedTuple):
+    """What a solve hands to the next: a point ``x``, its
+    :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``,
+    all read-only and none dependent on lambda."""
 
-    - the last iterate of the latest solve: the point, its
-      :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``;
-    - :func:`default_start` of the data: the point, derived once, and its
-      half spectrum and data gradient, which is all ``pg_ref`` reads.
+    x: np.ndarray
+    data_ev: Evaluation
+    g_data: np.ndarray
 
-    Entries serve only an objective with the data term of the one that
-    filled them (:meth:`.Objective._same_data_term`); any other objective
-    empties the memo first.  Each solve gets one: its own, or that of the
-    :class:`.gcv._Walk` it runs in, which passes the same memo to every
-    solve and, given no start, takes its first from :meth:`bind`.  Never
-    shared between concurrent solves.
-    """
 
-    def __init__(self):
-        self._obj = None
-        self._x_ref = None  # default_start of the data
-        self._last = None  # (x, data evaluation, data gradient)
-        self._ref = None  # (x_hat, data gradient) at default_start
+def _state_at(obj: Objective, x: np.ndarray, ws: Workspace) -> _State:
+    """The :class:`_State` at the read-only ``x``: 2k+2 transforms."""
+    data_ev = obj._data_evaluation(x, ws)
+    return _State(x, data_ev, _frozen(obj._data_gradient(data_ev, ws)))
 
-    def bind(self, obj: Objective) -> np.ndarray:
-        """Serve the data term of ``obj``, emptying the memo first if it
-        served another; returns :func:`default_start` of its data, derived
-        once per data term and read-only."""
-        if self._obj is None or not self._obj._same_data_term(obj):
-            self._obj, self._last, self._ref = obj, None, None
-            self._x_ref = _frozen(default_start(obj.data))
-        return self._x_ref
 
-    def start(self, obj: Objective, x: np.ndarray, ws: Workspace):
-        """``(data evaluation, data gradient)`` at a solve's start ``x``: the
-        last entry's when ``x`` is its point, else computed here; at
-        :func:`default_start`, their reference parts are kept."""
-        self.bind(obj)
-        if self._last is not None and np.array_equal(x, self._last[0]):
-            return self._last[1:]
-        data_ev = obj._data_evaluation(x, ws)
-        g_data = _frozen(obj._data_gradient(data_ev, ws))
-        if np.array_equal(x, self._x_ref):
-            self._ref = (data_ev.x_hat, g_data)
-        return data_ev, g_data
-
-    def pg_ref(self, obj: Objective, x: np.ndarray, pg_norm: float, ws: Workspace):
-        """The projected gradient norm at :func:`default_start` of the data;
-        ``pg_norm``, the norm at the start ``x``, when ``x`` is that point.
-        Called after :meth:`start`, with the same objective."""
-        x_ref = self._x_ref
-        if np.array_equal(x, x_ref):
-            return pg_norm
-        if self._ref is None:
-            data_ev = obj._data_evaluation(x_ref, ws)
-            self._ref = (data_ev.x_hat, _frozen(obj._data_gradient(data_ev, ws)))
-        x_hat, g_data = self._ref
-        g = obj._add_penalty_gradient(g_data.copy(), x_hat, ws)
-        return _binding_set(x_ref, g)[1]
-
-    def remember(self, x: np.ndarray, data_ev, g_data) -> None:
-        """Keep the last iterate of a solve of the objective last seen by
-        :meth:`start`."""
-        self._last = (_frozen(x.copy()), data_ev, g_data)
-
-    def evaluation(self, obj: Objective, x: np.ndarray):
-        """The last entry's data evaluation when ``x`` is bitwise its point
-        and ``obj`` has the data term that filled it; else None."""
-        last = self._last
-        hit = last is not None and self._obj._same_data_term(obj)
-        return last[1] if hit and np.array_equal(x, last[0]) else None
+def _reference(obj, x_ref, ws):
+    """``(x_hat, data gradient)`` at ``x_ref``, all that ``pg_ref`` reads:
+    2k+2 transforms."""
+    state = _state_at(obj, x_ref, ws)
+    return state.data_ev.x_hat, state.g_data
 
 
 def projected_newton(
@@ -481,7 +433,7 @@ def projected_newton(
     x0: np.ndarray,
     opts: SolverOptions | None = None,
     *,
-    _memo: _SearchMemo | None = None,
+    _walk=None,
 ):
     """Minimize the objective over x >= 0; returns ``(x, SolverReport)``.
 
@@ -501,52 +453,79 @@ def projected_newton(
     (every residual saturated) is not taken: the run stops with
     termination ``all_saturated`` and returns the current iterate.
 
-    ``_memo`` is the :class:`_SearchMemo` the start and ``pg_ref`` are read
-    from, and the last iterate is left in; a fresh one when None.  A
-    caller that solves the same data at many lambdas passes one memo to
-    every solve.  The result is bitwise the same with any memo.
+    ``_walk`` is the :class:`.gcv._Walk` the solve runs in (None: a
+    standalone solve, which derives :func:`default_start` itself).  The
+    solve starts from the walk's ``state`` when ``x0`` is its point, reads
+    ``pg_ref`` from the walk's ``x_ref`` and ``ref``, and leaves its end
+    state and ``ref`` in the walk; it returns the end state's read-only
+    point.  The result is bitwise the same either way.
     """
     opts = opts or SolverOptions()
-    x = obj._check_x(x0, feasible=True, name="x0").copy()
-    memo = _SearchMemo() if _memo is None else _memo
+    if _walk is None:
+        x_ref, held, ref = _frozen(default_start(obj.data)), None, None
+    else:
+        x_ref, held, ref = _walk.x_ref, _walk.state, _walk.ref
+    if held is None or x0 is not held.x:
+        held = None
+        if x0 is not x_ref:
+            x0 = _frozen(obj._check_x(x0, feasible=True, name="x0").copy())
+            # A start handed in from outside may be default_start, whose
+            # pg_ref is its own ||P g0||: one test per start not held.
+            if np.array_equal(x0, x_ref):
+                x0 = x_ref
 
     report = SolverReport()
     with count_transforms() as tally:
-        x, data_ev, g_data = _newton_loop(obj, x, opts, report, memo)
-        if g_data is not None:
-            memo.remember(x, data_ev, g_data)
+        x, end, ref = _newton_loop(obj, x0, held, x_ref, ref, opts, report)
     report.counts = tally.copy()
+    if _walk is None:
+        return x.copy(), report  # writable: no walk holds it
+    _walk.state, _walk.ref = end, ref
     return x, report
 
 
-def _newton_loop(obj, x, opts, report, memo):
-    """Newton steps from ``x``, whose evaluation and ``pg_ref`` are read
-    from ``memo``; returns the last iterate and its data-term evaluation
-    and data gradient, both None when the run dropped them before it
-    ended.
+def _newton_loop(obj, x, held, x_ref, ref, opts, report):
+    """Newton steps from the read-only ``x``; returns ``(x, end, ref)``:
+    the last iterate, its :class:`_State` and the half spectrum and data
+    gradient at ``x_ref``, :func:`default_start` of the data.  ``end`` is
+    None when the run dropped the state before it ended, and the start's
+    own after 0 steps.
+
+    The start's state is ``held`` (whose point is ``x``), or else it is
+    evaluated here.  ``pg_ref`` is read from ``ref`` for the penalty's one
+    transform, and ``ref`` is evaluated here when None; when the start is
+    ``x_ref`` itself, ``pg_ref`` is ``||P g0||``, which ``pg_scale`` takes
+    anyway, and ``ref`` is read from the start's state.
 
     Pass ``k`` records point ``k``, the start at 0 and the iterate of the
     ``k``-th accepted step after it, and for ``k > 0`` the transforms this
     thread issued since point ``k - 1``; then it takes the next step
     unless the run ends there.  Each accepted iterate is evaluated once,
     by the line search; its evaluation then supplies the gradient, the
-    Hessian weights and the preconditioner input of the next step.  The data gradient is
-    kept apart, for the memo, and the penalty added to a copy.  Every
-    evaluation lives only in this frame, so dropping the name releases
-    it.  So does the solve's workspace, which every gradient, Hessian
-    product and preconditioner solve below runs in.
+    Hessian weights and the preconditioner input of the next step.  The
+    data gradient is kept apart, in the state, and the penalty added to a
+    copy.  Every evaluation made here lives only in this frame, so
+    dropping the name releases it.  So does the solve's workspace, which
+    every gradient, Hessian product and preconditioner solve below runs
+    in.
     """
     ws = Workspace(obj.op.shape, obj.op.n_frames)
-    data_ev, g_data = memo.start(obj, x, ws)
-    ev = obj._penalized(data_ev)
+    state = _state_at(obj, x, ws) if held is None else held
+    if x is x_ref:
+        ref, pg_ref = (state.data_ev.x_hat, state.g_data), 0.0  # ||P g0|| rules
+    else:
+        ref = ref or _reference(obj, x_ref, ws)
+        g_ref = obj._add_penalty_gradient(ref[1].copy(), ref[0], ws)
+        pg_ref = _binding_set(x_ref, g_ref)[1]
+    ev = obj._penalized(state.data_ev)
     report.termination = "max_iterations"
     for k in range(opts.newton_maxit + 1):
-        g = obj._add_penalty_gradient(g_data.copy(), ev.x_hat, ws)
+        g = obj._add_penalty_gradient(state.g_data.copy(), ev.x_hat, ws)
         report.objective_trace.append(ev.value)
         binding, pg_norm = _binding_set(x, g)
         report.pg_norms.append(pg_norm)
         if k == 0:
-            report.pg_scale = max(pg_norm, memo.pg_ref(obj, x, pg_norm, ws))
+            report.pg_scale = max(pg_norm, pg_ref)
             tol = opts.newton_tol * report.pg_scale
         else:
             report.step_transforms.append(COUNTS.fft2 + COUNTS.ifft2 - mark)
@@ -565,7 +544,7 @@ def _newton_loop(obj, x, opts, report, memo):
         # its weights and gradient once the direction is formed, so the
         # build and the line search, where a solve's memory peaks, run
         # beside as few arrays as possible.
-        ev = data_ev = g_data = None
+        ev = state = None
         try:
             # the residual (GCV's) is dropped here, before the line search
             s, inner, fell_back = _hessian_solve(
@@ -585,9 +564,8 @@ def _newton_loop(obj, x, opts, report, memo):
         except LineSearchError:
             report.termination = "linesearch_failure"
             break
-        ev, data_ev = trials.last, trials.data
-        trials = None
-        x = ls.x
+        x, ev = _frozen(ls.x), trials.last
         report.step_lengths.append(ls.step)
-        g_data = _frozen(obj._data_gradient(data_ev, ws))
-    return x, data_ev, g_data
+        state = _State(x, trials.data, _frozen(obj._data_gradient(trials.data, ws)))
+        trials = None
+    return x, state, ref

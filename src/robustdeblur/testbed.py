@@ -311,9 +311,11 @@ def lambda_scan(
     64x64 ash instance, a 13-point geometric grid over [0.012, 0.040] has
     5 such unchanged points, whose relative error differs from a cold
     solve's by up to 2.7% (2.6% with the preconditioner).  As in a GCV
-    search, the solves share a :class:`.solver._SearchMemo`, so a point
-    reads its start and ``pg_ref`` from the previous solve's work; each
-    solution is bitwise that of a standalone solve from the same start.
+    search, each solve hands its end state to the next, so a point starts
+    from the previous solve's evaluation and gradient and reads ``pg_ref``
+    from the parts of the default start the walk holds; each solution is
+    bitwise that of a standalone solve from the same start.  The points'
+    ``x`` are read-only: each is the state the walk handed on.
     """
     grid = [_nonnegative("lambda_grid value", lam) for lam in lambda_grid]
     if not grid:
@@ -377,6 +379,9 @@ def load_instance(directory) -> ProblemInstance:
     def field(key, convert=str, default=None):
         return _field(manifest, key, path, convert, default)
 
+    def seed(key):
+        return field(key, lambda text: _integer(key, int(text), 0))
+
     frames = field("frames", _at_least_one)
     x_true = read_raw(directory / "x_true.raw")
     psfs, centers, clean, observed, masks = [], [], [], [], []
@@ -398,7 +403,7 @@ def load_instance(directory) -> ProblemInstance:
         observed=np.stack(observed),
         outlier_mask=np.stack(masks),
         sigma=field("sigma", float),
-        seeds=(field("noise_seed", int), field("outlier_seed", int)),
+        seeds=(seed("noise_seed"), seed("outlier_seed")),
         psfs=psfs,
         centers=centers,
         psf_params=psf_params,

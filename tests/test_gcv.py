@@ -9,6 +9,7 @@ from robustdeblur import gcv as gcv_module
 from robustdeblur import operators as operators_module
 from robustdeblur import precond as precond_module
 from robustdeblur import solver as solver_module
+from robustdeblur import testbed as testbed_module
 from robustdeblur.gcv import (
     GcvOptions,
     _Walk,
@@ -834,12 +835,12 @@ def test_gcv_options_validation():
 @pytest.mark.parametrize("use_preconditioner", [False, True])
 def test_a_rebuilt_fit_reads_a_x_from_the_solves_last_evaluation(
         use_preconditioner):
-    # The Newton solve leaves its last data evaluation in the walk's memo,
-    # and that evaluation keeps A x, bitwise what op.apply gives.  A fit
-    # built from it spends k+1 transforms on A^T W v and, with the
-    # preconditioner, k+1 on the scaling.  A walk whose memo does not
-    # hold the solution evaluates it first, for k+1 more, and builds
-    # bitwise the same fit.
+    # The Newton solve hands its end state to the walk, and that state's
+    # evaluation keeps A x, bitwise what op.apply gives.  A fit built from
+    # it spends k+1 transforms on A^T W v and, with the preconditioner,
+    # k+1 on the scaling.  A fit of a point that is not the state's, in a
+    # fresh walk or a copy of the solution, evaluates it first, for k+1
+    # more, and builds bitwise the same fit.
     inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
                          noise_seed=74, outlier_seed=75)
     obj = inst.objective(LossFunction(), 0.0)
@@ -849,38 +850,37 @@ def test_a_rebuilt_fit_reads_a_x_from_the_solves_last_evaluation(
     walk = _Walk(obj, opts, probe=probe)
     x, report = projected_newton(obj.with_lambda(1e-3),
                                  default_start(inst.observed), opts.solver,
-                                 _memo=walk.memo)
+                                 _walk=walk)
     assert report.termination == "converged" and report.iterations > 0
-    ev = walk.memo.evaluation(obj, x)
+    assert walk.state.x is x and not x.flags.writeable
+    ev = walk.state.data_ev
     assert ev.ax.tobytes() == obj.op.apply(x).tobytes()
     assert not ev.ax.flags.writeable
-    assert walk.memo.evaluation(obj, x + 1.0) is None
-    other = Objective(obj.op, obj.data * 1.01, obj.sigma)
-    assert walk.memo.evaluation(other, x) is None
 
     with count_transforms() as hit:
         fit = walk.fit_of(x)
-    with count_transforms() as miss:
-        ref = _Walk(obj, opts, probe=probe).fit_of(x)
     per_fit = (k + 1) * (1 + use_preconditioner)
     assert hit.fft2 + hit.ifft2 == per_fit
-    assert miss.fft2 + miss.ifft2 == per_fit + k + 1
-    assert fit.numerator == ref.numerator
-    assert fit.rhs.tobytes() == ref.rhs.tobytes()
-    assert fit.weights.tobytes() == ref.weights.tobytes()
-    if use_preconditioner:
-        assert fit.dhat.tobytes() == ref.dhat.tobytes()
-    else:
-        assert fit.dhat is ref.dhat is None
+    for other in (_Walk(obj, opts, probe=probe), walk):
+        with count_transforms() as miss:
+            ref = other.fit_of(x.copy())
+        assert miss.fft2 + miss.ifft2 == per_fit + k + 1
+        assert ref.numerator == fit.numerator
+        assert ref.rhs.tobytes() == fit.rhs.tobytes()
+        assert ref.weights.tobytes() == fit.weights.tobytes()
+        if use_preconditioner:
+            assert ref.dhat.tobytes() == fit.dhat.tobytes()
+        else:
+            assert ref.dhat is fit.dhat is None
 
 
 def test_a_search_derives_the_default_start_once(monkeypatch):
-    # The memo keeps default_start of its data term when it binds to it,
-    # rather than deriving it again for the start and pg_ref of each solve.
-    # With x0=None, a GCV search and a scan each start their walk there and
-    # take that point from the walk's memo, so each derives it once in all,
-    # and bitwise the same as from x0=default_start.  Both the solver's and
-    # the gcv module's names are counted, should gcv ever import its own.
+    # A walk derives default_start of its data once, rather than deriving
+    # it again for the start and pg_ref of each solve.  With x0=None, a GCV
+    # search and a scan each start their walk there, so each derives it
+    # once in all, and bitwise the same as from x0=default_start.  Both the
+    # solver's and the gcv module's names are counted: the walk reads the
+    # gcv module's.
     calls = []
     real = solver_module.default_start
 
@@ -907,35 +907,122 @@ def test_a_search_derives_the_default_start_once(monkeypatch):
     assert [p.x.tobytes() for p in points] == [p.x.tobytes() for p in scanned]
 
 
-def test_a_walk_makes_one_memo_and_a_scan_no_gcv_workspace(monkeypatch):
-    # A GCV search and a plain scan each run one walk, which owns the one
-    # _SearchMemo all their solves share; only a walk with a probe makes
-    # the workspace of its fits and influence solves.
-    memos, workspaces = [], []
-    real_memo, real_workspace = solver_module._SearchMemo, gcv_module.Workspace
+def test_a_search_and_a_scan_each_make_one_walk_and_a_scan_no_gcv_workspace(
+        monkeypatch):
+    # A GCV search and a plain scan each run one walk, which holds the
+    # state all their solves hand on; only a walk with a probe makes the
+    # workspace of its fits and influence solves.
+    walks, workspaces = [], []
+    real_walk, real_workspace = gcv_module._Walk, gcv_module.Workspace
 
-    class CountedMemo(real_memo):
-        def __init__(self):
-            memos.append(None)
-            super().__init__()
+    class CountedWalk(real_walk):
+        def __init__(self, *args, **kwargs):
+            walks.append(None)
+            super().__init__(*args, **kwargs)
 
     def counted_workspace(*args, **kwargs):
         workspaces.append(None)
         return real_workspace(*args, **kwargs)
 
-    for module in (solver_module, gcv_module):
-        monkeypatch.setattr(module, "_SearchMemo", CountedMemo)
+    for module in (gcv_module, testbed_module):
+        monkeypatch.setattr(module, "_Walk", CountedWalk)
     monkeypatch.setattr(gcv_module, "Workspace", counted_workspace)
     inst = make_instance("satellite", (16, 16), noise_seed=73)
     opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4)
     _, evaluations = minimize_gcv(inst.objective(LossFunction(), 0.0), opts)
     assert len(evaluations) > 1
-    assert (len(memos), len(workspaces)) == (1, 1)
-    memos.clear()
+    assert (len(walks), len(workspaces)) == (1, 1)
+    walks.clear()
     workspaces.clear()
     points = lambda_scan(inst, LossFunction(), [1e-4, 1e-3, 1e-2])
     assert len(points) == 3
-    assert (len(memos), len(workspaces)) == (1, 0)
+    assert (len(walks), len(workspaces)) == (1, 0)
+
+
+def test_a_walk_reuses_by_holding_and_compares_no_arrays(monkeypatch):
+    # Every reuse along a walk is decided by what the walk holds, never by
+    # comparing arrays: a preconditioned search and a scan from the default
+    # start call numpy.array_equal 0 times.  A start handed in from outside
+    # is compared once with the default start, whose pg_ref is then free.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+                      solver=SolverOptions(use_preconditioner=True))
+    compared = []
+    real = np.array_equal
+
+    def counted(*args, **kwargs):
+        compared.append(None)
+        return real(*args, **kwargs)
+
+    def comparisons(call, *args, **kwargs):
+        compared.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "array_equal", counted)
+            out = call(*args, **kwargs)
+        return len(compared), out
+
+    n, (_, evaluations) = comparisons(minimize_gcv, obj, opts)
+    assert n == 0 and len(evaluations) > 10
+    assert sum(e.newton_report.iterations == 0 for e in evaluations) > 1
+    n, points = comparisons(lambda_scan, inst, LossFunction(), [1e-3, 2e-3, 4e-3],
+                            opts.solver)
+    assert n == 0 and len(points) == 3
+    n, (_, given) = comparisons(minimize_gcv, obj, opts,
+                                x0=default_start(inst.observed))
+    assert n == 1
+    assert [e.x.tobytes() for e in given] == [e.x.tobytes() for e in evaluations]
+    assert ([e.newton_report.counts for e in given]
+            == [e.newton_report.counts for e in evaluations])
+
+
+def test_a_zero_step_warm_solve_reads_what_its_walk_holds(monkeypatch):
+    # Inside a walk, a solve that takes no Newton step hands back the state
+    # it was handed.  It costs exactly the 2 transforms of its start's
+    # gradient and its pg_ref (the penalty's ifft2 each), and after an
+    # influence solve that took 0 iterations its evaluation reads the held
+    # fit and start product: 1 transform outside the solve, the product's
+    # inverse transform.  The state holds x_hat and the data gradient, so a
+    # gradient at a new lambda costs the penalty's one transform.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=74, outlier_seed=75)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(solver=SolverOptions(use_preconditioner=True))
+    walk = _Walk(obj, opts, probe=rademacher_probe(obj.data.shape, opts.probe_seed))
+    first = walk.visit(1e-3)
+    assert first.newton_report.iterations > 0
+    second = gcv_eval(obj, 1e-3, first.x, opts, _walk=walk)
+    assert second.newton_report.iterations == second.influence_iterations == 0
+    state, fit = walk.state, walk.fit
+    assert second.x is first.x is state.x
+    built = []
+
+    def counted(name):
+        real = getattr(gcv_module, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("_fit_at", "_hessian_data_half"):
+        monkeypatch.setattr(gcv_module, name, counted(name))
+    with count_transforms() as tally:
+        third = walk.visit(1.0001e-3)
+    newton = third.newton_report.counts
+    assert third.newton_report.iterations == 0
+    assert newton.fft2 + newton.ifft2 == 2
+    assert tally.fft2 + tally.ifft2 - newton.fft2 - newton.ifft2 == 1
+    assert built == []
+    assert walk.state is state and walk.fit is fit and third.x is state.x
+
+    obj_new = obj.with_lambda(2e-3)
+    ws = operators_module.Workspace(obj.op.shape, obj.op.n_frames)
+    with count_transforms() as tally:
+        g = obj_new._add_penalty_gradient(state.g_data.copy(), state.data_ev.x_hat, ws)
+    assert tally.fft2 + tally.ifft2 == 1
+    assert g.tobytes() == obj_new.gradient(state.x).tobytes()
 
 
 def test_trace_term_names_a_bad_solution():

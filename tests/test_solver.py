@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from robustdeblur import solver as solver_module
+from robustdeblur.gcv import GcvOptions, _Walk
 from robustdeblur.objective import BETA_95, LossFunction, Objective
 from robustdeblur.operators import BlurOperator, Workspace
 from robustdeblur.solver import (
@@ -16,7 +17,6 @@ from robustdeblur.solver import (
     PcgBreakdownError,
     SolverOptions,
     _binding_set,
-    _SearchMemo,
     default_start,
     linesearch,
     projected_newton,
@@ -607,13 +607,13 @@ def test_pcg_breakdown_ends_the_run_at_the_last_iterate(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "_hessian_solve", second_breaks_down)
-    memo = _SearchMemo()
-    x, report = projected_newton(obj, x0, _memo=memo)
+    walk = _Walk(obj, GcvOptions())
+    x, report = projected_newton(obj, x0, _walk=walk)
     assert report.termination == "pcg_breakdown"
     assert report.iterations == 1 and len(report.pcg_iterations) == 1
     assert len(report.objective_trace) == len(report.pg_norms) == 2
     assert np.array_equal(x, one_step)
-    assert memo._last is None  # the run dropped the evaluation it ended at
+    assert walk.state is None  # the run dropped the state it ended at
 
 
 def test_ill_conditioned_preconditioner_falls_back_to_none():
@@ -769,85 +769,78 @@ def _step_transforms(report, k, lam):
     ) * report.total_pcg_iterations
 
 
-def test_memo_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
-    # A memo filled by a solve at another lambda holds the data-term parts
-    # of that solve's last iterate and of the default start, whether the
-    # filling solve started there or computed pg_ref from it.  A warm solve
-    # from that iterate reads both: its start and pg_ref cost one penalty
-    # transform each at lam > 0 and none at lam = 0, instead of an
-    # evaluation and a gradient each, and its path is bitwise unchanged.
+def test_held_state_rebuilds_a_warm_start_and_pg_ref_from_the_penalty_alone():
+    # A walk whose solve at another lambda ended at x1 holds the data-term
+    # parts of x1 and of the default start, whether that solve started
+    # there or computed pg_ref from it.  A warm solve handed x1 reads both:
+    # its start and pg_ref cost one penalty transform each at lam > 0 and
+    # none at lam = 0, instead of an evaluation and a gradient each, and
+    # its path is bitwise unchanged.
     inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
     base = inst.objective(LossFunction(), 0.0)
     k = inst.n_frames
     x_ref = default_start(inst.observed)
     for x_fill, lam in itertools.product((x_ref, 1.1 * x_ref), (1e-3, 0.0)):
-        memo = _SearchMemo()
-        x1, _ = projected_newton(base.with_lambda(2e-3), x_fill, _memo=memo)
+        walk = _Walk(base, GcvOptions())
+        x1, _ = projected_newton(base.with_lambda(2e-3), x_fill, _walk=walk)
         obj = base.with_lambda(lam)
         # a few steps are enough; unregularized, the run would end at a
         # line-search failure, whose trials the closed form does not count
         opts = SolverOptions(newton_maxit=3)
         x_plain, plain = projected_newton(obj, x1, opts)
-        x_memo, memoed = projected_newton(obj, x1, opts, _memo=memo)
-        assert np.array_equal(x_memo, x_plain), lam
-        assert memoed.objective_trace == plain.objective_trace, lam
-        assert memoed.pg_norms == plain.pg_norms, lam
-        assert memoed.pg_scale == plain.pg_scale > plain.pg_norms[0], lam
+        x_held, held = projected_newton(obj, x1, opts, _walk=walk)
+        assert np.array_equal(x_held, x_plain), lam
+        assert held.objective_trace == plain.objective_trace, lam
+        assert held.pg_norms == plain.pg_norms, lam
+        assert held.pg_scale == plain.pg_scale > plain.pg_norms[0], lam
         assert plain.iterations >= 1, lam
-        assert memoed.termination == plain.termination, lam
+        assert held.termination == plain.termination, lam
         assert plain.termination in ("converged", "max_iterations"), lam
         steps = _step_transforms(plain, k, lam)
         start = (k + 1) + (k + 1 + (lam > 0))
         assert plain.counts.fft2 + plain.counts.ifft2 == steps + 2 * start, lam
-        assert memoed.counts.fft2 + memoed.counts.ifft2 == steps + 2 * (lam > 0)
+        assert held.counts.fft2 + held.counts.ifft2 == steps + 2 * (lam > 0)
 
 
-def test_memo_filled_from_another_objective_is_not_used():
-    # The memo serves only objectives with the data term that filled it:
-    # a solve of other data, or of the same data at another sigma,
-    # evaluates afresh and matches a standalone solve exactly.  A freshly
-    # built objective of the same operator, data, sigma and loss has the
-    # same data term: it reads the memo and saves its start and pg_ref.
+def test_a_walk_reads_its_state_only_at_the_point_it_holds():
+    # A walk's solve reads the held end state only when it is handed that
+    # state's point itself.  A start equal to it but not it (a copy) is a
+    # start the walk does not hold: it is evaluated afresh, and only pg_ref
+    # is read from the walk.  Either way the solve is bitwise a standalone
+    # one, which evaluates both.
     inst = make_testbed_instance("ash", (32, 32), outlier_fraction=0.05)
-    loss = LossFunction()
-    filled = Objective(inst.op, inst.observed, inst.sigma, loss, lam=1e-3)
-    others = (
-        Objective(inst.op, inst.observed * 1.01, inst.sigma, loss, lam=1e-3),
-        Objective(inst.op, inst.observed, 1.5 * inst.sigma, loss, lam=1e-3),
-        Objective(filled.op, filled.data, inst.sigma, loss, lam=1e-3),
-    )
-    saved = 2 * (2 * inst.n_frames + 2)
-    for other, hit in zip(others, (False, False, True)):
-        memo = _SearchMemo()
-        x1, _ = projected_newton(filled, default_start(inst.observed), _memo=memo)
-        x_plain, plain = projected_newton(other, x1)
-        x_memo, memoed = projected_newton(other, x1, _memo=memo)
-        assert np.array_equal(x_memo, x_plain)
-        assert memoed.objective_trace == plain.objective_trace
-        if hit:
-            transforms = memoed.counts.fft2 + memoed.counts.ifft2
-            assert transforms == plain.counts.fft2 + plain.counts.ifft2 - saved
-        else:
-            assert memoed.counts == plain.counts
+    base = inst.objective(LossFunction(), 0.0)
+    obj = base.with_lambda(1e-3)
+    per_point = 2 * inst.n_frames + 2  # an evaluation and a data gradient
+    for held, saved in ((False, per_point), (True, 2 * per_point)):
+        walk = _Walk(base, GcvOptions())
+        x1, _ = projected_newton(base.with_lambda(2e-3),
+                                 default_start(inst.observed), _walk=walk)
+        x_plain, plain = projected_newton(obj, x1)
+        x, report = projected_newton(obj, x1 if held else x1.copy(), _walk=walk)
+        assert np.array_equal(x, x_plain)
+        assert report.objective_trace == plain.objective_trace
+        transforms = report.counts.fft2 + report.counts.ifft2
+        assert transforms == plain.counts.fft2 + plain.counts.ifft2 - saved, held
 
 
-def test_memo_keeps_the_last_iterate_and_only_what_pg_ref_reads():
-    # After a solve from the default start, the memo holds the last
-    # iterate with its data evaluation (A x included) and data gradient,
-    # and of the default start the point, derived once per data term, and
-    # only the half spectrum and data gradient that pg_ref reads: no A x,
-    # z or D stacks.
+def test_a_walk_holds_the_end_state_and_only_what_pg_ref_reads():
+    # After a solve from the default start, the walk holds the end state,
+    # the last iterate with its data evaluation (A x included) and data
+    # gradient, and of the default start the point, derived once per walk,
+    # and only the half spectrum and data gradient that pg_ref reads: no
+    # A x, z or D stacks.
     inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
     obj = inst.objective(LossFunction(), 1e-3)
     opts = SolverOptions(use_preconditioner=True)
     x0 = default_start(inst.observed)
     tracemalloc.start()
     try:
-        memo = _SearchMemo()
-        x, report = projected_newton(obj, x0, opts, _memo=memo)
+        walk = _Walk(obj, GcvOptions(solver=opts))
+        x, report = projected_newton(obj, x0, opts, _walk=walk)
         ev = obj._data_evaluation(x, Workspace(obj.op.shape, obj.op.n_frames))
         before = tracemalloc.get_traced_memory()[0]
-        del memo
+        del walk
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

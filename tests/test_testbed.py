@@ -390,3 +390,24 @@ def test_load_names_the_manifest_and_a_missing_key(tmp_path):
         with pytest.raises(ValueError) as err:
             load_instance(tmp_path)
         assert str(err.value) == f"{manifest}: invalid value for key {key!r}: {reason}"
+
+
+def test_load_names_the_manifest_and_a_bad_seed(tmp_path):
+    # The stored seeds are checked as make_instance checks them: a negative
+    # or non-integer seed names the manifest and the key, in one line.
+    save_instance(tmp_path, make_instance("ash", (8, 8), noise_seed=5, outlier_seed=6))
+    assert load_instance(tmp_path).seeds == (5, 6)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    for key, value, reason in [
+        ("noise_seed", "-5", "noise_seed must be nonnegative, got -5"),
+        ("outlier_seed", "-1", "outlier_seed must be nonnegative, got -1"),
+        ("noise_seed", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ]:
+        manifest.write_text("".join(
+            f"{key}={value}\n" if line.startswith(key + "=") else line + "\n"
+            for line in lines
+        ))
+        with pytest.raises(ValueError) as err:
+            load_instance(tmp_path)
+        assert str(err.value) == f"{manifest}: invalid value for key {key!r}: {reason}"
