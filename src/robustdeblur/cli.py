@@ -159,6 +159,10 @@ OPTION_FIELDS = {
 # "size" and "frames" set its shape and psf_params
 _INSTANCE_KEYS = inspect.signature(make_instance).parameters.keys() & CONFIG_KEYS
 
+# the keys that shape a synthesized instance, none of which has a default
+# below; "seed" first, since it also sets the three stream seeds
+_SHAPING_KEYS = ("size", "frames", "seed", *sorted(_INSTANCE_KEYS))
+
 # Defaults of the keys that no library signature defaults; every other key
 # left unset takes the default of the dataclass field or keyword it sets.
 DEFAULTS = {
@@ -255,14 +259,28 @@ def _build_instance(config):
 
 
 def _obtain_instance(config):
-    if "instance" in config:
-        directory = Path(config["instance"])
-        if not directory.is_dir():
+    """The stored instance of key 'instance', else a synthesized one.  A
+    stored instance fixes what the keys that shape a synthesized one set,
+    so setting any of them beside 'instance' is an error."""
+    if "instance" not in config:
+        return _build_instance(config)
+    for key in _SHAPING_KEYS:
+        if key in config:
             raise ConfigError(
-                "key 'instance': directory %s does not exist" % directory
+                "key '%s': cannot shape a stored instance; drop the key, "
+                "or drop the 'instance' key to synthesize" % key
             )
-        return load_instance(directory)
-    return _build_instance(config)
+    if config["outlier_fractions"] != (0.0,):
+        raise ConfigError(
+            "key 'outlier_fractions': cannot vary corruption of a "
+            "stored instance; drop the 'instance' key to synthesize"
+        )
+    directory = Path(config["instance"])
+    if not directory.is_dir():
+        raise ConfigError(
+            "key 'instance': directory %s does not exist" % directory
+        )
+    return load_instance(directory)
 
 
 def _outdir(config) -> Path:
@@ -408,11 +426,6 @@ def cmd_scan(config) -> int:
     opts = _options(SolverOptions, config)
     rows, settled = [], True
     if "instance" in config:
-        if config["outlier_fractions"] != (0.0,):
-            raise ConfigError(
-                "key 'outlier_fractions': cannot vary corruption of a "
-                "stored instance; drop the 'instance' key to synthesize"
-            )
         stored = _obtain_instance(config)
         instances = [(stored, stored.outlier_fraction)]
     else:

@@ -363,10 +363,13 @@ def save_instance(directory, instance: ProblemInstance) -> None:
 
 
 def load_instance(directory) -> ProblemInstance:
-    """Read an instance written by :func:`save_instance`.  A fault in its
-    manifest raises ``ValueError`` naming ``<directory>/manifest.txt``.
-    The ``psf{j}_params`` lines are optional but all or none: once one
-    frame's is present, a missing one is a fault."""
+    """Read an instance written by :func:`save_instance`.  Each manifest
+    value is checked as it is read, as :func:`make_instance` checks its
+    argument, and ``height`` and ``width`` must be the shape of
+    ``x_true.raw``; a fault raises ``ValueError`` naming
+    ``<directory>/manifest.txt`` and the key.  The ``psf{j}_params``
+    lines are optional but all or none: once one frame's is present, a
+    missing one is a fault."""
     directory = Path(directory)
     path = directory / "manifest.txt"
     try:
@@ -382,18 +385,28 @@ def load_instance(directory) -> ProblemInstance:
     def seed(key):
         return field(key, lambda text: _integer(key, int(text), 0))
 
+    def nonnegative(key, default=None):
+        return field(key, lambda text: _nonnegative(key, text), default)
+
     frames = field("frames", _at_least_one)
     x_true = read_raw(directory / "x_true.raw")
+    h, w = x_true.shape
+    field("height", _checked(int, lambda v: v == h, f"x_true.raw has {h}"))
+    field("width", _checked(int, lambda v: v == w, f"x_true.raw has {w}"))
+    center = _checked(_numbers(int, 2),
+                      lambda c: 0 <= c[0] < h and 0 <= c[1] < w,
+                      f"must lie in the {h}x{w} grid of x_true.raw")
     psfs, centers, clean, observed, masks = [], [], [], [], []
     for j in range(frames):
         psfs.append(read_raw(directory / f"psf_{j}.raw"))
-        centers.append(field(f"psf{j}_center", _numbers(int, 2)))
+        centers.append(field(f"psf{j}_center", center))
         clean.append(read_raw(directory / f"clean_{j}.raw"))
         observed.append(read_raw(directory / f"observed_{j}.raw"))
         masks.append(read_raw(directory / f"outlier_mask_{j}.raw") != 0.0)
     has_params = any(f"psf{j}_params" in manifest for j in range(frames))
     psf_params = tuple(
-        GaussianPsfParams(*field(f"psf{j}_params", _numbers(float, 3)))
+        field(f"psf{j}_params",
+              lambda text: GaussianPsfParams(*_numbers(float, 3)(text)))
         for j in range(frames if has_params else 0)
     )
     return ProblemInstance(
@@ -402,14 +415,18 @@ def load_instance(directory) -> ProblemInstance:
         clean=np.stack(clean),
         observed=np.stack(observed),
         outlier_mask=np.stack(masks),
-        sigma=field("sigma", float),
+        sigma=nonnegative("sigma"),
         seeds=(seed("noise_seed"), seed("outlier_seed")),
         psfs=psfs,
         centers=centers,
         psf_params=psf_params,
         kind=field("kind", default=""),
-        outlier_fraction=field("outlier_fraction", float, default=0.0),
-        outlier_ceiling=field("outlier_ceiling", float, default=0.0),
+        outlier_fraction=field(
+            "outlier_fraction",
+            _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+            default=0.0,
+        ),
+        outlier_ceiling=nonnegative("outlier_ceiling", default=0.0),
     )
 
 
@@ -421,5 +438,18 @@ def _numbers(convert, count: int):
         if len(parts) != count:
             raise ValueError(f"expected {count} comma-separated values, got {len(parts)}")
         return tuple(convert(p) for p in parts)
+
+    return parse
+
+
+def _checked(convert, holds, reason: str):
+    """Manifest parser: ``convert`` the text, then require ``holds`` of
+    the value, or raise ``ValueError`` giving ``reason`` and the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"{reason}, got {value}")
+        return value
 
     return parse

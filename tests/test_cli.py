@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 import robustdeblur
 
 from robustdeblur.cli import (
-    CONFIG_KEYS, FLAGS, ConfigError, _resolve, build_parser, main, parse_config,
+    _INSTANCE_KEYS, CONFIG_KEYS, FLAGS, ConfigError, _resolve, build_parser,
+    main, parse_config,
 )
 from robustdeblur.gridfft import read_raw
 
@@ -201,6 +203,8 @@ def test_float_keys_are_finite_but_beta(tmp_path):
     (["solve", "--loss", "cauchy"], "'loss'"),
     (["solve", "--seed", "-1"], "'seed'"),
     (["solve", "--frames", "9"], "'frames'"),
+    (["solve", "--lambda=inf"], "'lambda'"),
+    (["solve", "--sigma=inf"], "'sigma'"),
     (["solve", "--bogus", "3"], "--bogus"),
     ([], "command"),
     (["bench-precond"], "bench-precond"),
@@ -210,6 +214,24 @@ def test_bad_flag_or_usage_exits_one_with_one_line(argv, names, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, line, named", [
+    ("solve", "newton_tol=inf", "'newton_tol'"),
+    ("gcv", "lambda_hi=inf", "'lambda_hi'"),
+    ("scan", "lambda_grid=1e-3,inf", "'lambda_grid'"),
+    # a key that was removed is an unknown key
+    ("solve", "linesearch_max_halvings=5", "'linesearch_max_halvings'"),
+])
+def test_bad_config_line_exits_one_with_one_line_naming_the_key(
+        tmp_path, capsys, command, line, named):
+    cfg = write_config(tmp_path, **dict([line.split("=", 1)]))
+    out = tmp_path / "out"
+    assert main([command, "--size", "8", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_flags_and_config_lines_resolve_alike(tmp_path):
@@ -239,6 +261,75 @@ def test_manifest_fault_exits_one_with_one_line_naming_it(tmp_path, capsys):
     cfg = write_config(tmp_path, instance=str(tmp_path))
     assert main(["solve", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: %s: missing key 'frames'\n" % manifest
+
+
+# (file, pattern, replacement, key): a fault made by one regex edit of a
+# file of a generated 3-frame 8x8 instance, and the key its error names
+INSTANCE_FAULTS = [
+    ("manifest.txt", r"^frames=.*\n", "", "frames"),
+    ("manifest.txt", r"^frames=.*", "frames=0", "frames"),
+    ("manifest.txt", r"^psf1_params=.*\n", "", "psf1_params"),
+    ("manifest.txt", r"^psf0_params=.*", "psf0_params=-1,2,0", "psf0_params"),
+    ("manifest.txt", r"^psf0_center=.*", "psf0_center=99,0", "psf0_center"),
+    ("manifest.txt", r"^psf2_center=.*", "psf2_center=0,-1", "psf2_center"),
+    ("manifest.txt", r"^noise_seed=.*", "noise_seed=-5", "noise_seed"),
+    ("manifest.txt", r"^sigma=.*", "sigma=-5", "sigma"),
+    ("manifest.txt", r"^outlier_fraction=.*", "outlier_fraction=7",
+     "outlier_fraction"),
+    ("manifest.txt", r"^outlier_ceiling=.*", "outlier_ceiling=-1",
+     "outlier_ceiling"),
+    ("manifest.txt", r"^height=.*", "height=9", "height"),
+    ("manifest.txt", r"^width=.*\n", "", "width"),
+    ("x_true.raw.hdr", r"(?s).*", "", "height"),  # a blank header
+]
+
+
+@pytest.mark.parametrize("name, pattern, replacement, key", INSTANCE_FAULTS,
+                         ids=[replacement or "%s without %s" % (name, key)
+                              for name, _, replacement, key in INSTANCE_FAULTS])
+def test_stored_instance_fault_exits_one_with_one_line_naming_file_and_key(
+        tmp_path, capsys, name, pattern, replacement, key):
+    inst = tmp_path / "inst"
+    assert main(["generate", "--size", "8", "--frames", "3",
+                 "--out", str(inst)]) == 0
+    path = inst / name
+    text = path.read_text()
+    path.write_text(re.sub(pattern, replacement, text, count=1, flags=re.M))
+    assert path.read_text() != text
+    capsys.readouterr()
+    cfg = write_config(tmp_path, instance=str(inst))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path) and "'%s'" % key in err
+    assert err.count("\n") == 1
+
+
+# a key that shapes a synthesized instance, set beside a stored one
+SHAPING_SETTINGS = ["--size=64", "--sigma=50", "--seed=9", "--frames=2"] + [
+    "%s=%s" % (key, VALID[key][0])
+    for key in sorted(_INSTANCE_KEYS | {"size", "frames", "seed"})
+]
+
+
+@pytest.mark.parametrize("setting", SHAPING_SETTINGS)
+def test_stored_instance_rejects_a_key_that_shapes_one(tmp_path, capsys,
+                                                       setting):
+    # a setting is a flag (--key=value) or a config line (key=value)
+    inst = tmp_path / "inst"
+    assert main(["generate", "--size", "8", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    key, value = setting.lstrip("-").split("=", 1)
+    flag = setting.startswith("--")
+    cfg = write_config(tmp_path, instance=str(inst),
+                       **({} if flag else {key: value}))
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "s")]
+    if flag:
+        argv.append(setting)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key '%s': " % key)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
 
 
 # -- generate ------------------------------------------------------------
@@ -342,6 +433,24 @@ def test_default_solve_converges_and_exits_zero(tmp_path, capsys):
     assert "(converged)" in capsys.readouterr().out
 
 
+def test_solve_trace_counts_every_transform_but_the_start(tmp_path):
+    # The start of a 1-frame solve at lambda > 0 (one evaluation and one
+    # gradient; its pg_ref is free at the default start) costs 2k+3 = 5
+    # transforms, which only the summary's totals hold.
+    out = tmp_path / "run"
+    assert main(["solve", "--size", "32", "--out", str(out)]) == 0
+    _, _, steps = read_csv(out / "solve_trace.csv")
+    _, header, summary = read_csv(out / "solve_summary.csv")
+    total = sum(int(summary[0][header.index(name)]) for name in ("fft2", "ifft2"))
+    assert sum(int(row[4]) for row in steps) == total - 5
+
+
+def test_beta_inf_solves_weighted_least_squares(tmp_path, capsys):
+    assert main(["solve", "--size", "16", "--beta", "inf",
+                 "--out", str(tmp_path / "wls")]) == 0
+    assert "(converged)" in capsys.readouterr().out
+
+
 def test_unconverged_solve_writes_outputs_and_exits_three(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--size", "32", "--lambda", "0",
@@ -401,6 +510,18 @@ def test_gcv_repeats_and_honors_bracket(tmp_path):
     lam_star = float(summary_a[0][0])
     assert 1e-6 <= lam_star <= 1e-2
     assert (a / "x.raw").exists() and (a / "x.pgm").exists()
+
+
+@pytest.mark.parametrize("keys", [{}, {"use_precond": 1}],
+                         ids=["plain", "precond"])
+def test_default_gcv_search_exits_zero(tmp_path, capsys, keys):
+    # with the preconditioner on, the only path through a GCV fit's dhat
+    # and the check precond_build makes of it
+    out = tmp_path / "gcv"
+    cfg = write_config(tmp_path, **keys)
+    assert main(["gcv", "--size", "32", "--config", cfg, "--out", str(out)]) == 0
+    assert "(0 unreliable, 0 not converged)" in capsys.readouterr().out
+    assert (out / "x.raw").exists()
 
 
 def test_gcv_final_line_counts_flagged_evaluations(tmp_path, capsys):
@@ -468,7 +589,9 @@ def test_unconverged_scan_writes_outputs_and_exits_three(tmp_path, capsys):
 def test_scan_log_grid_requires_positive_lower_bound(tmp_path, capsys):
     cfg = write_config(tmp_path, size=16)  # lambda_lo defaults to 0
     assert main(["scan", "--config", cfg]) == 1
-    assert "lambda_lo" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "lambda_lo" in err
+    assert err.count("\n") == 1
 
 
 def test_scan_without_a_grid_builds_the_log_grid(tmp_path):
