@@ -9,25 +9,27 @@ the preconditioner with plain CG takes two ``solve`` runs, with
 iterations and transform counts.
 
 Configuration comes from a plain ``key=value`` text file (``--config``);
-each flag overrides the key of its name (:data:`FLAGS`) and is parsed by
-that key's parser, as a config line is.  Every output is a plain file:
-CSV tables with a versioned ``# schema=...`` header line, raw float64
-images with ``.hdr`` sidecars, and 16-bit PGM viewing copies.  All
-commands are deterministic under their seeds and exit 0 on success, 1
-with a one-line reason on an error: a bad flag and a bad config line
-each print one line naming the key, and a usage error (an unknown flag,
+each flag overrides the key of its name (:data:`FLAGS`).  Config lines
+and flags are read through ``gridfft._field`` with the key's converter
+(:data:`CONFIG_KEYS`), as manifests and ``.hdr`` sidecars are.  Every
+output is a plain file: CSV tables with a versioned ``# schema=...``
+header line, raw float64 images with ``.hdr`` sidecars, and 16-bit PGM
+viewing copies.  All commands are deterministic under their seeds and
+exit 0 on success, 1 with a one-line reason on an error.  A bad value
+prints ``<source>: invalid value for key '<key>': <reason>, got
+<value>``, whose source is the config file, ``--<flag>``,
+``manifest.txt`` or the ``.hdr`` file; a usage error (an unknown flag,
 a missing value or subcommand) prints one line too.  ``solve`` and
-``scan`` write their outputs and summary line whatever the terminations,
-then exit 3 unless every solve ended ``converged`` or ``all_saturated``.
-``gcv`` does the same for the evaluation at the selected lambda, which
-must also have a reliable trace estimate.
+``scan`` write their outputs and summary line whatever the
+terminations, then exit 3 unless every solve ended ``converged`` or
+``all_saturated``.  ``gcv`` does the same for the evaluation at the
+selected lambda, which must also have a reliable trace estimate.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .gcv import GcvOptions, _flag_counts, minimize_gcv, write_gcv_trace
-from .gridfft import _read_key_values, _write_table, write_pgm, write_raw
+from .gridfft import (_checked, _field, _finite_float, _fraction,
+                      _nonneg_float, _nonneg_int, _positive_int,
+                      _read_key_values, _write_table, write_pgm, write_raw)
 from .objective import BETA_95, LossFunction
 from .solver import SolverOptions, default_start, projected_newton
 from .testbed import (
@@ -58,60 +62,35 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration key."""
 
 
-def _boolean(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean (0/1/true/false)")
-
-
-def _bounded(convert, holds, reason: str):
-    """Parser: ``convert`` the text, then require ``holds`` of the value."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not holds(value):
-            raise ValueError(reason)
-        return value
-
-    return parse
-
-
 def _one_of(*names: str):
     """Parser: one of ``names``, in any case."""
     reason = "must be " + " or ".join("'%s'" % name for name in names)
-    return _bounded(lambda text: text.strip().lower(),
-                    lambda value: value in names, reason)
+    return _checked(lambda text: text.strip().lower(), names.__contains__,
+                    reason)
 
 
 def _list_of(item):
-    """Parser: a comma-separated list of ``item`` values, as a tuple."""
-
-    def parse(text: str):
-        items = [p for p in text.split(",") if p.strip()]
-        if not items:
-            raise ValueError("expected a comma-separated list")
-        return tuple(item(p) for p in items)
-
-    return parse
+    """Parser: a nonempty comma-separated list of ``item`` values, as a
+    tuple."""
+    return _checked(
+        lambda text: tuple(item(p) for p in text.split(",") if p.strip()),
+        bool, "must list at least one value",
+    )
 
 
-# every float key but beta, whose inf means weighted least squares
-_finite_float = _bounded(float, math.isfinite, "must be finite")
-_nonneg_int = _bounded(int, lambda v: v >= 0, "must be nonnegative")
-_positive_int = _bounded(int, lambda v: v >= 1, "must be at least 1")
-_nonneg_float = _bounded(_finite_float, lambda v: v >= 0, "must be nonnegative")
-_positive_float = _bounded(_finite_float, lambda v: v > 0, "must be positive")
-_fraction = _bounded(_finite_float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+# Every float key but beta, whose inf means weighted least squares, is
+# finite.  gridfft holds the converters that load_instance reads too.
+_positive_float = _checked(_finite_float, lambda v: v > 0, "must be positive")
 _loss_kind = _one_of("talwar", "standard")
 
 # key -> value parser; every config line must name one of these
 CONFIG_KEYS = {
     "kind": _one_of("satellite", "ash"),
-    "size": _bounded(int, lambda v: v >= 2, "must be at least 2"),
-    "frames": _bounded(
+    "size": _checked(int, lambda v: v >= 2, "must be at least 2"),
+    "frames": _checked(
         int, lambda v: 1 <= v <= len(CARBON_ASH_PSF_PARAMS),
         "must be between 1 and %d" % len(CARBON_ASH_PSF_PARAMS),
     ),
@@ -126,13 +105,16 @@ CONFIG_KEYS = {
     "instance": str,
     "out": str,
     "loss": _loss_kind,
-    "beta": _bounded(float, lambda v: v > 0, "must be positive"),
+    "beta": _checked(float, lambda v: v > 0, "must be positive"),
     "lambda": _nonneg_float,
     "newton_tol": _positive_float,
     "newton_maxit": _positive_int,
     "pcg_tol": _positive_float,
     "pcg_maxit": _positive_int,
-    "use_precond": _boolean,
+    "use_precond": _checked(
+        lambda text: _BOOLEANS.get(text.strip().lower(), text.strip()),
+        lambda v: isinstance(v, bool), "expected a boolean (0/1/true/false)",
+    ),
     "lambda_lo": _nonneg_float,
     "lambda_hi": _nonneg_float,
     "x_tol": _positive_float,
@@ -190,26 +172,29 @@ FLAGS = {
 }
 
 
-def _parse_value(key: str, text: str):
-    """``text`` through the parser of config key ``key``; a failure names
-    the key."""
-    if key not in CONFIG_KEYS:
-        raise ConfigError("unknown config key '%s'" % key)
+def _read(texts: dict, source) -> dict:
+    """Each ``key -> text`` of ``texts`` through its config key's parser,
+    read by :func:`gridfft._field`; an unknown key or a bad value raises
+    :class:`ConfigError` naming ``source`` (a config file or a flag)."""
+    for key in texts:
+        if key not in CONFIG_KEYS:
+            raise ConfigError("%s: unknown config key '%s'" % (source, key))
     try:
-        return CONFIG_KEYS[key](text)
+        return {key: _field(texts, key, source, CONFIG_KEYS[key])
+                for key in texts}
     except ValueError as err:
-        raise ConfigError(
-            "invalid value for key '%s': %s" % (key, err)
-        ) from err
+        raise ConfigError(str(err)) from None
 
 
 def parse_config(path) -> dict:
-    """Read a key=value file; unknown keys and bad values are errors."""
+    """Read a key=value file; a malformed line, an unknown key or a bad
+    value raises :class:`ConfigError` naming the file.  A key set twice
+    takes its last value."""
     try:
         pairs = _read_key_values(path)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return {key: _parse_value(key, value) for key, value in pairs}
+        raise ConfigError(str(err)) from None
+    return _read(dict(pairs), path)
 
 
 def _resolve(args) -> dict:
@@ -223,7 +208,7 @@ def _resolve(args) -> dict:
     for key in FLAGS:
         text = getattr(args, key)
         if text is not None:
-            config[key] = _parse_value(key, text)
+            config.update(_read({key: text}, "--" + key))
     if "seed" in config:
         # one master seed fans out to the three streams unless a stream
         # was pinned in the config file
@@ -296,6 +281,11 @@ def _write_solution(outdir: Path, x: np.ndarray) -> None:
 
 
 def cmd_generate(config) -> int:
+    if "instance" in config:
+        raise ConfigError(
+            "key 'instance': generate synthesizes an instance and reads "
+            "none; drop the key"
+        )
     instance = _build_instance(config)
     outdir = Path(config["out"])
     save_instance(outdir, instance)

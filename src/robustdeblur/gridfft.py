@@ -299,7 +299,8 @@ def _write_table(path, schema: str, header: str, rows) -> None:
 def _read_key_values(path) -> list[tuple[str, str]]:
     """The ``(key, value)`` pairs of a ``key=value`` text file, both
     stripped, in file order.  Blank lines and ``#`` comments are skipped;
-    any other line without ``=`` raises ``ValueError`` naming its number."""
+    any other line without ``=`` raises ``ValueError`` naming the file and
+    the line's number."""
     pairs = []
     for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw_line.strip()
@@ -307,7 +308,7 @@ def _read_key_values(path) -> list[tuple[str, str]]:
             continue
         if "=" not in line:
             raise ValueError(
-                "line %d is not a key=value pair: %r" % (lineno, line)
+                "%s: line %d is not a key=value pair: %r" % (path, lineno, line)
             )
         key, _, value = line.partition("=")
         pairs.append((key.strip(), value.strip()))
@@ -328,12 +329,25 @@ def _field(values: dict, key: str, source, convert=str, default=None):
         raise ValueError(f"{source}: invalid value for key {key!r}: {err}") from None
 
 
-def _at_least_one(text: str) -> int:
-    """Field converter: an integer count of at least 1."""
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"must be at least 1, got {count}")
-    return count
+def _checked(convert, holds, reason: str):
+    """Field converter: ``convert`` the text, then require ``holds`` of the
+    value, or raise ``ValueError`` giving ``reason`` and the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"{reason}, got {value}")
+        return value
+
+    return parse
+
+
+# the converters of the keys that more than one kind of text file reads
+_finite_float = _checked(float, math.isfinite, "must be finite")
+_nonneg_float = _checked(_finite_float, lambda v: v >= 0, "must be nonnegative")
+_fraction = _checked(_finite_float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_nonneg_int = _checked(int, lambda v: v >= 0, "must be nonnegative")
+_positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
 
 
 def write_raw(path, img: np.ndarray) -> None:
@@ -350,10 +364,12 @@ def write_raw(path, img: np.ndarray) -> None:
     )
 
 
-def read_raw(path) -> np.ndarray:
-    """Read an image written by :func:`write_raw`.  A fault in the header
-    raises ``ValueError`` naming ``<path>.hdr`` (and the key), a payload
-    that is not ``height * width`` float64 values one naming ``path``."""
+def read_raw(path, shape=None) -> np.ndarray:
+    """Read an image written by :func:`write_raw`, on the ``shape`` grid
+    when one is given.  A fault in the header raises ``ValueError`` naming
+    ``<path>.hdr`` (and the key); another shape than ``shape``, or a
+    payload that is not ``height * width`` float64 values, one naming
+    ``path``."""
     path = Path(path)
     hdr = Path(str(path) + ".hdr")
     fields = {}
@@ -362,8 +378,10 @@ def read_raw(path) -> np.ndarray:
         if not eq:
             raise ValueError(f"{hdr}: {item!r} is not a key=value pair")
         fields[key] = value
-    h = _field(fields, "height", hdr, _at_least_one)
-    w = _field(fields, "width", hdr, _at_least_one)
+    h = _field(fields, "height", hdr, _positive_int)
+    w = _field(fields, "width", hdr, _positive_int)
+    if shape is not None and (h, w) != tuple(shape):
+        raise ValueError(f"{path}: shape {(h, w)} != grid {tuple(shape)}")
     payload = path.read_bytes()
     if len(payload) != 8 * h * w:
         raise ValueError(

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import (_at_least_one, _field, _integer, _nonnegative,
-                      _positive, _read_key_values, read_raw, write_raw)
+from .gridfft import (_checked, _field, _fraction, _integer, _nonneg_float,
+                      _nonneg_int, _nonnegative, _positive, _positive_int,
+                      _read_key_values, read_raw, write_raw)
 from .gcv import GcvOptions, LambdaPoint, _Walk
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
@@ -364,33 +365,26 @@ def save_instance(directory, instance: ProblemInstance) -> None:
 
 def load_instance(directory) -> ProblemInstance:
     """Read an instance written by :func:`save_instance`.  Each manifest
-    value is checked as it is read, as :func:`make_instance` checks its
-    argument, and ``height`` and ``width`` must be the shape of
+    value is checked as it is read (``sigma``, the seeds and
+    ``outlier_fraction`` by the converters that read the CLI's keys of
+    those names), and ``height`` and ``width`` must be the shape of
     ``x_true.raw``; a fault raises ``ValueError`` naming
-    ``<directory>/manifest.txt`` and the key.  The ``psf{j}_params``
-    lines are optional but all or none: once one frame's is present, a
-    missing one is a fault."""
+    ``<directory>/manifest.txt`` and the key.  Every per-frame image must
+    lie on the grid of ``x_true.raw``, or the error names its file.  The
+    ``psf{j}_params`` lines are optional but all or none: once one
+    frame's is present, a missing one is a fault."""
     directory = Path(directory)
     path = directory / "manifest.txt"
-    try:
-        manifest = dict(_read_key_values(path))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    if manifest.get("format") != "instance-dir v1":
-        raise ValueError(f"{path}: unrecognized format {manifest.get('format')!r}")
+    manifest = dict(_read_key_values(path))
 
     def field(key, convert=str, default=None):
         return _field(manifest, key, path, convert, default)
 
-    def seed(key):
-        return field(key, lambda text: _integer(key, int(text), 0))
-
-    def nonnegative(key, default=None):
-        return field(key, lambda text: _nonnegative(key, text), default)
-
-    frames = field("frames", _at_least_one)
+    field("format", _checked(str, "instance-dir v1".__eq__,
+                             "must be 'instance-dir v1'"))
+    frames = field("frames", _positive_int)
     x_true = read_raw(directory / "x_true.raw")
-    h, w = x_true.shape
+    grid = h, w = x_true.shape
     field("height", _checked(int, lambda v: v == h, f"x_true.raw has {h}"))
     field("width", _checked(int, lambda v: v == w, f"x_true.raw has {w}"))
     center = _checked(_numbers(int, 2),
@@ -398,11 +392,11 @@ def load_instance(directory) -> ProblemInstance:
                       f"must lie in the {h}x{w} grid of x_true.raw")
     psfs, centers, clean, observed, masks = [], [], [], [], []
     for j in range(frames):
-        psfs.append(read_raw(directory / f"psf_{j}.raw"))
+        psfs.append(read_raw(directory / f"psf_{j}.raw", grid))
         centers.append(field(f"psf{j}_center", center))
-        clean.append(read_raw(directory / f"clean_{j}.raw"))
-        observed.append(read_raw(directory / f"observed_{j}.raw"))
-        masks.append(read_raw(directory / f"outlier_mask_{j}.raw") != 0.0)
+        clean.append(read_raw(directory / f"clean_{j}.raw", grid))
+        observed.append(read_raw(directory / f"observed_{j}.raw", grid))
+        masks.append(read_raw(directory / f"outlier_mask_{j}.raw", grid) != 0.0)
     has_params = any(f"psf{j}_params" in manifest for j in range(frames))
     psf_params = tuple(
         field(f"psf{j}_params",
@@ -415,18 +409,15 @@ def load_instance(directory) -> ProblemInstance:
         clean=np.stack(clean),
         observed=np.stack(observed),
         outlier_mask=np.stack(masks),
-        sigma=nonnegative("sigma"),
-        seeds=(seed("noise_seed"), seed("outlier_seed")),
+        sigma=field("sigma", _nonneg_float),
+        seeds=(field("noise_seed", _nonneg_int),
+               field("outlier_seed", _nonneg_int)),
         psfs=psfs,
         centers=centers,
         psf_params=psf_params,
         kind=field("kind", default=""),
-        outlier_fraction=field(
-            "outlier_fraction",
-            _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-            default=0.0,
-        ),
-        outlier_ceiling=nonnegative("outlier_ceiling", default=0.0),
+        outlier_fraction=field("outlier_fraction", _fraction, default=0.0),
+        outlier_ceiling=field("outlier_ceiling", _nonneg_float, default=0.0),
     )
 
 
@@ -438,18 +429,5 @@ def _numbers(convert, count: int):
         if len(parts) != count:
             raise ValueError(f"expected {count} comma-separated values, got {len(parts)}")
         return tuple(convert(p) for p in parts)
-
-    return parse
-
-
-def _checked(convert, holds, reason: str):
-    """Manifest parser: ``convert`` the text, then require ``holds`` of
-    the value, or raise ``ValueError`` giving ``reason`` and the value."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not holds(value):
-            raise ValueError(f"{reason}, got {value}")
-        return value
 
     return parse

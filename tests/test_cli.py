@@ -13,7 +13,7 @@ from robustdeblur.cli import (
     _INSTANCE_KEYS, CONFIG_KEYS, FLAGS, ConfigError, _resolve, build_parser,
     main, parse_config,
 )
-from robustdeblur.gridfft import read_raw
+from robustdeblur.gridfft import read_raw, write_raw
 
 
 def write_config(tmp_path, name="run.cfg", **keys):
@@ -122,52 +122,105 @@ VALID = {
 NOT_INT = "invalid literal for int() with base 10: "
 BOOLEAN = "expected a boolean (0/1/true/false)"
 
-# key -> (literal, reason): a literal each key rejects; 'instance' and 'out'
-# take any text
+# key -> (literal, reason): a literal each key rejects and the reason its
+# error gives, with the rejected value; 'instance' and 'out' take any text
 INVALID = {
-    "kind": ("moon", "must be 'satellite' or 'ash'"),
-    "size": ("1", "must be at least 2"),
-    "frames": ("4", "must be between 1 and 3"),
-    "sigma": ("-0.5", "must be nonnegative"),
-    "max_intensity": ("0", "must be positive"),
-    "seed": ("-1", "must be nonnegative"),
+    "kind": ("moon", "must be 'satellite' or 'ash', got moon"),
+    "size": ("1", "must be at least 2, got 1"),
+    "frames": ("4", "must be between 1 and 3, got 4"),
+    "sigma": ("-0.5", "must be nonnegative, got -0.5"),
+    "max_intensity": ("0", "must be positive, got 0.0"),
+    "seed": ("-1", "must be nonnegative, got -1"),
     "noise_seed": ("1.5", NOT_INT + "'1.5'"),
-    "outlier_seed": ("-2", "must be nonnegative"),
+    "outlier_seed": ("-2", "must be nonnegative, got -2"),
     "scene_seed": ("x", NOT_INT + "'x'"),
-    "outlier_fraction": ("1.5", "must lie in [0, 1]"),
-    "outlier_ceiling": ("-1", "must be positive"),
-    "loss": ("cauchy", "must be 'talwar' or 'standard'"),
-    "beta": ("0", "must be positive"),
-    "lambda": ("-1e-3", "must be nonnegative"),
-    "newton_tol": ("0", "must be positive"),
-    "newton_maxit": ("0", "must be at least 1"),
-    "pcg_tol": ("nan", "must be finite"),
+    "outlier_fraction": ("1.5", "must lie in [0, 1], got 1.5"),
+    "outlier_ceiling": ("-1", "must be positive, got -1.0"),
+    "loss": ("cauchy", "must be 'talwar' or 'standard', got cauchy"),
+    "beta": ("0", "must be positive, got 0.0"),
+    "lambda": ("-1e-3", "must be nonnegative, got -0.001"),
+    "newton_tol": ("0", "must be positive, got 0.0"),
+    "newton_maxit": ("0", "must be at least 1, got 0"),
+    "pcg_tol": ("nan", "must be finite, got nan"),
     "pcg_maxit": ("2.5", NOT_INT + "'2.5'"),
-    "use_precond": ("maybe", BOOLEAN),
-    "lambda_lo": ("-1", "must be nonnegative"),
-    "lambda_hi": ("nan", "must be finite"),
-    "x_tol": ("-1e-4", "must be positive"),
-    "probe_seed": ("-3", "must be nonnegative"),
-    "inner_cg_tol": ("0", "must be positive"),
-    "inner_cg_maxit": ("0", "must be at least 1"),
-    "lambda_grid": ("1e-3,-1", "must be nonnegative"),
-    "lambda_count": ("0", "must be at least 1"),
-    "outlier_fractions": (" , ", "expected a comma-separated list"),
-    "losses": ("talwar,huber", "must be 'talwar' or 'standard'"),
+    "use_precond": ("maybe", BOOLEAN + ", got maybe"),
+    "lambda_lo": ("-1", "must be nonnegative, got -1.0"),
+    "lambda_hi": ("nan", "must be finite, got nan"),
+    "x_tol": ("-1e-4", "must be positive, got -0.0001"),
+    "probe_seed": ("-3", "must be nonnegative, got -3"),
+    "inner_cg_tol": ("0", "must be positive, got 0.0"),
+    "inner_cg_maxit": ("0", "must be at least 1, got 0"),
+    "lambda_grid": ("1e-3,-1", "must be nonnegative, got -1.0"),
+    "lambda_count": ("0", "must be at least 1, got 0"),
+    "outlier_fractions": (" , ", "must list at least one value, got ()"),
+    "losses": ("talwar,huber", "must be 'talwar' or 'standard', got huber"),
 }
 
+# the keys that a config line and an instance manifest both set, each read
+# by one converter
+SHARED_KEYS = ("sigma", "noise_seed", "outlier_seed", "outlier_fraction")
 
-def test_every_key_parses_and_rejects_as_pinned(tmp_path):
+
+def test_every_key_parses_as_pinned(tmp_path):
     assert set(VALID) == set(CONFIG_KEYS)
     assert set(INVALID) == set(CONFIG_KEYS) - {"instance", "out"}
     for key, (literal, value) in VALID.items():
         config = parse_config(write_config(tmp_path, **{key: literal}))
         assert config == {key: value}, key
         assert type(config[key]) is type(value), key
-    for key, (literal, reason) in INVALID.items():
+
+
+def bad_value_error(tmp_path, capsys, key, via):
+    """The source that the bad literal ``INVALID[key]`` is set in, by a
+    config line, a flag or a stored instance's manifest, and the stderr of
+    the ``solve`` it stops."""
+    literal = INVALID[key][0]
+    argv = ["solve", "--out", str(tmp_path / "s")]
+    if via == "config":
+        source = write_config(tmp_path, **{key: literal})
+        argv += ["--config", source]
         with pytest.raises(ConfigError) as err:
-            parse_config(write_config(tmp_path, **{key: literal}))
-        assert str(err.value) == "invalid value for key '%s': %s" % (key, reason)
+            parse_config(source)
+    elif via == "flag":
+        source = "--" + key
+        argv.append("%s=%s" % (source, literal))
+    else:
+        inst = tmp_path / "inst"
+        assert main(["generate", "--size", "8", "--out", str(inst)]) == 0
+        source = inst / "manifest.txt"
+        source.write_text(re.sub("^%s=.*" % key, "%s=%s" % (key, literal),
+                                 source.read_text(), count=1, flags=re.M))
+        argv += ["--config", write_config(tmp_path, instance=str(inst))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    stderr = capsys.readouterr().err
+    if via == "config":
+        assert stderr == "error: %s\n" % err.value  # parse_config's own
+    assert not (tmp_path / "s").exists()
+    return str(source), stderr
+
+
+@pytest.mark.parametrize("key, via", [(key, "config") for key in INVALID]
+                         + [(key, "flag") for key in FLAGS if key in INVALID]
+                         + [(key, "manifest") for key in SHARED_KEYS])
+def test_a_bad_value_fails_with_one_line_naming_source_key_and_reason(
+        tmp_path, capsys, key, via):
+    # one format for every text value: the file or flag it came from, the
+    # key, and the converter's reason with the rejected value
+    source, stderr = bad_value_error(tmp_path, capsys, key, via)
+    assert stderr == "error: %s: invalid value for key '%s': %s\n" % (
+        source, key, INVALID[key][1])
+
+
+@pytest.mark.parametrize("key", SHARED_KEYS)
+def test_a_shared_key_fails_alike_in_a_config_line_and_a_manifest(
+        tmp_path, capsys, key):
+    lines = []
+    for via in ("config", "manifest"):
+        (tmp_path / via).mkdir()
+        source, stderr = bad_value_error(tmp_path / via, capsys, key, via)
+        lines.append(stderr.replace(source, "<source>", 1))
+    assert lines[0].startswith("error: <source>: ") and lines[0] == lines[1]
 
 
 # the keys whose values are floats, or lists of floats
@@ -188,10 +241,12 @@ def test_float_keys_are_finite_but_beta(tmp_path):
     for key in FLOAT_KEYS - {"beta"}:
         lists = isinstance(VALID[key][1], tuple)
         for literal in ("inf", "-inf") + (("0.1,inf",) if lists else ()):
+            path = write_config(tmp_path, **{key: literal})
             with pytest.raises(ConfigError) as err:
-                parse_config(write_config(tmp_path, **{key: literal}))
+                parse_config(path)
             assert str(err.value) == (
-                "invalid value for key '%s': must be finite" % key
+                "%s: invalid value for key '%s': must be finite, got %s"
+                % (path, key, literal.rpartition(",")[2])
             )
     config = parse_config(write_config(tmp_path, beta="inf"))
     assert config == {"beta": float("inf")}
@@ -264,7 +319,9 @@ def test_manifest_fault_exits_one_with_one_line_naming_it(tmp_path, capsys):
 
 
 # (file, pattern, replacement, key): a fault made by one regex edit of a
-# file of a generated 3-frame 8x8 instance, and the key its error names
+# file of a generated 3-frame 8x8 instance, and the key its error names; or
+# (raw file, None, None, None): the raw replaced by a 4x4 one, whose error
+# names both shapes
 INSTANCE_FAULTS = [
     ("manifest.txt", r"^frames=.*\n", "", "frames"),
     ("manifest.txt", r"^frames=.*", "frames=0", "frames"),
@@ -281,26 +338,35 @@ INSTANCE_FAULTS = [
     ("manifest.txt", r"^height=.*", "height=9", "height"),
     ("manifest.txt", r"^width=.*\n", "", "width"),
     ("x_true.raw.hdr", r"(?s).*", "", "height"),  # a blank header
+    ("psf_2.raw", None, None, None),
+    ("clean_0.raw", None, None, None),
+    ("observed_1.raw", None, None, None),
+    ("outlier_mask_2.raw", None, None, None),
 ]
 
 
-@pytest.mark.parametrize("name, pattern, replacement, key", INSTANCE_FAULTS,
-                         ids=[replacement or "%s without %s" % (name, key)
-                              for name, _, replacement, key in INSTANCE_FAULTS])
+@pytest.mark.parametrize(
+    "name, pattern, replacement, key", INSTANCE_FAULTS,
+    ids=[replacement or ("%s without %s" % (name, key) if key else "4x4 " + name)
+         for name, _, replacement, key in INSTANCE_FAULTS])
 def test_stored_instance_fault_exits_one_with_one_line_naming_file_and_key(
         tmp_path, capsys, name, pattern, replacement, key):
     inst = tmp_path / "inst"
     assert main(["generate", "--size", "8", "--frames", "3",
                  "--out", str(inst)]) == 0
     path = inst / name
-    text = path.read_text()
-    path.write_text(re.sub(pattern, replacement, text, count=1, flags=re.M))
-    assert path.read_text() != text
+    if pattern is None:
+        write_raw(path, np.ones((4, 4)))
+    else:
+        text = path.read_text()
+        path.write_text(re.sub(pattern, replacement, text, count=1, flags=re.M))
+        assert path.read_text() != text
     capsys.readouterr()
     cfg = write_config(tmp_path, instance=str(inst))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: %s: " % path) and "'%s'" % key in err
+    named = "shape (4, 4) != grid (8, 8)" if key is None else "'%s'" % key
+    assert err.startswith("error: %s: " % path) and named in err
     assert err.count("\n") == 1
 
 
@@ -333,6 +399,17 @@ def test_stored_instance_rejects_a_key_that_shapes_one(tmp_path, capsys,
 
 
 # -- generate ------------------------------------------------------------
+
+
+def test_generate_rejects_a_stored_instance(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert main(["generate", "--size", "8", "--out", str(inst)]) == 0
+    cfg = write_config(tmp_path, instance=str(inst))
+    capsys.readouterr()
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'instance': ") and err.count("\n") == 1
+    assert not (tmp_path / "g").exists()
 
 
 def test_generate_is_bitwise_repeatable(tmp_path):

@@ -107,6 +107,8 @@ ENTRIES = {
     "sigma (simulate_data)": lambda inst, v: simulate_data(inst.clean, v, 1),
     "ceiling": lambda inst, v: inject_random_corruptions(
         inst.observed, 0.5, v, 2),
+    "fraction": lambda inst, v: inject_random_corruptions(
+        inst.observed, v, 1.0, 2),
     "lambda_grid": lambda inst, v: lambda_scan(
         inst, LossFunction(), [1e-3, v]),
     "gamma1": lambda inst, v: GaussianPsfParams(v, 2.0),

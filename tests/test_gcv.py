@@ -364,6 +364,9 @@ def test_bounded_minimize_finds_unimodal_minimum():
     grid = np.linspace(0.0, 0.1, 1001)
     grid_argmin = grid[np.argmin(f(grid))]
     assert abs(got - grid_argmin) <= grid[1] - grid[0]
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.1)):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            bounded_minimize(f, lo, hi, x_tol=1e-8)
 
 
 def _search_panel(lo, hi):

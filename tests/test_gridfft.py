@@ -96,6 +96,8 @@ def test_idft2_rejects_asymmetric_spectrum():
     spec[1, 2] = 1.0 + 1.0j  # no conjugate partner at (-1, -2)
     with pytest.raises(InverseTransformError):
         idft2(spec)
+    with pytest.raises(ValueError, match="must be a 2D array, got shape"):
+        idft2(np.zeros((2, 8, 8), dtype=np.complex128))
 
 
 def test_idft2_tolerates_rounding_noise():

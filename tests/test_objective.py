@@ -386,6 +386,15 @@ def test_huber_diagnostic_finds_negative_entry():
     assert report.min_sign == -1
 
 
+@pytest.mark.parametrize("samples, reason", [
+    ([(1.0, 2.0)], "samples must be \\(ax, b, sigma\\) triples"),
+    ([(-4.0, 1.0, 2.0)], "samples require ax \\+ sigma\\^2 > 0"),
+])
+def test_diagnostic_rejects_malformed_samples(samples, reason):
+    with pytest.raises(ValueError, match=reason):
+        convexity_diagnostic(LossFunction(), samples)
+
+
 @pytest.mark.parametrize("kind", ["talwar", "huber", "fair", "logistic"])
 def test_zero_residual_diagonal_nonnegative(kind):
     # At r = 0 the diagonal reduces to w^2 rho''(0) >= 0 for every loss.

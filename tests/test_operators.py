@@ -134,6 +134,8 @@ def test_operator_validation():
         BlurOperator([psf, np.ones((4, 5)) / 20], [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         as_stack(np.zeros((1, 4, 5)), (4, 4))
+    # a single 2-D frame is promoted to a one-frame stack
+    assert as_stack(np.ones((4, 4)), (4, 4)).shape == (1, 4, 4)
 
 
 def test_grid_below_2x2_is_rejected_where_the_operator_is_built():

@@ -217,6 +217,8 @@ def test_relative_error_values():
     assert relative_error(2.0 * x_true, x_true) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         relative_error(x_true, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="shapes differ"):
+        relative_error(np.ones((4, 5)), x_true)
 
 
 def test_default_start_is_feasible_frame_mean():
@@ -351,8 +353,12 @@ def test_load_rejects_unknown_format(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
     (d / "manifest.txt").write_text("format=something-else\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         load_instance(d)
+    assert str(err.value) == (
+        f"{d / 'manifest.txt'}: invalid value for key 'format': "
+        "must be 'instance-dir v1', got something-else"
+    )
 
 
 def test_load_rejects_a_manifest_line_without_equals(tmp_path):
@@ -400,8 +406,8 @@ def test_load_names_the_manifest_and_a_bad_seed(tmp_path):
     manifest = tmp_path / "manifest.txt"
     lines = manifest.read_text().splitlines()
     for key, value, reason in [
-        ("noise_seed", "-5", "noise_seed must be nonnegative, got -5"),
-        ("outlier_seed", "-1", "outlier_seed must be nonnegative, got -1"),
+        ("noise_seed", "-5", "must be nonnegative, got -5"),
+        ("outlier_seed", "-1", "must be nonnegative, got -1"),
         ("noise_seed", "2.5", "invalid literal for int() with base 10: '2.5'"),
     ]:
         manifest.write_text("".join(
