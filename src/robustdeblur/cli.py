@@ -9,9 +9,10 @@ the preconditioner with plain CG takes two ``solve`` runs, with
 iterations and transform counts.
 
 Configuration comes from a plain ``key=value`` text file (``--config``);
-each flag overrides the key of its name (:data:`FLAGS`).  Config lines
-and flags are read through ``gridfft._field`` with the key's converter
-(:data:`CONFIG_KEYS`), as manifests and ``.hdr`` sidecars are.  Every
+each flag overrides the key of its name (:data:`FLAGS`), and a command
+accepts only the flags it reads.  Config lines and flags are read through
+``gridfft._field`` with the key's rule (:data:`CONFIG_KEYS`), that of the
+library argument it sets, as manifests and ``.hdr`` sidecars are.  Every
 output is a plain file: CSV tables with a versioned ``# schema=...``
 header line, raw float64 images with ``.hdr`` sidecars, and 16-bit PGM
 viewing copies.  All commands are deterministic under their seeds and
@@ -37,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .gcv import GcvOptions, _flag_counts, minimize_gcv, write_gcv_trace
-from .gridfft import (_checked, _field, _finite_float, _fraction,
-                      _nonneg_float, _nonneg_int, _positive_int,
+from .gridfft import (_checked, _field, _fraction, _nonneg_float, _nonneg_int,
+                      _positive_float, _positive_int, _positive_or_inf,
                       _read_key_values, _write_table, write_pgm, write_raw)
 from .objective import BETA_95, LossFunction
 from .solver import SolverOptions, default_start, projected_newton
@@ -78,15 +79,10 @@ def _list_of(item):
     )
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-# Every float key but beta, whose inf means weighted least squares, is
-# finite.  gridfft holds the converters that load_instance reads too.
-_positive_float = _checked(_finite_float, lambda v: v > 0, "must be positive")
 _loss_kind = _one_of("talwar", "standard")
 
-# key -> value parser; every config line must name one of these
+# key -> value parser; every config line must name one of these.  A key that
+# sets a library argument has its rule; the option fields' keys are added below.
 CONFIG_KEYS = {
     "kind": _one_of("satellite", "ash"),
     "size": _checked(int, lambda v: v >= 2, "must be at least 2"),
@@ -101,41 +97,27 @@ CONFIG_KEYS = {
     "outlier_seed": _nonneg_int,
     "scene_seed": _nonneg_int,
     "outlier_fraction": _fraction,
-    "outlier_ceiling": _positive_float,
+    "outlier_ceiling": _nonneg_float,
     "instance": str,
     "out": str,
     "loss": _loss_kind,
-    "beta": _checked(float, lambda v: v > 0, "must be positive"),
+    "beta": _positive_or_inf,
     "lambda": _nonneg_float,
-    "newton_tol": _positive_float,
-    "newton_maxit": _positive_int,
-    "pcg_tol": _positive_float,
-    "pcg_maxit": _positive_int,
-    "use_precond": _checked(
-        lambda text: _BOOLEANS.get(text.strip().lower(), text.strip()),
-        lambda v: isinstance(v, bool), "expected a boolean (0/1/true/false)",
-    ),
-    "lambda_lo": _nonneg_float,
-    "lambda_hi": _nonneg_float,
-    "x_tol": _positive_float,
-    "probe_seed": _nonneg_int,
-    "inner_cg_tol": _positive_float,
-    "inner_cg_maxit": _positive_int,
     "lambda_grid": _list_of(_nonneg_float),
     "lambda_count": _positive_int,
     "outlier_fractions": _list_of(_fraction),
     "losses": _list_of(_loss_kind),
 }
 
-# config key -> (options dataclass, field), for every dataclass field that
-# has a key: the key is the field's name, but for the one renamed below.
+# config key -> (options dataclass, field), for every field with a rule, which
+# reads the key; the key is the field's name, but for the one renamed below.
 # A key left out of the config leaves the field at its dataclass default.
 _KEY_OF_FIELD = {"use_preconditioner": "use_precond"}
-OPTION_FIELDS = {
-    _KEY_OF_FIELD.get(f.name, f.name): (cls, f.name)
-    for cls in (SolverOptions, GcvOptions) for f in fields(cls)
-    if _KEY_OF_FIELD.get(f.name, f.name) in CONFIG_KEYS
-}
+_RULED = [(_KEY_OF_FIELD.get(f.name, f.name), cls, f)
+          for cls in (SolverOptions, GcvOptions) for f in fields(cls)
+          if "rule" in f.metadata]
+OPTION_FIELDS = {key: (cls, f.name) for key, cls, f in _RULED}
+CONFIG_KEYS.update((key, f.metadata["rule"]) for key, _, f in _RULED)
 
 # make_instance's keyword arguments that a config key of the same name sets;
 # "size" and "frames" set its shape and psf_params
@@ -206,7 +188,7 @@ def _resolve(args) -> dict:
         file_keys = set(file_config)
         config.update(file_config)
     for key in FLAGS:
-        text = getattr(args, key)
+        text = getattr(args, key, None)  # None: unset, or not the command's
         if text is not None:
             config.update(_read({key: text}, "--" + key))
     if "seed" in config:
@@ -450,6 +432,10 @@ COMMANDS = {
     "scan": cmd_scan,
 }
 
+# the flags that a command does not read, and so does not accept
+_UNREAD_FLAGS = {"generate": ("loss", "beta", "lambda"), "gcv": ("lambda",),
+                 "scan": ("loss", "lambda")}
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise :class:`ConfigError` instead of printing the
@@ -457,6 +443,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+    def _parse_optional(self, arg_string):
+        # a token with one '-' is an option only when it names one, so that
+        # a flag takes '-1e-3' or '-inf' as its value, as it takes '-0.5'
+        if arg_string.startswith("--") or arg_string in self._option_string_actions:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=func)
         cmd.add_argument("--config", help="key=value configuration file")
         for key, text in FLAGS.items():
-            cmd.add_argument("--" + key, help=text)
+            if key not in _UNREAD_FLAGS.get(name, ()):
+                cmd.add_argument("--" + key, help=text)
     return parser
 
 

@@ -42,8 +42,8 @@ one-point walk and start cold.  Each is read because the walk holds it,
 never because two arrays compare equal.  The first three leave every
 result bitwise unchanged; the influence start moves an estimate only
 within the solve's tolerance.  A walk with a probe checks it once, when
-the walk is made, and runs its fits and influence solves in its one
-workspace.
+the walk is made.  Every walk runs its Newton solves, and a walk with a
+probe its fits and influence solves, in its one workspace.
 
 - The end state of its last Newton solve (:class:`.solver._State`): the
   point, its data evaluation and its data gradient.  Only the penalty
@@ -93,7 +93,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfft import (_integer, _nonnegative, _positive, _write_table,
+from .gridfft import (_arg, _keep_checked, _nonneg_float, _nonneg_int,
+                      _positive_float, _positive_int, _ruled, _write_table,
                       count_transforms)
 from .objective import FLOOR, Evaluation, Objective
 from .operators import (Workspace, _check_weights, _frozen, _hessian_data_half,
@@ -141,23 +142,20 @@ class GcvOptions:
     relative error by at most 3e-6.
     """
 
-    lambda_lo: float = 0.0
-    lambda_hi: float = 1e-1
-    x_tol: float = 1e-8
-    inner_cg_tol: float = 1e-2
-    inner_cg_maxit: int = 150
-    probe_seed: int = 0
+    lambda_lo: float = _ruled(_nonneg_float, 0.0)
+    lambda_hi: float = _ruled(_nonneg_float, 1e-1)
+    x_tol: float = _ruled(_positive_float, 1e-8)
+    inner_cg_tol: float = _ruled(_positive_float, 1e-2)
+    inner_cg_maxit: int = _ruled(_positive_int, 150)
+    probe_seed: int = _ruled(_nonneg_int, 0)
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        _nonnegative("lambda_lo", self.lambda_lo)
-        _nonnegative("lambda_hi", self.lambda_hi)
+        _keep_checked(self)
         if self.lambda_hi < self.lambda_lo:
             raise ValueError("bracket must satisfy 0 <= lambda_lo <= lambda_hi")
-        _positive("x_tol", self.x_tol)
-        _positive("inner_cg_tol", self.inner_cg_tol)
-        _integer("inner_cg_maxit", self.inner_cg_maxit, 1)
-        _integer("probe_seed", self.probe_seed, 0)
+        if not isinstance(self.solver, SolverOptions):
+            raise ValueError(f"solver must be a SolverOptions, got {self.solver!r}")
 
 
 @dataclass
@@ -192,7 +190,7 @@ def _weights_from_fit(obj: Objective, ev: Evaluation, r: np.ndarray) -> np.ndarr
 
 def rademacher_probe(shape, seed: int) -> np.ndarray:
     """Seeded +-1 probe; E[v v^T] = I and v_i^2 = 1 exactly."""
-    rng = np.random.default_rng(_integer("seed", seed, 0))
+    rng = np.random.default_rng(_arg("seed", _nonneg_int, seed))
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
@@ -229,16 +227,17 @@ class _Walk:
     ``opts``, the only chain of solves over lambda (see the module
     docstring).  It holds ``x``, the next warm start (``x0``; None:
     ``x_ref``); ``points`` in visit order and a cache from lambda to
-    point; ``state``, the end state the last solve handed back (None
-    before the first solve and after one that dropped it); and ``x_ref``,
-    :func:`.solver.default_start` of the data, with ``ref``, its half
-    spectrum and data gradient once a solve has evaluated them.  Each
-    solve reads and replaces the last three (:func:`.solver.projected_newton`).
+    point; ``ws``, the workspace every solve runs in; ``state``, the end
+    state the last solve handed back (None before the first solve and
+    after one that dropped it); and ``x_ref``, the default start of the
+    data, with ``ref``, its half spectrum and data gradient once a solve
+    has evaluated them.  Each solve reads and replaces the last three
+    (:func:`.solver.projected_newton`).
 
     Without a ``probe`` it is a plain scan, and the GCV fields of its
     points stay empty.  With one, each point is a :func:`gcv_eval`, and it
-    also holds ``probe``, checked here; ``ws``, the workspace of its fits
-    and influence solves; ``y``, the last influence solution and the next
+    also holds ``probe``, checked here, and runs its fits and influence
+    solves in ``ws``; ``y``, the last influence solution and the next
     influence solve's start (None: zero), and ``iterations`` and
     ``transforms``, the PCG iterations and transforms that solve took;
     ``fit``, the :class:`_Fit` of its current point; and the lambda-free
@@ -252,7 +251,8 @@ class _Walk:
         self.x = self.x_ref if x0 is None else x0
         self.state = self.ref = None
         self.points, self._cache = [], {}
-        self.probe = self.ws = self.y = self.fit = None
+        self.ws = Workspace(obj.op.shape, obj.op.n_frames)
+        self.probe = self.y = self.fit = None
         self.iterations = self.transforms = 0
         self._start = None  # (y0_hat, acc) of _hessian_data_half
         if probe is not None:
@@ -262,7 +262,6 @@ class _Walk:
                     f"probe must be finite with shape {shape}, got {probe.shape}"
                 )
             self.probe = probe
-            self.ws = Workspace(obj.op.shape, obj.op.n_frames)
 
     def visit(self, lam) -> LambdaPoint:
         """The point at ``lam``: the cached one if ``lam`` was visited

@@ -50,9 +50,9 @@ so tests can pin exact per-apply operation counts; see
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ class InverseTransformError(ValueError):
     """
 
 
-@dataclass
+@dataclasses.dataclass
 class OpCounts:
     """Tally of 2D transforms and pixel-wise array operations."""
 
@@ -129,31 +129,60 @@ def count_transforms():
         tally.adds = COUNTS.adds - start.adds
 
 
-def _nonnegative(name: str, value) -> float:
-    """``float(value)``; ``ValueError`` naming ``name`` unless finite and >= 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-    return value
+def _checked(convert, holds, reason: str):
+    """Rule: ``convert`` a value or its text, then require ``holds`` of the
+    result, or raise ``ValueError`` giving ``reason`` and the result."""
+
+    def parse(value):
+        value = convert(value)
+        if not holds(value):
+            raise ValueError(f"{reason}, got {value}")
+        return value
+
+    return parse
 
 
-def _positive(name: str, value) -> float:
-    """``float(value)``; ``ValueError`` naming ``name`` unless finite and > 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+# The one rule of each scalar quantity, for a library argument (through
+# _arg or a _ruled field) and a text value (through _field) alike: each
+# takes a value or its text.  An integer is an int or np.integer that is
+# not a bool, a boolean any value whose str _BOOLEANS names; every float
+# rule but beta's, whose inf means weighted least squares, is finite.
+_int_value = _checked(lambda v: int(v) if isinstance(v, (str, np.integer)) else v,
+                      lambda v: type(v) is int, "must be an integer")
+_finite_float = _checked(float, math.isfinite, "must be finite")
+_nonneg_float = _checked(_finite_float, lambda v: v >= 0, "must be nonnegative")
+_positive_float = _checked(_finite_float, lambda v: v > 0, "must be positive")
+_positive_or_inf = _checked(float, lambda v: v > 0, "must be positive")
+_fraction = _checked(_finite_float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_nonneg_int = _checked(_int_value, lambda v: v >= 0, "must be nonnegative")
+_positive_int = _checked(_int_value, lambda v: v >= 1, "must be at least 1")
+_boolean = _checked(lambda v: _BOOLEANS.get(str(v).strip().lower(), v),
+                    lambda v: type(v) is bool, "expected a boolean (0/1/true/false)")
 
 
-def _integer(name: str, value, least: int) -> int:
-    """``int(value)``; ``ValueError`` naming ``name`` unless ``value`` is an
-    integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return int(value)
+def _arg(name: str, rule, value):
+    """``rule(value)``; a value it rejects raises ``<name> <reason>``."""
+    try:
+        return rule(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} {err}") from None
+
+
+def _ruled(rule, default=dataclasses.MISSING):
+    """A dataclass field whose ``metadata["rule"]`` is ``rule``."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def _keep_checked(obj) -> None:
+    """Set each :func:`_ruled` field of the (frozen) dataclass ``obj`` to
+    the value its rule returns, through :func:`_arg`."""
+    for f in dataclasses.fields(obj):
+        if "rule" in f.metadata:
+            value = _arg(f.name, f.metadata["rule"], getattr(obj, f.name))
+            object.__setattr__(obj, f.name, value)
 
 
 def as_image(values, name: str = "image", shape=None) -> np.ndarray:
@@ -284,7 +313,7 @@ def _psf_spectra(psfs: np.ndarray, centers) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # File formats: raw float64 for lossless round trips, a 16-bit PGM writer
 # for viewing, and the text files: schema-tagged CSV tables and key=value
-# lines, whose values are read through one checked converter.
+# lines, whose values are read through the scalar rules above.
 # ---------------------------------------------------------------------------
 
 
@@ -327,27 +356,6 @@ def _field(values: dict, key: str, source, convert=str, default=None):
         return convert(values[key])
     except ValueError as err:
         raise ValueError(f"{source}: invalid value for key {key!r}: {err}") from None
-
-
-def _checked(convert, holds, reason: str):
-    """Field converter: ``convert`` the text, then require ``holds`` of the
-    value, or raise ``ValueError`` giving ``reason`` and the value."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not holds(value):
-            raise ValueError(f"{reason}, got {value}")
-        return value
-
-    return parse
-
-
-# the converters of the keys that more than one kind of text file reads
-_finite_float = _checked(float, math.isfinite, "must be finite")
-_nonneg_float = _checked(_finite_float, lambda v: v >= 0, "must be nonnegative")
-_fraction = _checked(_finite_float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-_nonneg_int = _checked(int, lambda v: v >= 0, "must be nonnegative")
-_positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
 
 
 def write_raw(path, img: np.ndarray) -> None:

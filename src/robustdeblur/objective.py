@@ -39,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import _irdft2, _nonnegative, _rdft2, _spectral_energy, as_image
+from .gridfft import (_arg, _checked, _irdft2, _keep_checked, _nonneg_float,
+                      _positive_or_inf, _rdft2, _ruled, _spectral_energy,
+                      as_image)
 from .operators import (
     BlurOperator,
     Workspace,
@@ -82,14 +84,11 @@ class LossFunction:
     everywhere, recovering plain (non-robust) weighted least squares.
     """
 
-    kind: str = "talwar"
-    beta: float = BETA_95
+    kind: str = _ruled(_checked(str, _KINDS.__contains__, f"must be one of {_KINDS}"),
+                       "talwar")
+    beta: float = _ruled(_positive_or_inf, BETA_95)
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {_KINDS}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+    __post_init__ = _keep_checked
 
 
 def loss_eval(loss: LossFunction, t):
@@ -246,7 +245,7 @@ class Objective:
             raise ValueError(
                 f"data has {self.data.shape[0]} frames, operator has {op.n_frames}"
             )
-        self.sigma = _nonnegative("sigma", sigma)
+        self.sigma = _arg("sigma", _nonneg_float, sigma)
         self.loss = loss if loss is not None else LossFunction()
         if self.loss.kind != "talwar":
             raise ValueError(
@@ -258,7 +257,7 @@ class Objective:
         self._set_lam(lam)
 
     def _set_lam(self, lam) -> None:
-        self.lam = _nonnegative("lam", lam)
+        self.lam = _arg("lam", _nonneg_float, lam)
         self._penalty = _frozen(_penalty_symbol(self.op.shape, self.lam))
 
     def with_lambda(self, lam: float) -> "Objective":

@@ -14,12 +14,12 @@ the module contract (tests pin the counts), not an optimization detail.
 
 Every private kernel runs in a required :class:`Workspace` (one image,
 one half spectrum and one k-frame stack with its half spectrum) and
-trusts its arguments.  The solver allocates one per solve, so the PCG
-loop allocates no grid-sized array; each public entry point checks its
-inputs and allocates one per call.  A workspace belongs to one solve
-and is never stored on :class:`BlurOperator`, the preconditioner or the
-objective: those stay immutable, so concurrent solves may share them,
-each with its own workspace.
+trusts its arguments.  A solve allocates one, or uses its walk's over
+lambda, so the PCG loop allocates no grid-sized array; each public entry
+point checks its inputs and allocates one per call.  A workspace belongs
+to one solve or walk and is never stored on :class:`BlurOperator`, the
+preconditioner or the objective: those stay immutable, so concurrent
+solves may share them, each with its own workspace.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import numpy as np
 
 from .gridfft import (
     COUNTS,
+    _arg,
     _half,
     _irdft2,
-    _nonnegative,
+    _nonneg_float,
     _psf_spectra,
     _rdft2,
     as_image,
@@ -75,7 +76,7 @@ class Workspace:
     a workspace keeps its temporaries there; the Hessian kernel and the
     preconditioner solve also return their result in ``image``, so the
     caller must copy it before the next kernel call.  Not thread-safe:
-    create one per solve and never share it.
+    create one per solve or walk and never share it across threads.
     """
 
     def __init__(self, shape: tuple[int, int], frames: int = 0):
@@ -230,7 +231,7 @@ def hessian_apply(
     """
     s = as_image(s, "s", op.shape)
     weights = _check_weights(op, weights)
-    penalty = _penalty_symbol(op.shape, _nonnegative("lam", lam))
+    penalty = _penalty_symbol(op.shape, _arg("lam", _nonneg_float, lam))
     return _hessian_kernel(op, penalty, weights, Workspace(op.shape, op.n_frames), s)
 
 

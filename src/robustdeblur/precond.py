@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfft import COUNTS, _irdft2, _nonnegative, _rdft2, as_image
+from .gridfft import COUNTS, _arg, _irdft2, _nonneg_float, _rdft2, as_image
 from .operators import (
     BlurOperator, Workspace, _adjoint_sum, _check_weights, _laplacian_half
 )
@@ -134,7 +134,7 @@ def precond_build(op: BlurOperator, weights, lam: float, *,
     per-frame temporaries run in ``ws`` (a throwaway one when None).  A
     symbol at or below :data:`SYMBOL_RCOND` raises ``ValueError``.
     """
-    lam = _nonnegative("lam", lam)
+    lam = _arg("lam", _nonneg_float, lam)
     if dhat is None:
         weights = _positive_weights(op, weights)
         if lam == 0:  # the symbol does not depend on dhat: check it first

@@ -63,13 +63,13 @@ parts: 1 transform each (the penalty's ifft2) when lam > 0 and none at
 lam = 0, instead of 2k+3 each.  The values are bitwise those of a fresh
 evaluation, so the path is the same either way.
 
-Each solve allocates one :class:`.operators.Workspace` in
-:func:`_newton_loop`.  Each evaluation's scratch, the preconditioner
-build's per-frame spectra, and the Hessian kernel and the preconditioner
-solve of every PCG iteration run in it, and :func:`projected_pcg`
-updates its own iterate, residual, direction and products in place, so
-the inner loop allocates no grid-sized array.  The workspace lives in
-the solve's frame only, never on the objective, the operator or the
+Each solve runs in one :class:`.operators.Workspace`, its own or its
+walk's.  Each evaluation's scratch, the preconditioner build's per-frame
+spectra, and the Hessian kernel and the preconditioner solve of every
+PCG iteration run in it, and :func:`projected_pcg` updates its own
+iterate, residual, direction and products in place, so the inner loop
+allocates no grid-sized array.  The workspace lives in the solve's or
+the walk's frame only, never on the objective, the operator or the
 preconditioner, so concurrent solves may share those immutable objects.
 """
 
@@ -82,7 +82,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gridfft import (COUNTS, OpCounts, _integer, _positive, as_image,
+from .gridfft import (COUNTS, OpCounts, _boolean, _keep_checked,
+                      _positive_float, _positive_int, _ruled, as_image,
                       count_transforms)
 from .objective import Evaluation, Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
@@ -110,20 +111,17 @@ class SolverOptions:
     ``newton_tol``: stop once the projected gradient norm is at most
     ``newton_tol * max(||P g0||, pg_ref)``, with ``||P g0||`` its value at
     the start and ``pg_ref`` its value at :func:`default_start` of the
-    data; checked at the start and after every step.
+    data; checked at the start and after every step.  Each field keeps the
+    value its rule returns, so ``newton_tol="1e-3"`` stores ``1e-3``.
     """
 
-    newton_tol: float = 1e-4
-    newton_maxit: int = 40
-    pcg_tol: float = 1e-1
-    pcg_maxit: int = 100
-    use_preconditioner: bool = False
+    newton_tol: float = _ruled(_positive_float, 1e-4)
+    newton_maxit: int = _ruled(_positive_int, 40)
+    pcg_tol: float = _ruled(_positive_float, 1e-1)
+    pcg_maxit: int = _ruled(_positive_int, 100)
+    use_preconditioner: bool = _ruled(_boolean, False)
 
-    def __post_init__(self):
-        _positive("newton_tol", self.newton_tol)
-        _positive("pcg_tol", self.pcg_tol)
-        _integer("newton_maxit", self.newton_maxit, 1)
-        _integer("pcg_maxit", self.pcg_maxit, 1)
+    __post_init__ = _keep_checked
 
 
 @dataclass
@@ -454,17 +452,19 @@ def projected_newton(
     termination ``all_saturated`` and returns the current iterate.
 
     ``_walk`` is the :class:`.gcv._Walk` the solve runs in (None: a
-    standalone solve, which derives :func:`default_start` itself).  The
-    solve starts from the walk's ``state`` when ``x0`` is its point, reads
-    ``pg_ref`` from the walk's ``x_ref`` and ``ref``, and leaves its end
-    state and ``ref`` in the walk; it returns the end state's read-only
-    point.  The result is bitwise the same either way.
+    standalone solve, which derives :func:`default_start` and its
+    workspace itself).  The solve runs in the walk's workspace, starts
+    from the walk's ``state`` when ``x0`` is its point, reads ``pg_ref``
+    from the walk's ``x_ref`` and ``ref``, and leaves its end state and
+    ``ref`` in the walk; it returns the end state's read-only point.  The
+    result is bitwise the same either way.
     """
     opts = opts or SolverOptions()
     if _walk is None:
         x_ref, held, ref = _frozen(default_start(obj.data)), None, None
+        ws = Workspace(obj.op.shape, obj.op.n_frames)
     else:
-        x_ref, held, ref = _walk.x_ref, _walk.state, _walk.ref
+        x_ref, held, ref, ws = _walk.x_ref, _walk.state, _walk.ref, _walk.ws
     if held is None or x0 is not held.x:
         held = None
         if x0 is not x_ref:
@@ -476,7 +476,7 @@ def projected_newton(
 
     report = SolverReport()
     with count_transforms() as tally:
-        x, end, ref = _newton_loop(obj, x0, held, x_ref, ref, opts, report)
+        x, end, ref = _newton_loop(obj, x0, held, x_ref, ref, opts, report, ws)
     report.counts = tally.copy()
     if _walk is None:
         return x.copy(), report  # writable: no walk holds it
@@ -484,7 +484,7 @@ def projected_newton(
     return x, report
 
 
-def _newton_loop(obj, x, held, x_ref, ref, opts, report):
+def _newton_loop(obj, x, held, x_ref, ref, opts, report, ws):
     """Newton steps from the read-only ``x``; returns ``(x, end, ref)``:
     the last iterate, its :class:`_State` and the half spectrum and data
     gradient at ``x_ref``, :func:`default_start` of the data.  ``end`` is
@@ -505,11 +505,9 @@ def _newton_loop(obj, x, held, x_ref, ref, opts, report):
     Hessian weights and the preconditioner input of the next step.  The
     data gradient is kept apart, in the state, and the penalty added to a
     copy.  Every evaluation made here lives only in this frame, so
-    dropping the name releases it.  So does the solve's workspace, which
-    every gradient, Hessian product and preconditioner solve below runs
-    in.
+    dropping the name releases it.  Every gradient, Hessian product and
+    preconditioner solve below runs in the workspace ``ws``.
     """
-    ws = Workspace(obj.op.shape, obj.op.n_frames)
     state = _state_at(obj, x, ws) if held is None else held
     if x is x_ref:
         ref, pg_ref = (state.data_ev.x_hat, state.g_data), 0.0  # ||P g0|| rules

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfft import (_checked, _field, _fraction, _integer, _nonneg_float,
-                      _nonneg_int, _nonnegative, _positive, _positive_int,
-                      _read_key_values, read_raw, write_raw)
+from .gridfft import (_arg, _checked, _field, _finite_float, _fraction,
+                      _keep_checked, _nonneg_float, _nonneg_int,
+                      _positive_float, _positive_int, _read_key_values, _ruled,
+                      read_raw, write_raw)
 from .gcv import GcvOptions, LambdaPoint, _Walk
 from .objective import LossFunction, Objective
 from .operators import BlurOperator
@@ -48,15 +49,12 @@ class GaussianPsfParams:
     gamma1^2 gamma2^2 > tau^4.  All three must be finite.
     """
 
-    gamma1: float
-    gamma2: float
-    tau: float = 0.0
+    gamma1: float = _ruled(_positive_float)
+    gamma2: float = _ruled(_positive_float)
+    tau: float = _ruled(_finite_float, 0.0)
 
     def __post_init__(self):
-        _positive("gamma1", self.gamma1)
-        _positive("gamma2", self.gamma2)
-        if not np.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
+        _keep_checked(self)
         if self.det() <= 0:
             raise ValueError(
                 f"covariance not positive definite: gamma1^2*gamma2^2 - tau^4 "
@@ -109,8 +107,8 @@ def synthetic_scene(kind: str, shape, max_intensity: float = 255.0,
     ``ash``: overlapping soft blobs of varying intensity (extended smooth
     structure, little true black).
     """
-    max_intensity = _positive("max_intensity", max_intensity)
-    seed = _integer("seed", seed, 0)
+    max_intensity = _arg("max_intensity", _positive_float, max_intensity)
+    seed = _arg("seed", _nonneg_int, seed)
     h, w = int(shape[0]), int(shape[1])
     u = (np.arange(h) - h / 2.0)[:, None] / (h / 2.0)
     v = (np.arange(w) - w / 2.0)[None, :] / (w / 2.0)
@@ -186,11 +184,11 @@ def simulate_data(clean, sigma: float, noise_seed: int):
     reproducible on their own: changing another frame can move the peak,
     snap a different set of this frame's cells, and so change its noise.
     """
-    noise_seed = _integer("noise_seed", noise_seed, 0)
+    noise_seed = _arg("noise_seed", _nonneg_int, noise_seed)
     clean = np.asarray(clean, dtype=np.float64)
     if clean.ndim != 3 or not clean.size or not np.all(np.isfinite(clean)):
         raise ValueError(f"clean must be a finite (k, h, w) stack, got {clean.shape}")
-    sigma = _nonnegative("sigma", sigma)
+    sigma = _arg("sigma", _nonneg_float, sigma)
     tol = 1e-9 * max(clean.max(), 1.0)
     if clean.min() < -tol:
         raise ValueError("blurred scene has negative intensities")
@@ -206,11 +204,10 @@ def simulate_data(clean, sigma: float, noise_seed: int):
 def inject_random_corruptions(observed, fraction: float, ceiling: float,
                               outlier_seed: int):
     """Add uniform(0, ceiling) bumps to floor(fraction * m) distinct entries."""
-    outlier_seed = _integer("outlier_seed", outlier_seed, 0)
+    outlier_seed = _arg("outlier_seed", _nonneg_int, outlier_seed)
     observed = np.array(observed, dtype=np.float64, copy=True)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
-    ceiling = _nonnegative("ceiling", ceiling)
+    fraction = _arg("fraction", _fraction, fraction)
+    ceiling = _arg("ceiling", _nonneg_float, ceiling)
     mask = np.zeros(observed.shape, dtype=bool)
     count = int(np.floor(fraction * observed.size))
     if count:
@@ -241,9 +238,9 @@ def make_instance(
     of the clean data, so corruption bumps are on the data's own scale.
     The seeds are checked first, before any transform.
     """
-    noise_seed = _integer("noise_seed", noise_seed, 0)
-    outlier_seed = _integer("outlier_seed", outlier_seed, 0)
-    scene_seed = _integer("scene_seed", scene_seed, 0)
+    noise_seed = _arg("noise_seed", _nonneg_int, noise_seed)
+    outlier_seed = _arg("outlier_seed", _nonneg_int, outlier_seed)
+    scene_seed = _arg("scene_seed", _nonneg_int, scene_seed)
     x_true = synthetic_scene(kind, shape, max_intensity, scene_seed)
     if psf_params is None:
         psf_params = (
@@ -318,7 +315,7 @@ def lambda_scan(
     bitwise that of a standalone solve from the same start.  The points'
     ``x`` are read-only: each is the state the walk handed on.
     """
-    grid = [_nonnegative("lambda_grid value", lam) for lam in lambda_grid]
+    grid = [_arg("lambda_grid value", _nonneg_float, lam) for lam in lambda_grid]
     if not grid:
         raise ValueError("lambda grid is empty")
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -365,11 +362,11 @@ def save_instance(directory, instance: ProblemInstance) -> None:
 
 def load_instance(directory) -> ProblemInstance:
     """Read an instance written by :func:`save_instance`.  Each manifest
-    value is checked as it is read (``sigma``, the seeds and
-    ``outlier_fraction`` by the converters that read the CLI's keys of
-    those names), and ``height`` and ``width`` must be the shape of
-    ``x_true.raw``; a fault raises ``ValueError`` naming
-    ``<directory>/manifest.txt`` and the key.  Every per-frame image must
+    value is checked as it is read (``sigma``, the seeds, the outlier
+    fraction and ceiling by the rules of the CLI's keys of those names),
+    and ``height`` and ``width`` must be the shape of ``x_true.raw``; a
+    fault raises ``ValueError`` naming ``<directory>/manifest.txt`` and
+    the key.  Every per-frame image must
     lie on the grid of ``x_true.raw``, or the error names its file.  The
     ``psf{j}_params`` lines are optional but all or none: once one
     frame's is present, a missing one is a fault."""

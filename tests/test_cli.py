@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,10 +11,12 @@ import pytest
 import robustdeblur
 
 from robustdeblur.cli import (
-    _INSTANCE_KEYS, CONFIG_KEYS, FLAGS, ConfigError, _resolve, build_parser,
-    main, parse_config,
+    _INSTANCE_KEYS, CONFIG_KEYS, FLAGS, OPTION_FIELDS, ConfigError, _resolve,
+    build_parser, main, parse_config,
 )
 from robustdeblur.gridfft import read_raw, write_raw
+from robustdeblur.objective import LossFunction
+from robustdeblur.testbed import make_instance, synthetic_scene
 
 
 def write_config(tmp_path, name="run.cfg", **keys):
@@ -135,7 +138,7 @@ INVALID = {
     "outlier_seed": ("-2", "must be nonnegative, got -2"),
     "scene_seed": ("x", NOT_INT + "'x'"),
     "outlier_fraction": ("1.5", "must lie in [0, 1], got 1.5"),
-    "outlier_ceiling": ("-1", "must be positive, got -1.0"),
+    "outlier_ceiling": ("-1", "must be nonnegative, got -1.0"),
     "loss": ("cauchy", "must be 'talwar' or 'standard', got cauchy"),
     "beta": ("0", "must be positive, got 0.0"),
     "lambda": ("-1e-3", "must be nonnegative, got -0.001"),
@@ -223,6 +226,43 @@ def test_a_shared_key_fails_alike_in_a_config_line_and_a_manifest(
     assert lines[0].startswith("error: <source>: ") and lines[0] == lines[1]
 
 
+def _tiny(**kwargs):
+    return make_instance("satellite", (8, 8), **kwargs)
+
+
+# key -> (argument, call that passes the value v as that library argument),
+# for each key that sets a library argument but no options field
+ARGUMENT_KEYS = {
+    "sigma": ("sigma", lambda v: _tiny(sigma=v)),
+    "max_intensity": ("max_intensity", lambda v: _tiny(max_intensity=v)),
+    "seed": ("seed", lambda v: synthetic_scene("ash", (8, 8), seed=v)),
+    "noise_seed": ("noise_seed", lambda v: _tiny(noise_seed=v)),
+    "outlier_seed": ("outlier_seed", lambda v: _tiny(outlier_seed=v)),
+    "scene_seed": ("scene_seed", lambda v: _tiny(scene_seed=v)),
+    "outlier_fraction": ("fraction", lambda v: _tiny(outlier_fraction=v)),
+    "outlier_ceiling": ("ceiling", lambda v: _tiny(outlier_ceiling=v)),
+    "lambda": ("lam", lambda v: _tiny().objective(lam=v)),
+    "beta": ("beta", lambda v: LossFunction(beta=v)),
+}
+
+
+def test_a_key_reads_by_the_rule_of_the_argument_it_sets(tmp_path):
+    # an options field's key is read by the very rule the dataclass
+    # applies; any other key that sets a library argument rejects a bad
+    # literal with the reason that argument gives it
+    for key, (cls, name) in OPTION_FIELDS.items():
+        field = {f.name: f for f in dataclasses.fields(cls)}[name]
+        assert CONFIG_KEYS[key] is field.metadata["rule"], key
+    for key, (argument, call) in ARGUMENT_KEYS.items():
+        for literal in (INVALID[key][0], "x", "nan"):
+            with pytest.raises(ConfigError) as from_config:
+                parse_config(write_config(tmp_path, **{key: literal}))
+            reason = str(from_config.value).split("key '%s': " % key, 1)[1]
+            with pytest.raises(ValueError) as from_argument:
+                call(literal)
+            assert str(from_argument.value) == argument + " " + reason, key
+
+
 # the keys whose values are floats, or lists of floats
 FLOAT_KEYS = {
     "sigma", "max_intensity", "outlier_fraction", "outlier_ceiling", "beta",
@@ -261,14 +301,61 @@ def test_float_keys_are_finite_but_beta(tmp_path):
     (["solve", "--lambda=inf"], "'lambda'"),
     (["solve", "--sigma=inf"], "'sigma'"),
     (["solve", "--bogus", "3"], "--bogus"),
+    (["solve", "--lambda"], "--lambda"),
+    (["solve", "--lambda", "--sigma", "1"], "--lambda"),
+    (["solve", "--size", "8", "-x"], "-x"),
+    # each command accepts only the flags it reads
+    (["generate", "--lambda", "7"], "--lambda 7"),
+    (["gcv", "--lambda", "0.5"], "--lambda 0.5"),
+    (["scan", "--loss", "standard"], "--loss standard"),
     ([], "command"),
     (["bench-precond"], "bench-precond"),
 ])
-def test_bad_flag_or_usage_exits_one_with_one_line(argv, names, capsys):
-    assert main(argv) == 1
+def test_bad_flag_or_usage_exits_one_with_one_line(argv, names, capsys,
+                                                   tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)] if argv else argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# command -> the flags it reads, which are all it accepts
+COMMAND_FLAGS = {
+    "generate": {"out", "seed", "size", "frames", "sigma"},
+    "solve": set(FLAGS),
+    "gcv": set(FLAGS) - {"lambda"},
+    "scan": set(FLAGS) - {"loss", "lambda"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_accepts_only_the_flags_it_reads(command):
+    parser = build_parser()
+    for key in FLAGS:
+        argv = [command, "--" + key, "1"]
+        if key in COMMAND_FLAGS[command]:
+            assert getattr(parser.parse_args(argv), key) == "1"
+        else:
+            with pytest.raises(ConfigError, match="unrecognized arguments"):
+                parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, key, reason", [
+    (["solve", "--lambda", "-1e-3"], "lambda", "must be nonnegative, got -0.001"),
+    (["solve", "--sigma", "-inf"], "sigma", "must be finite, got -inf"),
+    (["solve", "--lam", "-1e-3"], "lambda", "must be nonnegative, got -0.001"),
+    (["generate", "--seed", "-2"], "seed", "must be nonnegative, got -2"),
+])
+def test_a_flag_value_starting_with_a_dash_reaches_the_rule(
+        argv, key, reason, capsys, tmp_path):
+    # argparse alone reads '-1e-3' and '-inf' as options, not as values
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --%s: invalid value for key '%s': %s\n" % (key, key, reason))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, line, named", [

@@ -12,9 +12,12 @@ constructor, option object or function it enters through, before any
 transform: a NaN, infinite or negative sigma, lambda (of an objective, a
 Hessian product, a preconditioner, a GCV evaluation or a scan grid),
 Newton or PCG tolerance, GCV bracket end, GCV tolerance, corruption
-ceiling, PSF width or scene peak, and a NaN or infinite PSF tilt; and a
+ceiling, PSF width or scene peak, and a NaN or infinite PSF tilt; a
 non-integer or too small iteration cap (``newton_maxit``, ``pcg_maxit``,
-``inner_cg_maxit``) or seed (probe, scene, noise or corruption).
+``inner_cg_maxit``) or seed (probe, scene, noise or corruption); and text
+that is no number, or None, for any of them or for ``use_preconditioner``.
+A valid value may come as its text (``"1e-3"``, ``"3"``, ``"no"``): each
+options object keeps the value its rule returns.
 """
 
 import math
@@ -157,12 +160,55 @@ INTEGER_ENTRIES = {
 
 @pytest.mark.parametrize("entry, value", [
     (entry, value) for entry, (least, _) in INTEGER_ENTRIES.items()
-    for value in (2.5, least - 1)
+    for value in (2.5, "2.5", True, least - 1)
 ])
 def test_non_integer_or_too_small_counts_and_seeds_fail_where_they_enter(
         entry, value, monkeypatch):
     assert_fails_where_it_enters(INTEGER_ENTRIES[entry][1], entry, value,
                                  monkeypatch)
+
+
+# every scalar entry, as a call that passes the value v through it
+EVERY_ENTRY = {
+    **ENTRIES,
+    **{entry: call for entry, (_, call) in INTEGER_ENTRIES.items()},
+    "use_preconditioner": lambda inst, v: SolverOptions(use_preconditioner=v),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in EVERY_ENTRY for value in ("x", None)
+])
+def test_text_that_is_no_value_or_none_fails_where_it_enters(
+        entry, value, monkeypatch):
+    assert_fails_where_it_enters(EVERY_ENTRY[entry], entry, value, monkeypatch)
+
+
+def test_options_keep_the_values_their_rules_return():
+    opts = SolverOptions(newton_tol="1e-3", newton_maxit="40",
+                         use_preconditioner="no")
+    assert (opts.newton_tol, opts.newton_maxit) == (1e-3, 40)
+    assert opts.use_preconditioner is False
+    for flag, value in ((np.True_, True), (1, True), (0, False), ("Off", False)):
+        assert SolverOptions(use_preconditioner=flag).use_preconditioner is value
+    assert type(SolverOptions(pcg_maxit=np.int64(7)).pcg_maxit) is int
+    gcv = GcvOptions(lambda_hi="0.1", probe_seed="3")
+    assert (gcv.lambda_hi, gcv.probe_seed) == (0.1, 3)
+    assert LossFunction(beta="3").beta == 3.0
+    assert GaussianPsfParams("4", 2.0) == GaussianPsfParams(4.0, 2.0)
+    for flag in ("maybe", 2, 1.0):
+        with pytest.raises(ValueError, match="^use_preconditioner expected"):
+            SolverOptions(use_preconditioner=flag)
+    with pytest.raises(ValueError, match="^solver must be a SolverOptions"):
+        GcvOptions(solver=None)
+    # a solve with the text tolerance runs as with the float
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    x0 = default_start(inst.observed)
+    x_text, text = projected_newton(obj, x0, opts)
+    x_float, plain = projected_newton(obj, x0, SolverOptions(newton_tol=1e-3))
+    assert text.termination == plain.termination == "converged"
+    assert np.array_equal(x_text, x_float)
 
 
 def assert_fails_where_it_enters(call, entry, value, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -910,11 +912,11 @@ def test_a_search_derives_the_default_start_once(monkeypatch):
     assert [p.x.tobytes() for p in points] == [p.x.tobytes() for p in scanned]
 
 
-def test_a_search_and_a_scan_each_make_one_walk_and_a_scan_no_gcv_workspace(
+def test_a_search_and_a_scan_each_make_one_walk_with_one_workspace(
         monkeypatch):
     # A GCV search and a plain scan each run one walk, which holds the
-    # state all their solves hand on; only a walk with a probe makes the
-    # workspace of its fits and influence solves.
+    # state all their solves hand on and the one workspace they all run in,
+    # with a probe its fits and influence solves too; no solve makes one.
     walks, workspaces = [], []
     real_walk, real_workspace = gcv_module._Walk, gcv_module.Workspace
 
@@ -929,7 +931,8 @@ def test_a_search_and_a_scan_each_make_one_walk_and_a_scan_no_gcv_workspace(
 
     for module in (gcv_module, testbed_module):
         monkeypatch.setattr(module, "_Walk", CountedWalk)
-    monkeypatch.setattr(gcv_module, "Workspace", counted_workspace)
+    for module in (gcv_module, solver_module):
+        monkeypatch.setattr(module, "Workspace", counted_workspace)
     inst = make_instance("satellite", (16, 16), noise_seed=73)
     opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-2, x_tol=1e-4)
     _, evaluations = minimize_gcv(inst.objective(LossFunction(), 0.0), opts)
@@ -939,7 +942,52 @@ def test_a_search_and_a_scan_each_make_one_walk_and_a_scan_no_gcv_workspace(
     workspaces.clear()
     points = lambda_scan(inst, LossFunction(), [1e-4, 1e-3, 1e-2])
     assert len(points) == 3
-    assert (len(walks), len(workspaces)) == (1, 0)
+    assert (len(walks), len(workspaces)) == (1, 1)
+
+
+def test_a_search_and_a_scan_in_two_threads_match_their_serial_runs():
+    # Concurrent walks share only immutable objects: a GCV search and a
+    # scan of one instance, so of one BlurOperator, run in two threads
+    # switching every 0.1 ms each return bitwise what they return alone.
+    inst = make_instance("ash", (32, 32), outlier_fraction=0.05,
+                         noise_seed=1, outlier_seed=2)
+    solver = SolverOptions(use_preconditioner=True)
+    opts = GcvOptions(x_tol=1e-4, solver=solver)
+    grid = np.geomspace(1e-4, 1e-1, 6)
+
+    def search():
+        return minimize_gcv(inst.objective(LossFunction(), 0.0), opts)
+
+    def scan():
+        return None, lambda_scan(inst, LossFunction(), grid, solver)
+
+    def summary(result):
+        lam_star, points = result
+        return lam_star, [(p.lam, p.x.tobytes(), p.gcv_value,
+                           p.newton_report.counts) for p in points]
+
+    serial = [summary(run()) for run in (search, scan)]
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def run(i, call):
+        start.wait()
+        results[i] = summary(call())
+
+    threads = [threading.Thread(target=run, args=(i, call))
+               for i, call in enumerate((search, scan))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(serial[0][1]) > 1 and len(serial[1][1]) == len(grid)
+    assert results == serial
 
 
 def test_a_walk_reuses_by_holding_and_compares_no_arrays(monkeypatch):
