@@ -449,8 +449,11 @@ def bounded_minimize(func, lo: float, hi: float, x_tol: float,
     the same point, so the package needs no SciPy at run time.  Stops
     when the bracket around the best point shrinks to about ``x_tol`` or
     after ``max_evaluations`` evaluations.  A collapsed bracket
-    (``hi <= lo``) returns ``lo`` without evaluating.
+    (``hi <= lo``) returns ``lo`` without evaluating.  ``x_tol`` must be
+    positive and finite, ``max_evaluations`` an integer at least 1.
     """
+    x_tol = _arg("x_tol", _positive_float, x_tol)
+    max_evaluations = _arg("max_evaluations", _positive_int, max_evaluations)
     if hi <= lo:
         return float(lo)
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -163,6 +163,19 @@ _boolean = _checked(lambda v: _BOOLEANS.get(str(v).strip().lower(), v),
                     lambda v: type(v) is bool, "expected a boolean (0/1/true/false)")
 
 
+def _grid_shape(value):
+    """Rule of a grid shape: two integers (or their text), each at least 2,
+    as the Laplacian needs; returns them as a tuple of ints."""
+    try:
+        h, w = () if isinstance(value, str) else value
+        shape = _int_value(h), _int_value(w)
+    except (TypeError, ValueError):
+        shape = (0, 0)
+    if min(shape) < 2:
+        raise ValueError(f"must be two integers, each at least 2, got {value!r}")
+    return shape
+
+
 def _arg(name: str, rule, value):
     """``rule(value)``; a value it rejects raises ``<name> <reason>``."""
     try:
@@ -286,7 +299,11 @@ def _spectral_energy(
     ``w/2`` stands for itself and its mirror, so it counts twice (Parseval).
     """
     h, w = int(shape[0]), int(shape[1])
-    cols = np.sum(half_symbol * (spec.real**2 + spec.imag**2), axis=-2)
+    # symbol * |X|^2 in one array and one temporary
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power *= half_symbol
+    cols = np.sum(power, axis=-2)
     total = 2.0 * np.sum(cols) - cols[0]
     if w % 2 == 0:
         total -= cols[-1]

@@ -71,6 +71,17 @@ iterate, residual, direction and products in place, so the inner loop
 allocates no grid-sized array.  The workspace lives in the solve's or
 the walk's frame only, never on the objective, the operator or the
 preconditioner, so concurrent solves may share those immutable objects.
+
+A standalone solve keeps a working set of fixed size.  At any moment it
+holds its workspace (2 + 2k grid images, a half spectrum counted as
+one), one evaluation (1 + 3k images and k masks of bools), and either
+the PCG's five vectors with their weights (the evaluation's D, the rest
+of which is dropped before the preconditioner build), the preconditioner
+and the right-hand side (the gradient, negated in place), or the line
+search's point, step and candidate (each candidate formed in the array
+of the last rejected one; the step is dropped once taken).
+:func:`default_start` and what ``pg_ref`` read there are dropped once
+``pg_ref`` is known; a walk keeps them for its next solve.
 """
 
 from __future__ import annotations
@@ -82,9 +93,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gridfft import (COUNTS, OpCounts, _boolean, _keep_checked,
-                      _positive_float, _positive_int, _ruled, as_image,
-                      count_transforms)
+from .gridfft import (COUNTS, OpCounts, _arg, _boolean, _keep_checked,
+                      _nonneg_float, _positive_float, _positive_int, _ruled,
+                      as_image, count_transforms)
 from .objective import Evaluation, Objective
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
 from .precond import _IllConditionedSymbol, precond_build
@@ -194,15 +205,19 @@ def default_start(observed) -> np.ndarray:
     observed = np.asarray(observed, dtype=np.float64)
     if observed.ndim == 2:
         observed = observed[None]
-    return np.maximum(observed.mean(axis=0), 0.0)
+    mean = observed.mean(axis=0)
+    return np.maximum(mean, 0.0, out=mean)
 
 
-def _binding_set(x: np.ndarray, g: np.ndarray):
+def _binding_set(x: np.ndarray, g: np.ndarray, scratch: np.ndarray):
     """``(binding, ||P g||)`` at ``x`` with gradient ``g``: the binding set
     (x <= 0 and g > 0), held at the bound, and the norm of the projected
-    gradient ``P g``, ``g`` with the binding set zeroed."""
+    gradient ``P g``, ``g`` with the binding set zeroed, which is formed in
+    the image ``scratch``."""
     binding = (x <= 0) & (g > 0)
-    return binding, float(np.linalg.norm(np.where(binding, 0.0, g)))
+    np.copyto(scratch, g)
+    np.copyto(scratch, 0.0, where=binding)
+    return binding, float(np.linalg.norm(scratch))
 
 
 def projected_pcg(
@@ -244,8 +259,13 @@ def projected_pcg(
     ``hess`` and ``precond`` return is copied in at once, so they may
     return a buffer they reuse on the next call (or their argument).
 
-    Raises :class:`PcgBreakdownError` on non-positive curvature.
+    ``tol`` is a finite number at least 0 (0 runs all ``maxit``
+    iterations unless the residual vanishes) and ``maxit`` an integer at
+    least 1; both are checked once, here.  Raises
+    :class:`PcgBreakdownError` on non-positive curvature.
     """
+    tol = _arg("tol", _nonneg_float, tol)
+    maxit = _arg("maxit", _positive_int, maxit)
     rhs = as_image(rhs, "rhs")
     active = np.asarray(active, dtype=bool)
     if active.shape != rhs.shape:
@@ -327,15 +347,20 @@ def linesearch(
     current_value: float | None = None,
 ) -> LineSearchResult:
     """Projected backtracking: first alpha in 1, 1/2, ..., 2^-MAX_HALVINGS
-    whose point max(x + alpha s, 0) strictly decreases the objective."""
+    whose point max(x + alpha s, 0) strictly decreases the objective.
+
+    Each candidate is formed in the array of the last, rejected one, so
+    ``obj.value`` must not keep the array it is given."""
     if current_value is None:
         current_value = obj.value(x)
     s = as_image(s, "s", np.shape(x))
     if not np.any(s):
         raise LineSearchError("zero search direction")
-    alpha = 1.0
+    alpha, cand = 1.0, None
     for _ in range(MAX_HALVINGS + 1):
-        cand = np.maximum(x + alpha * s, 0.0)
+        cand = np.multiply(alpha, s, out=cand)
+        cand += x
+        np.maximum(cand, 0.0, out=cand)
         val = obj.value(cand)
         if val < current_value:
             return LineSearchResult(x=cand, value=val, step=alpha)
@@ -381,6 +406,7 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
     s, iterations, r = solve(precond)
     capped = iterations == maxit
     if precond is not None and capped:
+        s = r = pre = precond = None  # release the capped attempt first
         s, redo, r = solve(None)
         fell_back, capped, iterations = True, redo == maxit, iterations + redo
     return s, iterations, fell_back, capped, r
@@ -426,6 +452,43 @@ def _reference(obj, x_ref, ws):
     return state.data_ev.x_hat, state.g_data
 
 
+def _start(obj, x0, walk, ws):
+    """``(state, pg_ref)`` at the start ``x0``: its :class:`_State`, held by
+    ``walk`` or evaluated here (2k+2 transforms), and the projected
+    gradient norm at ``x_ref``, :func:`default_start` of the data.
+
+    ``pg_ref`` is read from ``ref``, the half spectrum and data gradient
+    at ``x_ref``, for the penalty's one transform, and ``ref`` is
+    evaluated here (2k+2 transforms) when the walk holds none; when the
+    start is ``x_ref`` itself, ``pg_ref`` is ``||P g0||``, which
+    ``pg_scale`` takes anyway, and ``ref`` is read from the start's state.
+    A walk keeps ``ref`` for its next solve; a standalone solve (``walk``
+    None) drops ``x_ref`` and ``ref`` here, once ``pg_ref`` is read.
+    """
+    if walk is None:
+        x_ref, held, ref = _frozen(default_start(obj.data)), None, None
+    else:
+        x_ref, held, ref = walk.x_ref, walk.state, walk.ref
+    if held is not None and x0 is held.x:
+        state = held
+    else:
+        if x0 is not x_ref:
+            x0 = obj._check_x(x0, feasible=True, name="x0")
+            # A start handed in from outside may be default_start, whose
+            # pg_ref is its own ||P g0||: one test per start not held.
+            x0 = x_ref if np.array_equal(x0, x_ref) else _frozen(x0.copy())
+        state = _state_at(obj, x0, ws)
+    if state.x is x_ref:
+        ref, pg_ref = (state.data_ev.x_hat, state.g_data), 0.0  # ||P g0|| rules
+    else:
+        ref = ref or _reference(obj, x_ref, ws)
+        g_ref = obj._add_penalty_gradient(ref[1].copy(), ref[0], ws)
+        pg_ref = _binding_set(x_ref, g_ref, ws.image)[1]
+    if walk is not None:
+        walk.ref = ref
+    return state, pg_ref
+
+
 def projected_newton(
     obj: Objective,
     x0: np.ndarray,
@@ -460,42 +523,24 @@ def projected_newton(
     result is bitwise the same either way.
     """
     opts = opts or SolverOptions()
-    if _walk is None:
-        x_ref, held, ref = _frozen(default_start(obj.data)), None, None
-        ws = Workspace(obj.op.shape, obj.op.n_frames)
-    else:
-        x_ref, held, ref, ws = _walk.x_ref, _walk.state, _walk.ref, _walk.ws
-    if held is None or x0 is not held.x:
-        held = None
-        if x0 is not x_ref:
-            x0 = _frozen(obj._check_x(x0, feasible=True, name="x0").copy())
-            # A start handed in from outside may be default_start, whose
-            # pg_ref is its own ||P g0||: one test per start not held.
-            if np.array_equal(x0, x_ref):
-                x0 = x_ref
-
+    ws = Workspace(obj.op.shape, obj.op.n_frames) if _walk is None else _walk.ws
     report = SolverReport()
     with count_transforms() as tally:
-        x, end, ref = _newton_loop(obj, x0, held, x_ref, ref, opts, report, ws)
+        x, end = _newton_loop(obj, x0, _walk, opts, report, ws)
     report.counts = tally.copy()
     if _walk is None:
-        return x.copy(), report  # writable: no walk holds it
-    _walk.state, _walk.ref = end, ref
+        end = None  # the solve's own arrays: no walk holds them
+        x.setflags(write=True)
+        return x, report
+    _walk.state = end
     return x, report
 
 
-def _newton_loop(obj, x, held, x_ref, ref, opts, report, ws):
-    """Newton steps from the read-only ``x``; returns ``(x, end, ref)``:
-    the last iterate, its :class:`_State` and the half spectrum and data
-    gradient at ``x_ref``, :func:`default_start` of the data.  ``end`` is
-    None when the run dropped the state before it ended, and the start's
-    own after 0 steps.
-
-    The start's state is ``held`` (whose point is ``x``), or else it is
-    evaluated here.  ``pg_ref`` is read from ``ref`` for the penalty's one
-    transform, and ``ref`` is evaluated here when None; when the start is
-    ``x_ref`` itself, ``pg_ref`` is ``||P g0||``, which ``pg_scale`` takes
-    anyway, and ``ref`` is read from the start's state.
+def _newton_loop(obj, x0, walk, opts, report, ws):
+    """Newton steps from ``x0`` (:func:`_start` gives its state and
+    ``pg_ref``); returns ``(x, end)``: the last, read-only iterate and its
+    :class:`_State`.  ``end`` is None when the run dropped the state
+    before it ended, and the start's own after 0 steps.
 
     Pass ``k`` records point ``k``, the start at 0 and the iterate of the
     ``k``-th accepted step after it, and for ``k > 0`` the transforms this
@@ -508,19 +553,14 @@ def _newton_loop(obj, x, held, x_ref, ref, opts, report, ws):
     dropping the name releases it.  Every gradient, Hessian product and
     preconditioner solve below runs in the workspace ``ws``.
     """
-    state = _state_at(obj, x, ws) if held is None else held
-    if x is x_ref:
-        ref, pg_ref = (state.data_ev.x_hat, state.g_data), 0.0  # ||P g0|| rules
-    else:
-        ref = ref or _reference(obj, x_ref, ws)
-        g_ref = obj._add_penalty_gradient(ref[1].copy(), ref[0], ws)
-        pg_ref = _binding_set(x_ref, g_ref)[1]
+    state, pg_ref = _start(obj, x0, walk, ws)
+    x, x0 = state.x, None
     ev = obj._penalized(state.data_ev)
     report.termination = "max_iterations"
     for k in range(opts.newton_maxit + 1):
         g = obj._add_penalty_gradient(state.g_data.copy(), ev.x_hat, ws)
         report.objective_trace.append(ev.value)
-        binding, pg_norm = _binding_set(x, g)
+        binding, pg_norm = _binding_set(x, g, ws.image)
         report.pg_norms.append(pg_norm)
         if k == 0:
             report.pg_scale = max(pg_norm, pg_ref)
@@ -538,15 +578,16 @@ def _newton_loop(obj, x, held, x_ref, ref, opts, report, ws):
             report.termination = "all_saturated"
             break
         value = ev.value
-        # Drop this point's evaluation before the preconditioner build, and
-        # its weights and gradient once the direction is formed, so the
-        # build and the line search, where a solve's memory peaks, run
-        # beside as few arrays as possible.
+        # Drop this point's evaluation before the preconditioner build, its
+        # weights and gradient once the direction is formed, and the
+        # direction once the step is taken, so the build and the line
+        # search, where a solve's memory peaks, run beside as few arrays as
+        # possible.  The right-hand side is the gradient, negated in place.
         ev = state = None
         try:
             # the residual (GCV's) is dropped here, before the line search
             s, inner, fell_back = _hessian_solve(
-                obj, d, -g, binding, opts.use_preconditioner,
+                obj, d, np.negative(g, out=g), binding, opts.use_preconditioner,
                 opts.pcg_tol, opts.pcg_maxit, ws,
             )[:3]
         except PcgBreakdownError:
@@ -562,8 +603,8 @@ def _newton_loop(obj, x, held, x_ref, ref, opts, report, ws):
         except LineSearchError:
             report.termination = "linesearch_failure"
             break
-        x, ev = _frozen(ls.x), trials.last
+        x, ev, s = _frozen(ls.x), trials.last, None
         report.step_lengths.append(ls.step)
         state = _State(x, trials.data, _frozen(obj._data_gradient(trials.data, ws)))
-        trials = None
-    return x, state, ref
+        trials = ls = None
+    return x, state

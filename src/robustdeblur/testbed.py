@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .gridfft import (_arg, _checked, _field, _finite_float, _fraction,
-                      _keep_checked, _nonneg_float, _nonneg_int,
+                      _grid_shape, _keep_checked, _nonneg_float, _nonneg_int,
                       _positive_float, _positive_int, _read_key_values, _ruled,
                       read_raw, write_raw)
 from .gcv import GcvOptions, LambdaPoint, _Walk
@@ -218,6 +218,19 @@ def inject_random_corruptions(observed, fraction: float, ceiling: float,
     return observed, mask
 
 
+def _psf_param_tuple(psf_params) -> tuple:
+    """``psf_params`` as a tuple of one or more :class:`GaussianPsfParams`."""
+    try:
+        params = tuple(psf_params)
+    except TypeError:
+        params = ()
+    if not params or not all(isinstance(p, GaussianPsfParams) for p in params):
+        raise ValueError(
+            f"psf_params must be one or more GaussianPsfParams, got {psf_params!r}"
+        )
+    return params
+
+
 def make_instance(
     kind: str = "satellite",
     shape=(64, 64),
@@ -236,19 +249,26 @@ def make_instance(
     frame; the default is a single tilted kernel for ``satellite`` and the
     three-frame set for ``ash``.  ``outlier_ceiling`` defaults to the peak
     of the clean data, so corruption bumps are on the data's own scale.
-    The seeds are checked first, before any transform.
+    ``shape`` is two integers, each at least 2.  Every argument is checked
+    first, before any transform, and a bad one raises ``ValueError``
+    naming it.
     """
     noise_seed = _arg("noise_seed", _nonneg_int, noise_seed)
     outlier_seed = _arg("outlier_seed", _nonneg_int, outlier_seed)
     scene_seed = _arg("scene_seed", _nonneg_int, scene_seed)
-    x_true = synthetic_scene(kind, shape, max_intensity, scene_seed)
+    shape = _arg("shape", _grid_shape, shape)
+    sigma = _arg("sigma", _nonneg_float, sigma)
+    outlier_fraction = _arg("outlier_fraction", _fraction, outlier_fraction)
+    if outlier_ceiling is not None:
+        outlier_ceiling = _arg("outlier_ceiling", _nonneg_float, outlier_ceiling)
     if psf_params is None:
         psf_params = (
             CARBON_ASH_PSF_PARAMS
             if kind == "ash"
             else (GaussianPsfParams(4.0, 2.0, 2.0),)
         )
-    psf_params = tuple(psf_params)
+    psf_params = _psf_param_tuple(psf_params)
+    x_true = synthetic_scene(kind, shape, max_intensity, scene_seed)
     center = psf_center(shape)
     psfs = [gaussian_psf(p, shape) for p in psf_params]
     centers = [center] * len(psfs)
@@ -266,13 +286,13 @@ def make_instance(
         clean=clean,
         observed=observed,
         outlier_mask=mask,
-        sigma=float(sigma),
+        sigma=sigma,
         seeds=(noise_seed, outlier_seed),
         psfs=psfs,
         centers=centers,
         psf_params=psf_params,
         kind=kind,
-        outlier_fraction=float(outlier_fraction),
+        outlier_fraction=outlier_fraction,
         outlier_ceiling=float(outlier_ceiling),
     )
 

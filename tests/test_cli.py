@@ -239,8 +239,8 @@ ARGUMENT_KEYS = {
     "noise_seed": ("noise_seed", lambda v: _tiny(noise_seed=v)),
     "outlier_seed": ("outlier_seed", lambda v: _tiny(outlier_seed=v)),
     "scene_seed": ("scene_seed", lambda v: _tiny(scene_seed=v)),
-    "outlier_fraction": ("fraction", lambda v: _tiny(outlier_fraction=v)),
-    "outlier_ceiling": ("ceiling", lambda v: _tiny(outlier_ceiling=v)),
+    "outlier_fraction": ("outlier_fraction", lambda v: _tiny(outlier_fraction=v)),
+    "outlier_ceiling": ("outlier_ceiling", lambda v: _tiny(outlier_ceiling=v)),
     "lambda": ("lam", lambda v: _tiny().objective(lam=v)),
     "beta": ("beta", lambda v: LossFunction(beta=v)),
 }

@@ -13,6 +13,8 @@ transform: a NaN, infinite or negative sigma, lambda (of an objective, a
 Hessian product, a preconditioner, a GCV evaluation or a scan grid),
 Newton or PCG tolerance, GCV bracket end, GCV tolerance, corruption
 ceiling, PSF width or scene peak, and a NaN or infinite PSF tilt; a
+grid shape that is not two integers of at least 2, and PSF parameters
+that are not :class:`GaussianPsfParams`, given to ``make_instance``; a
 non-integer or too small iteration cap (``newton_maxit``, ``pcg_maxit``,
 ``inner_cg_maxit``) or seed (probe, scene, noise or corruption); and text
 that is no number, or None, for any of them or for ``use_preconditioner``.
@@ -166,6 +168,30 @@ def test_non_integer_or_too_small_counts_and_seeds_fail_where_they_enter(
         entry, value, monkeypatch):
     assert_fails_where_it_enters(INTEGER_ENTRIES[entry][1], entry, value,
                                  monkeypatch)
+
+
+# make_instance's own arguments, each checked at entry under its own name:
+# (parameter, keyword arguments that pass a bad value of it)
+MAKE_INSTANCE_ROWS = [
+    ("sigma", {"sigma": -1.0}),
+    ("outlier_fraction", {"outlier_fraction": 1.5}),
+    ("outlier_ceiling", {"outlier_ceiling": -1.0}),
+    ("shape", {"shape": (0, 5)}),
+    ("shape", {"shape": (2.5, 4)}),
+    ("shape", {"shape": 64}),
+    ("shape", {"shape": (-4, 4)}),
+    ("psf_params", {"psf_params": [(1, 2, 3)]}),
+]
+
+
+@pytest.mark.parametrize("name, kwargs", MAKE_INSTANCE_ROWS,
+                         ids=[f"{n}={v!r}" for n, kw in MAKE_INSTANCE_ROWS
+                              for v in kw.values()])
+def test_make_instance_checks_every_argument_before_a_transform(
+        name, kwargs, monkeypatch):
+    assert_fails_where_it_enters(
+        lambda inst, v: make_instance("ash", **{"shape": (8, 8), **v}),
+        name, kwargs, monkeypatch)
 
 
 # every scalar entry, as a call that passes the value v through it

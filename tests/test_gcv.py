@@ -371,6 +371,31 @@ def test_bounded_minimize_finds_unimodal_minimum():
             bounded_minimize(f, lo, hi, x_tol=1e-8)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"x_tol": math.nan}, "x_tol must be finite, got nan"),
+    ({"x_tol": -1.0}, "x_tol must be positive, got -1.0"),
+    ({"x_tol": 0.0}, "x_tol must be positive, got 0.0"),
+    ({"x_tol": "tight"}, "x_tol could not convert string to float: 'tight'"),
+    ({"max_evaluations": 2.5}, "max_evaluations must be an integer, got 2.5"),
+    ({"max_evaluations": 0}, "max_evaluations must be at least 1, got 0"),
+])
+def test_bounded_minimize_checks_its_scalars_before_an_evaluation(kwargs, message):
+    # a NaN x_tol used to return the first golden-section point, 0.382
+    calls = []
+    f = lambda v: calls.append(v) or (v - 0.3) ** 2
+    with pytest.raises(ValueError) as err:
+        bounded_minimize(f, 0.0, 1.0, **{"x_tol": 1e-5, **kwargs})
+    assert str(err.value) == message
+    assert calls == []
+    # a collapsed bracket evaluates nothing, and is checked all the same
+    with pytest.raises(ValueError):
+        bounded_minimize(f, 1.0, 1.0, **{"x_tol": 1e-5, **kwargs})
+    # a value's text is the value
+    text = bounded_minimize(f, 0.0, 1.0, x_tol="1e-5", max_evaluations="50")
+    assert text == bounded_minimize(f, 0.0, 1.0, x_tol=1e-5, max_evaluations=50)
+    assert abs(text - 0.3) < 1e-4
+
+
 def _search_panel(lo, hi):
     """Functions named by shape, each with its minimizer placed in [lo, hi]."""
     width = hi - lo

@@ -140,11 +140,13 @@ def test_operator_validation():
 
 def test_grid_below_2x2_is_rejected_where_the_operator_is_built():
     # The Laplacian needs two rows and two columns; the error comes from
-    # the operator's construction, not from the first objective built on it.
+    # the operator's construction, not from the first objective built on it,
+    # and make_instance rejects such a shape at entry, naming it.
     for shape in ((1, 7), (7, 1)):
         with pytest.raises(ValueError, match="grid must be at least 2x2"):
             BlurOperator([np.ones(shape) / 7], [(0, 0)])
-    with pytest.raises(ValueError, match="grid must be at least 2x2"):
+    with pytest.raises(ValueError, match=r"^shape must be two integers, each "
+                                         r"at least 2, got \(1, 7\)$"):
         make_instance("ash", (1, 7))
 
 

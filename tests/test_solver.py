@@ -78,7 +78,7 @@ def test_binding_set_is_the_one_projection_of_step_and_stop_test():
     assert np.any(bound & np.signbit(x)) and np.any(bound & ~np.signbit(x))
     for cell in (g > 0, g < 0, (g == 0) & np.signbit(g), (g == 0) & ~np.signbit(g)):
         assert np.any(bound & cell) and np.any(~bound & cell)
-    binding, pg_norm = _binding_set(x, g)
+    binding, pg_norm = _binding_set(x, g, np.empty(shape))
     assert binding.dtype == bool
     assert np.array_equal(binding, bound & (g > 0))
     assert pg_norm == np.linalg.norm(np.where(bound, np.minimum(g, 0.0), g))
@@ -93,6 +93,41 @@ def test_pcg_identity_system_converges_in_one_iteration():
     s, iters = projected_pcg(lambda v: v, rhs, np.zeros((6, 6), bool))
     assert iters == 1
     assert np.allclose(s, rhs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": -1.0}, "tol must be nonnegative, got -1.0"),
+    ({"tol": math.nan}, "tol must be finite, got nan"),
+    ({"tol": None}, "tol float() argument must be a string or a real number, "
+                    "not 'NoneType'"),
+    ({"tol": "tight"}, "tol could not convert string to float: 'tight'"),
+    ({"maxit": 2.5}, "maxit must be an integer, got 2.5"),
+    ({"maxit": 0}, "maxit must be at least 1, got 0"),
+])
+def test_pcg_checks_its_scalars_where_they_enter(kwargs, message):
+    # a negative or NaN tol used to end in a PcgBreakdownError reporting a
+    # zero residual product, a text one in a bare TypeError
+    calls = []
+    hess = lambda v: calls.append(None) or v
+    with pytest.raises(ValueError) as err:
+        projected_pcg(hess, np.ones((4, 4)), np.zeros((4, 4), bool), **kwargs)
+    assert str(err.value) == message
+    assert calls == []
+
+
+def test_pcg_checks_its_scalars_once_per_call(monkeypatch):
+    rhs = np.random.default_rng(107).standard_normal((4, 4))
+    diag = 1.0 + np.arange(16.0).reshape(4, 4)
+    checked = []
+    real = solver_module._arg
+    monkeypatch.setattr(solver_module, "_arg",
+                        lambda name, *a: checked.append(name) or real(name, *a))
+    s, iters = projected_pcg(lambda v: diag * v, rhs, np.zeros((4, 4), bool),
+                             tol="1e-8", maxit="50")
+    assert iters > 1 and checked == ["tol", "maxit"]
+    plain = projected_pcg(lambda v: diag * v, rhs, np.zeros((4, 4), bool),
+                          tol=1e-8, maxit=50)[0]
+    assert np.array_equal(s, plain)
 
 
 def dense_spd_system(seed, n=36):
@@ -822,6 +857,39 @@ def test_a_walk_reads_its_state_only_at_the_point_it_holds():
         assert report.objective_trace == plain.objective_trace
         transforms = report.counts.fft2 + report.counts.ifft2
         assert transforms == plain.counts.fft2 + plain.counts.ifft2 - saved, held
+
+
+def test_a_standalone_solve_holds_one_workspace_and_one_evaluation():
+    # The working-set contract: at any moment a solve holds its workspace,
+    # one evaluation, and either the PCG's five vectors (with the weights,
+    # preconditioner and right-hand side) or the line search's point, step
+    # and candidate; it keeps neither the default start nor what pg_ref
+    # read there.
+    inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    opts = SolverOptions(use_preconditioner=True)
+    x0 = default_start(inst.observed)
+    projected_newton(obj, x0, opts)  # warm-up: numpy caches FFT plans on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x, report = projected_newton(obj, x0, opts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "converged" and report.iterations > 1
+    assert obj.op.n_frames == 3
+    image = x.nbytes
+    ws = sum(b.nbytes for b in vars(Workspace(obj.op.shape, 3)).values())
+    ev = obj.evaluate(x)
+    evaluation = sum(getattr(ev, f).nbytes for f in ("x_hat", "ax", "z", "d",
+                                                     "inlier_mask"))
+    # workspace 2 + 2k images, evaluation 1 + 3k and its masks, and three
+    # more images: 21.5 at k = 3 (a half spectrum is w//2+1 complex
+    # columns); the bound leaves 2.5 images for an evaluation's temporaries
+    contract = ws + evaluation + 3 * image
+    assert contract / image == pytest.approx(21.5, abs=0.1)
+    assert peak <= 24 * image, peak / image
 
 
 def test_a_walk_holds_the_end_state_and_only_what_pg_ref_reads():
