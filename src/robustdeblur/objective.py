@@ -46,6 +46,7 @@ from .operators import (
     BlurOperator,
     Workspace,
     _adjoint_sum,
+    _frame_batches,
     _frozen,
     _laplacian_half,
     _penalty_symbol,
@@ -176,18 +177,19 @@ def talwar_weights(ax, b, sigma: float, beta: float):
     return z.reshape(shape), d.reshape(shape), inlier.reshape(shape)
 
 
-def _scaled_terms(ax, b, sigma2: float, beta: float, out=(None, None, None)):
+def _scaled_terms(ax, b, sigma2: float, beta: float,
+                  out=(None, None, None, None)):
     """``s = max(Ax + sigma^2, FLOOR)``, ``t = (Ax - b) / sqrt(s)``, ``|t| <= beta``.
 
-    ``out`` names the arrays that receive ``s``, ``t`` and one scratch
-    (None: a fresh one).
+    ``out`` names the arrays that receive ``s``, ``t``, one scratch and
+    the mask (None: a fresh one).
     """
     s = np.add(ax, sigma2, out=out[0])
     np.maximum(s, FLOOR, out=s)
     t = np.subtract(ax, b, out=out[1])
     root = np.sqrt(s, out=out[2])
     t /= root
-    return s, t, np.abs(t, out=root) <= beta
+    return s, t, np.less_equal(np.abs(t, out=root), beta, out=out[3])
 
 
 def _talwar_zd(s, outlier, bs2, z=None):
@@ -201,10 +203,10 @@ def _talwar_zd(s, outlier, bs2, z=None):
     np.divide(bs2, z, out=z)
     np.subtract(1.0, z, out=z)
     z *= 0.5
-    np.copyto(z, 0.0, where=outlier)
+    np.putmask(z, outlier, 0.0)
     d = np.power(s, 3, out=s)
     np.divide(bs2, d, out=d)
-    np.copyto(d, 0.0, where=outlier)
+    np.putmask(d, outlier, 0.0)
     return z, d
 
 
@@ -226,9 +228,9 @@ class Objective:
 
     ``loss`` must be a Talwar loss (the default); any other kind raises
     ``ValueError``.  Immutable; shares the operator and data arrays, so
-    copies are cheap.  ``(b + sigma^2)^2``, which every evaluation reads,
-    is computed once, kept read-only and shared by :meth:`with_lambda`
-    copies.
+    copies are cheap.  It keeps no array of its own but the penalty
+    symbol: an evaluation forms ``(b + sigma^2)^2`` a frame batch at a
+    time in its workspace.
     """
 
     def __init__(
@@ -253,7 +255,6 @@ class Objective:
                 "other losses can produce indefinite Hessians"
             )
         self.data.setflags(write=False)
-        self._bs2 = _frozen((self.data + self.sigma**2) ** 2)
         self._set_lam(lam)
 
     def _set_lam(self, lam) -> None:
@@ -290,23 +291,30 @@ class Objective:
         alone, so every field is independent of ``lam``.
 
         ``x`` is not checked: it must be a feasible float64 image on the
-        grid, as the solver's iterates are by construction.  ``A x`` is
-        built in a fresh stack, which the evaluation keeps, from per-frame
-        spectra in ``ws.stack_spectrum``.  The value, z and D are built in
-        place: ``s`` is held in D's array, ``t`` in ``ws.stack``, and z's
-        array is scratch until z is built.
+        grid, as the solver's iterates are by construction.  ``A x``, z, D
+        and the mask are built in fresh stacks, which the evaluation keeps;
+        the rest runs a frame batch at a time in ``ws`` (see
+        :func:`.operators._frame_batches`): the per-frame spectra of ``A x``
+        in ``ws.stack_spectrum``, then ``t`` and, once the value is summed,
+        ``(b + sigma^2)^2`` in ``ws.stack``.  ``s`` is held in D's array and
+        rho in z's until z and D are built there.
         """
         x_hat = _rdft2(x)
-        ax = self.op._forward(x_hat, ws, np.empty_like(ws.stack))
+        ax = self.op._forward(x_hat, ws, np.empty(self.data.shape))
         beta, sigma2 = self.loss.beta, self.sigma**2
         z, d = np.empty_like(ax), np.empty_like(ax)
-        s, t, inlier = _scaled_terms(ax, self.data, sigma2, beta, out=(d, ws.stack, z))
-        outlier = ~inlier
-        rho = np.multiply(0.5, t, out=z)
-        rho *= t
-        np.copyto(rho, 0.5 * beta * beta, where=outlier)
-        value = float(np.sum(rho))
-        z, d = _talwar_zd(s, outlier, self._bs2, z=z)
+        inlier, outlier = np.empty(ax.shape, bool), np.empty(ax.shape, bool)
+        batches = _frame_batches(ws, ax, self.data, z, d, inlier, outlier)
+        for t, _, ax_b, data_b, rho, s, inlier_b, _ in batches:
+            _scaled_terms(ax_b, data_b, sigma2, beta, out=(s, t, rho, inlier_b))
+            np.multiply(0.5, t, out=rho)
+            rho *= t
+        np.invert(inlier, out=outlier)
+        np.putmask(z, outlier, 0.5 * beta * beta)
+        value = float(np.sum(z))
+        for bs2, _, _, data_b, z_b, s, _, outlier_b in batches:
+            np.square(np.add(data_b, sigma2, out=bs2), out=bs2)
+            _talwar_zd(s, outlier_b, bs2, z=z_b)
         return Evaluation(value, *map(_frozen, (x_hat, ax, z, d, inlier)))
 
     def _penalized(self, data_ev: Evaluation) -> Evaluation:

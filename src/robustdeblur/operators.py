@@ -13,13 +13,21 @@ multiplies + 1 addition per single-frame apply.  The schedule is part of
 the module contract (tests pin the counts), not an optimization detail.
 
 Every private kernel runs in a required :class:`Workspace` (one image,
-one half spectrum and one k-frame stack with its half spectrum) and
+one half spectrum and one frame batch with its half spectrum) and
 trusts its arguments.  A solve allocates one, or uses its walk's over
 lambda, so the PCG loop allocates no grid-sized array; each public entry
 point checks its inputs and allocates one per call.  A workspace belongs
 to one solve or walk and is never stored on :class:`BlurOperator`, the
 preconditioner or the objective: those stay immutable, so concurrent
 solves may share them, each with its own workspace.
+
+The k-frame kernels run over the frames one batch at a time.  A batch
+holds as many frames as fit in :data:`_BATCH_BYTES` of half spectrum, at
+least one, so a workspace's scratch is bounded by the grid, not by k.
+Each transform and product is taken per frame whatever the batching,
+and the adjoint adds the frames in frame order, so every result is
+bitwise the same for any batch size; when all frames fit in one batch
+the kernels issue the same numpy calls as one k-frame stack would.
 """
 
 from __future__ import annotations
@@ -67,24 +75,67 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Half-spectrum bytes a workspace's frame batch may hold.  Run frame by
+# frame, the 3-frame kernels take 1.2x the time of one batched call at
+# 64x64, where a call's fixed cost is a large share, 1.06-1.09x at 96x96,
+# 1.0-1.08x from 128x128 to 192x192 and 0.95-0.98x at 256x256 and 384x384
+# (numpy 2.4.6, 2-vCPU Xeon VM).  So up to 7 frames of a 64x64 grid
+# (33 KiB each) and 3 of a 96x96 one (74 KiB) share a batch, and from
+# 128x128 (130 KiB) on each frame is a batch of its own, which keeps a
+# solve's scratch from growing with k.
+_BATCH_BYTES = 256 * 1024
+
+
 class Workspace:
     """Scratch buffers for one solve on an ``(h, w)`` grid with ``frames`` frames.
 
     ``image`` (h, w) and ``spectrum`` (h, w//2+1, complex) serve the
-    image-sized kernels; ``stack`` (frames, h, w) and ``stack_spectrum``
-    (frames, h, w//2+1, complex) the per-frame ones.  A kernel that takes
-    a workspace keeps its temporaries there; the Hessian kernel and the
-    preconditioner solve also return their result in ``image``, so the
-    caller must copy it before the next kernel call.  Not thread-safe:
-    create one per solve or walk and never share it across threads.
+    image-sized kernels; ``stack`` (n, h, w) and ``stack_spectrum``
+    (n, h, w//2+1, complex) the per-frame ones, one batch of n frames at
+    a time (see :func:`_frame_batches`): as many frames as
+    :data:`_BATCH_BYTES` of half spectrum holds, at least one and at most
+    ``frames``.  When the frames span more than one batch,
+    ``stack_spectrum`` has one more frame: its frame 0 holds the adjoint
+    sum while the later batches run in the frames after it.  Without
+    frames (the image-only kernels) both stacks are empty.
+
+    A kernel that takes a workspace keeps its temporaries there; the
+    Hessian kernel and the preconditioner solve also return their result
+    in ``image``, so the caller must copy it before the next kernel call.
+    Not thread-safe: create one per solve or walk and never share it
+    across threads.
     """
 
     def __init__(self, shape: tuple[int, int], frames: int = 0):
         h, w = int(shape[0]), int(shape[1])
+        batch = min(frames, max(1, _BATCH_BYTES // (h * (w // 2 + 1) * 16)))
+        spectra = batch + (batch < frames)
         self.image = np.empty((h, w))
         self.spectrum = np.empty((h, w // 2 + 1), dtype=np.complex128)
-        self.stack = np.empty((frames, h, w))
-        self.stack_spectrum = np.empty((frames, h, w // 2 + 1), dtype=np.complex128)
+        self.stack = np.empty((batch, h, w))
+        self.stack_spectrum = np.empty((spectra, h, w // 2 + 1), dtype=np.complex128)
+
+
+def _frame_batches(ws: Workspace, *stacks):
+    """Per frame batch of ``ws``: ``(stack, spectra, *views)``, the
+    workspace's ``stack`` and ``stack_spectrum`` cut to the batch's n
+    frames, then each k-frame array of ``stacks`` cut to the batch.
+
+    The first batch's spectra start at ``stack_spectrum[0]``, where the
+    adjoint sum lands (:func:`_add_adjoint`); the later batches' start
+    after it.  When all k frames fit in one batch this is one tuple of the
+    arrays themselves, so the kernels issue the calls of one k-frame
+    stack.
+    """
+    batch, k = len(ws.stack), len(stacks[0])
+    if batch == k:
+        return ((ws.stack, ws.stack_spectrum) + stacks,)
+    batches = []
+    for j in range(0, k, batch):
+        n, skip = min(batch, k - j), int(j > 0)
+        batches.append((ws.stack[:n], ws.stack_spectrum[skip:skip + n],
+                        *(a[j:j + n] for a in stacks)))
+    return batches
 
 
 class BlurOperator:
@@ -146,7 +197,8 @@ class BlurOperator:
         """Forward model: frame j of the result is ``idft2(H_j * dft2(x))``."""
         x = as_image(x, shape=self.shape)
         ws = Workspace(self.shape, self.n_frames)
-        return self._forward(_rdft2(x, out=ws.spectrum), ws, ws.stack)
+        out = np.empty((self.n_frames,) + self.shape)
+        return self._forward(_rdft2(x, out=ws.spectrum), ws, out)
 
     def apply_adjoint(self, y) -> np.ndarray:
         """Adjoint: ``sum_j idft2(conj(H_j) * dft2(y_j))``."""
@@ -160,28 +212,41 @@ class BlurOperator:
         return _irdft2(spec, self.shape, out=ws.image)
 
     def _forward(self, x_hat, ws: Workspace, out: np.ndarray) -> np.ndarray:
-        """``A x`` from the half spectrum ``x_hat = _rdft2(x)``; k ifft2.
+        """``A x`` into the k-frame ``out`` from the half spectrum
+        ``x_hat = _rdft2(x)``; k ifft2, batch by batch in ``ws``."""
+        for _, spectra, otf, frames in _frame_batches(ws, self._otf_half, out):
+            _forward_frames(otf, x_hat, spectra, frames, self.shape)
+        return out
 
-        The per-frame spectra go to ``ws.stack_spectrum``, the result to
-        ``out``.  The products are taken frame by frame because numpy
-        copies a broadcast operand into a temporary stack.
-        """
-        for otf, spec in zip(self._otf_half, ws.stack_spectrum):
-            np.multiply(otf, x_hat, out=spec)
-        return _irdft2(ws.stack_spectrum, self.shape, out=out)
+
+def _forward_frames(otf_half, x_hat, spectra, out, shape) -> None:
+    """Frame j of ``out`` is ``idft2(otf_half[j] * x_hat)`` on the ``shape``
+    grid, the per-frame spectra built in ``spectra``.  The products are
+    taken frame by frame because numpy copies a broadcast operand into a
+    temporary stack."""
+    for otf, spec in zip(otf_half, spectra):
+        np.multiply(otf, x_hat, out=spec)
+    _irdft2(spectra, shape, out=out)
 
 
 def _adjoint_sum(otf_half_adj, y, ws: Workspace) -> np.ndarray:
-    """``sum_j otf_half_adj[j] * _rdft2(y[j])``; k fft2.
+    """``sum_j otf_half_adj[j] * _rdft2(y[j])`` in ``ws.stack_spectrum[0]``;
+    k fft2, batch by batch."""
+    total, first = ws.stack_spectrum[0], True
+    for _, spectra, otf, frames in _frame_batches(ws, otf_half_adj, y):
+        _add_adjoint(otf, frames, spectra, total, first)
+        first = False
+    return total
 
-    The frames are summed into frame 0 of ``ws.stack_spectrum``, in frame
-    order, as ``np.sum(..., axis=0)`` would; the result is that frame.
-    """
-    spec = _rdft2(y, out=ws.stack_spectrum)
+
+def _add_adjoint(otf_half_adj, y, spectra, total, first: bool) -> None:
+    """Add ``otf_half_adj[j] * _rdft2(y[j])`` of one batch to ``total``,
+    in frame order, as ``np.sum(..., axis=0)`` would.  The first batch's
+    spectra start at ``total``, so its frame 0 is the sum's first term."""
+    spec = _rdft2(y, out=spectra)
     np.multiply(otf_half_adj, spec, out=spec)
-    for frame in spec[1:]:
-        spec[0] += frame
-    return spec[0]
+    for frame in spec[1:] if first else spec:
+        total += frame
 
 
 def _check_grid(shape) -> tuple[int, int]:
@@ -272,12 +337,17 @@ def _hessian_data_half(op, weights, ws, s):
     the half spectra of ``s`` and of ``A^T D A s``; 2k+1 transforms.
 
     Both live in ``ws`` (``spectrum`` and frame 0 of ``stack_spectrum``)
-    and are overwritten by the next kernel call.
+    and are overwritten by the next kernel call.  Each batch of frames is
+    blurred, weighted and added to the sum in turn, in ``ws.stack``.
     """
     s_hat = _rdft2(s, out=ws.spectrum)
-    u = op._forward(s_hat, ws, ws.stack)
-    u *= weights
-    acc = _adjoint_sum(op._otf_half_adj, u, ws)
+    acc, first = ws.stack_spectrum[0], True
+    batches = _frame_batches(ws, op._otf_half, op._otf_half_adj, weights)
+    for u, spectra, otf, otf_adj, w in batches:
+        _forward_frames(otf, s_hat, spectra, u, op.shape)
+        u *= w
+        _add_adjoint(otf_adj, u, spectra, acc, first)
+        first = False
     COUNTS.mults += 3 * op.n_frames
     COUNTS.adds += op.n_frames - 1
     return s_hat, acc

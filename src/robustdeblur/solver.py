@@ -73,8 +73,10 @@ the walk's frame only, never on the objective, the operator or the
 preconditioner, so concurrent solves may share those immutable objects.
 
 A standalone solve keeps a working set of fixed size.  At any moment it
-holds its workspace (2 + 2k grid images, a half spectrum counted as
-one), one evaluation (1 + 3k images and k masks of bools), and either
+holds its workspace (2 + 2n grid images for a batch of n of the k frames,
+one more when the frames span more than one batch, a half spectrum
+counted as one; see :class:`.operators.Workspace`), one evaluation
+(1 + 3k images and k masks of bools), and either
 the PCG's five vectors with their weights (the evaluation's D, the rest
 of which is dropped before the preconditioner build), the preconditioner
 and the right-hand side (the gradient, negated in place), or the line

@@ -1153,3 +1153,21 @@ def test_weights_are_checked_once_per_step_and_once_per_fit(
     steps = sum(r.iterations for r in reports)
     assert 1 <= len(fits) < len(evaluations)
     assert len(checks) == per_step * steps + len(fits)
+
+
+def test_batch_layout_never_moves_a_gcv_search(monkeypatch):
+    # The seed-1 64x64 search finds the same lambda* and points whether its
+    # three frames run in one batch or one frame per batch.
+    inst = make_instance("ash", (64, 64), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 0.0)
+    opts = GcvOptions(lambda_lo=1e-6, lambda_hi=1e-1,
+                      solver=SolverOptions(use_preconditioner=True))
+    searches = []
+    for budget in (1, operators_module._BATCH_BYTES):
+        monkeypatch.setattr(operators_module, "_BATCH_BYTES", budget)
+        with count_transforms() as tally:
+            lam_star, points = minimize_gcv(obj, opts, x0=default_start(inst.observed))
+        searches.append((lam_star, tally.fft2 + tally.ifft2,
+                         [(p.lam, p.gcv_value, p.x.tobytes()) for p in points]))
+    assert searches[0] == searches[1]
+    assert searches[0][1] == 1677

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -401,3 +403,23 @@ def test_zero_residual_diagonal_nonnegative(kind):
     samples = [(a, a, s) for a in (0.5, 5.0, 100.0) for s in (0.1, 3.0)]
     report = convexity_diagnostic(LossFunction(kind), samples)
     assert report.min_value >= 0.0
+
+
+def test_an_objective_keeps_no_frame_stack():
+    # Construction holds the penalty symbol (one half spectrum) and its
+    # real temporary, and no (b + sigma^2)^2 stack: an evaluation forms it
+    # one frame batch at a time in its workspace.
+    rng = np.random.default_rng(64)
+    shape = (128, 128)
+    op = BlurOperator([np.full(shape, 1.0 / shape[0] / shape[1])] * 3, [(0, 0)] * 3)
+    data = rng.random((3,) + shape)
+    Objective(op, data, 1.0, lam=0.1)  # warm-up: the Laplacian symbol is kept per grid
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        obj = Objective(op, data, 1.0, lam=0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * data[0].nbytes, peak / data[0].nbytes
+    assert obj.evaluate(np.ones(shape)).value > 0

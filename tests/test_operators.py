@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from robustdeblur import operators as operators_module
 from robustdeblur.gridfft import count_transforms, dft2, idft2
+from robustdeblur.objective import Objective
 from robustdeblur.operators import (
     BlurOperator,
     Workspace,
@@ -13,7 +15,7 @@ from robustdeblur.operators import (
     hessian_apply,
     laplacian_symbol,
 )
-from robustdeblur.precond import precond_build
+from robustdeblur.precond import build_dhat, precond_build
 from robustdeblur.testbed import make_instance
 
 from oracles import dense_blur_matrix, dense_hessian, dense_laplacian
@@ -301,3 +303,69 @@ def test_workspace_kernels_allocate_no_grid_arrays():
         assert peak <= 16 * 1024, (name, peak)
         # the public entry points run the same kernel on a throwaway workspace
         assert np.array_equal(out, fresh), name
+
+
+def frame_budget(shape, frames):
+    """A ``_BATCH_BYTES`` that holds ``frames`` half-spectrum frames of ``shape``."""
+    return frames * shape[0] * (shape[1] // 2 + 1) * 16
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (9, 9), (7, 12)])
+def test_batch_layout_never_moves_a_kernel_result(monkeypatch, shape):
+    # The k-frame kernels run one frame batch at a time: one frame per batch,
+    # batches of two and one, and all three frames in one batch must give
+    # the same bytes from every kernel.
+    def results(frames_per_batch):
+        monkeypatch.setattr(operators_module, "_BATCH_BYTES",
+                            frame_budget(shape, frames_per_batch))
+        assert len(Workspace(shape, 3).stack) == frames_per_batch
+        rng = np.random.default_rng(48)
+        op, _, _ = make_operator(rng, shape, 3)
+        x = rng.random(shape) + 0.5
+        data = op.apply(x) + rng.standard_normal((3,) + shape)
+        data[:, 0, :2] += 50.0  # outliers, so the mask has both values
+        weights = rng.random((3,) + shape)
+        s = rng.standard_normal(shape)
+        obj = Objective(op, data, 0.7, lam=0.1)
+        ev = obj.evaluate(x)
+        assert ev.inlier_mask.any() and not ev.inlier_mask.all()
+        arrays = (op.apply(x), op.apply_adjoint(data), hessian_apply(op, weights, 0.1, s),
+                  np.float64(ev.value), ev.ax, ev.z, ev.d, ev.inlier_mask,
+                  obj.gradient_at(ev), build_dhat(op, weights))
+        return [a.tobytes() for a in arrays]
+
+    whole = results(3)
+    assert results(1) == whole
+    assert results(2) == whole
+
+
+def test_workspace_batches_frames_by_half_spectrum_bytes():
+    # Frames share a batch up to _BATCH_BYTES of half spectrum; past one
+    # batch the frame spectra gain a slot for the adjoint sum; without
+    # frames there is no frame buffer at all.
+    for shape, frames, batch, spectra in (((64, 64), 3, 3, 3), ((64, 64), 9, 7, 8),
+                                          ((128, 128), 3, 1, 2), ((128, 128), 1, 1, 1),
+                                          ((256, 256), 3, 1, 2), ((64, 64), 0, 0, 0)):
+        ws = Workspace(shape, frames)
+        assert ws.stack.shape == (batch,) + shape
+        assert ws.stack_spectrum.shape == (spectra, shape[0], shape[1] // 2 + 1)
+        # the working-set tests sum the workspace's buffers
+        assert all(isinstance(v, np.ndarray) for v in vars(ws).values())
+
+
+def test_an_image_only_entry_point_allocates_no_frame_buffer():
+    # Preconditioner.solve(r) runs in a throwaway frame-free workspace: its
+    # traced peak is that workspace's image and half spectrum.
+    rng = np.random.default_rng(49)
+    shape = (128, 128)
+    op, _, _ = make_operator(rng, shape, 3)
+    pre = precond_build(op, rng.random((3,) + shape), 0.1)
+    r = rng.standard_normal(shape)
+    pre.solve(r)  # warm-up: numpy caches FFT plans on first use
+    tracemalloc.start()
+    try:
+        pre.solve(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * r.nbytes, peak / r.nbytes

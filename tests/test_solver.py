@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from robustdeblur import operators as operators_module
 from robustdeblur import solver as solver_module
 from robustdeblur.gcv import GcvOptions, _Walk
 from robustdeblur.objective import BETA_95, LossFunction, Objective
@@ -890,6 +891,49 @@ def test_a_standalone_solve_holds_one_workspace_and_one_evaluation():
     contract = ws + evaluation + 3 * image
     assert contract / image == pytest.approx(21.5, abs=0.1)
     assert peak <= 24 * image, peak / image
+
+
+def test_a_multi_frame_solve_holds_one_frame_batch_of_scratch():
+    # From 128x128 on each frame is a batch of its own, so the workspace
+    # holds 2 + 2 + 1 images at k = 3 (the extra half spectrum holds the
+    # adjoint sum) instead of 2 + 2k, and the objective keeps no
+    # (b + sigma^2)^2 stack: the solve's traced peak above its inputs is
+    # three images below that of one 3-frame batch (22.51 images).
+    inst = make_testbed_instance("ash", (128, 128), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    opts = SolverOptions(use_preconditioner=True)
+    x0 = default_start(inst.observed)
+    assert len(Workspace(obj.op.shape, 3).stack) == 1
+    projected_newton(obj, x0, opts)  # warm-up: numpy caches FFT plans on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x, report = projected_newton(obj, x0, opts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "converged" and obj.op.n_frames == 3
+    assert peak <= 20.5 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("frames_per_batch", [1, 2])
+def test_batch_layout_never_moves_a_solve(monkeypatch, frames_per_batch):
+    # A 3-frame 128x128 solve with the preconditioner takes the same path
+    # in frame batches of one, of two and one, and of all three frames.
+    def solve(frames):
+        monkeypatch.setattr(operators_module, "_BATCH_BYTES", frames * 128 * 65 * 16)
+        inst = make_testbed_instance("ash", (128, 128), outlier_fraction=0.05)
+        obj = inst.objective(LossFunction(), 1e-3)
+        assert len(Workspace(obj.op.shape, 3).stack) == frames
+        return projected_newton(obj, default_start(inst.observed),
+                                SolverOptions(use_preconditioner=True))
+
+    x, report = solve(frames_per_batch)
+    x_whole, whole = solve(3)
+    assert x.tobytes() == x_whole.tobytes()
+    assert report.counts == whole.counts
+    assert report.pcg_iterations == whole.pcg_iterations
+    assert report.objective_trace == whole.objective_trace
 
 
 def test_a_walk_holds_the_end_state_and_only_what_pg_ref_reads():
