@@ -373,13 +373,18 @@ def cmd_gcv(config) -> int:
     return 0 if settled else 3
 
 
+# The lower end of scan's log grid when neither lambda_lo nor lambda_grid
+# is set: GcvOptions.lambda_lo is 0, which no log grid can start at.
+_SCAN_LAMBDA_LO = 1e-6
+
+
 def _scan_grid(config):
     if "lambda_grid" in config:
         grid = config["lambda_grid"]
         if list(grid) != sorted(grid):
             raise ConfigError("key 'lambda_grid': values must be ascending")
         return tuple(grid)
-    lo = config.get("lambda_lo", GcvOptions.lambda_lo)
+    lo = config.get("lambda_lo", _SCAN_LAMBDA_LO)
     hi = config.get("lambda_hi", GcvOptions.lambda_hi)
     if not lo > 0:
         raise ConfigError(

@@ -46,10 +46,11 @@ the walk is made.  Every walk runs its Newton solves, and a walk with a
 probe its fits and influence solves, in its one workspace.
 
 - The end state of its last Newton solve (:class:`.solver._State`): the
-  point, its data evaluation and its data gradient.  Only the penalty
-  term depends on lambda, so the next solve, which starts there, rebuilds
-  its start's value and gradient for the penalty's one transform instead
-  of an evaluation and a gradient.  A solve that ends ``pcg_breakdown``
+  point, its data evaluation (no z or D), its data gradient and its
+  Hessian weights D.  Only the penalty term depends on lambda, so the
+  next solve, which starts there, rebuilds its start's value and
+  gradient for the penalty's one transform instead of an evaluation and
+  a gradient.  A solve that ends ``pcg_breakdown``
   or ``linesearch_failure`` drops its state, and the next one evaluates
   its start, as the first solve of a walk does.
 - :func:`.solver.default_start` of the data, derived once per walk (the
@@ -96,7 +97,7 @@ import numpy as np
 from .gridfft import (_arg, _keep_checked, _nonneg_float, _nonneg_int,
                       _positive_float, _positive_int, _ruled, _write_table,
                       count_transforms)
-from .objective import FLOOR, Evaluation, Objective
+from .objective import FLOOR, Objective, _Trial
 from .operators import (Workspace, _check_weights, _frozen, _hessian_data_half,
                         _hessian_finish)
 from .precond import _scaling
@@ -175,7 +176,7 @@ class LambdaPoint:
     influence_transforms: int = 0  # its transforms, counted on this thread
 
 
-def _weights_from_fit(obj: Objective, ev: Evaluation, r: np.ndarray) -> np.ndarray:
+def _weights_from_fit(obj: Objective, ev: _Trial, r: np.ndarray) -> np.ndarray:
     """Reweighting W of the fit ``ev.ax = A x`` of an evaluation, with its
     inlier mask; ``r = ev.ax - b``.
 
@@ -207,7 +208,7 @@ class _Fit:
     dhat: np.ndarray | None  # build_dhat of W^2; None when unpreconditioned
 
 
-def _fit_at(obj: Objective, x: np.ndarray, ev: Evaluation, probe: np.ndarray,
+def _fit_at(obj: Objective, x: np.ndarray, ev: _Trial, probe: np.ndarray,
             use_preconditioner: bool, ws: Workspace) -> _Fit:
     """The :class:`_Fit` of ``x`` from its data evaluation ``ev``: k+1
     transforms for ``rhs``, and k+1 for ``dhat`` in ``ws`` when

@@ -23,12 +23,17 @@ other losses are provided for :func:`loss_eval`,
 inlier mask from it (1 fft2 + k ifft2 for k frames), and
 :meth:`Objective.gradient_at` the gradient from that (k fft2 + 1 ifft2,
 one more ifft2 when lam > 0).  Each is a data part that does not depend
-on lam, plus the penalty: ``evaluate`` is :meth:`Objective._penalized`
-of :meth:`Objective._data_evaluation`, and ``gradient_at`` is
-:meth:`Objective._data_gradient` (``A^T z``) plus
-:meth:`Objective._add_penalty_gradient`.  The solver calls the parts: it
-keeps the data parts of a point, so that a search over lam adds each lam's
-penalty to them (see :mod:`.solver`).
+on lam, plus the penalty.  The solver calls the parts, and holds only
+what each phase of a Newton step reads: :meth:`Objective._data_evaluation`
+gives a point's data value, ``x_hat``, ``A x`` and inlier mask, all a
+line-search trial keeps, and :meth:`Objective._data_gradient` the data
+gradient ``A^T z`` and D of an evaluated point, forming z a frame batch
+at a time on its way into the adjoint sum.  :meth:`Objective._penalized`
+and :meth:`Objective._add_penalty_gradient` add the penalty, so that a
+search over lam adds each lam's penalty to the data parts it keeps (see
+:mod:`.solver`).  ``evaluate`` forms its z and D with the same
+per-batch function, :func:`_talwar_zd`, so every z and D is bitwise the
+same whichever path formed it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .gridfft import (_arg, _checked, _irdft2, _keep_checked, _nonneg_float,
 from .operators import (
     BlurOperator,
     Workspace,
+    _add_adjoint,
     _adjoint_sum,
     _frame_batches,
     _frozen,
@@ -172,8 +178,9 @@ def talwar_weights(ax, b, sigma: float, beta: float):
     )
     shape, ax, b = ax.shape, ax.ravel(), b.ravel()  # the kernels write in place
     sigma2 = float(sigma) ** 2
-    s, _, inlier = _scaled_terms(ax, b, sigma2, beta)
-    z, d = _talwar_zd(s, ~inlier, (b + sigma2) ** 2)
+    inlier = _scaled_terms(ax, b, sigma2, beta)[2]
+    z, d = np.empty_like(ax), np.empty_like(ax)
+    _talwar_zd(ax, b, inlier, sigma2, np.empty_like(ax), z, d)
     return z.reshape(shape), d.reshape(shape), inlier.reshape(shape)
 
 
@@ -182,7 +189,8 @@ def _scaled_terms(ax, b, sigma2: float, beta: float,
     """``s = max(Ax + sigma^2, FLOOR)``, ``t = (Ax - b) / sqrt(s)``, ``|t| <= beta``.
 
     ``out`` names the arrays that receive ``s``, ``t``, one scratch and
-    the mask (None: a fresh one).
+    the mask (None: a fresh one); the scratch may be ``s``'s array, which
+    then holds ``|t|`` on return instead of ``s``.
     """
     s = np.add(ax, sigma2, out=out[0])
     np.maximum(s, FLOOR, out=s)
@@ -192,22 +200,28 @@ def _scaled_terms(ax, b, sigma2: float, beta: float,
     return s, t, np.less_equal(np.abs(t, out=root), beta, out=out[3])
 
 
-def _talwar_zd(s, outlier, bs2, z=None):
-    """The closed-form Talwar z and D of :func:`talwar_weights` from
-    ``bs2 = (b + sigma^2)^2``; both are 0 on ``outlier``.
+def _talwar_zd(ax, b, inlier, sigma2: float, bs2, z, d=None) -> None:
+    """The closed-form Talwar z of :func:`talwar_weights` in ``z`` and,
+    unless ``d`` is None, its D in ``d``, from ``A x``, the data ``b`` and
+    the inlier mask; both are 0 off the mask.
 
-    Consumes ``s``: D is built in its array, and z in ``z`` (None: a
-    fresh array).
+    ``s`` is held in D's array (in z's without D) and ``(b + sigma^2)^2``
+    in ``bs2``.  Every z and D of the package is formed here, so they are
+    bitwise the same whichever path, or frame batch, formed them.
     """
-    z = np.square(s, out=z)
+    s = np.add(ax, sigma2, out=z if d is None else d)
+    np.maximum(s, FLOOR, out=s)
+    np.square(np.add(b, sigma2, out=bs2), out=bs2)
+    outlier = ~inlier
+    np.square(s, out=z)
     np.divide(bs2, z, out=z)
     np.subtract(1.0, z, out=z)
     z *= 0.5
     np.putmask(z, outlier, 0.0)
-    d = np.power(s, 3, out=s)
-    np.divide(bs2, d, out=d)
-    np.putmask(d, outlier, 0.0)
-    return z, d
+    if d is not None:
+        np.power(s, 3, out=d)
+        np.divide(bs2, d, out=d)
+        np.putmask(d, outlier, 0.0)
 
 
 @dataclass(frozen=True)
@@ -223,14 +237,27 @@ class Evaluation:
     inlier_mask: np.ndarray
 
 
+@dataclass(frozen=True)
+class _Trial:
+    """An :class:`Evaluation` without z and D, all that a line-search
+    trial keeps: the value, ``x_hat``, ``A x`` and the inlier mask, from
+    which :meth:`Objective._data_gradient` forms z and D; arrays are
+    read-only."""
+
+    value: float
+    x_hat: np.ndarray
+    ax: np.ndarray
+    inlier_mask: np.ndarray
+
+
 class Objective:
     """J(x) = sum rho(scaled residual) + (lam/2) ||L x||^2 on x >= 0.
 
     ``loss`` must be a Talwar loss (the default); any other kind raises
     ``ValueError``.  Immutable; shares the operator and data arrays, so
     copies are cheap.  It keeps no array of its own but the penalty
-    symbol: an evaluation forms ``(b + sigma^2)^2`` a frame batch at a
-    time in its workspace.
+    symbol: whatever forms z and D forms ``(b + sigma^2)^2`` a frame
+    batch at a time in its workspace.
     """
 
     def __init__(
@@ -280,46 +307,49 @@ class Objective:
 
     def evaluate(self, x) -> Evaluation:
         """Everything the solver reads at a feasible x, from one ``A x``:
-        :meth:`_data_evaluation` with the penalty added to its value.
+        :meth:`_data_evaluation` with the penalty added to its value, and
+        z and D formed a frame batch at a time by :func:`_talwar_zd`.
         Checks ``x`` (finite, nonnegative, on the grid) first."""
         x = self._check_x(x, feasible=True)
         ws = Workspace(self.op.shape, self.op.n_frames)
-        return self._penalized(self._data_evaluation(x, ws))
+        ev = self._data_evaluation(x, ws)
+        z, d = np.empty_like(ev.ax), np.empty_like(ev.ax)
+        sigma2 = self.sigma**2
+        stacks = (ev.ax, self.data, ev.inlier_mask, z, d)
+        for bs2, _, ax, data, inlier, z_b, d_b in _frame_batches(ws, *stacks):
+            _talwar_zd(ax, data, inlier, sigma2, bs2, z_b, d_b)
+        return self._penalized(Evaluation(ev.value, ev.x_hat, ev.ax, _frozen(z),
+                                          _frozen(d), ev.inlier_mask))
 
-    def _data_evaluation(self, x, ws: Workspace) -> Evaluation:
-        """:meth:`evaluate` without the penalty: the value is the data term
-        alone, so every field is independent of ``lam``.
+    def _data_evaluation(self, x, ws: Workspace) -> _Trial:
+        """:meth:`evaluate` without the penalty, z and D: the value is the
+        data term alone, so every field is independent of ``lam``.
 
         ``x`` is not checked: it must be a feasible float64 image on the
-        grid, as the solver's iterates are by construction.  ``A x``, z, D
-        and the mask are built in fresh stacks, which the evaluation keeps;
-        the rest runs a frame batch at a time in ``ws`` (see
+        grid, as the solver's iterates are by construction.  ``A x`` and
+        the mask are built in fresh stacks, which the evaluation keeps; the
+        rest runs a frame batch at a time in ``ws`` (see
         :func:`.operators._frame_batches`): the per-frame spectra of ``A x``
-        in ``ws.stack_spectrum``, then ``t`` and, once the value is summed,
-        ``(b + sigma^2)^2`` in ``ws.stack``.  ``s`` is held in D's array and
-        rho in z's until z and D are built there.
+        in ``ws.stack_spectrum``, then ``t`` in ``ws.stack``.  rho is built
+        in one k-frame stack, freed on return, so that ``np.sum`` keeps its
+        pairwise order; ``s`` and its root are held there first.
         """
         x_hat = _rdft2(x)
         ax = self.op._forward(x_hat, ws, np.empty(self.data.shape))
         beta, sigma2 = self.loss.beta, self.sigma**2
-        z, d = np.empty_like(ax), np.empty_like(ax)
-        inlier, outlier = np.empty(ax.shape, bool), np.empty(ax.shape, bool)
-        batches = _frame_batches(ws, ax, self.data, z, d, inlier, outlier)
-        for t, _, ax_b, data_b, rho, s, inlier_b, _ in batches:
-            _scaled_terms(ax_b, data_b, sigma2, beta, out=(s, t, rho, inlier_b))
-            np.multiply(0.5, t, out=rho)
-            rho *= t
-        np.invert(inlier, out=outlier)
-        np.putmask(z, outlier, 0.5 * beta * beta)
-        value = float(np.sum(z))
-        for bs2, _, _, data_b, z_b, s, _, outlier_b in batches:
-            np.square(np.add(data_b, sigma2, out=bs2), out=bs2)
-            _talwar_zd(s, outlier_b, bs2, z=z_b)
-        return Evaluation(value, *map(_frozen, (x_hat, ax, z, d, inlier)))
+        rho, inlier = np.empty_like(ax), np.empty(ax.shape, bool)
+        for t, _, ax_b, data_b, rho_b, inlier_b in _frame_batches(
+                ws, ax, self.data, rho, inlier):
+            _scaled_terms(ax_b, data_b, sigma2, beta, out=(rho_b, t, rho_b, inlier_b))
+            np.multiply(0.5, t, out=rho_b)
+            rho_b *= t
+            np.putmask(rho_b, ~inlier_b, 0.5 * beta * beta)
+        return _Trial(float(np.sum(rho)), *map(_frozen, (x_hat, ax, inlier)))
 
-    def _penalized(self, data_ev: Evaluation) -> Evaluation:
-        """The evaluation at this ``lam`` from a :meth:`_data_evaluation` of
-        the same data; no transform.  It shares the arrays of ``data_ev``."""
+    def _penalized(self, data_ev):
+        """The evaluation at this ``lam`` from a :meth:`_data_evaluation`
+        (or an :class:`Evaluation`) of the same data; no transform.  It
+        shares the arrays of ``data_ev``."""
         if not self.lam > 0:
             return data_ev
         half_lap = _laplacian_half(self.op.shape)
@@ -329,16 +359,36 @@ class Objective:
         )
 
     def gradient_at(self, ev: Evaluation) -> np.ndarray:
-        """The gradient at an evaluated point, :meth:`_data_gradient` plus
-        :meth:`_add_penalty_gradient`, in a throwaway workspace."""
+        """The gradient at an evaluated point, ``A^T z`` of its z plus
+        :meth:`_add_penalty_gradient`, in a throwaway workspace; bitwise
+        what :meth:`_data_gradient` forms."""
         ws = Workspace(self.op.shape, self.op.n_frames)
-        return self._add_penalty_gradient(self._data_gradient(ev, ws), ev.x_hat, ws)
+        g = _irdft2(_adjoint_sum(self.op._otf_half_adj, ev.z, ws), self.op.shape)
+        return self._add_penalty_gradient(g, ev.x_hat, ws)
 
-    def _data_gradient(self, ev: Evaluation, ws: Workspace) -> np.ndarray:
-        """``A^T z``, the gradient of the data term, as a fresh image;
-        k fft2 + 1 ifft2."""
-        spec = _adjoint_sum(self.op._otf_half_adj, ev.z, ws)
-        return _irdft2(spec, self.op.shape)
+    def _data_gradient(self, ev: _Trial, ws: Workspace, hessian: bool = True):
+        """``(A^T z, D)`` at the point of :meth:`_data_evaluation` ``ev``:
+        the gradient of the data term as a fresh image and the Hessian
+        weights as a fresh read-only k-frame stack (None without
+        ``hessian``); k fft2 + 1 ifft2.
+
+        One pass over the frame batches of ``ws``: per batch
+        :func:`_talwar_zd` forms z in a batch buffer made here (no
+        k-frame z exists) and D in its frames of the stack (``s`` held
+        there first), and z goes straight into the adjoint sum, in frame
+        order as :func:`.operators._adjoint_sum` adds it.
+        """
+        d = np.empty(self.data.shape) if hessian else None
+        z, sigma2 = np.empty_like(ws.stack), self.sigma**2
+        total, first = ws.stack_spectrum[0], True
+        stacks = (self.op._otf_half_adj, ev.ax, self.data, ev.inlier_mask)
+        for bs2, spectra, otf_adj, ax, data, inlier, *d_b in _frame_batches(
+                ws, *stacks, *((d,) if hessian else ())):
+            z_b = z[:len(bs2)]
+            _talwar_zd(ax, data, inlier, sigma2, bs2, z_b, *d_b)
+            _add_adjoint(otf_adj, z_b, spectra, total, first)
+            first = False
+        return _irdft2(total, self.op.shape), _frozen(d) if hessian else None
 
     def _add_penalty_gradient(self, g, x_hat, ws: Workspace) -> np.ndarray:
         """Add ``lam L^T L x`` to ``g`` in place, from ``x_hat = _rdft2(x)``;

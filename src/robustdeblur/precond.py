@@ -49,7 +49,9 @@ class Preconditioner:
     ``inv_symbol`` holds the inverse symbol on the half spectrum that
     :func:`.gridfft._rdft2` produces, stored complex with a zero imaginary
     part so the solve multiplies it in without a cast buffer.  All arrays
-    are read-only.
+    are read-only.  :meth:`solve` reads ``inv_dhat`` and ``inv_symbol``
+    alone; the copy a Hessian solve runs PCG with has ``dhat`` None, so
+    that PCG does not hold it.
     """
 
     dhat: np.ndarray
@@ -66,8 +68,8 @@ class Preconditioner:
         so the result is a fresh array.
         """
         if ws is None:
-            r = as_image(r, "r", self.dhat.shape)
-            ws = Workspace(self.dhat.shape)
+            r = as_image(r, "r", self.inv_dhat.shape)
+            ws = Workspace(self.inv_dhat.shape)
         u = np.multiply(self.inv_dhat, r, out=ws.image)
         spec = _rdft2(u, out=ws.spectrum)
         np.multiply(self.inv_symbol, spec, out=spec)

@@ -29,12 +29,16 @@ plain weighted least squares.
 
 Every solve runs one path.  Each point is evaluated once, as the data
 term (:meth:`.Objective._data_evaluation`) with the penalty added (no
-transform): the start, and every line-search trial.  The accepted trial's
-evaluation supplies the next step's gradient, the data gradient ``A^T z``
-plus the penalty gradient, and its Hessian weights and preconditioner
-input.  One Hessian solve, :func:`_hessian_solve`, serves the Newton
-steps and the GCV influence solves alike: its callers check the weights
-once, where they make them, and PCG calls the unchecked Hessian kernel.
+transform): the start, and every line-search trial.  An evaluation holds
+the value, ``x_hat``, ``A x`` and the inlier mask, all a trial needs.
+The start and the accepted trial then take one gradient pass
+(:meth:`.Objective._data_gradient`), which forms z and the Hessian
+weights D from that evaluation and gives the data gradient ``A^T z`` and
+D; the next step adds the penalty gradient and reads D, for its Hessian
+and its preconditioner.  One Hessian solve, :func:`_hessian_solve`,
+serves the Newton steps and the GCV influence solves alike: its callers
+check the weights once, where they make them, and PCG calls the
+unchecked Hessian kernel.
 With k frames a Newton step therefore costs, in transforms (fft2 +
 ifft2):
 
@@ -49,8 +53,8 @@ too ill-conditioned to invert, or when the preconditioned PCG runs to
 ``SolverReport.precond_fallbacks`` counts both.
 
 A solve hands its end state to the next one: the :class:`_State` of its
-last iterate, that point with its data evaluation and data gradient
-``A^T z``, which depend on the data term alone.  A standalone solve
+last iterate, that point with its data evaluation, data gradient
+``A^T z`` and D, which depend on the data term alone.  A standalone solve
 evaluates its start, for one evaluation and one gradient, and ``pg_ref``
 as much again unless the start is :func:`default_start`, where it is
 ``||P g0||`` itself.  A search over lambda (:func:`.gcv.minimize_gcv`,
@@ -64,30 +68,47 @@ lam = 0, instead of 2k+3 each.  The values are bitwise those of a fresh
 evaluation, so the path is the same either way.
 
 Each solve runs in one :class:`.operators.Workspace`, its own or its
-walk's.  Each evaluation's scratch, the preconditioner build's per-frame
-spectra, and the Hessian kernel and the preconditioner solve of every
-PCG iteration run in it, and :func:`projected_pcg` updates its own
-iterate, residual, direction and products in place, so the inner loop
-allocates no grid-sized array.  The workspace lives in the solve's or
-the walk's frame only, never on the objective, the operator or the
-preconditioner, so concurrent solves may share those immutable objects.
+walk's.  Each evaluation's and gradient pass's scratch, the
+preconditioner build's per-frame spectra, and the Hessian kernel and the
+preconditioner solve of every PCG iteration run in it, and
+:func:`projected_pcg` updates its own iterate, residual, direction and
+products in place and forms its dot products in the workspace's image,
+so the inner loop allocates no grid-sized array.  The workspace lives
+in the solve's or the walk's frame only, never on the objective, the
+operator or the preconditioner, so concurrent solves may share those
+immutable objects.
 
-A standalone solve keeps a working set of fixed size.  At any moment it
-holds its workspace (2 + 2n grid images for a batch of n of the k frames,
-one more when the frames span more than one batch, a half spectrum
-counted as one; see :class:`.operators.Workspace`), one evaluation
-(1 + 3k images and k masks of bools), and either
-the PCG's five vectors with their weights (the evaluation's D, the rest
-of which is dropped before the preconditioner build), the preconditioner
-and the right-hand side (the gradient, negated in place), or the line
-search's point, step and candidate (each candidate formed in the array
-of the last rejected one; the step is dropped once taken).
-:func:`default_start` and what ``pg_ref`` read there are dropped once
-``pg_ref`` is known; a walk keeps them for its next solve.
+A standalone solve keeps a working set of fixed size, and each phase of
+a Newton step holds only what it reads.  At any moment the solve holds
+its workspace (2 + 2n grid images for a batch of n of the k frames, one
+more when the frames span more than one batch, a half spectrum counted
+as one; see :class:`.operators.Workspace`), its point, and one of:
+
+- the gradient pass: the point's evaluation (1 + k images and k masks of
+  bools), D (k images, ``s`` held there first), one batch of z (n
+  images, made per pass and added to the adjoint sum batch by batch) and
+  the gradient;
+- the Hessian solve: D, the right-hand side (the gradient, negated in
+  place; the evaluation and the data gradient are dropped first), the
+  preconditioner's inverse scaling and symbol (its scaling, which no
+  PCG iteration reads, is dropped once they are built) and PCG's four
+  vectors;
+- the line search: the step and the candidate (each formed in the array
+  of the last rejected one; the step is dropped once taken), and one
+  trial's evaluation with its k-frame rho stack, which is freed before
+  the evaluation returns.
+
+Traced above its inputs with ``tracemalloc`` (warm 3-frame solves with
+the preconditioner, in grid images), the phases peak at: 64x64 (one
+3-frame batch) gradient 20.7, Hessian solve 19.5, line search 19.1;
+128x128 (one frame per batch) 15.5, 16.3 and 15.6; 256x256 15.4, 16.2
+and 15.5.  :func:`default_start` and what ``pg_ref`` read there are
+dropped once ``pg_ref`` is known; a walk keeps them for its next solve.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -98,7 +119,7 @@ import numpy as np
 from .gridfft import (COUNTS, OpCounts, _arg, _boolean, _keep_checked,
                       _nonneg_float, _positive_float, _positive_int, _ruled,
                       as_image, count_transforms)
-from .objective import Evaluation, Objective
+from .objective import Objective, _Trial
 from .operators import Workspace, _check_weights, _frozen, _hessian_kernel
 from .precond import _IllConditionedSymbol, precond_build
 
@@ -233,6 +254,7 @@ def projected_pcg(
     *,
     _start_hess=None,
     _residual=False,
+    _scratch=None,
 ):
     """Conjugate gradients on the inactive subspace of ``hess s = rhs``.
 
@@ -256,10 +278,15 @@ def projected_pcg(
     ``hess`` call); the GCV influence solve reads its quadratic form from
     it.
 
-    The iterate, residual, direction, preconditioned residual and Hessian
-    product live in five arrays allocated here and updated in place.  What
-    ``hess`` and ``precond`` return is copied in at once, so they may
-    return a buffer they reuse on the next call (or their argument).
+    The iterate, residual and direction live in three arrays allocated
+    here and updated in place, and the preconditioned residual and the
+    Hessian product share a fourth: the product is formed once the
+    direction holds the preconditioned residual, and is used up before the
+    next one is formed.  What ``hess`` and ``precond`` return is copied in
+    at once, so they may return a buffer they reuse on the next call (or
+    their argument).  The products of the dot products and of the update
+    ``x += alpha p`` are formed in ``_scratch``, an image that may be the
+    buffer ``hess`` and ``precond`` return (None: one allocated here).
 
     ``tol`` is a finite number at least 0 (0 runs all ``maxit``
     iterations unless the residual vanishes) and ``maxit`` an integer at
@@ -301,35 +328,37 @@ def projected_pcg(
     if rhs_norm == 0.0:
         return result(0)
     stop = tol * rhs_norm
-    hp = np.empty_like(rhs)
+    # z = M^-1 r and hp = H p share one array: z is used up once p holds
+    # it, and hp once r is updated.
+    z = hp = np.empty_like(rhs)
+    scratch = np.empty_like(rhs) if _scratch is None else _scratch
     if x0 is not None:
         project_into(x, x0)
         if np.any(x):  # a zero start is the cold start, at no extra cost
             r -= project_into(hp, (_start_hess or hess)(x))
             if r_norm() <= stop:
                 return result(0)
-    z = project_into(np.empty_like(rhs), precond(r) if precond is not None else r)
-    rz = dot(r, z, hp)
+    project_into(z, precond(r) if precond is not None else r)
+    rz = dot(r, z, scratch)
     if rz <= 0.0:
         raise PcgBreakdownError(
             f"preconditioned residual product {rz:.3e} is not positive", x, 0
         )
     p = z.copy()
-    # z is free from here until it is recomputed, so it holds products.
     for k in range(1, maxit + 1):
         project_into(hp, hess(p))
-        ph = dot(p, hp, z)
+        ph = dot(p, hp, scratch)
         if ph <= 0.0:
             raise PcgBreakdownError(
                 f"curvature p^T H p = {ph:.3e} at iteration {k}", x, k - 1
             )
         alpha = rz / ph
-        x += np.multiply(alpha, p, out=z)
+        x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, hp, out=hp)
         if r_norm() <= stop:
             return result(k)
         project_into(z, precond(r) if precond is not None else r)
-        rz_next = dot(r, z, hp)
+        rz_next = dot(r, z, scratch)
         if rz_next <= 0.0:
             raise PcgBreakdownError(
                 f"preconditioned residual product {rz_next:.3e} at iteration {k}",
@@ -396,6 +425,9 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
     if use_preconditioner:
         try:
             pre = precond_build(obj.op, weights, obj.lam, dhat=dhat, ws=ws)
+            # Its solve reads inv_dhat and inv_symbol alone, so PCG runs
+            # without dhat, an image, unless the caller keeps it.
+            pre = dataclasses.replace(pre, dhat=None)
             precond = functools.partial(pre.solve, ws=ws)
         except _IllConditionedSymbol:
             fell_back = True
@@ -403,7 +435,7 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
         projected_pcg,
         functools.partial(_hessian_kernel, obj.op, obj._penalty, weights, ws),
         rhs, active, tol=tol, maxit=maxit, x0=x0, _start_hess=start_hess,
-        _residual=True,
+        _residual=True, _scratch=ws.image,
     )
     s, iterations, r = solve(precond)
     capped = iterations == maxit
@@ -415,8 +447,9 @@ def _hessian_solve(obj, weights, rhs, active, use_preconditioner, tol, maxit,
 
 
 class _Trials:
-    """Line-search stand-in for the objective that keeps the last evaluation
-    and its data-term evaluation, which shares its arrays.  Each trial is
+    """Line-search stand-in for the objective that keeps the last trial's
+    data-term evaluation (:meth:`.Objective._data_evaluation`: no z or D)
+    and its penalized one, which shares its arrays.  Each trial is
     evaluated in the solve's workspace ``ws`` and is not checked: the line
     search's projected points are feasible by construction."""
 
@@ -433,25 +466,29 @@ class _Trials:
 
 class _State(NamedTuple):
     """What a solve hands to the next: a point ``x``, its
-    :meth:`.Objective._data_evaluation` and its data gradient ``A^T z``,
-    all read-only and none dependent on lambda."""
+    :meth:`.Objective._data_evaluation`, and its data gradient ``A^T z``
+    and Hessian weights D from :meth:`.Objective._data_gradient`, all
+    read-only and none dependent on lambda."""
 
     x: np.ndarray
-    data_ev: Evaluation
+    data_ev: _Trial
     g_data: np.ndarray
+    d: np.ndarray
 
 
-def _state_at(obj: Objective, x: np.ndarray, ws: Workspace) -> _State:
-    """The :class:`_State` at the read-only ``x``: 2k+2 transforms."""
-    data_ev = obj._data_evaluation(x, ws)
-    return _State(x, data_ev, _frozen(obj._data_gradient(data_ev, ws)))
+def _state_of(obj: Objective, x: np.ndarray, data_ev: _Trial,
+              ws: Workspace) -> _State:
+    """The :class:`_State` at the read-only ``x`` from its data evaluation:
+    its data gradient and D, k+1 transforms."""
+    g_data, d = obj._data_gradient(data_ev, ws)
+    return _State(x, data_ev, _frozen(g_data), d)
 
 
 def _reference(obj, x_ref, ws):
     """``(x_hat, data gradient)`` at ``x_ref``, all that ``pg_ref`` reads:
-    2k+2 transforms."""
-    state = _state_at(obj, x_ref, ws)
-    return state.data_ev.x_hat, state.g_data
+    2k+2 transforms, and no D."""
+    data_ev = obj._data_evaluation(x_ref, ws)
+    return data_ev.x_hat, _frozen(obj._data_gradient(data_ev, ws, hessian=False)[0])
 
 
 def _start(obj, x0, walk, ws):
@@ -479,7 +516,7 @@ def _start(obj, x0, walk, ws):
             # A start handed in from outside may be default_start, whose
             # pg_ref is its own ||P g0||: one test per start not held.
             x0 = x_ref if np.array_equal(x0, x_ref) else _frozen(x0.copy())
-        state = _state_at(obj, x0, ws)
+        state = _state_of(obj, x0, obj._data_evaluation(x0, ws), ws)
     if state.x is x_ref:
         ref, pg_ref = (state.data_ev.x_hat, state.g_data), 0.0  # ||P g0|| rules
     else:
@@ -548,10 +585,10 @@ def _newton_loop(obj, x0, walk, opts, report, ws):
     ``k``-th accepted step after it, and for ``k > 0`` the transforms this
     thread issued since point ``k - 1``; then it takes the next step
     unless the run ends there.  Each accepted iterate is evaluated once,
-    by the line search; its evaluation then supplies the gradient, the
-    Hessian weights and the preconditioner input of the next step.  The
-    data gradient is kept apart, in the state, and the penalty added to a
-    copy.  Every evaluation made here lives only in this frame, so
+    by the line search, which forms no z or D; its gradient pass then
+    forms the data gradient and the Hessian weights D, which the next
+    step's Hessian solve and preconditioner read.  The data gradient is
+    kept apart, in the state, and the penalty added to a copy.  Every evaluation made here lives only in this frame, so
     dropping the name releases it.  Every gradient, Hessian product and
     preconditioner solve below runs in the workspace ``ws``.
     """
@@ -575,16 +612,17 @@ def _newton_loop(obj, x0, walk, opts, report, ws):
             break
         if k == opts.newton_maxit:
             break
-        d = _check_weights(obj.op, ev.d)  # all zero if all saturated
+        d = _check_weights(obj.op, state.d)  # all zero if all saturated
         if not np.any(d):
             report.termination = "all_saturated"
             break
         value = ev.value
-        # Drop this point's evaluation before the preconditioner build, its
-        # weights and gradient once the direction is formed, and the
-        # direction once the step is taken, so the build and the line
-        # search, where a solve's memory peaks, run beside as few arrays as
-        # possible.  The right-hand side is the gradient, negated in place.
+        # Drop this point's evaluation and data gradient before the
+        # preconditioner build, its weights and gradient once the direction
+        # is formed, and the direction once the step is taken, so the
+        # Hessian solve, where a solve's memory peaks, and the line search
+        # run beside as few arrays as possible.  The right-hand side is the
+        # gradient, negated in place.
         ev = state = None
         try:
             # the residual (GCV's) is dropped here, before the line search
@@ -607,6 +645,6 @@ def _newton_loop(obj, x0, walk, opts, report, ws):
             break
         x, ev, s = _frozen(ls.x), trials.last, None
         report.step_lengths.append(ls.step)
-        state = _State(x, trials.data, _frozen(obj._data_gradient(trials.data, ws)))
+        state = _state_of(obj, x, trials.data, ws)
         trials = ls = None
     return x, state

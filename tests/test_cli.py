@@ -14,6 +14,7 @@ from robustdeblur.cli import (
     _INSTANCE_KEYS, CONFIG_KEYS, FLAGS, OPTION_FIELDS, ConfigError, _resolve,
     build_parser, main, parse_config,
 )
+from robustdeblur.gcv import GcvOptions
 from robustdeblur.gridfft import read_raw, write_raw
 from robustdeblur.objective import LossFunction
 from robustdeblur.testbed import make_instance, synthetic_scene
@@ -751,11 +752,24 @@ def test_unconverged_scan_writes_outputs_and_exits_three(tmp_path, capsys):
 
 
 def test_scan_log_grid_requires_positive_lower_bound(tmp_path, capsys):
-    cfg = write_config(tmp_path, size=16)  # lambda_lo defaults to 0
+    cfg = write_config(tmp_path, size=16, lambda_lo="0")
     assert main(["scan", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "lambda_lo" in err
     assert err.count("\n") == 1
+
+
+def test_scan_with_its_defaults_scans_from_1e_6_to_lambda_hi(tmp_path, capsys):
+    # Without lambda_lo or lambda_grid the log grid starts at 1e-6, not at
+    # GcvOptions.lambda_lo (0), and ends at GcvOptions.lambda_hi.
+    out = tmp_path / "scan"
+    assert main(["scan", "--size", "16", "--out", str(out)]) == 0
+    assert "scan: 12 rows" in capsys.readouterr().out
+    _, _, rows = read_csv(out / "scan.csv")
+    grid = [float(r[2]) for r in rows]
+    assert grid == pytest.approx(np.logspace(-6, -1, 12), rel=1e-12)
+    assert grid[0] == 1e-6 and grid[-1] == GcvOptions.lambda_hi == 1e-1
+    assert GcvOptions.lambda_lo == 0.0
 
 
 def test_scan_without_a_grid_builds_the_log_grid(tmp_path):

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -256,6 +256,43 @@ def test_pcg_names_an_active_set_of_another_shape():
     with pytest.raises(ValueError, match=r"^active shape \(3, 4\) differs "
                                          r"from rhs \(4, 4\)$"):
         projected_pcg(lambda v: v, np.ones((4, 4)), np.zeros((3, 4), bool))
+
+
+def test_pcg_gives_the_same_result_with_and_without_a_scratch():
+    # The dot products and the update x += alpha p are formed in a scratch
+    # image, which may be the buffer the Hessian kernel returns.  With that
+    # buffer as the scratch, without a scratch, and with a preconditioner
+    # that returns its own argument, a warm-started solve of a 3-frame
+    # Hessian gives bitwise the same (s, iterations, r); with the scratch
+    # it holds four vectors (32 KiB each here), not five, and temporaries
+    # well below half an image.
+    inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    x = default_start(inst.observed)
+    weights = obj.evaluate(x).d
+    ws = Workspace(obj.op.shape, obj.op.n_frames)
+    hess = functools.partial(operators_module._hessian_kernel, obj.op,
+                             obj._penalty, weights, ws)
+    rhs, active = -obj.gradient(x), x <= 0
+    x0 = np.full_like(rhs, 0.1)
+    solve = functools.partial(projected_pcg, hess, rhs, active, tol=1e-3,
+                              x0=x0, _residual=True)
+    hess(x0)  # warm-up: numpy caches FFT plans on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        runs = [solve(_scratch=ws.image)]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    runs += [solve(), solve(precond=lambda r: r, _scratch=ws.image)]
+    s, iterations, r = runs[0]
+    assert iterations > 3 and np.any(s) and np.any(active)
+    for other in runs[1:]:
+        assert other[1] == iterations
+        assert other[0].tobytes() == s.tobytes()
+        assert other[2].tobytes() == r.tobytes()
+    assert peak <= 4.5 * rhs.nbytes, peak / rhs.nbytes
 
 
 def test_pcg_reports_breakdown_on_indefinite_system():
@@ -753,12 +790,14 @@ def test_step_pcg_iterations_include_the_capped_attempt(monkeypatch):
 
 
 def test_solver_checks_hessian_weights_once_per_step():
+    # D is formed with each point's gradient; a negative D from there must
+    # be caught before any Hessian solve reads it.
     obj, x0, _, _, _ = make_instance(119)
 
     class NegativeWeights(Objective):
-        def _data_evaluation(self, x, ws=None):
-            ev = super()._data_evaluation(x, ws)
-            return dataclasses.replace(ev, d=-ev.d)
+        def _data_gradient(self, ev, ws, hessian=True):
+            g, d = super()._data_gradient(ev, ws, hessian)
+            return g, d if d is None else -d
 
     bad = NegativeWeights(obj.op, obj.data, obj.sigma, obj.loss, obj.lam)
     for pre in (False, True):
@@ -861,11 +900,15 @@ def test_a_walk_reads_its_state_only_at_the_point_it_holds():
 
 
 def test_a_standalone_solve_holds_one_workspace_and_one_evaluation():
-    # The working-set contract: at any moment a solve holds its workspace,
-    # one evaluation, and either the PCG's five vectors (with the weights,
-    # preconditioner and right-hand side) or the line search's point, step
-    # and candidate; it keeps neither the default start nor what pg_ref
-    # read there.
+    # The working-set contract: at any moment a solve holds its workspace
+    # and one of three phases.  The gradient of a point holds the point,
+    # its evaluation (x_hat, A x and the mask), D, one batch of z and the
+    # gradient; the Hessian solve the point, D, the right-hand side, the
+    # preconditioner's inverse scaling and symbol and the PCG's four
+    # vectors; the line search the point, step and candidate, and one
+    # trial's evaluation with its rho stack.  No phase holds a k-frame z,
+    # and a solve keeps neither the default start nor what pg_ref read
+    # there.
     inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
     obj = inst.objective(LossFunction(), 1e-3)
     opts = SolverOptions(use_preconditioner=True)
@@ -882,23 +925,28 @@ def test_a_standalone_solve_holds_one_workspace_and_one_evaluation():
     assert obj.op.n_frames == 3
     image = x.nbytes
     ws = sum(b.nbytes for b in vars(Workspace(obj.op.shape, 3)).values())
-    ev = obj.evaluate(x)
-    evaluation = sum(getattr(ev, f).nbytes for f in ("x_hat", "ax", "z", "d",
-                                                     "inlier_mask"))
-    # workspace 2 + 2k images, evaluation 1 + 3k and its masks, and three
-    # more images: 21.5 at k = 3 (a half spectrum is w//2+1 complex
-    # columns); the bound leaves 2.5 images for an evaluation's temporaries
-    contract = ws + evaluation + 3 * image
-    assert contract / image == pytest.approx(21.5, abs=0.1)
-    assert peak <= 24 * image, peak / image
+    ev = obj._data_evaluation(x, Workspace(obj.op.shape, 3))
+    evaluation = sum(getattr(ev, f).nbytes for f in ("x_hat", "ax", "inlier_mask"))
+    # the gradient phase, the largest at 64x64, where all k frames are one
+    # batch: workspace 2 + 2k images, evaluation 1 + k and its masks, D
+    # and z k each, the point and the gradient: 20.5 at k = 3 (a half
+    # spectrum is w//2+1 complex columns); the bound leaves 1 image for
+    # temporaries
+    contract = ws + evaluation + 2 * ev.ax.nbytes + 2 * image
+    assert contract / image == pytest.approx(20.5, abs=0.1)
+    assert peak <= 21.5 * image, peak / image
 
 
 def test_a_multi_frame_solve_holds_one_frame_batch_of_scratch():
     # From 128x128 on each frame is a batch of its own, so the workspace
     # holds 2 + 2 + 1 images at k = 3 (the extra half spectrum holds the
-    # adjoint sum) instead of 2 + 2k, and the objective keeps no
-    # (b + sigma^2)^2 stack: the solve's traced peak above its inputs is
-    # three images below that of one 3-frame batch (22.51 images).
+    # adjoint sum) instead of 2 + 2k, the objective keeps no
+    # (b + sigma^2)^2 stack, and no phase holds a k-frame z.  The Hessian
+    # solve sets the peak: the workspace, the point, D (k), the right-hand
+    # side, the preconditioner's inverse scaling and symbol (2) and the
+    # PCG's four vectors, 16 images and its binding mask (16.27 traced
+    # above the inputs; 22.51 with one 3-frame batch, 19.50 with z and D
+    # formed at every line-search trial, 17.27 with PCG holding dhat).
     inst = make_testbed_instance("ash", (128, 128), outlier_fraction=0.05)
     obj = inst.objective(LossFunction(), 1e-3)
     opts = SolverOptions(use_preconditioner=True)
@@ -913,7 +961,43 @@ def test_a_multi_frame_solve_holds_one_frame_batch_of_scratch():
     finally:
         tracemalloc.stop()
     assert report.termination == "converged" and obj.op.n_frames == 3
-    assert peak <= 20.5 * x.nbytes, peak / x.nbytes
+    assert peak <= 16.75 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("frames_per_batch", [1, 3])
+def test_each_step_reads_the_d_and_gradient_of_the_public_api(
+        monkeypatch, frames_per_batch):
+    # The solver forms D and the gradient with each point's gradient pass,
+    # not with its evaluation; at every iterate of a 3-frame 128x128
+    # preconditioned solve the gradient its stop test reads and the D its
+    # Hessian solve reads are bitwise obj.gradient(x) and obj.evaluate(x).d,
+    # in frame batches of one and of all three frames.
+    monkeypatch.setattr(operators_module, "_BATCH_BYTES",
+                        frames_per_batch * 128 * 65 * 16)
+    inst = make_testbed_instance("ash", (128, 128), outlier_fraction=0.05)
+    obj = inst.objective(LossFunction(), 1e-3)
+    assert len(Workspace(obj.op.shape, 3).stack) == frames_per_batch
+    points, weights = [], []
+    real_binding, real_solve = solver_module._binding_set, solver_module._hessian_solve
+
+    def binding_set(x, g, scratch):
+        points.append((x.copy(), g.copy()))
+        return real_binding(x, g, scratch)
+
+    def hessian_solve(obj, d, *args, **kwargs):
+        weights.append(d.copy())
+        return real_solve(obj, d, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_binding_set", binding_set)
+    monkeypatch.setattr(solver_module, "_hessian_solve", hessian_solve)
+    _, report = projected_newton(obj, default_start(inst.observed),
+                                 SolverOptions(use_preconditioner=True))
+    assert report.termination == "converged" and report.iterations > 1
+    assert len(points) == len(weights) + 1 == report.iterations + 1
+    for (x, g), d in itertools.zip_longest(points, weights):
+        assert g.tobytes() == obj.gradient(x).tobytes()
+        if d is not None:
+            assert d.tobytes() == obj.evaluate(x).d.tobytes()
 
 
 @pytest.mark.parametrize("frames_per_batch", [1, 2])
@@ -938,10 +1022,11 @@ def test_batch_layout_never_moves_a_solve(monkeypatch, frames_per_batch):
 
 def test_a_walk_holds_the_end_state_and_only_what_pg_ref_reads():
     # After a solve from the default start, the walk holds the end state,
-    # the last iterate with its data evaluation (A x included) and data
-    # gradient, and of the default start the point, derived once per walk,
-    # and only the half spectrum and data gradient that pg_ref reads: no
-    # A x, z or D stacks; and the workspace its solves run in.
+    # the last iterate with its data evaluation (its half spectrum, A x and
+    # mask, no z), data gradient and D, and of the default start the point,
+    # derived once per walk, and only the half spectrum and data gradient
+    # that pg_ref reads: no A x, z or D stacks; and the workspace its solves
+    # run in.
     inst = make_testbed_instance("ash", (64, 64), outlier_fraction=0.05)
     obj = inst.objective(LossFunction(), 1e-3)
     opts = SolverOptions(use_preconditioner=True)
@@ -951,6 +1036,7 @@ def test_a_walk_holds_the_end_state_and_only_what_pg_ref_reads():
         walk = _Walk(obj, GcvOptions(solver=opts))
         x, report = projected_newton(obj, x0, opts, _walk=walk)
         ev = obj._data_evaluation(x, Workspace(obj.op.shape, obj.op.n_frames))
+        held_d = walk.state.d.nbytes
         ws = sum(buffer.nbytes for buffer in vars(walk.ws).values())
         before = tracemalloc.get_traced_memory()[0]
         del walk
@@ -959,7 +1045,8 @@ def test_a_walk_holds_the_end_state_and_only_what_pg_ref_reads():
         tracemalloc.stop()
     assert report.termination == "converged"
     image, spectrum = x.nbytes, ev.x_hat.nbytes
-    last = image + spectrum + ev.ax.nbytes + ev.z.nbytes + ev.d.nbytes
+    assert held_d == ev.ax.nbytes
+    last = image + spectrum + ev.ax.nbytes + held_d
     last += ev.inlier_mask.nbytes + image  # the mask, the data gradient
     assert freed <= last + image + spectrum + image + ws + 8 * 1024, freed
 
